@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark the compiled edit-distance kernel against the pure-Python fallback.
 
-The Levenshtein DP is the quadratic inner loop that dominates corpus CER
-computation; everything else in the scoring path is linear. Run after
+The compiled kernel is a two-row Levenshtein DP; the fallback is the
+bit-parallel Myers/Hyyrö algorithm over Python integers. Corpus scoring
+calls the kernel once per pair. Run after
 `pip install -e . --no-build-isolation` so the extension is built:
 
     python benchmarks/bench_kernels.py

@@ -1,5 +1,11 @@
 """Pure-Python Levenshtein kernel; fallback when the extension is absent.
 
+Bit-parallel (Myers 1999, in Hyyrö's 2001 formulation for the global
+distance): one column of the DP matrix is held as vertical +1/-1 delta
+bit vectors over the shorter string, in Python integers of any width,
+and each character of the longer string updates the whole column in a
+constant number of integer operations.
+
 Must stay behaviorally identical to tgfa._speedups.levenshtein.
 """
 
@@ -9,7 +15,7 @@ __all__ = ["levenshtein"]
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Unit-cost edit distance over Unicode scalar values (two-row DP)."""
+    """Unit-cost edit distance over Unicode scalar values."""
     if a == b:
         return 0
     # Trim the common prefix and suffix; they never contribute edits.
@@ -25,22 +31,30 @@ def levenshtein(a: str, b: str) -> int:
         return len(b)
     if not b:
         return len(a)
-    if len(b) > len(a):
+    if len(a) > len(b):
         a, b = b, a
-    row = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        prev = row[0]
-        row[0] = i
-        for j, cb in enumerate(b, start=1):
-            cur = row[j]
-            if ca == cb:
-                row[j] = prev
-            else:
-                x = row[j - 1]
-                if cur < x:
-                    x = cur
-                if prev < x:
-                    x = prev
-                row[j] = x + 1
-            prev = cur
-    return row[-1]
+    # peq[c] has bit i set where a[i] == c.
+    peq: dict[str, int] = {}
+    bit = 1
+    for c in a:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv = mask, 0
+    dist = len(a)
+    for c in b:
+        eq = peq.get(c, 0)
+        d0 = (((eq & pv) + pv) ^ pv) | eq | mv
+        ph = mv | ~(d0 | pv)
+        mh = pv & d0
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        # Row 0 of the matrix grows by one per column: shift in a +1.
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(d0 | ph)) & mask
+        mv = ph & d0
+    return dist

@@ -20,13 +20,13 @@ import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import click
 
 from . import __version__
 from ._kernels import KERNEL_BACKEND
-from .errors import LengthMismatch, TgfaError, UnknownDataset
+from .errors import LengthMismatch, ParseError, TgfaError, UnknownDataset
 from .metrics import EvalPair, GroupScores, MetricReport, score_corpus
 from .script import NormMode, Script, load_char_table, normalize_text
 from .tokenizer import detokenize, format_token_line, parse_token_line, tokenize
@@ -141,22 +141,21 @@ def _group_label(pair: corpus_mod.ParallelPair) -> str:
         return pair.dataset or "all"
 
 
+def _eval_texts(texts: Iterable[str], target: Script) -> list[str]:
+    return [normalize_text(text, target, NormMode.EVAL) for text in texts]
+
+
 def _eval_pairs(
-    refs_raw: Sequence[str],
+    refs: Sequence[str],
     hyps_raw: Sequence[str],
     groups: Sequence[str],
     target: Script,
 ) -> list[EvalPair]:
-    pairs = []
-    for ref, hyp, group in zip(refs_raw, hyps_raw, groups):
-        pairs.append(
-            EvalPair(
-                hypothesis=normalize_text(hyp, target, NormMode.EVAL),
-                reference=normalize_text(ref, target, NormMode.EVAL),
-                group=group,
-            )
-        )
-    return pairs
+    """Pair eval-normalized references with hypotheses, normalizing the latter."""
+    return [
+        EvalPair(hypothesis=hyp, reference=ref, group=group)
+        for ref, hyp, group in zip(refs, _eval_texts(hyps_raw, target), groups)
+    ]
 
 
 def _fmt_cell(value: float) -> str:
@@ -405,7 +404,8 @@ def build_dict(corpus, direction, out):
 @cli.command("train-lm")
 @click.option("--corpus", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--direction", type=click.Choice(list(translit_mod.DIRECTIONS)), required=True)
-@click.option("--lm-order", type=int, default=translit_mod.DEFAULT_LM_ORDER, show_default=True)
+@click.option("--lm-order", type=click.IntRange(min=1), default=translit_mod.DEFAULT_LM_ORDER,
+              show_default=True)
 @click.option("--smoothing", type=click.Choice(["witten_bell", "none"]), default="witten_bell", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @_friendly
@@ -437,7 +437,7 @@ def _source_texts(pairs, direction: str) -> list[str]:
 @click.option("--dict", "dict_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--lm", "lm_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Without an LM the first table candidate is taken.")
-@click.option("--beam", type=int, default=translit_mod.DEFAULT_BEAM, show_default=True)
+@click.option("--beam", type=click.IntRange(min=1), default=translit_mod.DEFAULT_BEAM, show_default=True)
 @click.option("--assume-normalized", is_flag=True,
               help="Input is already train-normalized; skip normalization.")
 @click.option("--ambiguity-stats", is_flag=True,
@@ -489,7 +489,7 @@ def _load_hyp_lines(hyp_path: str, n_expected: int) -> list[str]:
               help="Hypothesis file, one detokenized line per pair; repeatable.")
 @click.option("--direction", type=click.Choice(list(translit_mod.DIRECTIONS)), required=True)
 @click.option("--sentence-chrf", is_flag=True, help="Average sentence-level chrF instead of pooling counts.")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--format", "format_", type=click.Choice(["table", "jsonl"]), default="table", show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @_friendly
@@ -497,7 +497,7 @@ def score(corpus, hyps, direction, sentence_chrf, jobs, format_, out):
     """Score hypothesis files against a reference corpus."""
     pairs = corpus_mod.load(corpus)
     target = Script.FARSI if direction == "tg2fa" else Script.TAJIK
-    refs_raw = [p.fa if direction == "tg2fa" else p.tg for p in pairs]
+    refs = _eval_texts((p.fa if direction == "tg2fa" else p.tg for p in pairs), target)
     groups = [_group_label(p) for p in pairs]
     config = {
         "command": "score",
@@ -510,7 +510,7 @@ def score(corpus, hyps, direction, sentence_chrf, jobs, format_, out):
     systems: dict[str, MetricReport] = {}
     for hyp_path in hyps:
         hyp_lines = _load_hyp_lines(hyp_path, len(pairs))
-        eval_pairs = _eval_pairs(refs_raw, hyp_lines, groups, target)
+        eval_pairs = _eval_pairs(refs, hyp_lines, groups, target)
         name = Path(hyp_path).stem
         systems[name] = score_corpus(eval_pairs, sentence_chrf, jobs)
     table_text = _report_table(systems, meta)
@@ -533,11 +533,12 @@ def score(corpus, hyps, direction, sentence_chrf, jobs, format_, out):
 @click.option("--corpus", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--direction", type=click.Choice(list(translit_mod.DIRECTIONS)), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--beam", type=int, default=translit_mod.DEFAULT_BEAM, show_default=True)
-@click.option("--lm-order", type=int, default=translit_mod.DEFAULT_LM_ORDER, show_default=True)
+@click.option("--beam", type=click.IntRange(min=1), default=translit_mod.DEFAULT_BEAM, show_default=True)
+@click.option("--lm-order", type=click.IntRange(min=1), default=translit_mod.DEFAULT_LM_ORDER,
+              show_default=True)
 @click.option("--folds", type=int, default=0, show_default=True,
               help="0 = 80/10/10 holdout; k >= 2 = k-fold cross-validation.")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 @_friendly
 def pipeline(corpus, direction, seed, beam, lm_order, folds, jobs, out):
@@ -614,7 +615,7 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, jobs, out):
         pairs[i].fa if direction == "tg2fa" else pairs[i].tg for i in scored_indices
     ]
     groups = [_group_label(pairs[i]) for i in scored_indices]
-    eval_pairs = _eval_pairs(refs_raw, scored_hyps, groups, target)
+    eval_pairs = _eval_pairs(_eval_texts(refs_raw, target), scored_hyps, groups, target)
     _write_lines(str(out_dir / "test.ref.txt"), refs_raw)
     with _stage("score"):
         report = score_corpus(eval_pairs, jobs=jobs)
@@ -627,6 +628,20 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, jobs, out):
     click.echo(table_text, nl=False)
 
 
+def _score_rows(path: str) -> Iterator[tuple[int, dict]]:
+    """(1-based line number, row) for each non-blank line of a score file."""
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"invalid JSON ({e.msg})", line=lineno, path=path) from None
+        if not isinstance(row, dict):
+            raise ParseError("expected a JSON object", line=lineno, path=path)
+        yield lineno, row
+
+
 @cli.command()
 @click.option("--scores", type=click.Path(exists=True, dir_okay=False), multiple=True, required=True,
               help="Structured score file produced by `score` or `pipeline`; repeatable.")
@@ -637,15 +652,19 @@ def report(scores, output):
     systems: dict[str, MetricReport] = {}
     metas = []
     for path in scores:
-        rows = [json.loads(line) for line in _read_lines(path) if line.strip()]
-        meta_rows = [r["meta"] for r in rows if "meta" in r]
-        metas.extend(meta_rows)
         groups: dict[str, GroupScores] = {}
         overall: GroupScores | None = None
         name = Path(path).stem.removesuffix(".scores")
-        for r in rows:
+        for lineno, r in _score_rows(path):
             if "meta" in r:
+                metas.append(r["meta"])
                 continue
+            for key in ("group", "n_pairs", *METRIC_COLUMNS):
+                if key not in r:
+                    raise ParseError(f"missing field {key!r}", line=lineno, path=path)
+            for key in ("n_pairs", *METRIC_COLUMNS):
+                if not isinstance(r[key], (int, float)):
+                    raise ParseError(f"field {key!r} is not a number", line=lineno, path=path)
             name = r.get("system", name)
             scores_row = GroupScores(
                 n_pairs=r["n_pairs"],

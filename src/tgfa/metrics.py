@@ -12,6 +12,10 @@ Conventions that matter for comparability:
   averaged uniformly over the active orders (those with at least one
   reference n-gram), then combined with beta = 2. A sentence-averaged
   variant is available for sensitivity checks.
+
+`score_corpus` scores each pair once (one edit distance, one chrF++
+count vector whose first six orders are chrF's) and builds every group
+and the pooled overall from those values.
 """
 
 from __future__ import annotations
@@ -225,20 +229,6 @@ def seq_acc(pairs: Sequence[EvalPair], strip_ws: bool = False) -> float:
     return 100.0 * hits / len(pairs)
 
 
-def _group_scores(
-    pairs: Sequence[EvalPair], sentence_level_chrf: bool, jobs: int
-) -> GroupScores:
-    return GroupScores(
-        n_pairs=len(pairs),
-        chrf=chrf(pairs, sentence_level_chrf),
-        chrf_pp=chrf_pp(pairs, sentence_level_chrf),
-        cer=cer_mean(pairs, jobs),
-        ncer=ncer_mean(pairs, jobs),
-        acc=seq_acc(pairs, strip_ws=False),
-        acc_no_ws=seq_acc(pairs, strip_ws=True),
-    )
-
-
 _GROUP_ORDER = {"poetry": 0, "prose": 1, "names": 2, "dictionary": 3}
 
 
@@ -251,15 +241,50 @@ def score_corpus(
     sentence_level_chrf: bool = False,
     jobs: int = 1,
 ) -> MetricReport:
-    """All six metrics per group label and pooled overall."""
+    """All six metrics per group label and pooled overall.
+
+    Each pair is scored once: one edit distance and one chrF++ count
+    vector (chrF is its first six orders). Groups and Overall are sums
+    of those per-pair values, taken in input order, so every metric
+    equals what the single-metric functions return for the same pairs.
+    """
     _require_pairs(pairs)
-    by_group: dict[str, list[EvalPair]] = {}
-    for p in pairs:
-        by_group.setdefault(p.group, []).append(p)
-    groups = {
-        label: _group_scores(by_group[label], sentence_level_chrf, jobs)
-        for label in _ordered_groups(by_group)
-    }
-    return MetricReport(
-        groups=groups, overall=_group_scores(pairs, sentence_level_chrf, jobs)
-    )
+    dists = _distances(pairs, jobs)
+    stats = [
+        _pair_stats(p.hypothesis, p.reference, CHRF_CHAR_ORDER, CHRF_PP_WORD_ORDER)
+        for p in pairs
+    ]
+    rates = [d / max(1, len(p.reference)) for d, p in zip(dists, pairs)]
+    if sentence_level_chrf:
+        sent_chrf = [_f_from_stats(s[:CHRF_CHAR_ORDER], CHRF_BETA) for s in stats]
+        sent_chrf_pp = [_f_from_stats(s, CHRF_BETA) for s in stats]
+    exact = [p.hypothesis == p.reference for p in pairs]
+    exact_no_ws = [
+        strip_whitespace(p.hypothesis) == strip_whitespace(p.reference) for p in pairs
+    ]
+
+    def scores(idx: Sequence[int]) -> GroupScores:
+        n = len(idx)
+        if sentence_level_chrf:
+            chrf_value = sum(sent_chrf[i] for i in idx) / n
+            chrf_pp_value = sum(sent_chrf_pp[i] for i in idx) / n
+        else:
+            # Per order, (matched, hyp_total, ref_total) summed over the pairs.
+            totals = [tuple(map(sum, zip(*order))) for order in zip(*(stats[i] for i in idx))]
+            chrf_value = _f_from_stats(totals[:CHRF_CHAR_ORDER], CHRF_BETA)
+            chrf_pp_value = _f_from_stats(totals, CHRF_BETA)
+        return GroupScores(
+            n_pairs=n,
+            chrf=chrf_value,
+            chrf_pp=chrf_pp_value,
+            cer=sum(dists[i] for i in idx) / n,
+            ncer=sum(rates[i] for i in idx) / n,
+            acc=100.0 * sum(exact[i] for i in idx) / n,
+            acc_no_ws=100.0 * sum(exact_no_ws[i] for i in idx) / n,
+        )
+
+    by_group: dict[str, list[int]] = {}
+    for i, p in enumerate(pairs):
+        by_group.setdefault(p.group, []).append(i)
+    groups = {label: scores(by_group[label]) for label in _ordered_groups(by_group)}
+    return MetricReport(groups=groups, overall=scores(range(len(pairs))))

@@ -313,3 +313,64 @@ class TestPipelineAndReport:
         assert result.exit_code == 0
         assert "Overall" in result.output
         assert "100.00" in result.output
+
+
+class TestFlagValidation:
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("score", "--jobs", "0"),
+            ("score", "--jobs", "-3"),
+            ("pipeline", "--jobs", "0"),
+            ("pipeline", "--beam", "0"),
+            ("pipeline", "--lm-order", "0"),
+            ("translit", "--beam", "0"),
+            ("train-lm", "--lm-order", "0"),
+        ],
+    )
+    def test_out_of_range_rejected_before_work(self, runner, corpus_file, tmp_path, command, flag, value):
+        out = tmp_path / "out"
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("x\n" * 24, encoding="utf-8")
+        args = {
+            "score": ["--corpus", str(corpus_file), "--hyp", str(hyp), "--out", str(out)],
+            "pipeline": ["--corpus", str(corpus_file), "--out", str(out)],
+            "translit": ["-o", str(out)],
+            "train-lm": ["--corpus", str(corpus_file), "--out", str(out)],
+        }[command]
+        result = invoke(
+            runner, [command, "--direction", "tg2fa", *args, flag, value], input="бғд\n"
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert flag in result.output
+        assert not out.exists()
+
+
+class TestReportErrors:
+    GOOD_ROW = {
+        "system": "s", "group": "Overall", "n_pairs": 3,
+        "chrf": 1.0, "chrf_pp": 1.0, "cer": 0.0, "ncer": 0.0, "acc": 100.0, "acc_no_ws": 100.0,
+    }
+
+    @pytest.mark.parametrize(
+        "bad_line,reason",
+        [
+            ('{"group": "poetry", ', "invalid JSON"),
+            ("[1, 2, 3]", "expected a JSON object"),
+            (json.dumps({k: v for k, v in GOOD_ROW.items() if k != "group"}), "missing field 'group'"),
+            (json.dumps({k: v for k, v in GOOD_ROW.items() if k != "ncer"}), "missing field 'ncer'"),
+            (json.dumps({**GOOD_ROW, "chrf": "high"}), "field 'chrf' is not a number"),
+        ],
+        ids=["bad-json", "not-an-object", "no-group", "no-metric", "non-numeric-metric"],
+    )
+    def test_malformed_row_is_parse_error(self, runner, tmp_path, bad_line, reason):
+        path = tmp_path / "s.scores.jsonl"
+        lines = [json.dumps({"meta": {"version": "0"}}), json.dumps(self.GOOD_ROW), "", bad_line]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = invoke(runner, ["report", "--scores", str(path)])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"{path}: line 4: {reason}" in result.output
+        assert "Traceback" not in result.output

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tgfa.errors import EmptyCorpus, WrongState
 from tgfa.metrics import (
     EvalPair,
+    GroupScores,
     cer_mean,
     chrf,
     chrf_pp,
@@ -59,6 +60,15 @@ class TestEditDistance:
     @settings(max_examples=400)
     def test_matches_oracle(self, a, b):
         assert edit_distance(a, b) == levenshtein_dp(a, b)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    def test_lengths_around_machine_words(self, n):
+        rng = random.Random(n)
+        alphabet = "аби" + "\u200c" + "ا ب\U0001F600"
+        a = "".join(rng.choice(alphabet) for _ in range(n))
+        b = "".join(rng.choice(alphabet) for _ in range(n + 3))
+        assert edit_distance(a, b) == levenshtein_dp(a, b)
+        assert edit_distance("", a) == n
 
     @given(_short, _short)
     @settings(max_examples=200)
@@ -271,6 +281,53 @@ class TestScoreCorpus:
         assert report.overall.cer == sum(
             levenshtein_dp(h, r) for h, r in tuples
         ) / len(tuples)
+
+    @pytest.mark.parametrize("sentence_level", [False, True])
+    def test_one_pass_matches_oracles_and_single_metrics(self, sentence_level):
+        # Three groups interleaved in input order; spaces give word n-grams.
+        labels = ("poetry", "prose", "names")
+        pairs = [
+            EvalPair(p.hypothesis, p.reference, labels[i % 3])
+            for i, p in enumerate(random_pairs(90, seed=41, alphabet="abc де ف"))
+        ]
+        report = score_corpus(pairs, sentence_level)
+        assert list(report.groups) == list(labels)
+        assert score_corpus(pairs, sentence_level, jobs=3) == report
+        members = {g: [p for p in pairs if p.group == g] for g in labels}
+        for group_pairs, got in [(members[g], report.groups[g]) for g in labels] + [
+            (pairs, report.overall)
+        ]:
+            n = len(group_pairs)
+            tuples = [(p.hypothesis, p.reference) for p in group_pairs]
+            dists = [levenshtein_dp(h, r) for h, r in tuples]
+            if sentence_level:
+                want_chrf = sum(sentence_f_direct(h, r, 6, 0, 2.0) for h, r in tuples) / n
+                want_chrf_pp = sum(sentence_f_direct(h, r, 6, 2, 2.0) for h, r in tuples) / n
+            else:
+                want_chrf = corpus_f_direct(tuples, 6, 0, 2.0)
+                want_chrf_pp = corpus_f_direct(tuples, 6, 2, 2.0)
+            assert got.n_pairs == n
+            assert got.chrf == pytest.approx(want_chrf, abs=1e-9)
+            assert got.chrf_pp == pytest.approx(want_chrf_pp, abs=1e-9)
+            assert got.cer == pytest.approx(sum(dists) / n, abs=1e-9)
+            assert got.ncer == pytest.approx(
+                sum(d / max(1, len(r)) for d, (_, r) in zip(dists, tuples)) / n, abs=1e-9
+            )
+            assert got.acc == pytest.approx(100.0 * sum(h == r for h, r in tuples) / n, abs=1e-9)
+            assert got.acc_no_ws == pytest.approx(
+                100.0 * sum("".join(h.split()) == "".join(r.split()) for h, r in tuples) / n,
+                abs=1e-9,
+            )
+            # Exact equality with the single-metric functions keeps reports byte-identical.
+            assert got == GroupScores(
+                n_pairs=n,
+                chrf=chrf(group_pairs, sentence_level),
+                chrf_pp=chrf_pp(group_pairs, sentence_level),
+                cer=cer_mean(group_pairs),
+                ncer=ncer_mean(group_pairs),
+                acc=seq_acc(group_pairs),
+                acc_no_ws=seq_acc(group_pairs, strip_ws=True),
+            )
 
     def test_cer_zero_iff_acc_100(self):
         for seed in range(5):
