@@ -7,7 +7,6 @@ evaluation suite (chrF, chrF++, CER, normalized CER, sequence accuracy).
 
 from __future__ import annotations
 
-from ._kernels import KERNEL_BACKEND
 from .script import (
     CharClass,
     NormMode,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "KERNEL_BACKEND",
     "Script",
     "CharClass",
     "NormMode",

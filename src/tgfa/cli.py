@@ -25,7 +25,6 @@ from typing import Iterable, Iterator, Sequence
 import click
 
 from . import __version__
-from ._kernels import KERNEL_BACKEND
 from .errors import LengthMismatch, ParseError, TgfaError, UnknownDataset
 from .metrics import EvalPair, GroupScores, MetricReport, score_corpus
 from .script import NormMode, Script, load_char_table, normalize_text
@@ -74,11 +73,7 @@ def _stage(name: str):
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
-@click.version_option(
-    version=__version__,
-    prog_name="tgfa",
-    message=f"%(prog)s, version %(version)s (kernel: {KERNEL_BACKEND})",
-)
+@click.version_option(version=__version__, prog_name="tgfa")
 def cli():
     """Tajik-Cyrillic / Perso-Arabic transliteration toolkit."""
 
@@ -489,11 +484,10 @@ def _load_hyp_lines(hyp_path: str, n_expected: int) -> list[str]:
               help="Hypothesis file, one detokenized line per pair; repeatable.")
 @click.option("--direction", type=click.Choice(list(translit_mod.DIRECTIONS)), required=True)
 @click.option("--sentence-chrf", is_flag=True, help="Average sentence-level chrF instead of pooling counts.")
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--format", "format_", type=click.Choice(["table", "jsonl"]), default="table", show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @_friendly
-def score(corpus, hyps, direction, sentence_chrf, jobs, format_, out):
+def score(corpus, hyps, direction, sentence_chrf, format_, out):
     """Score hypothesis files against a reference corpus."""
     pairs = corpus_mod.load(corpus)
     target = Script.FARSI if direction == "tg2fa" else Script.TAJIK
@@ -512,7 +506,7 @@ def score(corpus, hyps, direction, sentence_chrf, jobs, format_, out):
         hyp_lines = _load_hyp_lines(hyp_path, len(pairs))
         eval_pairs = _eval_pairs(refs, hyp_lines, groups, target)
         name = Path(hyp_path).stem
-        systems[name] = score_corpus(eval_pairs, sentence_chrf, jobs)
+        systems[name] = score_corpus(eval_pairs, sentence_chrf)
     table_text = _report_table(systems, meta)
     if format_ == "table":
         click.echo(table_text, nl=False)
@@ -538,10 +532,9 @@ def score(corpus, hyps, direction, sentence_chrf, jobs, format_, out):
               show_default=True)
 @click.option("--folds", type=int, default=0, show_default=True,
               help="0 = 80/10/10 holdout; k >= 2 = k-fold cross-validation.")
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 @_friendly
-def pipeline(corpus, direction, seed, beam, lm_order, folds, jobs, out):
+def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
     """Run split, training, transliteration and scoring in one go."""
     with _stage("load"):
         pairs = corpus_mod.load(corpus)
@@ -618,7 +611,7 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, jobs, out):
     eval_pairs = _eval_pairs(_eval_texts(refs_raw, target), scored_hyps, groups, target)
     _write_lines(str(out_dir / "test.ref.txt"), refs_raw)
     with _stage("score"):
-        report = score_corpus(eval_pairs, jobs=jobs)
+        report = score_corpus(eval_pairs)
     name = f"baseline-{direction}"
     table_text = _report_table({name: report}, meta)
     (out_dir / "report.txt").write_text(table_text, encoding="utf-8")
@@ -675,7 +668,7 @@ def report(scores, output):
             else:
                 groups[r["group"]] = scores_row
         if overall is None:
-            raise click.UsageError(f"{path}: no Overall row found")
+            raise ParseError("no Overall row found", path=path)
         systems[name] = MetricReport(groups=groups, overall=overall)
     merged_meta = metas[0] if metas else None
     _write_lines(output, _report_table(systems, merged_meta).splitlines())

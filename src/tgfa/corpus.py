@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -106,41 +107,48 @@ def _detect_format(path: Path) -> str:
     return "tsv"
 
 
-def _parse_jsonl_line(line: str, lineno: int) -> ParallelPair:
+# Line parsers raise ValueError with the reason; read_pairs adds the
+# file and line.
+def _parse_jsonl_line(line: str) -> ParallelPair:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON ({e.msg})", line=lineno) from None
+        raise ValueError(f"invalid JSON ({e.msg})") from None
     if not isinstance(obj, dict):
-        raise ParseError("expected a JSON object", line=lineno)
+        raise ValueError("expected a JSON object")
     for key in ("fa", "tg"):
         if key not in obj:
-            raise ParseError(f"missing field {key!r}", line=lineno)
+            raise ValueError(f"missing field {key!r}")
         if not isinstance(obj[key], str):
-            raise ParseError(f"field {key!r} is not a string", line=lineno)
+            raise ValueError(f"field {key!r} is not a string")
     domain = obj.get("domain")
     if domain is not None and domain not in DOMAINS:
-        raise ParseError(f"unknown domain {domain!r}", line=lineno)
+        raise ValueError(f"unknown domain {domain!r}")
     return ParallelPair(
         fa=obj["fa"], tg=obj["tg"], dataset=obj.get("dataset", ""), domain=domain
     )
 
 
-def _parse_tsv_line(line: str, lineno: int) -> ParallelPair:
+def _parse_tsv_line(line: str) -> ParallelPair:
     cols = line.split("\t")
     if len(cols) < 2:
-        raise ParseError("expected at least fa<TAB>tg", line=lineno)
+        raise ValueError("expected at least fa<TAB>tg")
     if len(cols) > 4:
-        raise ParseError(f"too many columns ({len(cols)})", line=lineno)
+        raise ValueError(f"too many columns ({len(cols)})")
     domain = cols[3] if len(cols) > 3 and cols[3] else None
     if domain is not None and domain not in DOMAINS:
-        raise ParseError(f"unknown domain {domain!r}", line=lineno)
+        raise ValueError(f"unknown domain {domain!r}")
     return ParallelPair(
         fa=cols[0],
         tg=cols[1],
         dataset=cols[2] if len(cols) > 2 else "",
         domain=domain,
     )
+
+
+# Under errors="surrogateescape" each byte that is not UTF-8 decodes to one
+# of these lone surrogates; strict UTF-8 decoding never yields them.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def read_pairs(
@@ -150,7 +158,8 @@ def read_pairs(
 
     Pairs with a side that is empty after train normalization are
     skipped, not errors: real corpora contain lines that are all
-    punctuation. Malformed lines raise ParseError with the line number.
+    punctuation. Malformed lines, and bytes that are not UTF-8, raise
+    ParseError naming the file and the 1-based line.
     """
     path = Path(path)
     fmt = fmt or _detect_format(path)
@@ -159,12 +168,19 @@ def read_pairs(
     parse = _parse_jsonl_line if fmt == "jsonl" else _parse_tsv_line
     pairs: list[ParallelPair] = []
     skipped: list[str] = []
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\r\n")
             if not line:
                 continue
-            pair = parse(line, lineno)
+            try:
+                bad = _UNDECODABLE.search(line)
+                if bad:
+                    byte = ord(bad.group()) - 0xDC00
+                    raise ValueError(f"not valid UTF-8 (byte 0x{byte:02X})")
+                pair = parse(line)
+            except ValueError as e:
+                raise ParseError(str(e), line=lineno, path=str(path)) from None
             empty = [
                 side
                 for side, text, script in (
@@ -321,18 +337,22 @@ def kfold(
 ) -> list[SplitSpec]:
     """Deterministic stratified k-fold cross-validation splits.
 
-    Fold i's test set gets every k-th index of each dataset's shuffled
-    order, so the test sets partition the corpus exactly.
+    The datasets' shuffled orders are laid end to end and dealt round
+    robin, so the deal carries on from one dataset to the next. Fold i's
+    test set gets every k-th index from position i: the test sets
+    partition the corpus, differ in size by at most one pair, and each
+    holds floor or ceil of 1/k of every dataset.
     """
     if k < 2:
         raise TooSmall("k must be at least 2")
     if len(pairs) < k:
         raise TooSmall(f"need at least k={k} pairs, got {len(pairs)}")
-    test_sets: list[list[int]] = [[] for _ in range(k)]
-    for label, indices in sorted(_by_dataset(pairs).items()):
-        order = _shuffled(indices, seed, label)
-        for fold in range(k):
-            test_sets[fold].extend(order[fold::k])
+    order = [
+        i
+        for label, indices in sorted(_by_dataset(pairs).items())
+        for i in _shuffled(indices, seed, label)
+    ]
+    test_sets = [order[fold::k] for fold in range(k)]
     folds = []
     for fold in range(k):
         test = set(test_sets[fold])

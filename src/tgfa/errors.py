@@ -59,7 +59,7 @@ class BadMap(TgfaError):
 
 
 class ParseError(TgfaError):
-    """Malformed input file; message carries the line number and reason."""
+    """Malformed input file; message carries the file, line number and reason."""
 
     exit_code = 3
 
@@ -73,7 +73,7 @@ class ParseError(TgfaError):
 
 
 class ArtifactError(ParseError):
-    """Persisted model file has a wrong magic header or format version."""
+    """Persisted model file is not a JSON object or has a wrong magic header or version."""
 
 
 class UnknownDataset(TgfaError):

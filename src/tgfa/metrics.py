@@ -15,17 +15,17 @@ Conventions that matter for comparability:
 
 `score_corpus` scores each pair once (one edit distance, one chrF++
 count vector whose first six orders are chrF's) and builds every group
-and the pooled overall from those values.
+and the pooled overall from those values. Every edit distance comes
+from the bit-parallel kernel in `tgfa._kernels`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._kernels import KERNEL_BACKEND, levenshtein
+from ._kernels import levenshtein
 from .errors import EmptyCorpus, WrongState
 from .script import FARSI_DIACRITICS, ZWNJ, strip_whitespace
 
@@ -41,7 +41,6 @@ __all__ = [
     "chrf_pp",
     "seq_acc",
     "score_corpus",
-    "KERNEL_BACKEND",
 ]
 
 CHRF_CHAR_ORDER = 6
@@ -93,11 +92,7 @@ def edit_distance(a: str, b: str) -> int:
     return levenshtein(a, b)
 
 
-def _distances(pairs: Sequence[EvalPair], jobs: int = 1) -> list[int]:
-    if jobs > 1:
-        # Only pays off with the compiled kernel, which releases the GIL.
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda p: levenshtein(p.hypothesis, p.reference), pairs))
+def _distances(pairs: Sequence[EvalPair]) -> list[int]:
     return [levenshtein(p.hypothesis, p.reference) for p in pairs]
 
 
@@ -106,16 +101,16 @@ def _require_pairs(pairs: Sequence[EvalPair]) -> None:
         raise EmptyCorpus("no pairs to score")
 
 
-def cer_mean(pairs: Sequence[EvalPair], jobs: int = 1) -> float:
+def cer_mean(pairs: Sequence[EvalPair]) -> float:
     """Mean raw edit distance over all pairs."""
     _require_pairs(pairs)
-    return sum(_distances(pairs, jobs)) / len(pairs)
+    return sum(_distances(pairs)) / len(pairs)
 
 
-def ncer_mean(pairs: Sequence[EvalPair], jobs: int = 1) -> float:
+def ncer_mean(pairs: Sequence[EvalPair]) -> float:
     """Mean of edit distance divided by max(1, reference length)."""
     _require_pairs(pairs)
-    dists = _distances(pairs, jobs)
+    dists = _distances(pairs)
     return sum(
         d / max(1, len(p.reference)) for d, p in zip(dists, pairs)
     ) / len(pairs)
@@ -237,9 +232,7 @@ def _ordered_groups(labels: Iterable[str]) -> list[str]:
 
 
 def score_corpus(
-    pairs: Sequence[EvalPair],
-    sentence_level_chrf: bool = False,
-    jobs: int = 1,
+    pairs: Sequence[EvalPair], sentence_level_chrf: bool = False
 ) -> MetricReport:
     """All six metrics per group label and pooled overall.
 
@@ -249,7 +242,7 @@ def score_corpus(
     equals what the single-metric functions return for the same pairs.
     """
     _require_pairs(pairs)
-    dists = _distances(pairs, jobs)
+    dists = _distances(pairs)
     stats = [
         _pair_stats(p.hypothesis, p.reference, CHRF_CHAR_ORDER, CHRF_PP_WORD_ORDER)
         for p in pairs

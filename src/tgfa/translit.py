@@ -283,13 +283,6 @@ class CharNGramLM:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CharNGramLM":
-        if payload.get("magic") != LM_MAGIC:
-            raise ArtifactError(f"not a {LM_MAGIC} file")
-        if payload.get("version") != FORMAT_VERSION:
-            raise ArtifactError(
-                f"unsupported format version {payload.get('version')!r}, "
-                f"expected {FORMAT_VERSION}"
-            )
         lm = cls(order=payload["order"], smoothing=payload["smoothing"])
         lm._vocab = set(payload["alphabet"])
         for k, level in enumerate(payload["counts"]):
@@ -320,12 +313,28 @@ def save_lm(lm: CharNGramLM, path: str | Path) -> None:
     )
 
 
-def load_lm(path: str | Path) -> CharNGramLM:
+def _read_artifact(path: str | Path, kind: str, magic: str) -> dict:
+    """The JSON object of a saved model file, checked for magic and version."""
+    where = str(path)
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
-        raise ArtifactError(f"not a valid model file: {e.msg}") from None
-    return CharNGramLM.from_payload(payload)
+        raise ArtifactError(f"not a valid {kind} file: {e.msg}", path=where) from None
+    if not isinstance(payload, dict):
+        raise ArtifactError(f"not a valid {kind} file: expected a JSON object", path=where)
+    if payload.get("magic") != magic:
+        raise ArtifactError(f"not a {magic} file", path=where)
+    if payload.get("version") != FORMAT_VERSION:
+        raise ArtifactError(
+            f"unsupported format version {payload.get('version')!r}, "
+            f"expected {FORMAT_VERSION}",
+            path=where,
+        )
+    return payload
+
+
+def load_lm(path: str | Path) -> CharNGramLM:
+    return CharNGramLM.from_payload(_read_artifact(path, "model", LM_MAGIC))
 
 
 @dataclass
@@ -381,17 +390,7 @@ def save_dictionary(d: TranslitDict, path: str | Path) -> None:
 
 
 def load_dictionary(path: str | Path) -> TranslitDict:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ArtifactError(f"not a valid dictionary file: {e.msg}") from None
-    if payload.get("magic") != DICT_MAGIC:
-        raise ArtifactError(f"not a {DICT_MAGIC} file")
-    if payload.get("version") != FORMAT_VERSION:
-        raise ArtifactError(
-            f"unsupported format version {payload.get('version')!r}, "
-            f"expected {FORMAT_VERSION}"
-        )
+    payload = _read_artifact(path, "dictionary", DICT_MAGIC)
     return TranslitDict(
         direction=payload["direction"],
         entries=dict(payload["entries"]),

@@ -319,9 +319,6 @@ class TestFlagValidation:
     @pytest.mark.parametrize(
         "command,flag,value",
         [
-            ("score", "--jobs", "0"),
-            ("score", "--jobs", "-3"),
-            ("pipeline", "--jobs", "0"),
             ("pipeline", "--beam", "0"),
             ("pipeline", "--lm-order", "0"),
             ("translit", "--beam", "0"),
@@ -374,3 +371,52 @@ class TestReportErrors:
         assert isinstance(result.exception, SystemExit)
         assert f"{path}: line 4: {reason}" in result.output
         assert "Traceback" not in result.output
+
+
+
+_GOOD_TSV = "از\tаз\n".encode()
+_SCORE = ["score", "--corpus", "{path}", "--hyp", "{hyp}", "--direction", "tg2fa"]
+_TRANSLIT = ["translit", "--direction", "tg2fa"]
+# One row per malformed file: its name and bytes, the command that reads
+# it ({path} is the file), the exit code and the message naming the file.
+BAD_FILES = [
+    pytest.param("bad.jsonl", b"not json at all\n", _SCORE,
+                 3, "{path}: line 1: invalid JSON", id="corpus-bad-json"),
+    pytest.param("bad.jsonl", b'{"fa": "\xff", "tg": "x"}\n', _SCORE,
+                 3, "{path}: line 1: not valid UTF-8 (byte 0xFF)", id="corpus-not-utf8"),
+    pytest.param("bad.tsv", _GOOD_TSV + b"\xd8\ta\n", ["stats", "--corpus", "{path}"],
+                 3, "{path}: line 2: not valid UTF-8 (byte 0xD8)", id="tsv-not-utf8"),
+    pytest.param("bad.tsv", _GOOD_TSV * 3 + b"\xc0\xaf\ta\n",
+                 ["pipeline", "--corpus", "{path}", "--direction", "tg2fa", "--out", "{out}"],
+                 3, "{path}: line 4: not valid UTF-8 (byte 0xC0)", id="pipeline-not-utf8"),
+    pytest.param("s.scores.jsonl",
+                 json.dumps({**TestReportErrors.GOOD_ROW, "group": "poetry"}).encode(),
+                 ["report", "--scores", "{path}"],
+                 3, "{path}: no Overall row found", id="report-no-overall"),
+    pytest.param("lm.json", b"[1, 2]", [*_TRANSLIT, "--lm", "{path}"],
+                 3, "{path}: not a valid model file: expected a JSON object", id="lm-not-object"),
+    pytest.param("dict.json", b"[1, 2]", [*_TRANSLIT, "--dict", "{path}"],
+                 3, "{path}: not a valid dictionary file: expected a JSON object", id="dict-not-object"),
+]
+
+
+class TestMalformedInputsGuard:
+    """A malformed input file ends in a typed error naming it, not a traceback.
+
+    Report rows and out-of-range flags have their own tables above
+    (TestReportErrors, TestFlagValidation), which make the same checks.
+    """
+
+    @pytest.mark.parametrize("name,data,argv,code,message", BAD_FILES)
+    def test_bad_file(self, runner, tmp_path, name, data, argv, code, message):
+        path = tmp_path / name
+        path.write_bytes(data)
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("x\n", encoding="utf-8")
+        fill = {"path": str(path), "hyp": str(hyp), "out": str(tmp_path / "out")}
+        result = invoke(runner, [arg.format(**fill) for arg in argv], input="бғд\n")
+        assert code in (2, 3, 4)
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert message.format(**fill) in result.output

@@ -220,6 +220,32 @@ class TestKfold:
             per = Counter(pairs[i].dataset for i in f.test)
             assert per["A"] == 5 and per["B"] == 5
 
+    def test_small_datasets_fill_every_fold(self):
+        # Ten one-pair datasets: one pair per test fold, not ten in fold 0.
+        pairs = [p for d in range(10) for p in toy_corpus(1, seed=d, dataset=f"d{d}")]
+        assert [len(f.test) for f in kfold(pairs, k=10, seed=0)] == [1] * 10
+
+    @given(st.integers(2, 12), st.integers(0, 1000), st.lists(st.integers(1, 15), min_size=1, max_size=8))
+    @settings(max_examples=100)
+    def test_balanced_partition(self, k, seed, dataset_sizes):
+        pairs = [
+            ParallelPair(fa="از", tg="аз", dataset=f"d{d}")
+            for d, size in enumerate(dataset_sizes)
+            for _ in range(size)
+        ]
+        if len(pairs) < k:
+            with pytest.raises(TooSmall):
+                kfold(pairs, k=k, seed=seed)
+            return
+        folds = kfold(pairs, k=k, seed=seed)
+        assert sorted(i for f in folds for i in f.test) == list(range(len(pairs)))
+        sizes = [len(f.test) for f in folds]
+        assert max(sizes) - min(sizes) <= 1
+        for f in folds:
+            per = Counter(pairs[i].dataset for i in f.test)
+            for d, size in enumerate(dataset_sizes):
+                assert size // k <= per[f"d{d}"] <= -(-size // k)
+
 
 class TestGroupDomains:
     @pytest.mark.parametrize(
