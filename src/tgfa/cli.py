@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import click
 
 from . import __version__
-from .errors import LengthMismatch, ParseError, TgfaError, UnknownDataset
+from .errors import ConfigError, LengthMismatch, ParseError, TgfaError, UnknownDataset
 from .metrics import EvalPair, GroupScores, MetricReport, score_corpus
 from .script import NormMode, Script, load_char_table, normalize_text
 from .tokenizer import detokenize, format_token_line, parse_token_line, tokenize
@@ -401,7 +401,8 @@ def build_dict(corpus, direction, out):
 @click.option("--direction", type=click.Choice(list(translit_mod.DIRECTIONS)), required=True)
 @click.option("--lm-order", type=click.IntRange(min=1), default=translit_mod.DEFAULT_LM_ORDER,
               show_default=True)
-@click.option("--smoothing", type=click.Choice(["witten_bell", "none"]), default="witten_bell", show_default=True)
+@click.option("--smoothing", type=click.Choice(list(translit_mod.SMOOTHINGS)), default="witten_bell",
+              show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @_friendly
 def train_lm_cmd(corpus, direction, lm_order, smoothing, out):
@@ -449,6 +450,11 @@ def translit_cmd(direction, table_path, dict_path, lm_path, beam, assume_normali
         else translit_mod.default_mapping_table(direction)
     )
     dictionary = translit_mod.load_dictionary(dict_path) if dict_path else None
+    if dictionary is not None and dictionary.direction != direction:
+        raise ConfigError(
+            f"{dict_path}: dictionary direction is {dictionary.direction}, "
+            f"but --direction is {direction}"
+        )
     lm = translit_mod.load_lm(lm_path) if lm_path else None
     source = Script.TAJIK if direction == "tg2fa" else Script.FARSI
     normalized = []
@@ -457,8 +463,10 @@ def translit_cmd(direction, table_path, dict_path, lm_path, beam, assume_normali
             line = normalize_text(line, source, NormMode.TRAIN)
         normalized.append(line)
     out_lines = [
-        translit_mod.transliterate(line, dictionary, table, lm, beam, direction=direction).text
-        for line in normalized
+        out.text
+        for out in translit_mod.transliterate_lines(
+            normalized, dictionary, table, lm, beam, direction=direction
+        )
     ]
     _write_lines(output, out_lines)
     if ambiguity_stats:
@@ -572,8 +580,10 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
         sources = _source_texts(test_pairs, direction)
         with _stage("translit"):
             hyp_lines = [
-                translit_mod.transliterate(src, dictionary, table, lm, beam, direction=direction).text
-                for src in sources
+                out.text
+                for out in translit_mod.transliterate_lines(
+                    sources, dictionary, table, lm, beam, direction=direction
+                )
             ]
         _write_lines(str(block_dir / "test.src.txt"), sources)
         _write_lines(str(block_dir / "test.hyp.txt"), hyp_lines)

@@ -364,10 +364,15 @@ def kfold(
 
 
 def load_consonant_map(source: str | Path | Iterable[str]) -> dict[str, str]:
-    """Read a tajik_char<TAB>farsi_char map; must be one-to-one."""
+    """Read a tajik_char<TAB>farsi_char map; must be one-to-one.
+
+    Parse errors name the file when ``source`` is a path.
+    """
     if isinstance(source, (str, Path)):
+        where = str(source)
         lines = Path(source).read_text(encoding="utf-8").splitlines()
     else:
+        where = None
         lines = list(source)
     mapping: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=1):
@@ -376,7 +381,7 @@ def load_consonant_map(source: str | Path | Iterable[str]) -> dict[str, str]:
             continue
         cols = line.split("\t")
         if len(cols) != 2 or len(cols[0]) != 1 or len(cols[1]) != 1:
-            raise ParseError("expected tajik_char<TAB>farsi_char", line=lineno)
+            raise ParseError("expected tajik_char<TAB>farsi_char", line=lineno, path=where)
         if cols[0] in mapping:
             raise BadMap(f"duplicate Tajik consonant {cols[0]!r}")
         mapping[cols[0]] = cols[1]

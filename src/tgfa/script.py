@@ -230,11 +230,14 @@ def load_char_table(source: str | Path | Iterable[str]) -> dict[str, CharClass]:
     Each line is ``codepoint<TAB>class``; the code point may be written
     as ``U+0438``, ``0x0438`` or a single literal character. Lines that
     are empty or start with ``#`` are ignored. Assigning class ``other``
-    removes a character from its inventory.
+    removes a character from its inventory. Errors name the file when
+    ``source`` is a path.
     """
     if isinstance(source, (str, Path)):
+        where = str(source)
         lines = Path(source).read_text(encoding="utf-8").splitlines()
     else:
+        where = None
         lines = list(source)
     table: dict[str, CharClass] = {}
     for lineno, line in enumerate(lines, start=1):
@@ -243,20 +246,20 @@ def load_char_table(source: str | Path | Iterable[str]) -> dict[str, CharClass]:
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ParseError("expected codepoint<TAB>class", line=lineno)
+            raise ParseError("expected codepoint<TAB>class", line=lineno, path=where)
         cp_field, cls_field = parts[0].strip(), parts[1].strip()
         try:
             cls = CharClass(cls_field)
         except ValueError:
-            raise ParseError(f"unknown class {cls_field!r}", line=lineno) from None
+            raise ParseError(f"unknown class {cls_field!r}", line=lineno, path=where) from None
         if cp_field.upper().startswith("U+") or cp_field.lower().startswith("0x"):
             try:
                 char = chr(int(cp_field[2:], 16))
             except (ValueError, OverflowError):
-                raise ParseError(f"bad code point {cp_field!r}", line=lineno) from None
+                raise ParseError(f"bad code point {cp_field!r}", line=lineno, path=where) from None
         elif len(cp_field) == 1:
             char = cp_field
         else:
-            raise ParseError(f"bad code point {cp_field!r}", line=lineno)
+            raise ParseError(f"bad code point {cp_field!r}", line=lineno, path=where)
         table[char] = cls
     return table

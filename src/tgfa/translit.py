@@ -57,6 +57,7 @@ __all__ = [
     "beam_decode",
     "first_candidate",
     "transliterate",
+    "transliterate_lines",
     "avg_alternatives",
 ]
 
@@ -69,7 +70,11 @@ UNK = "\x01"
 
 LM_MAGIC = "tgfa-charlm"
 DICT_MAGIC = "tgfa-dict"
-FORMAT_VERSION = 1
+# Version 2 of the LM file stores contexts as strings; version 1 stored
+# them as lists of symbols.
+LM_FORMAT_VERSION = 2
+DICT_FORMAT_VERSION = 1
+SMOOTHINGS = ("witten_bell", "none")
 
 DEFAULT_LM_ORDER = 5
 DEFAULT_BEAM = 16
@@ -121,14 +126,16 @@ class MappingTable:
                     )
 
 
-def _parse_char_field(field_text: str, lineno: int) -> str:
+def _parse_char_field(field_text: str, lineno: int, where: str | None) -> str:
     if field_text.upper().startswith("U+"):
         try:
             return chr(int(field_text[2:], 16))
         except (ValueError, OverflowError):
-            raise ParseError(f"bad code point {field_text!r}", line=lineno) from None
+            raise ParseError(f"bad code point {field_text!r}", line=lineno, path=where) from None
     if len(field_text) != 1:
-        raise ParseError(f"source must be one character, got {field_text!r}", line=lineno)
+        raise ParseError(
+            f"source must be one character, got {field_text!r}", line=lineno, path=where
+        )
     return field_text
 
 
@@ -138,12 +145,15 @@ def load_mapping_table(
     """Read ``source_char<TAB>cand1|cand2|...`` lines; ``∅`` is the empty string.
 
     The source character may be written as ``U+XXXX`` so that invisible
-    characters (ZWNJ, combining marks) stay legible in the file.
+    characters (ZWNJ, combining marks) stay legible in the file. Parse
+    errors name the file when ``source`` is a path.
     """
     _check_direction(direction)
     if isinstance(source, (str, Path)):
+        where = str(source)
         lines = Path(source).read_text(encoding="utf-8").splitlines()
     else:
+        where = None
         lines = list(source)
     entries: dict[str, tuple[str, ...]] = {}
     for lineno, line in enumerate(lines, start=1):
@@ -152,16 +162,16 @@ def load_mapping_table(
             continue
         cols = line.split("\t")
         if len(cols) != 2:
-            raise ParseError("expected source_char<TAB>candidates", line=lineno)
-        src = _parse_char_field(cols[0].strip(), lineno)
+            raise ParseError("expected source_char<TAB>candidates", line=lineno, path=where)
+        src = _parse_char_field(cols[0].strip(), lineno, where)
         raw_cands = cols[1].split("|")
         if any(c == "" for c in raw_cands):
             raise ParseError(
-                "empty candidate field (use ∅ for the empty string)", line=lineno
+                "empty candidate field (use ∅ for the empty string)", line=lineno, path=where
             )
         cands = tuple("" if c == EMPTY_MARK else c for c in raw_cands)
         if src in entries:
-            raise ParseError(f"duplicate source character {src!r}", line=lineno)
+            raise ParseError(f"duplicate source character {src!r}", line=lineno, path=where)
         entries[src] = cands
     table = MappingTable(direction=direction, entries=entries)
     return table
@@ -190,91 +200,97 @@ class CharNGramLM:
     Symbols are the observed target-side characters plus an end sentinel
     and an unknown bucket; begin sentinels only ever appear in contexts.
     Every conditional distribution sums to 1 over that extended alphabet.
+
+    Every symbol, the sentinels included, is one character, so a context
+    is a string. The state a query depends on is the last ``order - 1``
+    characters of the text so far, left-padded with begin sentinels, as
+    in KenLM (Heafield 2011). Each context's counts are stored with their
+    total and number of types. ``prob`` remembers every (state, symbol)
+    it has answered for the life of the model object, so a repeated query
+    costs one dictionary lookup; the memo grows with the distinct queries.
     """
 
     def __init__(self, order: int, smoothing: str = "witten_bell"):
         if order < 1:
             raise ValueError("order must be >= 1")
-        if smoothing not in ("witten_bell", "none"):
+        if smoothing not in SMOOTHINGS:
             raise ValueError(f"unknown smoothing {smoothing!r}")
         self.order = order
         self.smoothing = smoothing
-        # counts[k-1]: context tuple of length k-1 -> Counter of next symbol
-        self._counts: list[dict[tuple[str, ...], Counter]] = [
-            {} for _ in range(order)
+        self._set_counts({EOS, UNK}, [() for _ in range(order)])
+
+    def _set_counts(
+        self, vocab: set[str], levels: Sequence[Iterable[tuple[str, dict[str, int]]]]
+    ) -> None:
+        """Install the alphabet and the counts: ``levels[k]`` holds (k-character context, counts)."""
+        self._vocab = vocab
+        # Characters that stand for themselves in a context; others become UNK.
+        self._known = frozenset(vocab | {BOS})
+        self._base = 1.0 / len(vocab)
+        self._levels = [
+            {ctx: (bucket, sum(bucket.values()), len(bucket)) for ctx, bucket in level if bucket}
+            for level in levels
         ]
-        self._vocab: set[str] = {EOS, UNK}
+        self._memo: dict[str, float] = {}
 
     @property
     def vocab(self) -> frozenset[str]:
         return frozenset(self._vocab)
 
-    def _observe(self, text: str) -> None:
-        symbols = [BOS] * (self.order - 1) + list(text) + [EOS]
-        self._vocab.update(text)
-        for i in range(self.order - 1, len(symbols)):
-            sym = symbols[i]
-            for k in range(1, self.order + 1):
-                ctx = tuple(symbols[i - k + 1 : i])
-                level = self._counts[k - 1]
-                bucket = level.get(ctx)
-                if bucket is None:
-                    bucket = level[ctx] = Counter()
-                bucket[sym] += 1
+    def prob(self, symbol: str, context: Sequence[str] | str = ()) -> float:
+        """P(symbol | last order-1 context symbols).
 
-    def _map_symbol(self, sym: str) -> str:
-        return sym if sym in self._vocab or sym == BOS else UNK
-
-    def prob(self, symbol: str, context: Sequence[str] = ()) -> float:
-        """P(symbol | last order-1 context symbols)."""
-        sym = self._map_symbol(symbol)
-        ctx = tuple(self._map_symbol(s) for s in context)[max(0, len(context) - self.order + 1):]
-        ctx = (BOS,) * (self.order - 1 - len(ctx)) + ctx
-        if self.smoothing == "none":
-            bucket = self._counts[self.order - 1].get(ctx)
-            if not bucket:
-                return 0.0
-            return bucket[sym] / sum(bucket.values())
-        return self._wb(sym, ctx)
-
-    def _wb(self, sym: str, ctx: tuple[str, ...]) -> float:
-        # Uniform base distribution over the extended alphabet.
-        p = 1.0 / len(self._vocab)
-        for k in range(1, self.order + 1):
-            sub_ctx = ctx[len(ctx) - (k - 1):] if k > 1 else ()
-            bucket = self._counts[k - 1].get(sub_ctx)
-            if not bucket:
-                continue
-            total = sum(bucket.values())
-            types = len(bucket)
-            p = (bucket[sym] + types * p) / (total + types)
+        ``context`` is a str or a sequence of one-character symbols.
+        """
+        n = self.order - 1
+        tail = context[len(context) - n :] if len(context) > n else context
+        if not isinstance(tail, str):
+            tail = "".join(tail)
+        known = self._known
+        if not known.issuperset(tail):
+            tail = "".join(c if c in known else UNK for c in tail)
+        if len(tail) < n:
+            tail = BOS * (n - len(tail)) + tail
+        key = tail + (symbol if symbol in known else UNK)
+        p = self._memo.get(key)
+        if p is None:
+            p = self._memo[key] = self._prob(key[:-1], key[-1])
         return p
 
-    def logp(self, symbol: str, context: Sequence[str] = ()) -> float:
+    def _prob(self, ctx: str, sym: str) -> float:
+        n = self.order - 1
+        if self.smoothing == "none":
+            stats = self._levels[n].get(ctx)
+            return stats[0].get(sym, 0) / stats[1] if stats else 0.0
+        # Uniform base distribution over the extended alphabet.
+        p = self._base
+        for k, level in enumerate(self._levels):
+            stats = level.get(ctx[n - k :])
+            if stats is not None:
+                bucket, total, types = stats
+                p = (bucket.get(sym, 0) + types * p) / (total + types)
+        return p
+
+    def logp(self, symbol: str, context: Sequence[str] | str = ()) -> float:
         p = self.prob(symbol, context)
         return math.log(p) if p > 0.0 else float("-inf")
 
     def score(self, text: str) -> float:
         """Total log-probability of a string including the end sentinel."""
-        symbols = list(text) + [EOS]
-        context: list[str] = []
+        n = self.order - 1
         total = 0.0
-        for sym in symbols:
-            total += self.logp(sym, context)
-            context.append(sym)
+        for i, sym in enumerate(text + EOS):
+            total += self.logp(sym, text[max(0, i - n) : i])
         return total
 
     def to_payload(self) -> dict:
         counts = [
-            [
-                [list(ctx), {s: c for s, c in sorted(bucket.items())}]
-                for ctx, bucket in sorted(level.items())
-            ]
-            for level in self._counts
+            [[ctx, dict(sorted(bucket.items()))] for ctx, (bucket, _, _) in sorted(level.items())]
+            for level in self._levels
         ]
         return {
             "magic": LM_MAGIC,
-            "version": FORMAT_VERSION,
+            "version": LM_FORMAT_VERSION,
             "order": self.order,
             "smoothing": self.smoothing,
             "alphabet": sorted(self._vocab),
@@ -282,13 +298,54 @@ class CharNGramLM:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "CharNGramLM":
-        lm = cls(order=payload["order"], smoothing=payload["smoothing"])
-        lm._vocab = set(payload["alphabet"])
-        for k, level in enumerate(payload["counts"]):
-            for ctx, bucket in level:
-                lm._counts[k][tuple(ctx)] = Counter(bucket)
+    def from_payload(cls, payload: dict, path: str | None = None) -> "CharNGramLM":
+        """The model of a version-2 payload; ArtifactError names ``path`` and the bad field."""
+        order = _field(payload, "order", lambda v: type(v) is int, "an integer", path)
+        if order < 1:
+            raise ArtifactError(f"field 'order' must be >= 1, got {order}", path=path)
+        smoothing = _field(
+            payload, "smoothing", lambda v: v in SMOOTHINGS, f"one of {SMOOTHINGS}", path
+        )
+        alphabet = _field(
+            payload,
+            "alphabet",
+            lambda v: type(v) is list and all(type(s) is str and len(s) == 1 for s in v),
+            "a list of characters",
+            path,
+        )
+        counts = _field(
+            payload,
+            "counts",
+            lambda v: type(v) is list and len(v) == order and all(map(_is_level, v, range(order))),
+            f"a list of {order} levels of [k-character context, {{character: count}}] pairs",
+            path,
+        )
+        lm = cls(order=order, smoothing=smoothing)
+        lm._set_counts(set(alphabet) | {EOS, UNK}, counts)
         return lm
+
+
+def _is_level(entries, k: int) -> bool:
+    """Whether ``entries`` is a list of [k-character context, {character: positive count}]."""
+    return type(entries) is list and all(
+        type(entry) is list
+        and len(entry) == 2
+        and type(entry[0]) is str
+        and len(entry[0]) == k
+        and type(entry[1]) is dict
+        and all(type(s) is str and len(s) == 1 and type(c) is int and c > 0 for s, c in entry[1].items())
+        for entry in entries
+    )
+
+
+def _field(payload: dict, name: str, ok, what: str, path: str | None):
+    """``payload[name]`` if present and ``ok``; otherwise ArtifactError naming the field."""
+    if name not in payload:
+        raise ArtifactError(f"missing field {name!r}", path=path)
+    value = payload[name]
+    if not ok(value):
+        raise ArtifactError(f"field {name!r} must be {what}", path=path)
+    return value
 
 
 def train_lm(
@@ -296,14 +353,25 @@ def train_lm(
 ) -> CharNGramLM:
     """Count character n-grams (with sentinel padding) over target-side text."""
     lm = CharNGramLM(order=order, smoothing=smoothing)
+    n = order - 1
+    # Every n-gram of up to ``order`` characters that ends on a predicted
+    # symbol, keyed by its string: context plus symbol.
+    grams: Counter[str] = Counter()
+    vocab = {EOS, UNK}
     n_texts = 0
     for text in texts:
         if not text:
             continue
-        lm._observe(text)
+        vocab.update(text)
+        padded = BOS * n + text + EOS
+        grams.update(padded[i - k : i + 1] for i in range(n, len(padded)) for k in range(order))
         n_texts += 1
     if n_texts == 0:
         raise EmptyCorpus("no non-empty training texts")
+    levels: list[dict[str, dict[str, int]]] = [{} for _ in range(order)]
+    for gram, count in grams.items():
+        levels[len(gram) - 1].setdefault(gram[:-1], {})[gram[-1]] = count
+    lm._set_counts(vocab, [level.items() for level in levels])
     return lm
 
 
@@ -313,8 +381,11 @@ def save_lm(lm: CharNGramLM, path: str | Path) -> None:
     )
 
 
-def _read_artifact(path: str | Path, kind: str, magic: str) -> dict:
-    """The JSON object of a saved model file, checked for magic and version."""
+def _read_artifact(path: str | Path, kind: str, magic: str, version: int, remake: str) -> dict:
+    """The JSON object of a saved model file, checked for magic and version.
+
+    ``remake`` is the command that writes the current version of the file.
+    """
     where = str(path)
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -324,17 +395,18 @@ def _read_artifact(path: str | Path, kind: str, magic: str) -> dict:
         raise ArtifactError(f"not a valid {kind} file: expected a JSON object", path=where)
     if payload.get("magic") != magic:
         raise ArtifactError(f"not a {magic} file", path=where)
-    if payload.get("version") != FORMAT_VERSION:
+    if payload.get("version") != version:
         raise ArtifactError(
             f"unsupported format version {payload.get('version')!r}, "
-            f"expected {FORMAT_VERSION}",
+            f"expected {version}; remake the file with `tgfa {remake}`",
             path=where,
         )
     return payload
 
 
 def load_lm(path: str | Path) -> CharNGramLM:
-    return CharNGramLM.from_payload(_read_artifact(path, "model", LM_MAGIC))
+    payload = _read_artifact(path, "model", LM_MAGIC, LM_FORMAT_VERSION, "train-lm")
+    return CharNGramLM.from_payload(payload, path=str(path))
 
 
 @dataclass
@@ -379,7 +451,7 @@ def build_dictionary(pairs: Sequence[ParallelPair], direction: str) -> TranslitD
 def save_dictionary(d: TranslitDict, path: str | Path) -> None:
     payload = {
         "magic": DICT_MAGIC,
-        "version": FORMAT_VERSION,
+        "version": DICT_FORMAT_VERSION,
         "direction": d.direction,
         "skipped_pairs": d.skipped_pairs,
         "entries": dict(sorted(d.entries.items())),
@@ -390,12 +462,21 @@ def save_dictionary(d: TranslitDict, path: str | Path) -> None:
 
 
 def load_dictionary(path: str | Path) -> TranslitDict:
-    payload = _read_artifact(path, "dictionary", DICT_MAGIC)
-    return TranslitDict(
-        direction=payload["direction"],
-        entries=dict(payload["entries"]),
-        skipped_pairs=payload.get("skipped_pairs", 0),
+    """The saved dictionary; ArtifactError names the file and any bad field."""
+    where = str(path)
+    payload = _read_artifact(path, "dictionary", DICT_MAGIC, DICT_FORMAT_VERSION, "build-dict")
+    direction = _field(payload, "direction", lambda v: v in DIRECTIONS, f"one of {DIRECTIONS}", where)
+    entries = _field(
+        payload,
+        "entries",
+        lambda v: type(v) is dict and all(type(t) is str for t in v.values()),
+        "an object of source token to target token",
+        where,
     )
+    skipped = payload.get("skipped_pairs", 0)
+    if type(skipped) is not int or skipped < 0:
+        raise ArtifactError("field 'skipped_pairs' must be a non-negative integer", path=where)
+    return TranslitDict(direction=direction, entries=dict(entries), skipped_pairs=skipped)
 
 
 @dataclass(frozen=True)
@@ -429,21 +510,23 @@ def expand_lattice(word: str, table: MappingTable) -> Lattice:
     return Lattice(word=word, slots=tuple(slots))
 
 
-def _extend_score(lm: CharNGramLM, prefix: str, addition: str, base: float) -> float:
+def _extend_score(lm: CharNGramLM, text: str, start: int, base: float) -> float:
+    """``base`` plus the log-probability of ``text[start:]`` following ``text[:start]``."""
     score = base
-    context = list(prefix)
-    for ch in addition:
-        score += lm.logp(ch, context)
-        context.append(ch)
+    n = lm.order - 1
+    for i in range(start, len(text)):
+        score += lm.logp(text[i], text[max(0, i - n) : i])
     return score
 
 
 def beam_decode(lattice: Lattice, lm: CharNGramLM, beam: int = DEFAULT_BEAM) -> list[str]:
     """Rank lattice paths by LM score with a per-position beam.
 
-    Identical partial strings are merged (their scores are equal by
-    construction). Ties break lexicographically, so the result is
-    deterministic; with beam >= path count it equals exhaustive scoring.
+    A hypothesis is its string; the LM sees its last ``lm.order - 1``
+    characters as the context. Identical partial strings are merged
+    (their scores are equal by construction). Ties break
+    lexicographically, so the result is deterministic; with beam >= path
+    count it equals exhaustive scoring.
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
@@ -454,12 +537,10 @@ def beam_decode(lattice: Lattice, lm: CharNGramLM, beam: int = DEFAULT_BEAM) -> 
             for cand in slot:
                 grown = prefix + cand
                 if grown not in extended:
-                    extended[grown] = _extend_score(lm, prefix, cand, score)
+                    extended[grown] = _extend_score(lm, grown, len(prefix), score)
         ranked = sorted(extended.items(), key=lambda kv: (-kv[1], kv[0]))
         hyps = dict(ranked[:beam])
-    finals = {
-        text: score + lm.logp(EOS, list(text)) for text, score in hyps.items()
-    }
+    finals = {text: score + lm.logp(EOS, text) for text, score in hyps.items()}
     return [text for text, _ in sorted(finals.items(), key=lambda kv: (-kv[1], kv[0]))]
 
 
@@ -476,12 +557,32 @@ def transliterate(
     beam: int = DEFAULT_BEAM,
     direction: str | None = None,
 ) -> ScriptText:
-    """Transliterate train-normalized text token by token.
+    """Transliterate one train-normalized line; see ``transliterate_lines``.
+
+    To transliterate many lines, pass them all to ``transliterate_lines``,
+    which translates each distinct token once over the whole batch.
+    """
+    return transliterate_lines([text], dictionary, table, lm, beam, direction)[0]
+
+
+def transliterate_lines(
+    lines: Iterable[ScriptText | str],
+    dictionary: TranslitDict | None = None,
+    table: MappingTable | None = None,
+    lm: CharNGramLM | None = None,
+    beam: int = DEFAULT_BEAM,
+    direction: str | None = None,
+) -> list[ScriptText]:
+    """Transliterate train-normalized lines token by token.
 
     Dictionary hits return the stored target; misses go through lattice
     expansion and, when an LM is given, beam rescoring (otherwise the
     first-candidate baseline). The direction comes from the dictionary or
     table unless passed explicitly.
+
+    The dictionary, table, LM and beam are fixed for the call, so each
+    distinct token is translated once, at its first occurrence, and every
+    later occurrence reuses that output.
     """
     if direction is None:
         if dictionary is not None:
@@ -495,34 +596,38 @@ def transliterate(
         raise ValueError("dictionary direction does not match")
     if table is not None and table.direction != direction:
         raise ValueError("table direction does not match")
-    if isinstance(text, ScriptText):
-        if text.state is TextState.RAW:
-            raise WrongState("transliterate expects train-normalized text")
-        if text.script is not _source_script(direction):
-            raise WrongState(
-                f"direction {direction} expects {_source_script(direction).value} input, "
-                f"got {text.script.value}"
-            )
-        text = text.text
-    out_tokens = []
-    for i, token in enumerate(text.split()):
-        hit = dictionary.get(token) if dictionary is not None else None
-        if hit is not None:
-            out_tokens.append(hit)
-            continue
-        if table is None:
-            raise ValueError(f"token {token!r} not in dictionary and no table given")
-        try:
-            lattice = expand_lattice(token, table)
-        except UnknownChar as e:
-            raise UnknownChar(e.char, word=token, position=e.position, token_index=i) from None
-        if lm is None:
-            out_tokens.append("".join(slot[0] for slot in lattice.slots))
-        else:
-            out_tokens.append(beam_decode(lattice, lm, beam)[0])
-    return ScriptText(
-        " ".join(out_tokens), _target_script(direction), TextState.TRAIN_NORMALIZED
-    )
+    source, target = _source_script(direction), _target_script(direction)
+    done: dict[str, str] = {}
+    out = []
+    for text in lines:
+        if isinstance(text, ScriptText):
+            if text.state is TextState.RAW:
+                raise WrongState("transliterate expects train-normalized text")
+            if text.script is not source:
+                raise WrongState(
+                    f"direction {direction} expects {source.value} input, "
+                    f"got {text.script.value}"
+                )
+            text = text.text
+        tokens = text.split()
+        for i, token in enumerate(tokens):
+            if token in done:
+                continue
+            hit = dictionary.get(token) if dictionary is not None else None
+            if hit is None:
+                if table is None:
+                    raise ValueError(f"token {token!r} not in dictionary and no table given")
+                try:
+                    lattice = expand_lattice(token, table)
+                except UnknownChar as e:
+                    raise UnknownChar(e.char, word=token, position=e.position, token_index=i) from None
+                if lm is None:
+                    hit = "".join(slot[0] for slot in lattice.slots)
+                else:
+                    hit = beam_decode(lattice, lm, beam)[0]
+            done[token] = hit
+        out.append(ScriptText(" ".join(done[t] for t in tokens), target, TextState.TRAIN_NORMALIZED))
+    return out
 
 
 def avg_alternatives(texts: Iterable[str], table: MappingTable) -> float:

@@ -3,7 +3,9 @@
 These deliberately avoid the library's own code paths: the edit-distance
 oracle is the textbook full-matrix DP, the F-score oracle enumerates
 n-gram multisets explicitly with plain dicts, and the decoder oracle
-ranks every lattice path by full-sequence rescoring.
+ranks every lattice path by full-sequence rescoring. The character LM
+oracle keeps contexts as tuples of symbols and re-sums each context's
+counts on every query.
 """
 
 from __future__ import annotations
@@ -97,6 +99,55 @@ def corpus_f_direct(pairs, max_char_n: int, max_word_n: int, beta: float) -> flo
             (a + m, b + h, c + r) for (a, b, c), (m, h, r) in zip(pooled, stats)
         ]
     return f_score_direct(pooled, beta)
+
+
+LM_BOS, LM_EOS, LM_UNK = "\x02", "\x03", "\x01"
+
+
+class CharLMOracle:
+    """Character n-gram LM with tuple contexts, Witten-Bell or plain MLE.
+
+    Trained on ``texts`` like ``tgfa.translit.train_lm``: each text is
+    padded with ``order - 1`` begin sentinels and ends in the end
+    sentinel; the alphabet is every seen character plus the end sentinel
+    and the unknown bucket.
+    """
+
+    def __init__(self, texts, order: int, smoothing: str = "witten_bell"):
+        self.order = order
+        self.smoothing = smoothing
+        self.counts: list[dict] = [{} for _ in range(order)]
+        self.vocab = {LM_EOS, LM_UNK}
+        for text in texts:
+            if not text:
+                continue
+            self.vocab.update(text)
+            symbols = [LM_BOS] * (order - 1) + list(text) + [LM_EOS]
+            for i in range(order - 1, len(symbols)):
+                for k in range(1, order + 1):
+                    bucket = self.counts[k - 1].setdefault(tuple(symbols[i - k + 1 : i]), {})
+                    bucket[symbols[i]] = bucket.get(symbols[i], 0) + 1
+
+    def _map(self, symbol: str) -> str:
+        return symbol if symbol in self.vocab or symbol == LM_BOS else LM_UNK
+
+    def prob(self, symbol: str, context=()) -> float:
+        sym = self._map(symbol)
+        ctx = tuple(self._map(s) for s in context)[max(0, len(context) - self.order + 1) :]
+        ctx = (LM_BOS,) * (self.order - 1 - len(ctx)) + ctx
+        if self.smoothing == "none":
+            bucket = self.counts[self.order - 1].get(ctx)
+            if not bucket:
+                return 0.0
+            return bucket.get(sym, 0) / sum(bucket.values())
+        p = 1.0 / len(self.vocab)
+        for k in range(1, self.order + 1):
+            bucket = self.counts[k - 1].get(ctx[len(ctx) - (k - 1) :] if k > 1 else ())
+            if not bucket:
+                continue
+            total, types = sum(bucket.values()), len(bucket)
+            p = (bucket.get(sym, 0) + types * p) / (total + types)
+        return p
 
 
 def exhaustive_rank(slots, lm) -> list[str]:

@@ -377,6 +377,13 @@ class TestReportErrors:
 _GOOD_TSV = "از\tаз\n".encode()
 _SCORE = ["score", "--corpus", "{path}", "--hyp", "{hyp}", "--direction", "tg2fa"]
 _TRANSLIT = ["translit", "--direction", "tg2fa"]
+_LM_HEADER = {"magic": "tgfa-charlm", "version": 2}
+_LM_V2 = {**_LM_HEADER, "order": 1, "smoothing": "none", "alphabet": ["\x01", "\x03", "a"],
+          "counts": [[["", {"\x03": 1, "a": 1}]]]}
+_LM_V1 = {**_LM_V2, "version": 1, "counts": [[[[], {"\x03": 1, "a": 1}]]]}
+_DICT_FA2TG = {"magic": "tgfa-dict", "version": 1, "direction": "fa2tg", "skipped_pairs": 0,
+               "entries": {"از": "аз"}}
+_NO_DIRECTION = {k: v for k, v in _DICT_FA2TG.items() if k != "direction"}
 # One row per malformed file: its name and bytes, the command that reads
 # it ({path} is the file), the exit code and the message naming the file.
 BAD_FILES = [
@@ -397,6 +404,25 @@ BAD_FILES = [
                  3, "{path}: not a valid model file: expected a JSON object", id="lm-not-object"),
     pytest.param("dict.json", b"[1, 2]", [*_TRANSLIT, "--dict", "{path}"],
                  3, "{path}: not a valid dictionary file: expected a JSON object", id="dict-not-object"),
+    pytest.param("lm.json", json.dumps(_LM_HEADER).encode(), [*_TRANSLIT, "--lm", "{path}"],
+                 3, "{path}: missing field 'order'", id="lm-header-only"),
+    pytest.param("lm.json", json.dumps({**_LM_V2, "order": 0}).encode(), [*_TRANSLIT, "--lm", "{path}"],
+                 3, "{path}: field 'order' must be >= 1, got 0", id="lm-order-0"),
+    pytest.param("lm.json", json.dumps(_LM_V1).encode(), [*_TRANSLIT, "--lm", "{path}"],
+                 3, "{path}: unsupported format version 1, expected 2; remake the file with `tgfa train-lm`",
+                 id="lm-version-1"),
+    pytest.param("dict.json", json.dumps(_NO_DIRECTION).encode(), [*_TRANSLIT, "--dict", "{path}"],
+                 3, "{path}: missing field 'direction'", id="dict-no-direction"),
+    pytest.param("dict.json", json.dumps(_DICT_FA2TG).encode(), [*_TRANSLIT, "--dict", "{path}"],
+                 2, "{path}: dictionary direction is fa2tg, but --direction is tg2fa",
+                 id="dict-wrong-direction"),
+    pytest.param("map.tsv", b"no tab\n", [*_TRANSLIT, "--table", "{path}"],
+                 3, "{path}: line 1: expected source_char<TAB>candidates", id="table-bad-line"),
+    pytest.param("chars.tsv", b"no tab\n", ["normalize", "--script", "tajik", "--char-table", "{path}"],
+                 3, "{path}: line 1: expected codepoint<TAB>class", id="char-table-bad-line"),
+    pytest.param("cons.tsv", b"no tab\n",
+                 ["filter-names", "--corpus", "{corpus}", "--map", "{path}", "--out", "{out}"],
+                 3, "{path}: line 1: expected tajik_char<TAB>farsi_char", id="map-bad-line"),
 ]
 
 
@@ -413,7 +439,8 @@ class TestMalformedInputsGuard:
         path.write_bytes(data)
         hyp = tmp_path / "hyp.txt"
         hyp.write_text("x\n", encoding="utf-8")
-        fill = {"path": str(path), "hyp": str(hyp), "out": str(tmp_path / "out")}
+        corpus = write_corpus(tmp_path / "corpus.jsonl", toy_corpus(4))
+        fill = {"path": str(path), "hyp": str(hyp), "corpus": str(corpus), "out": str(tmp_path / "out")}
         result = invoke(runner, [arg.format(**fill) for arg in argv], input="бғд\n")
         assert code in (2, 3, 4)
         assert result.exit_code == code, result.output

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tgfa.errors import (
     ArtifactError,
@@ -17,6 +20,7 @@ from tgfa.script import FARSI_LETTERS, Script, ScriptText, TAJIK_LETTERS, TextSt
 from tgfa.translit import (
     BOS,
     EOS,
+    UNK,
     CharNGramLM,
     Lattice,
     MappingTable,
@@ -34,9 +38,11 @@ from tgfa.translit import (
     save_mapping_table,
     train_lm,
     transliterate,
+    transliterate_lines,
 )
 
-from oracles import exhaustive_rank
+from conftest import TAJIK_SAMPLE, random_words
+from oracles import CharLMOracle, exhaustive_rank
 
 
 def tiny_lm(texts, order=3):
@@ -177,8 +183,6 @@ class TestCharNGramLM:
         payload = lm.to_payload()
         payload["version"] = 99
         path = tmp_path / "lm.json"
-        import json
-
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ArtifactError):
             load_lm(path)
@@ -194,6 +198,114 @@ class TestCharNGramLM:
             train_lm([])
         with pytest.raises(EmptyCorpus):
             train_lm(["", ""])
+
+
+_LM_ALPHABET = "abcd "
+_OOV = "xé"
+
+
+@st.composite
+def lm_cases(draw):
+    """Random corpus, order, smoothing and contexts (unseen, OOV, short).
+
+    The corpus may hold the unknown-bucket character itself, so a context
+    character outside the alphabet must be read as that bucket.
+    """
+    texts = draw(
+        st.lists(st.text(_LM_ALPHABET + UNK, max_size=12), min_size=1, max_size=8).filter(any)
+    )
+    order = draw(st.integers(1, 6))
+    smoothing = draw(st.sampled_from(["witten_bell", "none"]))
+    contexts = draw(st.lists(st.text(_LM_ALPHABET + _OOV + BOS, max_size=8), min_size=1, max_size=6))
+    return texts, order, smoothing, contexts
+
+
+class TestCharNGramLMv2:
+    @settings(max_examples=150, deadline=None)
+    @given(lm_cases())
+    def test_prob_matches_tuple_oracle(self, case):
+        texts, order, smoothing, contexts = case
+        lm = train_lm(texts, order=order, smoothing=smoothing)
+        oracle = CharLMOracle(texts, order, smoothing)
+        assert lm.vocab == oracle.vocab
+        symbols = sorted(oracle.vocab) + list(_OOV) + [BOS]
+        for ctx in contexts:
+            for sym in symbols:
+                want = oracle.prob(sym, tuple(ctx))
+                assert lm.prob(sym, list(ctx)) == pytest.approx(want, abs=1e-12)
+                assert lm.prob(sym, ctx) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("smoothing", ["witten_bell", "none"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 6])
+    def test_save_load_keeps_probabilities(self, tmp_path, order, smoothing):
+        rng = random.Random(order)
+        texts = [random_words(rng, "абвгд", rng.randint(1, 3), max_len=5) for _ in range(12)]
+        lm = train_lm(texts, order=order, smoothing=smoothing)
+        path = tmp_path / "lm.json"
+        save_lm(lm, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["version"] == 2
+        for k, level in enumerate(payload["counts"]):
+            assert all(isinstance(ctx, str) and len(ctx) == k for ctx, _ in level)
+        again = load_lm(path)
+        vocab = sorted(lm.vocab)
+        contexts = ["", BOS, "жж"] + [t[:i] for t in texts for i in range(len(t) + 1)]
+        for ctx in contexts:
+            probs = [again.prob(sym, ctx) for sym in vocab]
+            assert probs == [lm.prob(sym, ctx) for sym in vocab]
+            # An unseen context has no MLE distribution; all else sums to 1.
+            total = sum(probs)
+            if smoothing == "witten_bell" or total:
+                assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_version_1_file_names_file_and_retraining(self, tmp_path):
+        payload = {
+            "magic": "tgfa-charlm", "version": 1, "order": 2, "smoothing": "none",
+            "alphabet": [UNK, EOS, "a"], "counts": [[[[], {"a": 1, EOS: 1}]], [[[BOS], {"a": 1}]]],
+        }
+        path = tmp_path / "lm.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ArtifactError) as e:
+            load_lm(path)
+        assert str(e.value) == (
+            f"{path}: unsupported format version 1, expected 2; "
+            "remake the file with `tgfa train-lm`"
+        )
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"order": None}, "missing field 'order'"),
+            ({"order": "2"}, "field 'order' must be an integer"),
+            ({"order": 0}, "field 'order' must be >= 1, got 0"),
+            ({"smoothing": None}, "missing field 'smoothing'"),
+            ({"smoothing": "kneser_ney"}, "field 'smoothing' must be one of"),
+            ({"alphabet": None}, "missing field 'alphabet'"),
+            ({"alphabet": ["ab"]}, "field 'alphabet' must be a list of characters"),
+            ({"counts": None}, "missing field 'counts'"),
+            ({"counts": [[]]}, "field 'counts' must be a list of 2 levels"),
+            ({"counts": [[], [[["a"], {"b": 1}]]]}, "field 'counts' must be a list of 2 levels"),
+            ({"counts": [[], [["a", {"b": -1}]]]}, "field 'counts' must be a list of 2 levels"),
+            ({"counts": [[], [["ab", {"b": 1}]]]}, "field 'counts' must be a list of 2 levels"),
+        ],
+        ids=[
+            "no-order", "order-str", "order-0", "no-smoothing", "unknown-smoothing",
+            "no-alphabet", "alphabet-str", "no-counts", "counts-levels",
+            "counts-list-context", "counts-negative", "counts-long-context",
+        ],
+    )
+    def test_bad_field_names_file_and_field(self, tmp_path, change, message):
+        payload = train_lm(["ab"], order=2).to_payload()
+        for key, value in change.items():
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = value
+        path = tmp_path / "lm.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ArtifactError) as e:
+            load_lm(path)
+        assert str(e.value).startswith(f"{path}: {message}")
 
 
 class TestBuildDictionary:
@@ -232,9 +344,36 @@ class TestBuildDictionary:
         d = build_dictionary([ParallelPair(fa="از", tg="аз")], "tg2fa")
         path = tmp_path / "dict.json"
         save_dictionary(d, path)
+        assert json.loads(path.read_text(encoding="utf-8"))["version"] == 1
         again = load_dictionary(path)
         assert again.entries == d.entries
         assert again.direction == "tg2fa"
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"direction": None}, "missing field 'direction'"),
+            ({"direction": "tg2en"}, "field 'direction' must be one of"),
+            ({"entries": None}, "missing field 'entries'"),
+            ({"entries": [["аз", "از"]]}, "field 'entries' must be an object"),
+            ({"entries": {"аз": 1}}, "field 'entries' must be an object"),
+            ({"skipped_pairs": -1}, "field 'skipped_pairs' must be a non-negative integer"),
+        ],
+        ids=["no-direction", "bad-direction", "no-entries", "entries-list", "entry-int", "skipped-negative"],
+    )
+    def test_bad_field_names_file_and_field(self, tmp_path, change, message):
+        path = tmp_path / "dict.json"
+        save_dictionary(build_dictionary([ParallelPair(fa="از", tg="аз")], "tg2fa"), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        for key, value in change.items():
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ArtifactError) as e:
+            load_dictionary(path)
+        assert str(e.value).startswith(f"{path}: {message}")
 
 
 class TestLattice:
@@ -362,3 +501,34 @@ class TestTransliterate:
         lm = tiny_lm(["ab"])
         assert lm.score("ab") < 0.0
         assert math.isfinite(lm.score("zz"))
+
+
+class TestTransliterateLines:
+    def setup_method(self):
+        rng = random.Random(17)
+        self.table = default_mapping_table("tg2fa")
+        self.lm = tiny_lm(["از این کتاب", "کتاب خوب", "در آن شهر"], order=3)
+        self.dictionary = build_dictionary([ParallelPair(fa="کتاب", tg="китоб")], "tg2fa")
+        words = [random_words(rng, TAJIK_SAMPLE, 1, max_len=4) for _ in range(8)] + ["китоб"]
+        self.lines = [" ".join(rng.choice(words) for _ in range(rng.randint(0, 5))) for _ in range(40)]
+
+    def test_equals_per_line_transliterate(self):
+        for lm in (self.lm, None):
+            batch = transliterate_lines(self.lines, self.dictionary, self.table, lm, beam=4)
+            single = [transliterate(line, self.dictionary, self.table, lm, beam=4) for line in self.lines]
+            assert batch == single
+
+    def test_decodes_each_distinct_oov_token_once(self, monkeypatch):
+        import tgfa.translit as translit_mod
+
+        decoded = []
+        real = translit_mod.beam_decode
+
+        def counting(lattice, lm, beam):
+            decoded.append(lattice.word)
+            return real(lattice, lm, beam)
+
+        monkeypatch.setattr(translit_mod, "beam_decode", counting)
+        transliterate_lines(self.lines, self.dictionary, self.table, self.lm)
+        oov = {tok for line in self.lines for tok in line.split()} - {"китоб"}
+        assert sorted(decoded) == sorted(oov)
