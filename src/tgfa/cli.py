@@ -408,22 +408,10 @@ def build_dict(corpus, direction, out):
 def train_lm_cmd(corpus, direction, lm_order, smoothing, out):
     """Train the character n-gram model on the target side of a corpus."""
     pairs = corpus_mod.load(corpus)
-    texts = _target_texts(pairs, direction)
-    lm = translit_mod.train_lm(texts, order=lm_order, smoothing=smoothing)
+    d = translit_mod.DIRECTIONS[direction]
+    lm = translit_mod.train_lm([d.target_text(p) for p in pairs], order=lm_order, smoothing=smoothing)
     translit_mod.save_lm(lm, out)
     click.echo(f"order-{lm_order} model over {len(lm.vocab)} symbols")
-
-
-def _target_texts(pairs, direction: str) -> list[str]:
-    target = Script.FARSI if direction == "tg2fa" else Script.TAJIK
-    side = (lambda p: p.fa) if direction == "tg2fa" else (lambda p: p.tg)
-    return [normalize_text(side(p), target, NormMode.TRAIN) for p in pairs]
-
-
-def _source_texts(pairs, direction: str) -> list[str]:
-    source = Script.TAJIK if direction == "tg2fa" else Script.FARSI
-    side = (lambda p: p.tg) if direction == "tg2fa" else (lambda p: p.fa)
-    return [normalize_text(side(p), source, NormMode.TRAIN) for p in pairs]
 
 
 @cli.command("translit")
@@ -452,16 +440,13 @@ def translit_cmd(direction, table_path, dict_path, lm_path, beam, assume_normali
     dictionary = translit_mod.load_dictionary(dict_path) if dict_path else None
     if dictionary is not None and dictionary.direction != direction:
         raise ConfigError(
-            f"{dict_path}: dictionary direction is {dictionary.direction}, "
-            f"but --direction is {direction}"
+            f"dictionary direction is {dictionary.direction}, but --direction is {direction}", path=dict_path
         )
     lm = translit_mod.load_lm(lm_path) if lm_path else None
-    source = Script.TAJIK if direction == "tg2fa" else Script.FARSI
-    normalized = []
-    for line in _read_lines(input_):
-        if not assume_normalized:
-            line = normalize_text(line, source, NormMode.TRAIN)
-        normalized.append(line)
+    normalized = _read_lines(input_)
+    if not assume_normalized:
+        source = translit_mod.DIRECTIONS[direction].source
+        normalized = [normalize_text(line, source, NormMode.TRAIN) for line in normalized]
     out_lines = [
         out.text
         for out in translit_mod.transliterate_lines(
@@ -498,8 +483,8 @@ def _load_hyp_lines(hyp_path: str, n_expected: int) -> list[str]:
 def score(corpus, hyps, direction, sentence_chrf, format_, out):
     """Score hypothesis files against a reference corpus."""
     pairs = corpus_mod.load(corpus)
-    target = Script.FARSI if direction == "tg2fa" else Script.TAJIK
-    refs = _eval_texts((p.fa if direction == "tg2fa" else p.tg for p in pairs), target)
+    d = translit_mod.DIRECTIONS[direction]
+    refs = _eval_texts((d.reference(p) for p in pairs), d.target)
     groups = [_group_label(p) for p in pairs]
     config = {
         "command": "score",
@@ -512,7 +497,7 @@ def score(corpus, hyps, direction, sentence_chrf, format_, out):
     systems: dict[str, MetricReport] = {}
     for hyp_path in hyps:
         hyp_lines = _load_hyp_lines(hyp_path, len(pairs))
-        eval_pairs = _eval_pairs(refs, hyp_lines, groups, target)
+        eval_pairs = _eval_pairs(refs, hyp_lines, groups, d.target)
         name = Path(hyp_path).stem
         systems[name] = score_corpus(eval_pairs, sentence_chrf)
     table_text = _report_table(systems, meta)
@@ -546,7 +531,7 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
     """Run split, training, transliteration and scoring in one go."""
     with _stage("load"):
         pairs = corpus_mod.load(corpus)
-    target = Script.FARSI if direction == "tg2fa" else Script.TAJIK
+    d = translit_mod.DIRECTIONS[direction]
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = {
@@ -574,10 +559,10 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
             dictionary = translit_mod.build_dictionary(train_pairs, direction)
         translit_mod.save_dictionary(dictionary, block_dir / "dict.json")
         with _stage("train-lm"):
-            lm = translit_mod.train_lm(_target_texts(train_pairs, direction), order=lm_order)
+            lm = translit_mod.train_lm([d.target_text(p) for p in train_pairs], order=lm_order)
         translit_mod.save_lm(lm, block_dir / "lm.json")
         table = translit_mod.default_mapping_table(direction)
-        sources = _source_texts(test_pairs, direction)
+        sources = [d.source_text(p) for p in test_pairs]
         with _stage("translit"):
             hyp_lines = [
                 out.text
@@ -614,11 +599,9 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
     for test_idx, hyp_lines in blocks:
         scored_indices.extend(test_idx)
         scored_hyps.extend(hyp_lines)
-    refs_raw = [
-        pairs[i].fa if direction == "tg2fa" else pairs[i].tg for i in scored_indices
-    ]
+    refs_raw = [d.reference(pairs[i]) for i in scored_indices]
     groups = [_group_label(pairs[i]) for i in scored_indices]
-    eval_pairs = _eval_pairs(_eval_texts(refs_raw, target), scored_hyps, groups, target)
+    eval_pairs = _eval_pairs(_eval_texts(refs_raw, d.target), scored_hyps, groups, d.target)
     _write_lines(str(out_dir / "test.ref.txt"), refs_raw)
     with _stage("score"):
         report = score_corpus(eval_pairs)

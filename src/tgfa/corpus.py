@@ -10,12 +10,12 @@ File formats (all UTF-8, LF):
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import random
-import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from math import floor
 from pathlib import Path
@@ -28,7 +28,7 @@ from .errors import (
     TooSmall,
     UnknownDataset,
 )
-from .script import NormMode, Script, normalize_text
+from .script import NormMode, Script, normalize_text, read_utf8, table_lines
 
 __all__ = [
     "DOMAINS",
@@ -70,16 +70,31 @@ DATASET_DOMAINS: dict[str, str] = {
 
 @dataclass(frozen=True)
 class ParallelPair:
-    """Aligned raw Farsi/Tajik texts with dataset and domain tags."""
+    """Aligned raw Farsi/Tajik texts with dataset and domain tags.
+
+    ``fa_train`` and ``tg_train`` are the sides train-normalized, computed
+    once when the pair is made; every stage reads them rather than
+    normalizing again. Equality, hashing, ``repr`` and ``save`` see only
+    the raw fields.
+    """
 
     fa: str
     tg: str
     dataset: str = ""
     domain: str | None = None
+    fa_train: str = field(init=False, compare=False, repr=False)
+    tg_train: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.domain is not None and self.domain not in DOMAINS:
             raise ValueError(f"unknown domain {self.domain!r}")
+        object.__setattr__(self, "fa_train", normalize_text(self.fa, Script.FARSI, NormMode.TRAIN))
+        object.__setattr__(self, "tg_train", normalize_text(self.tg, Script.TAJIK, NormMode.TRAIN))
+
+    def text(self, script: Script, train: bool = True) -> str:
+        """The side written in ``script``: train-normalized, or raw if not ``train``."""
+        fa, tg = (self.fa_train, self.tg_train) if train else (self.fa, self.tg)
+        return fa if script is Script.FARSI else tg
 
 
 @dataclass(frozen=True)
@@ -146,16 +161,12 @@ def _parse_tsv_line(line: str) -> ParallelPair:
     )
 
 
-# Under errors="surrogateescape" each byte that is not UTF-8 decodes to one
-# of these lone surrogates; strict UTF-8 decoding never yields them.
-_UNDECODABLE = re.compile("[\udc80-\udcff]")
-
-
 def read_pairs(
     path: str | Path, fmt: str | None = None
 ) -> tuple[list[ParallelPair], list[str]]:
     """Parse a corpus file; returns (pairs, per-line skip diagnostics).
 
+    Each pair carries its train-normalized sides (see ParallelPair).
     Pairs with a side that is empty after train normalization are
     skipped, not errors: real corpora contain lines that are all
     punctuation. Malformed lines, and bytes that are not UTF-8, raise
@@ -168,33 +179,23 @@ def read_pairs(
     parse = _parse_jsonl_line if fmt == "jsonl" else _parse_tsv_line
     pairs: list[ParallelPair] = []
     skipped: list[str] = []
-    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            try:
-                bad = _UNDECODABLE.search(line)
-                if bad:
-                    byte = ord(bad.group()) - 0xDC00
-                    raise ValueError(f"not valid UTF-8 (byte 0x{byte:02X})")
-                pair = parse(line)
-            except ValueError as e:
-                raise ParseError(str(e), line=lineno, path=str(path)) from None
-            empty = [
-                side
-                for side, text, script in (
-                    ("fa", pair.fa, Script.FARSI),
-                    ("tg", pair.tg, Script.TAJIK),
-                )
-                if not normalize_text(text, script, NormMode.TRAIN)
-            ]
-            if empty:
-                skipped.append(
-                    f"line {lineno}: {'/'.join(empty)} side empty after normalization"
-                )
-                continue
-            pairs.append(pair)
+    # Lines end as in a text-mode file: at \n, \r\n or \r, but not at the
+    # other breaks str.splitlines() knows, such as U+2028 inside a JSON string.
+    for lineno, line in enumerate(io.StringIO(read_utf8(path), newline=None), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        try:
+            pair = parse(line)
+        except ValueError as e:
+            raise ParseError(str(e), line=lineno, path=str(path)) from None
+        empty = [side for side, text in (("fa", pair.fa_train), ("tg", pair.tg_train)) if not text]
+        if empty:
+            skipped.append(
+                f"line {lineno}: {'/'.join(empty)} side empty after normalization"
+            )
+            continue
+        pairs.append(pair)
     return pairs, skipped
 
 
@@ -257,14 +258,12 @@ def stats(
     acc: dict[str, list[int]] = {}
     for p in pairs:
         label = p.dataset if per == "dataset" else domain_of(p)
-        fa = normalize_text(p.fa, Script.FARSI, NormMode.TRAIN)
-        tg = normalize_text(p.tg, Script.TAJIK, NormMode.TRAIN)
         row = acc.setdefault(label, [0, 0, 0, 0, 0])
         row[0] += 1
-        row[1] += len(fa.split())
-        row[2] += len(fa)
-        row[3] += len(tg.split())
-        row[4] += len(tg)
+        row[1] += len(p.fa_train.split())
+        row[2] += len(p.fa_train)
+        row[3] += len(p.tg_train.split())
+        row[4] += len(p.tg_train)
     return {
         label: DatasetStats(
             n_pairs=n,
@@ -366,29 +365,21 @@ def kfold(
 def load_consonant_map(source: str | Path | Iterable[str]) -> dict[str, str]:
     """Read a tajik_char<TAB>farsi_char map; must be one-to-one.
 
-    Parse errors name the file when ``source`` is a path.
+    Parse and BadMap errors name the file when ``source`` is a path.
     """
-    if isinstance(source, (str, Path)):
-        where = str(source)
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-    else:
-        where = None
-        lines = list(source)
+    where, rows = table_lines(source)
     mapping: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in rows:
         cols = line.split("\t")
         if len(cols) != 2 or len(cols[0]) != 1 or len(cols[1]) != 1:
             raise ParseError("expected tajik_char<TAB>farsi_char", line=lineno, path=where)
         if cols[0] in mapping:
-            raise BadMap(f"duplicate Tajik consonant {cols[0]!r}")
+            raise BadMap(f"duplicate Tajik consonant {cols[0]!r}", line=lineno, path=where)
         mapping[cols[0]] = cols[1]
     counts = Counter(mapping.values())
     dupes = [c for c, n in counts.items() if n > 1]
     if dupes:
-        raise BadMap(f"map is not one-to-one: {dupes!r} mapped more than once")
+        raise BadMap(f"map is not one-to-one: {dupes!r} mapped more than once", path=where)
     return mapping
 
 
@@ -396,18 +387,6 @@ def default_consonant_map() -> dict[str, str]:
     """The built-in unambiguous-consonant correspondence table."""
     text = resources.files("tgfa.data").joinpath("consonants.tsv").read_text("utf-8")
     return load_consonant_map(text.splitlines())
-
-
-def _consonant_classes(
-    text: str, script: Script, tg2fa: Mapping[str, str], fa2tg: Mapping[str, str]
-) -> list[str]:
-    # Classes are named by the Tajik consonant. Arabic-script strings are
-    # stored in logical order, so left-to-right iteration already matches
-    # the Tajik reading order.
-    norm = normalize_text(text, script, NormMode.TRAIN)
-    if script is Script.TAJIK:
-        return [ch for ch in norm if ch in tg2fa]
-    return [fa2tg[ch] for ch in norm if ch in fa2tg]
 
 
 def _first_mismatch(tg_seq: list[str], fa_seq: list[str]) -> str:
@@ -438,8 +417,11 @@ def paranames_filter(
     kept: list[ParallelPair] = []
     rejected: list[tuple[ParallelPair, str]] = []
     for pair in pairs:
-        tg_seq = _consonant_classes(pair.tg, Script.TAJIK, consonant_map, fa2tg)
-        fa_seq = _consonant_classes(pair.fa, Script.FARSI, consonant_map, fa2tg)
+        # Classes are named by the Tajik consonant. Arabic-script strings
+        # are stored in logical order, so left-to-right iteration already
+        # matches the Tajik reading order.
+        tg_seq = [ch for ch in pair.tg_train if ch in consonant_map]
+        fa_seq = [fa2tg[ch] for ch in pair.fa_train if ch in fa2tg]
         if order_sensitive:
             if tg_seq == fa_seq:
                 kept.append(pair)

@@ -23,13 +23,21 @@ __all__ = [
 
 
 class TgfaError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; the message names the file and line when given."""
 
     exit_code = 1
 
+    def __init__(self, message: str, line: int | None = None, path: str | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
+        super().__init__(message)
+        self.line = line
 
-class ConfigError(TgfaError):
-    """Invalid run configuration (bad flag value, missing input path)."""
+
+class ConfigError(TgfaError, ValueError):
+    """Invalid run configuration (bad flag value, missing input path, invalid table)."""
 
     exit_code = 2
 
@@ -62,14 +70,6 @@ class ParseError(TgfaError):
     """Malformed input file; message carries the file, line number and reason."""
 
     exit_code = 3
-
-    def __init__(self, message: str, line: int | None = None, path: str | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        if path is not None:
-            message = f"{path}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class ArtifactError(ParseError):

@@ -9,10 +9,14 @@ a TSV table without touching the code.
 
 Normalization has two modes. Train mode removes everything outside the
 script (punctuation, digits, symbols, foreign letters), lowercases Tajik
-and collapses whitespace, but keeps ZWNJ and Arabic diacritics on the
-Farsi side and the intra-word hyphen on the Tajik side. Eval mode removes
-those as well, so that scoring never penalizes inconsistently written
-optional characters.
+and collapses whitespace, but keeps ZWNJ on both sides, Arabic
+diacritics on the Farsi side and the intra-word hyphen on the Tajik
+side. Eval mode removes those as well, so that scoring never penalizes
+inconsistently written optional characters.
+
+The corpus and TSV config readers of every module decode files with
+``read_utf8``; the TSV readers also share ``table_lines`` and
+``parse_code_point``.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ __all__ = [
     "strip_whitespace",
     "export_char_table",
     "load_char_table",
+    "read_utf8",
+    "table_lines",
+    "parse_code_point",
 ]
 
 ZWNJ = "‌"
@@ -224,6 +231,42 @@ def export_char_table(script: Script | str) -> str:
     return "\n".join(rows) + "\n"
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 raises ParseError naming the file and line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise ParseError(f"not valid UTF-8 (byte 0x{data[e.start]:02X})", line=line, path=str(path)) from None
+
+
+def table_lines(source: str | Path | Iterable[str]) -> tuple[str | None, list[tuple[int, str]]]:
+    """The file name and the (1-based line number, stripped line) rows of a TSV config.
+
+    ``source`` is a path, read with ``read_utf8``, or an iterable of
+    lines; for the latter the file name is None. Blank lines and lines
+    starting with ``#`` are skipped.
+    """
+    where = str(source) if isinstance(source, (str, Path)) else None
+    lines = list(source) if where is None else read_utf8(where).splitlines()
+    rows = ((lineno, line.strip()) for lineno, line in enumerate(lines, start=1))
+    return where, [(lineno, line) for lineno, line in rows if line and not line.startswith("#")]
+
+
+def parse_code_point(field: str, line: int | None = None, path: str | None = None) -> str:
+    """The character a table field names: ``U+XXXX``, ``0xXXXX`` or the character itself."""
+    field = field.strip()
+    try:
+        if field[:2].upper() in ("U+", "0X"):
+            return chr(int(field[2:], 16))
+        if len(field) == 1:
+            return field
+    except (ValueError, OverflowError):
+        pass
+    raise ParseError(f"bad code point {field!r}", line=line, path=path)
+
+
 def load_char_table(source: str | Path | Iterable[str]) -> dict[str, CharClass]:
     """Read classification overrides from a TSV config.
 
@@ -233,33 +276,16 @@ def load_char_table(source: str | Path | Iterable[str]) -> dict[str, CharClass]:
     removes a character from its inventory. Errors name the file when
     ``source`` is a path.
     """
-    if isinstance(source, (str, Path)):
-        where = str(source)
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-    else:
-        where = None
-        lines = list(source)
+    where, rows = table_lines(source)
     table: dict[str, CharClass] = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in rows:
         parts = line.split("\t")
         if len(parts) != 2:
             raise ParseError("expected codepoint<TAB>class", line=lineno, path=where)
-        cp_field, cls_field = parts[0].strip(), parts[1].strip()
+        cls_field = parts[1].strip()
         try:
             cls = CharClass(cls_field)
         except ValueError:
             raise ParseError(f"unknown class {cls_field!r}", line=lineno, path=where) from None
-        if cp_field.upper().startswith("U+") or cp_field.lower().startswith("0x"):
-            try:
-                char = chr(int(cp_field[2:], 16))
-            except (ValueError, OverflowError):
-                raise ParseError(f"bad code point {cp_field!r}", line=lineno, path=where) from None
-        elif len(cp_field) == 1:
-            char = cp_field
-        else:
-            raise ParseError(f"bad code point {cp_field!r}", line=lineno, path=where)
-        table[char] = cls
+        table[parse_code_point(parts[0], lineno, where)] = cls
     return table

@@ -24,20 +24,21 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ArtifactError, EmptyCorpus, ParseError, UnknownChar, WrongState
+from .errors import ArtifactError, ConfigError, EmptyCorpus, ParseError, UnknownChar, WrongState
 from .corpus import ParallelPair
 from .script import (
     FARSI_LETTERS,
-    NormMode,
     Script,
     ScriptText,
     TAJIK_LETTERS,
     TextState,
     ZWNJ,
-    normalize_text,
+    parse_code_point,
+    table_lines,
 )
 
 __all__ = [
+    "Direction",
     "DIRECTIONS",
     "EMPTY_MARK",
     "MappingTable",
@@ -61,7 +62,6 @@ __all__ = [
     "avg_alternatives",
 ]
 
-DIRECTIONS = ("tg2fa", "fa2tg")
 EMPTY_MARK = "∅"
 
 BOS = "\x02"
@@ -80,18 +80,46 @@ DEFAULT_LM_ORDER = 5
 DEFAULT_BEAM = 16
 
 
-def _source_script(direction: str) -> Script:
-    return Script.TAJIK if direction == "tg2fa" else Script.FARSI
+@dataclass(frozen=True)
+class Direction:
+    """A transliteration direction: its name and its source and target scripts.
+
+    The accessors read a pair's sides through ``ParallelPair.text``, so
+    no caller picks ``fa`` or ``tg`` itself.
+    """
+
+    name: str
+    source: Script
+    target: Script
+
+    @classmethod
+    def of(cls, name: str) -> "Direction":
+        """The direction called ``name``; ConfigError if there is none."""
+        try:
+            return DIRECTIONS[name]
+        except KeyError:
+            raise ConfigError(f"direction must be one of {tuple(DIRECTIONS)}, got {name!r}") from None
+
+    def source_text(self, pair: ParallelPair) -> str:
+        """The pair's train-normalized source side."""
+        return pair.text(self.source)
+
+    def target_text(self, pair: ParallelPair) -> str:
+        """The pair's train-normalized target side."""
+        return pair.text(self.target)
+
+    def reference(self, pair: ParallelPair) -> str:
+        """The pair's raw target side, the reference a hypothesis is scored against."""
+        return pair.text(self.target, train=False)
 
 
-def _target_script(direction: str) -> Script:
-    return Script.FARSI if direction == "tg2fa" else Script.TAJIK
+DIRECTIONS = {
+    d.name: d
+    for d in (Direction("tg2fa", Script.TAJIK, Script.FARSI), Direction("fa2tg", Script.FARSI, Script.TAJIK))
+}
 
-
-def _check_direction(direction: str) -> str:
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    return direction
+# The characters a mapping candidate may hold, by target script.
+_CANDIDATE_CHARS = {Script.FARSI: FARSI_LETTERS | {ZWNJ}, Script.TAJIK: TAJIK_LETTERS}
 
 
 @dataclass(frozen=True)
@@ -102,7 +130,7 @@ class MappingTable:
     entries: dict[str, tuple[str, ...]]
 
     def __post_init__(self):
-        _check_direction(self.direction)
+        Direction.of(self.direction)
 
     def candidates(self, char: str) -> tuple[str, ...]:
         try:
@@ -110,60 +138,43 @@ class MappingTable:
         except KeyError:
             raise UnknownChar(char) from None
 
-    def validate(self) -> None:
-        """Check the per-entry contract; raises ValueError on violations."""
-        target = FARSI_LETTERS if self.direction == "tg2fa" else TAJIK_LETTERS
-        allowed = set(target) | ({ZWNJ} if self.direction == "tg2fa" else set())
+    def validate(self, path: str | None = None) -> None:
+        """Check that every entry has candidates, all written in the target script.
+
+        Raises ConfigError (a ValueError) naming ``path``, when given, and
+        the offending character.
+        """
+        allowed = _CANDIDATE_CHARS[Direction.of(self.direction).target]
         for src, cands in self.entries.items():
             if not cands:
-                raise ValueError(f"{src!r} has no candidates")
+                raise ConfigError(f"{src!r} has no candidates", path=path)
             for cand in cands:
                 bad = set(cand) - allowed
                 if bad:
-                    raise ValueError(
+                    raise ConfigError(
                         f"candidate {cand!r} for {src!r} contains "
-                        f"non-target characters {sorted(bad)!r}"
+                        f"non-target characters {sorted(bad)!r}",
+                        path=path,
                     )
-
-
-def _parse_char_field(field_text: str, lineno: int, where: str | None) -> str:
-    if field_text.upper().startswith("U+"):
-        try:
-            return chr(int(field_text[2:], 16))
-        except (ValueError, OverflowError):
-            raise ParseError(f"bad code point {field_text!r}", line=lineno, path=where) from None
-    if len(field_text) != 1:
-        raise ParseError(
-            f"source must be one character, got {field_text!r}", line=lineno, path=where
-        )
-    return field_text
 
 
 def load_mapping_table(
     source: str | Path | Iterable[str], direction: str
 ) -> MappingTable:
-    """Read ``source_char<TAB>cand1|cand2|...`` lines; ``∅`` is the empty string.
+    """Read and validate ``source_char<TAB>cand1|cand2|...`` lines; ``∅`` is the empty string.
 
-    The source character may be written as ``U+XXXX`` so that invisible
-    characters (ZWNJ, combining marks) stay legible in the file. Parse
-    errors name the file when ``source`` is a path.
+    The source character may be written as ``U+XXXX`` or ``0xXXXX`` so
+    that invisible characters (ZWNJ, combining marks) stay legible in
+    the file. Parse and validation errors name the file when ``source``
+    is a path.
     """
-    _check_direction(direction)
-    if isinstance(source, (str, Path)):
-        where = str(source)
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-    else:
-        where = None
-        lines = list(source)
+    where, rows = table_lines(source)
     entries: dict[str, tuple[str, ...]] = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in rows:
         cols = line.split("\t")
         if len(cols) != 2:
             raise ParseError("expected source_char<TAB>candidates", line=lineno, path=where)
-        src = _parse_char_field(cols[0].strip(), lineno, where)
+        src = parse_code_point(cols[0], lineno, where)
         raw_cands = cols[1].split("|")
         if any(c == "" for c in raw_cands):
             raise ParseError(
@@ -174,6 +185,7 @@ def load_mapping_table(
             raise ParseError(f"duplicate source character {src!r}", line=lineno, path=where)
         entries[src] = cands
     table = MappingTable(direction=direction, entries=entries)
+    table.validate(where)
     return table
 
 
@@ -187,11 +199,9 @@ def save_mapping_table(table: MappingTable, path: str | Path) -> None:
 
 def default_mapping_table(direction: str) -> MappingTable:
     """The packaged provisional table for the given direction."""
-    _check_direction(direction)
+    Direction.of(direction)
     text = resources.files("tgfa.data").joinpath(f"map_{direction}.tsv").read_text("utf-8")
-    table = load_mapping_table(text.splitlines(), direction)
-    table.validate()
-    return table
+    return load_mapping_table(text.splitlines(), direction)
 
 
 class CharNGramLM:
@@ -422,20 +432,17 @@ class TranslitDict:
 
 
 def build_dictionary(pairs: Sequence[ParallelPair], direction: str) -> TranslitDict:
-    """Align word i to word i for pairs with equal token counts.
+    """Align word i to word i of each pair's train-normalized sides.
 
-    Each source token keeps its most frequent target (ties broken by the
-    lexicographically smallest). Pairs with unequal token counts are
-    skipped and counted.
+    Pairs with unequal token counts are skipped and counted. Each source
+    token keeps its most frequent target (ties broken by the
+    lexicographically smallest).
     """
-    _check_direction(direction)
+    d = Direction.of(direction)
     votes: dict[str, Counter] = {}
     skipped = 0
     for pair in pairs:
-        fa = normalize_text(pair.fa, Script.FARSI, NormMode.TRAIN)
-        tg = normalize_text(pair.tg, Script.TAJIK, NormMode.TRAIN)
-        src, tgt = (tg, fa) if direction == "tg2fa" else (fa, tg)
-        src_tokens, tgt_tokens = src.split(), tgt.split()
+        src_tokens, tgt_tokens = d.source_text(pair).split(), d.target_text(pair).split()
         if len(src_tokens) != len(tgt_tokens):
             skipped += 1
             continue
@@ -465,7 +472,8 @@ def load_dictionary(path: str | Path) -> TranslitDict:
     """The saved dictionary; ArtifactError names the file and any bad field."""
     where = str(path)
     payload = _read_artifact(path, "dictionary", DICT_MAGIC, DICT_FORMAT_VERSION, "build-dict")
-    direction = _field(payload, "direction", lambda v: v in DIRECTIONS, f"one of {DIRECTIONS}", where)
+    names = tuple(DIRECTIONS)
+    direction = _field(payload, "direction", lambda v: v in names, f"one of {names}", where)
     entries = _field(
         payload,
         "entries",
@@ -591,21 +599,20 @@ def transliterate_lines(
             direction = table.direction
         else:
             raise ValueError("need a dictionary, a table, or an explicit direction")
-    _check_direction(direction)
+    d = Direction.of(direction)
     if dictionary is not None and dictionary.direction != direction:
         raise ValueError("dictionary direction does not match")
     if table is not None and table.direction != direction:
         raise ValueError("table direction does not match")
-    source, target = _source_script(direction), _target_script(direction)
     done: dict[str, str] = {}
     out = []
     for text in lines:
         if isinstance(text, ScriptText):
             if text.state is TextState.RAW:
                 raise WrongState("transliterate expects train-normalized text")
-            if text.script is not source:
+            if text.script is not d.source:
                 raise WrongState(
-                    f"direction {direction} expects {source.value} input, "
+                    f"direction {direction} expects {d.source.value} input, "
                     f"got {text.script.value}"
                 )
             text = text.text
@@ -626,7 +633,7 @@ def transliterate_lines(
                 else:
                     hit = beam_decode(lattice, lm, beam)[0]
             done[token] = hit
-        out.append(ScriptText(" ".join(done[t] for t in tokens), target, TextState.TRAIN_NORMALIZED))
+        out.append(ScriptText(" ".join(done[t] for t in tokens), d.target, TextState.TRAIN_NORMALIZED))
     return out
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -163,6 +165,28 @@ class TestModelCommands:
         )
         assert result.exit_code == 2
 
+    def test_translit_out_of_script_table_fails_before_output(self, runner, tmp_path):
+        table = tmp_path / "t.tsv"
+        table.write_text("б\tb\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        result = invoke(
+            runner,
+            ["translit", "--direction", "tg2fa", "--table", str(table), "-o", str(out)],
+            input="б\n",
+        )
+        assert result.exit_code == 2, result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "direction,line",
+        [("fa2tg", "خانهٔ من"), ("fa2tg", "خانۀ من"), ("tg2fa", "ман\u200cба")],
+        ids=["ezafe-hamza", "heh-with-yeh", "tajik-zwnj"],
+    )
+    def test_translit_ordinary_text_has_table_rows(self, runner, direction, line):
+        result = invoke(runner, ["translit", "--direction", direction], input=line + "\n")
+        assert result.exit_code == 0, result.output
+        assert len(result.output.splitlines()) == 1
+
     def test_translit_ambiguity_stats(self, runner):
         result = invoke(
             runner,
@@ -297,6 +321,33 @@ class TestPipelineAndReport:
         overall = next(r for r in rows if r.get("group") == "Overall")
         assert overall["n_pairs"] == 30  # every pair tested exactly once
 
+    def test_pipeline_normalizes_each_text_once(self, runner, tmp_path, monkeypatch):
+        from tgfa import script
+
+        n_pairs = 30
+        corpus = write_corpus(tmp_path / "c.jsonl", toy_corpus(n_pairs))
+        calls: Counter = Counter()
+        original = script.normalize_text
+
+        def counted(text, script_, mode, table=None):
+            calls[script.NormMode(mode)] += 1
+            return original(text, script_, mode, table)
+
+        for name, module in list(sys.modules.items()):
+            if name == "tgfa" or name.startswith("tgfa."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        result = invoke(
+            runner,
+            ["pipeline", "--corpus", str(corpus), "--direction", "tg2fa",
+             "--folds", "3", "--out", str(tmp_path / "run")],
+        )
+        assert result.exit_code == 0, result.output
+        # Both sides of each pair at load; then, in eval mode, every pair's
+        # reference and hypothesis once, since each pair is tested once.
+        assert calls == {script.NormMode.TRAIN: 2 * n_pairs, script.NormMode.EVAL: 2 * n_pairs}
+
     def test_report_merges_systems(self, runner, corpus_file, tmp_path):
         refs = TestScore()._refs(corpus_file)
         hyp = tmp_path / "sys1.txt"
@@ -377,6 +428,7 @@ class TestReportErrors:
 _GOOD_TSV = "از\tаз\n".encode()
 _SCORE = ["score", "--corpus", "{path}", "--hyp", "{hyp}", "--direction", "tg2fa"]
 _TRANSLIT = ["translit", "--direction", "tg2fa"]
+_FILTER_NAMES = ["filter-names", "--corpus", "{corpus}", "--map", "{path}", "--out", "{out}"]
 _LM_HEADER = {"magic": "tgfa-charlm", "version": 2}
 _LM_V2 = {**_LM_HEADER, "order": 1, "smoothing": "none", "alphabet": ["\x01", "\x03", "a"],
           "counts": [[["", {"\x03": 1, "a": 1}]]]}
@@ -420,9 +472,21 @@ BAD_FILES = [
                  3, "{path}: line 1: expected source_char<TAB>candidates", id="table-bad-line"),
     pytest.param("chars.tsv", b"no tab\n", ["normalize", "--script", "tajik", "--char-table", "{path}"],
                  3, "{path}: line 1: expected codepoint<TAB>class", id="char-table-bad-line"),
-    pytest.param("cons.tsv", b"no tab\n",
-                 ["filter-names", "--corpus", "{corpus}", "--map", "{path}", "--out", "{out}"],
+    pytest.param("cons.tsv", b"no tab\n", _FILTER_NAMES,
                  3, "{path}: line 1: expected tajik_char<TAB>farsi_char", id="map-bad-line"),
+    pytest.param("map.tsv", "б\tب\n".encode() + b"\xff\tx\n", [*_TRANSLIT, "--table", "{path}"],
+                 3, "{path}: line 2: not valid UTF-8 (byte 0xFF)", id="table-not-utf8"),
+    pytest.param("chars.tsv", b"\xd0\tother\n", ["normalize", "--script", "tajik", "--char-table", "{path}"],
+                 3, "{path}: line 1: not valid UTF-8 (byte 0xD0)", id="char-table-not-utf8"),
+    pytest.param("cons.tsv", "# map\n".encode() + b"\xc0\xaf\tx\n", _FILTER_NAMES,
+                 3, "{path}: line 2: not valid UTF-8 (byte 0xC0)", id="map-not-utf8"),
+    pytest.param("cons.tsv", "б\tب\nб\tپ\n".encode(), _FILTER_NAMES,
+                 2, "{path}: line 2: duplicate Tajik consonant 'б'", id="map-duplicate-row"),
+    pytest.param("cons.tsv", "б\tب\nп\tب\n".encode(), _FILTER_NAMES,
+                 2, "{path}: map is not one-to-one: ['ب'] mapped more than once", id="map-not-one-to-one"),
+    pytest.param("map.tsv", "б\tb\n".encode(), [*_TRANSLIT, "--table", "{path}"],
+                 2, "{path}: candidate 'b' for 'б' contains non-target characters ['b']",
+                 id="table-out-of-script"),
 ]
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tgfa.errors import BadMap, EmptyCorpus, ParseError, TooSmall, UnknownDataset
+from tgfa.script import ZWNJ, NormMode, Script, normalize_text
 from tgfa.corpus import (
     DATASET_DOMAINS,
     ParallelPair,
@@ -36,6 +37,35 @@ def write_jsonl(path, rows):
     )
 
 
+# Mixed Arabic/Cyrillic text: letters, marks (kasra, shadda, the ezafe
+# hamza), ZWNJ, hyphens and dashes, punctuation, digits and whitespace.
+MIXED_TEXT = st.text(
+    alphabet=list("کتابپژۀ" + "\u0650\u0651\u0654" + "КитобҳӯқғӣҷӢ" + ZWNJ + "-—" + ".,!?«»،؟1a" + " \t\u00a0"),
+    max_size=40,
+)
+
+
+class TestParallelPair:
+    @given(MIXED_TEXT, MIXED_TEXT)
+    @settings(max_examples=200)
+    def test_train_sides_match_normalize_text(self, fa, tg):
+        pair = ParallelPair(fa=fa, tg=tg)
+        assert pair.fa_train == normalize_text(fa, Script.FARSI, NormMode.TRAIN)
+        assert pair.tg_train == normalize_text(tg, Script.TAJIK, NormMode.TRAIN)
+        assert pair.text(Script.FARSI) == pair.fa_train
+        assert pair.text(Script.TAJIK) == pair.tg_train
+        assert (pair.text(Script.FARSI, train=False), pair.text(Script.TAJIK, train=False)) == (fa, tg)
+
+    def test_equality_hash_repr_and_save_see_raw_fields(self, tmp_path):
+        a = ParallelPair(fa="از!", tg="Аз", dataset="Dictionary")
+        assert a == ParallelPair(fa="از!", tg="Аз", dataset="Dictionary")
+        assert hash(a) == hash(ParallelPair(fa="از!", tg="Аз", dataset="Dictionary"))
+        assert "_train" not in repr(a)
+        save([a], tmp_path / "c.jsonl")
+        row = json.loads((tmp_path / "c.jsonl").read_text(encoding="utf-8"))
+        assert row == {"fa": "از!", "tg": "Аз", "dataset": "Dictionary"}
+
+
 class TestLoad:
     def test_jsonl_order_preserved(self, tmp_path):
         rows = [
@@ -47,6 +77,12 @@ class TestLoad:
         write_jsonl(path, rows)
         pairs = load(path)
         assert [p.tg for p in pairs] == ["аз", "ин", "китоб"]
+
+    def test_line_separator_inside_json_string(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"fa": "از\u2028این", "tg": "аз ин"}\r\n{"fa": "از", "tg": "аз"}\n', encoding="utf-8")
+        pairs, skipped = read_pairs(path)
+        assert [p.fa for p in pairs] == ["از\u2028این", "از"] and not skipped
 
     def test_missing_field_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"

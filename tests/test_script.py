@@ -17,7 +17,9 @@ from tgfa.script import (
     load_char_table,
     normalize,
     normalize_text,
+    parse_code_point,
     strip_whitespace,
+    table_lines,
 )
 
 FATHA = "َ"
@@ -180,3 +182,24 @@ class TestCharTable:
             load_char_table(["U+0438\tnot_a_class"])
         with pytest.raises(ParseError):
             load_char_table(["U+ZZZZ\tother"])
+
+
+class TestTableLines:
+    def test_skips_blank_and_comment_lines(self):
+        assert table_lines(["# head", "", "  a\tb  ", "c"]) == (None, [(3, "a\tb"), (4, "c")])
+
+    def test_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes("а\tб\n".encode() + b"\xff\tx\n")
+        with pytest.raises(ParseError) as info:
+            table_lines(path)
+        assert str(info.value) == f"{path}: line 2: not valid UTF-8 (byte 0xFF)"
+
+    @pytest.mark.parametrize("field", ["U+0438", "u+0438", "0x0438", "0X438", "и", " и "])
+    def test_code_point_forms(self, field):
+        assert parse_code_point(field) == "и"
+
+    @pytest.mark.parametrize("field", ["", "ии", "U+", "0xZZ", "U+110000"])
+    def test_bad_code_point(self, field):
+        with pytest.raises(ParseError, match="line 7: bad code point"):
+            parse_code_point(field, line=7)

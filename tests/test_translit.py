@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tgfa.errors import (
     ArtifactError,
+    ConfigError,
     EmptyCorpus,
     ParseError,
     UnknownChar,
@@ -21,7 +22,9 @@ from tgfa.translit import (
     BOS,
     EOS,
     UNK,
+    DIRECTIONS,
     CharNGramLM,
+    Direction,
     Lattice,
     MappingTable,
     avg_alternatives,
@@ -73,6 +76,30 @@ def random_lattice(rng: random.Random, alphabet: str, max_paths: int = 50) -> La
             return lat
 
 
+class TestDirection:
+    PAIR = ParallelPair(fa="کِتاب!", tg="Китоб!")
+
+    @pytest.mark.parametrize(
+        "name,source,target,source_text,target_text,reference",
+        [
+            ("tg2fa", Script.TAJIK, Script.FARSI, "китоб", "کِتاب", "کِتاب!"),
+            ("fa2tg", Script.FARSI, Script.TAJIK, "کِتاب", "китоб", "Китоб!"),
+        ],
+    )
+    def test_table(self, name, source, target, source_text, target_text, reference):
+        d = DIRECTIONS[name]
+        assert Direction.of(name) is d
+        assert (d.name, d.source, d.target) == (name, source, target)
+        assert d.source_text(self.PAIR) == source_text
+        assert d.target_text(self.PAIR) == target_text
+        assert d.reference(self.PAIR) == reference
+
+    def test_names_and_unknown_name(self):
+        assert list(DIRECTIONS) == ["tg2fa", "fa2tg"]
+        with pytest.raises(ConfigError, match="direction must be one of"):
+            Direction.of("tg2tg")
+
+
 class TestMappingTable:
     def test_load_candidates_and_empty_mark(self):
         t = load_mapping_table(["а\t∅|ا", "б\tب"], "tg2fa")
@@ -81,6 +108,10 @@ class TestMappingTable:
 
     def test_u_escape_source(self):
         t = load_mapping_table(["U+200C\t∅"], "fa2tg")
+        assert t.entries[ZWNJ] == ("",)
+
+    def test_hex_source(self):
+        t = load_mapping_table(["0x200C\t∅"], "fa2tg")
         assert t.entries[ZWNJ] == ("",)
 
     def test_duplicate_source_rejected(self):
