@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import json
 import sys
 from contextlib import contextmanager
@@ -27,7 +28,7 @@ import click
 from . import __version__
 from .errors import ConfigError, LengthMismatch, ParseError, TgfaError, UnknownDataset
 from .metrics import EvalPair, GroupScores, MetricReport, score_corpus
-from .script import NormMode, Script, load_char_table, normalize_text
+from .script import NormMode, Script, decode_utf8, load_char_table, normalize_text, read_utf8
 from .tokenizer import detokenize, format_token_line, parse_token_line, tokenize
 from . import corpus as corpus_mod
 from . import translit as translit_mod
@@ -79,14 +80,12 @@ def cli():
 
 
 def _read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 file, or of stdin for ``-``; lines end as in a text-mode file."""
     if path == "-":
-        data = sys.stdin.read()
+        text = decode_utf8(sys.stdin.buffer.read(), "<stdin>")
     else:
-        data = Path(path).read_text(encoding="utf-8")
-    lines = data.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return lines
+        text = read_utf8(path)
+    return [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
 
 
 def _write_lines(path: str, lines: Iterable[str]) -> None:
@@ -300,27 +299,31 @@ def stats(corpus, per, format_, output):
     _write_lines(output, lines)
 
 
+def _ratios(ctx, param, value: str) -> tuple[float, ...]:
+    try:
+        ratios = tuple(float(x) for x in value.split(","))
+        corpus_mod.check_ratios(ratios)
+    except ValueError as e:
+        raise click.BadParameter(f"{value!r}: {e}") from None
+    return ratios
+
+
 @cli.command()
 @click.option("--corpus", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--ratios", default="0.8,0.1,0.1", show_default=True)
+@click.option("--ratios", default="0.8,0.1,0.1", show_default=True, callback=_ratios,
+              help="Train, dev and test shares: three non-negative values summing to 1.")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 @_friendly
 def split(corpus, seed, ratios, out):
     """Stratified train/dev/test holdout split; writes the three subsets."""
-    try:
-        parts = tuple(float(x) for x in ratios.split(","))
-    except ValueError:
-        raise click.UsageError(f"bad --ratios value {ratios!r}")
-    if len(parts) != 3:
-        raise click.UsageError("--ratios needs exactly three comma-separated values")
     pairs = corpus_mod.load(corpus)
-    spec = corpus_mod.split_holdout(pairs, parts, seed)  # type: ignore[arg-type]
+    spec = corpus_mod.split_holdout(pairs, ratios, seed)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "seed": seed,
-        "ratios": list(parts),
+        "ratios": list(ratios),
         "train": list(spec.train),
         "dev": list(spec.dev),
         "test": list(spec.test),
@@ -516,6 +519,12 @@ def score(corpus, hyps, direction, sentence_chrf, format_, out):
             )
 
 
+def _fold_count(ctx, param, value: int) -> int:
+    if value == 1 or value < 0:
+        raise click.BadParameter(f"{value} is neither 0 (holdout) nor at least 2")
+    return value
+
+
 @cli.command()
 @click.option("--corpus", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--direction", type=click.Choice(list(translit_mod.DIRECTIONS)), required=True)
@@ -523,7 +532,7 @@ def score(corpus, hyps, direction, sentence_chrf, format_, out):
 @click.option("--beam", type=click.IntRange(min=1), default=translit_mod.DEFAULT_BEAM, show_default=True)
 @click.option("--lm-order", type=click.IntRange(min=1), default=translit_mod.DEFAULT_LM_ORDER,
               show_default=True)
-@click.option("--folds", type=int, default=0, show_default=True,
+@click.option("--folds", type=int, default=0, show_default=True, callback=_fold_count,
               help="0 = 80/10/10 holdout; k >= 2 = k-fold cross-validation.")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 @_friendly
@@ -532,6 +541,7 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
     with _stage("load"):
         pairs = corpus_mod.load(corpus)
     d = translit_mod.DIRECTIONS[direction]
+    table = translit_mod.default_mapping_table(direction)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = {
@@ -561,7 +571,6 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
         with _stage("train-lm"):
             lm = translit_mod.train_lm([d.target_text(p) for p in train_pairs], order=lm_order)
         translit_mod.save_lm(lm, block_dir / "lm.json")
-        table = translit_mod.default_mapping_table(direction)
         sources = [d.source_text(p) for p in test_pairs]
         with _stage("translit"):
             hyp_lines = [

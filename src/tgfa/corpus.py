@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BadMap,
+    ConfigError,
     EmptyCorpus,
     ParseError,
     TooSmall,
@@ -41,6 +42,7 @@ __all__ = [
     "domain_of",
     "save",
     "stats",
+    "check_ratios",
     "split_holdout",
     "kfold",
     "default_consonant_map",
@@ -122,8 +124,8 @@ def _detect_format(path: Path) -> str:
     return "tsv"
 
 
-# Line parsers raise ValueError with the reason; read_pairs adds the
-# file and line.
+# Line parsers, and ParallelPair for an unknown domain, raise ValueError
+# with the reason; read_pairs adds the file and line.
 def _parse_jsonl_line(line: str) -> ParallelPair:
     try:
         obj = json.loads(line)
@@ -136,12 +138,12 @@ def _parse_jsonl_line(line: str) -> ParallelPair:
             raise ValueError(f"missing field {key!r}")
         if not isinstance(obj[key], str):
             raise ValueError(f"field {key!r} is not a string")
-    domain = obj.get("domain")
-    if domain is not None and domain not in DOMAINS:
-        raise ValueError(f"unknown domain {domain!r}")
-    return ParallelPair(
-        fa=obj["fa"], tg=obj["tg"], dataset=obj.get("dataset", ""), domain=domain
-    )
+    dataset, domain = obj.get("dataset", ""), obj.get("domain")
+    if not isinstance(dataset, str):
+        raise ValueError("field 'dataset' is not a string")
+    if domain is not None and not isinstance(domain, str):
+        raise ValueError("field 'domain' is not a string")
+    return ParallelPair(fa=obj["fa"], tg=obj["tg"], dataset=dataset, domain=domain)
 
 
 def _parse_tsv_line(line: str) -> ParallelPair:
@@ -150,14 +152,11 @@ def _parse_tsv_line(line: str) -> ParallelPair:
         raise ValueError("expected at least fa<TAB>tg")
     if len(cols) > 4:
         raise ValueError(f"too many columns ({len(cols)})")
-    domain = cols[3] if len(cols) > 3 and cols[3] else None
-    if domain is not None and domain not in DOMAINS:
-        raise ValueError(f"unknown domain {domain!r}")
     return ParallelPair(
         fa=cols[0],
         tg=cols[1],
         dataset=cols[2] if len(cols) > 2 else "",
-        domain=domain,
+        domain=cols[3] if len(cols) > 3 and cols[3] else None,
     )
 
 
@@ -175,7 +174,7 @@ def read_pairs(
     path = Path(path)
     fmt = fmt or _detect_format(path)
     if fmt not in ("jsonl", "tsv"):
-        raise ValueError(f"unknown corpus format {fmt!r}")
+        raise ConfigError(f"unknown corpus format {fmt!r}")
     parse = _parse_jsonl_line if fmt == "jsonl" else _parse_tsv_line
     pairs: list[ParallelPair] = []
     skipped: list[str] = []
@@ -222,7 +221,7 @@ def save(pairs: Iterable[ParallelPair], path: str | Path, fmt: str = "jsonl") ->
             elif fmt == "tsv":
                 fh.write("\t".join([p.fa, p.tg, p.dataset, p.domain or ""]) + "\n")
             else:
-                raise ValueError(f"unknown corpus format {fmt!r}")
+                raise ConfigError(f"unknown corpus format {fmt!r}")
 
 
 def domain_of(pair: ParallelPair) -> str:
@@ -254,7 +253,7 @@ def stats(
     if not pairs:
         raise EmptyCorpus("no pairs")
     if per not in ("dataset", "domain"):
-        raise ValueError("per must be 'dataset' or 'domain'")
+        raise ConfigError("per must be 'dataset' or 'domain'")
     acc: dict[str, list[int]] = {}
     for p in pairs:
         label = p.dataset if per == "dataset" else domain_of(p)
@@ -302,6 +301,12 @@ def _allocate(n: int, ratios: Sequence[float]) -> list[int]:
     return counts
 
 
+def check_ratios(ratios: Sequence[float]) -> None:
+    """Raise ConfigError unless ``ratios`` are three non-negative values summing to 1."""
+    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) < 0:
+        raise ConfigError("ratios must be three non-negative values summing to 1")
+
+
 def split_holdout(
     pairs: Sequence[ParallelPair],
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
@@ -314,8 +319,7 @@ def split_holdout(
     """
     if len(pairs) < 10:
         raise TooSmall(f"need at least 10 pairs, got {len(pairs)}")
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) < 0:
-        raise ValueError("ratios must be three non-negative values summing to 1")
+    check_ratios(ratios)
     parts: tuple[list[int], list[int], list[int]] = ([], [], [])
     for label, indices in sorted(_by_dataset(pairs).items()):
         order = _shuffled(indices, seed, label)

@@ -13,10 +13,13 @@ Conventions that matter for comparability:
   reference n-gram), then combined with beta = 2. A sentence-averaged
   variant is available for sensitivity checks.
 
-`score_corpus` scores each pair once (one edit distance, one chrF++
-count vector whose first six orders are chrF's) and builds every group
-and the pooled overall from those values. Every edit distance comes
-from the bit-parallel kernel in `tgfa._kernels`.
+`score_corpus` is the one scorer. It scores each pair once (one edit
+distance, one chrF++ count vector whose first six orders are chrF's)
+and builds every group and the pooled overall from those values. The
+single-metric functions (`chrf`, `chrf_pp`, `cer_mean`, `ncer_mean`,
+`seq_acc`) each read one field of its overall scores, so each costs a
+full scoring pass. Every edit distance comes from the bit-parallel
+kernel in `tgfa._kernels`.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._kernels import levenshtein
-from .errors import EmptyCorpus, WrongState
+from ._kernels import levenshtein as edit_distance
+from .errors import ConfigError, EmptyCorpus, WrongState
 from .script import FARSI_DIACRITICS, ZWNJ, strip_whitespace
 
 __all__ = [
@@ -87,35 +90,6 @@ class MetricReport:
     overall: GroupScores
 
 
-def edit_distance(a: str, b: str) -> int:
-    """Levenshtein distance with unit insert/delete/substitute costs."""
-    return levenshtein(a, b)
-
-
-def _distances(pairs: Sequence[EvalPair]) -> list[int]:
-    return [levenshtein(p.hypothesis, p.reference) for p in pairs]
-
-
-def _require_pairs(pairs: Sequence[EvalPair]) -> None:
-    if not pairs:
-        raise EmptyCorpus("no pairs to score")
-
-
-def cer_mean(pairs: Sequence[EvalPair]) -> float:
-    """Mean raw edit distance over all pairs."""
-    _require_pairs(pairs)
-    return sum(_distances(pairs)) / len(pairs)
-
-
-def ncer_mean(pairs: Sequence[EvalPair]) -> float:
-    """Mean of edit distance divided by max(1, reference length)."""
-    _require_pairs(pairs)
-    dists = _distances(pairs)
-    return sum(
-        d / max(1, len(p.reference)) for d, p in zip(dists, pairs)
-    ) / len(pairs)
-
-
 def _char_ngrams(text: str, n: int) -> Counter:
     return Counter(text[i : i + n] for i in range(len(text) - n + 1))
 
@@ -169,59 +143,36 @@ def ngram_f(
 ) -> float:
     """Sentence-level character/word n-gram F-score in [0, 100]."""
     if max_char_n < 1:
-        raise ValueError("max_char_n must be >= 1")
+        raise ConfigError("max_char_n must be >= 1")
     if beta <= 0:
-        raise ValueError("beta must be > 0")
+        raise ConfigError("beta must be > 0")
     return _f_from_stats(_pair_stats(hyp, ref, max_char_n, max_word_n), beta)
-
-
-def _corpus_f(
-    pairs: Sequence[EvalPair],
-    max_char_n: int,
-    max_word_n: int,
-    beta: float,
-    sentence_level: bool,
-) -> float:
-    _require_pairs(pairs)
-    if sentence_level:
-        return sum(
-            ngram_f(p.hypothesis, p.reference, max_char_n, max_word_n, beta)
-            for p in pairs
-        ) / len(pairs)
-    n_orders = max_char_n + max_word_n
-    totals = [(0, 0, 0)] * n_orders
-    for p in pairs:
-        stats = _pair_stats(p.hypothesis, p.reference, max_char_n, max_word_n)
-        totals = [
-            (tm + m, th + h, tr + r)
-            for (tm, th, tr), (m, h, r) in zip(totals, stats)
-        ]
-    return _f_from_stats(totals, beta)
 
 
 def chrf(pairs: Sequence[EvalPair], sentence_level: bool = False) -> float:
     """Corpus chrF: character n-grams up to order 6, beta = 2."""
-    return _corpus_f(pairs, CHRF_CHAR_ORDER, 0, CHRF_BETA, sentence_level)
+    return score_corpus(pairs, sentence_level).overall.chrf
 
 
 def chrf_pp(pairs: Sequence[EvalPair], sentence_level: bool = False) -> float:
     """Corpus chrF++: chrF plus word unigrams and bigrams."""
-    return _corpus_f(
-        pairs, CHRF_CHAR_ORDER, CHRF_PP_WORD_ORDER, CHRF_BETA, sentence_level
-    )
+    return score_corpus(pairs, sentence_level).overall.chrf_pp
+
+
+def cer_mean(pairs: Sequence[EvalPair]) -> float:
+    """Mean raw edit distance over all pairs."""
+    return score_corpus(pairs).overall.cer
+
+
+def ncer_mean(pairs: Sequence[EvalPair]) -> float:
+    """Mean of edit distance divided by max(1, reference length)."""
+    return score_corpus(pairs).overall.ncer
 
 
 def seq_acc(pairs: Sequence[EvalPair], strip_ws: bool = False) -> float:
     """Percentage of hypotheses exactly matching their references."""
-    _require_pairs(pairs)
-    if strip_ws:
-        hits = sum(
-            strip_whitespace(p.hypothesis) == strip_whitespace(p.reference)
-            for p in pairs
-        )
-    else:
-        hits = sum(p.hypothesis == p.reference for p in pairs)
-    return 100.0 * hits / len(pairs)
+    overall = score_corpus(pairs).overall
+    return overall.acc_no_ws if strip_ws else overall.acc
 
 
 _GROUP_ORDER = {"poetry": 0, "prose": 1, "names": 2, "dictionary": 3}
@@ -238,11 +189,12 @@ def score_corpus(
 
     Each pair is scored once: one edit distance and one chrF++ count
     vector (chrF is its first six orders). Groups and Overall are sums
-    of those per-pair values, taken in input order, so every metric
-    equals what the single-metric functions return for the same pairs.
+    of those per-pair values, taken in input order, so a group's scores
+    equal those of its pairs scored alone.
     """
-    _require_pairs(pairs)
-    dists = _distances(pairs)
+    if not pairs:
+        raise EmptyCorpus("no pairs to score")
+    dists = [edit_distance(p.hypothesis, p.reference) for p in pairs]
     stats = [
         _pair_stats(p.hypothesis, p.reference, CHRF_CHAR_ORDER, CHRF_PP_WORD_ORDER)
         for p in pairs

@@ -15,7 +15,8 @@ side. Eval mode removes those as well, so that scoring never penalizes
 inconsistently written optional characters.
 
 The corpus and TSV config readers of every module decode files with
-``read_utf8``; the TSV readers also share ``table_lines`` and
+``read_utf8``, and the CLI's text inputs, stdin included, with
+``decode_utf8``; the TSV readers also share ``table_lines`` and
 ``parse_code_point``.
 """
 
@@ -45,6 +46,7 @@ __all__ = [
     "strip_whitespace",
     "export_char_table",
     "load_char_table",
+    "decode_utf8",
     "read_utf8",
     "table_lines",
     "parse_code_point",
@@ -231,14 +233,18 @@ def export_char_table(script: Script | str) -> str:
     return "\n".join(rows) + "\n"
 
 
-def read_utf8(path: str | Path) -> str:
-    """The text of a UTF-8 file; a byte that is not UTF-8 raises ParseError naming the file and line."""
-    data = Path(path).read_bytes()
+def decode_utf8(data: bytes, where: str) -> str:
+    """``data`` decoded as UTF-8; a byte that is not UTF-8 raises ParseError naming ``where`` and the line."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
         line = data.count(b"\n", 0, e.start) + 1
-        raise ParseError(f"not valid UTF-8 (byte 0x{data[e.start]:02X})", line=line, path=str(path)) from None
+        raise ParseError(f"not valid UTF-8 (byte 0x{data[e.start]:02X})", line=line, path=where) from None
+
+
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 raises ParseError naming the file and line."""
+    return decode_utf8(Path(path).read_bytes(), str(path))
 
 
 def table_lines(source: str | Path | Iterable[str]) -> tuple[str | None, list[tuple[int, str]]]:

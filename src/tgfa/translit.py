@@ -222,9 +222,9 @@ class CharNGramLM:
 
     def __init__(self, order: int, smoothing: str = "witten_bell"):
         if order < 1:
-            raise ValueError("order must be >= 1")
+            raise ConfigError("order must be >= 1")
         if smoothing not in SMOOTHINGS:
-            raise ValueError(f"unknown smoothing {smoothing!r}")
+            raise ConfigError(f"unknown smoothing {smoothing!r}")
         self.order = order
         self.smoothing = smoothing
         self._set_counts({EOS, UNK}, [() for _ in range(order)])
@@ -537,7 +537,7 @@ def beam_decode(lattice: Lattice, lm: CharNGramLM, beam: int = DEFAULT_BEAM) -> 
     count it equals exhaustive scoring.
     """
     if beam < 1:
-        raise ValueError("beam must be >= 1")
+        raise ConfigError("beam must be >= 1")
     hyps: dict[str, float] = {"": 0.0}
     for slot in lattice.slots:
         extended: dict[str, float] = {}
@@ -598,12 +598,12 @@ def transliterate_lines(
         elif table is not None:
             direction = table.direction
         else:
-            raise ValueError("need a dictionary, a table, or an explicit direction")
+            raise ConfigError("need a dictionary, a table, or an explicit direction")
     d = Direction.of(direction)
     if dictionary is not None and dictionary.direction != direction:
-        raise ValueError("dictionary direction does not match")
+        raise ConfigError("dictionary direction does not match")
     if table is not None and table.direction != direction:
-        raise ValueError("table direction does not match")
+        raise ConfigError("table direction does not match")
     done: dict[str, str] = {}
     out = []
     for text in lines:
@@ -623,7 +623,7 @@ def transliterate_lines(
             hit = dictionary.get(token) if dictionary is not None else None
             if hit is None:
                 if table is None:
-                    raise ValueError(f"token {token!r} not in dictionary and no table given")
+                    raise ConfigError(f"token {token!r} not in dictionary and no table given")
                 try:
                     lattice = expand_lattice(token, table)
                 except UnknownChar as e:

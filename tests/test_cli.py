@@ -374,6 +374,8 @@ class TestFlagValidation:
             ("pipeline", "--lm-order", "0"),
             ("translit", "--beam", "0"),
             ("train-lm", "--lm-order", "0"),
+            ("pipeline", "--folds", "1"),
+            ("pipeline", "--folds", "-1"),
         ],
     )
     def test_out_of_range_rejected_before_work(self, runner, corpus_file, tmp_path, command, flag, value):
@@ -393,6 +395,18 @@ class TestFlagValidation:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert flag in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ratios", ["0.5,0.5,0.5", "0.8,0.3,-0.1", "0.5,0.5", "a,b,c"])
+    def test_split_ratios_rejected_before_work(self, runner, corpus_file, tmp_path, ratios):
+        out = tmp_path / "out"
+        result = invoke(
+            runner, ["split", "--corpus", str(corpus_file), "--out", str(out), "--ratios", ratios]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "--ratios" in result.output
         assert not out.exists()
 
 
@@ -426,6 +440,7 @@ class TestReportErrors:
 
 
 _GOOD_TSV = "از\tаз\n".encode()
+_GOOD_JSONL = '{"fa": "از", "tg": "аз", "dataset": "Places"}\n'.encode()
 _SCORE = ["score", "--corpus", "{path}", "--hyp", "{hyp}", "--direction", "tg2fa"]
 _TRANSLIT = ["translit", "--direction", "tg2fa"]
 _FILTER_NAMES = ["filter-names", "--corpus", "{corpus}", "--map", "{path}", "--out", "{out}"]
@@ -487,6 +502,23 @@ BAD_FILES = [
     pytest.param("map.tsv", "б\tb\n".encode(), [*_TRANSLIT, "--table", "{path}"],
                  2, "{path}: candidate 'b' for 'б' contains non-target characters ['b']",
                  id="table-out-of-script"),
+    pytest.param("bad.hyp.txt", b"x\n\xff\n",
+                 ["score", "--corpus", "{corpus}", "--hyp", "{path}", "--direction", "tg2fa"],
+                 3, "{path}: line 2: not valid UTF-8 (byte 0xFF)", id="hyp-not-utf8"),
+    pytest.param("in.txt", "бғд\n".encode() + b"\xd0\n", [*_TRANSLIT, "-i", "{path}"],
+                 3, "{path}: line 2: not valid UTF-8 (byte 0xD0)", id="input-not-utf8"),
+    pytest.param("s.scores.jsonl", json.dumps(TestReportErrors.GOOD_ROW).encode() + b"\n\xff\n",
+                 ["report", "--scores", "{path}"],
+                 3, "{path}: line 2: not valid UTF-8 (byte 0xFF)", id="scores-not-utf8"),
+    pytest.param("bad.jsonl", _GOOD_JSONL + b'{"fa": "\xd8\xa7", "tg": "a", "dataset": null}\n',
+                 ["kfold", "--corpus", "{path}", "--k", "2", "--out", "{out}"],
+                 3, "{path}: line 2: field 'dataset' is not a string", id="corpus-dataset-null"),
+    pytest.param("bad.jsonl", b'{"fa": "\xd8\xa7", "tg": "a", "dataset": ["x"]}\n',
+                 ["stats", "--corpus", "{path}"],
+                 3, "{path}: line 1: field 'dataset' is not a string", id="corpus-dataset-list"),
+    pytest.param("bad.jsonl", b'{"fa": "\xd8\xa7", "tg": "a", "domain": 5}\n',
+                 ["stats", "--corpus", "{path}"],
+                 3, "{path}: line 1: field 'domain' is not a string", id="corpus-domain-number"),
 ]
 
 
@@ -511,3 +543,9 @@ class TestMalformedInputsGuard:
         assert isinstance(result.exception, SystemExit), result.exception
         assert "Traceback" not in result.output
         assert message.format(**fill) in result.output
+
+    def test_stdin_not_utf8(self, runner):
+        result = invoke(runner, [*_TRANSLIT], input=b"\xff\xd0\n")
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "<stdin>: line 1: not valid UTF-8 (byte 0xFF)" in result.output

@@ -312,7 +312,7 @@ class TestScoreCorpus:
                 100.0 * sum("".join(h.split()) == "".join(r.split()) for h, r in tuples) / n,
                 abs=1e-9,
             )
-            # Exact equality with the single-metric functions keeps reports byte-identical.
+            # Each group scores exactly as its pairs scored alone.
             assert got == GroupScores(
                 n_pairs=n,
                 chrf=chrf(group_pairs, sentence_level),
@@ -322,6 +322,41 @@ class TestScoreCorpus:
                 acc=seq_acc(group_pairs),
                 acc_no_ws=seq_acc(group_pairs, strip_ws=True),
             )
+
+    # Exact scores of the 90-pair, three-group input above. Reports print
+    # these floats, so any change to the scoring arithmetic shows here.
+    PINNED = {
+        False: {
+            "poetry": GroupScores(30, 31.87148310731019, 27.153690328184055, 9.0,
+                                  1.7746929612641686, 13.333333333333334, 13.333333333333334),
+            "prose": GroupScores(30, 49.084357169842555, 49.185628333228706, 6.4,
+                                 2.0541914664283083, 40.0, 40.0),
+            "names": GroupScores(30, 50.72040584118479, 48.3976843478024, 5.666666666666667,
+                                 1.4689055023923445, 36.666666666666664, 36.666666666666664),
+            "Overall": GroupScores(90, 42.54773357869831, 40.08500652549934, 7.022222222222222,
+                                   1.7659299766949406, 30.0, 30.0),
+        },
+        True: {
+            "poetry": GroupScores(30, 23.52354993980107, 20.88073830200772, 9.0,
+                                  1.7746929612641686, 13.333333333333334, 13.333333333333334),
+            "prose": GroupScores(30, 48.590052438314096, 46.812546286417366, 6.4,
+                                 2.0541914664283083, 40.0, 40.0),
+            "names": GroupScores(30, 46.959209901298735, 43.73676740500242, 5.666666666666667,
+                                 1.4689055023923445, 36.666666666666664, 36.666666666666664),
+            "Overall": GroupScores(90, 39.690937426471315, 37.14335066447584, 7.022222222222222,
+                                   1.7659299766949406, 30.0, 30.0),
+        },
+    }
+
+    @pytest.mark.parametrize("sentence_level", [False, True])
+    def test_exact_scores_are_pinned(self, sentence_level):
+        labels = ("poetry", "prose", "names")
+        pairs = [
+            EvalPair(p.hypothesis, p.reference, labels[i % 3])
+            for i, p in enumerate(random_pairs(90, seed=41, alphabet="abc де ف"))
+        ]
+        report = score_corpus(pairs, sentence_level)
+        assert {**report.groups, "Overall": report.overall} == self.PINNED[sentence_level]
 
     def test_cer_zero_iff_acc_100(self):
         for seed in range(5):
