@@ -340,7 +340,7 @@ def split(corpus, seed, ratios, out):
 
 @cli.command()
 @click.option("--corpus", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--k", type=int, default=10, show_default=True)
+@click.option("--k", type=click.IntRange(min=2), default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 @_friendly
@@ -537,11 +537,23 @@ def _fold_count(ctx, param, value: int) -> int:
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 @_friendly
 def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
-    """Run split, training, transliteration and scoring in one go."""
+    """Run split, training, transliteration and scoring in one go.
+
+    The split comes first, so a corpus too small for it leaves no run
+    directory. With ``--folds k`` the dictionary and the LM are built
+    once on the whole corpus, and each fold's are derived from them by
+    subtracting its test pairs, which equals training on the fold's
+    training pairs, byte for byte once saved.
+    """
     with _stage("load"):
         pairs = corpus_mod.load(corpus)
     d = translit_mod.DIRECTIONS[direction]
     table = translit_mod.default_mapping_table(direction)
+    with _stage("split"):
+        if folds == 0:
+            spec = corpus_mod.split_holdout(pairs, seed=seed)
+        else:
+            specs = corpus_mod.kfold(pairs, k=folds, seed=seed)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = {
@@ -559,17 +571,26 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
         encoding="utf-8",
     )
 
-    def run_block(block_dir: Path, train_idx, test_idx) -> tuple[list[int], list[str]]:
+    def run_block(
+        block_dir: Path, train_idx, test_idx, whole: tuple[translit_mod.TranslitDict, translit_mod.CharNGramLM] | None = None
+    ) -> tuple[list[int], list[str]]:
+        """Train on ``train_idx``, or take the ``whole``-corpus models less ``test_idx``; decode ``test_idx``."""
         block_dir.mkdir(parents=True, exist_ok=True)
         train_pairs = [pairs[i] for i in train_idx]
         test_pairs = [pairs[i] for i in test_idx]
         corpus_mod.save(train_pairs, block_dir / "train.jsonl")
         corpus_mod.save(test_pairs, block_dir / "test.jsonl")
         with _stage("build-dict"):
-            dictionary = translit_mod.build_dictionary(train_pairs, direction)
+            if whole is None:
+                dictionary = translit_mod.build_dictionary(train_pairs, direction)
+            else:
+                dictionary = whole[0].without(test_pairs)
         translit_mod.save_dictionary(dictionary, block_dir / "dict.json")
         with _stage("train-lm"):
-            lm = translit_mod.train_lm([d.target_text(p) for p in train_pairs], order=lm_order)
+            if whole is None:
+                lm = translit_mod.train_lm([d.target_text(p) for p in train_pairs], order=lm_order)
+            else:
+                lm = whole[1].without(d.target_text(p) for p in test_pairs)
         translit_mod.save_lm(lm, block_dir / "lm.json")
         sources = [d.source_text(p) for p in test_pairs]
         with _stage("translit"):
@@ -585,8 +606,6 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
 
     blocks: list[tuple[list[int], list[str]]] = []
     if folds == 0:
-        with _stage("split"):
-            spec = corpus_mod.split_holdout(pairs, seed=seed)
         (out_dir / "split.json").write_text(
             json.dumps(
                 {"seed": seed, "train": list(spec.train), "dev": list(spec.dev), "test": list(spec.test)},
@@ -598,10 +617,12 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
         corpus_mod.save([pairs[i] for i in spec.dev], out_dir / "dev.jsonl")
         blocks.append(run_block(out_dir, spec.train, spec.test))
     else:
-        with _stage("split"):
-            specs = corpus_mod.kfold(pairs, k=folds, seed=seed)
+        with _stage("build-dict"):
+            whole_dict = translit_mod.build_dictionary(pairs, direction)
+        with _stage("train-lm"):
+            whole_lm = translit_mod.train_lm([d.target_text(p) for p in pairs], order=lm_order)
         for i, spec in enumerate(specs):
-            blocks.append(run_block(out_dir / f"fold{i:02d}", spec.train, spec.test))
+            blocks.append(run_block(out_dir / f"fold{i:02d}", spec.train, spec.test, (whole_dict, whole_lm)))
 
     scored_indices: list[int] = []
     scored_hyps: list[str] = []

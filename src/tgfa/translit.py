@@ -218,6 +218,13 @@ class CharNGramLM:
     total and number of types. ``prob`` remembers every (state, symbol)
     it has answered for the life of the model object, so a repeated query
     costs one dictionary lookup; the memo grows with the distinct queries.
+
+    The counts are kept in canonical order: each level's contexts in
+    increasing order, and each context's symbols in increasing order.
+    Training inserts the n-grams sorted once, ``without`` only deletes,
+    which keeps the order of what remains, and a loaded file is checked
+    to be in that order. So ``to_payload`` emits the counts as stored,
+    and ``save_lm`` writes them without sorting.
     """
 
     def __init__(self, order: int, smoothing: str = "witten_bell"):
@@ -227,21 +234,30 @@ class CharNGramLM:
             raise ConfigError(f"unknown smoothing {smoothing!r}")
         self.order = order
         self.smoothing = smoothing
-        self._set_counts({EOS, UNK}, [() for _ in range(order)])
+        self._set_counts((), [{} for _ in range(order)])
 
-    def _set_counts(
-        self, vocab: set[str], levels: Sequence[Iterable[tuple[str, dict[str, int]]]]
-    ) -> None:
-        """Install the alphabet and the counts: ``levels[k]`` holds (k-character context, counts)."""
-        self._vocab = vocab
+    def _set_counts(self, alphabet: Iterable[str], levels: list[dict[str, _Stats]]) -> None:
+        """Install the alphabet, plus the end sentinel and the unknown bucket, and the counts.
+
+        ``levels[k]`` maps each k-character context to its ``_stats``.
+        """
+        self._vocab = {EOS, UNK}.union(alphabet)
         # Characters that stand for themselves in a context; others become UNK.
-        self._known = frozenset(vocab | {BOS})
-        self._base = 1.0 / len(vocab)
-        self._levels = [
-            {ctx: (bucket, sum(bucket.values()), len(bucket)) for ctx, bucket in level if bucket}
-            for level in levels
-        ]
+        self._known = frozenset(self._vocab | {BOS})
+        self._base = 1.0 / len(self._vocab)
+        self._levels = levels
         self._memo: dict[str, float] = {}
+
+    def _set_trained(self, levels: list[dict[str, _Stats]]) -> "CharNGramLM":
+        """Install trained counts, with the characters the unigram level counts as the alphabet.
+
+        EmptyCorpus if nothing is counted: every non-empty training text
+        counts an end sentinel at the unigram level.
+        """
+        if not levels[0]:
+            raise EmptyCorpus("no non-empty training texts")
+        self._set_counts(levels[0][""][0], levels)
+        return self
 
     @property
     def vocab(self) -> frozenset[str]:
@@ -293,23 +309,57 @@ class CharNGramLM:
             total += self.logp(sym, text[max(0, i - n) : i])
         return total
 
+    def without(self, texts: Iterable[str]) -> "CharNGramLM":
+        """The model of the texts this one was trained on, less ``texts``.
+
+        ``texts`` must be some of those training texts. The result equals
+        ``train_lm`` on the rest, byte for byte once saved: a count that
+        falls to zero is dropped, a context left with no counts is
+        dropped, and the alphabet is what the rest still counts. Only the
+        contexts ``texts`` touch are copied. EmptyCorpus if no non-empty
+        text is left.
+        """
+        levels = [dict(level) for level in self._levels]
+        touched: dict[str, dict[str, int]] = {}
+        for gram, count in _count_grams(texts, self.order).items():
+            # A context's length is its level, so the context alone is a key.
+            ctx, sym = gram[:-1], gram[-1]
+            bucket = touched.get(ctx)
+            if bucket is None:
+                stats = levels[len(ctx)].get(ctx)
+                bucket = touched[ctx] = dict(stats[0]) if stats else {}
+            left = bucket.get(sym, 0) - count
+            if left < 0:
+                raise ConfigError("cannot subtract texts the model was not trained on")
+            if left:
+                bucket[sym] = left
+            else:
+                del bucket[sym]
+        for ctx, bucket in touched.items():
+            if bucket:
+                levels[len(ctx)][ctx] = _stats(bucket)
+            else:
+                del levels[len(ctx)][ctx]
+        return CharNGramLM(self.order, self.smoothing)._set_trained(levels)
+
     def to_payload(self) -> dict:
-        counts = [
-            [[ctx, dict(sorted(bucket.items()))] for ctx, (bucket, _, _) in sorted(level.items())]
-            for level in self._levels
-        ]
+        """The version-2 payload, keys in sorted order; its count objects are the model's own."""
         return {
+            "alphabet": sorted(self._vocab),
+            "counts": [[[ctx, stats[0]] for ctx, stats in level.items()] for level in self._levels],
             "magic": LM_MAGIC,
-            "version": LM_FORMAT_VERSION,
             "order": self.order,
             "smoothing": self.smoothing,
-            "alphabet": sorted(self._vocab),
-            "counts": counts,
+            "version": LM_FORMAT_VERSION,
         }
 
     @classmethod
     def from_payload(cls, payload: dict, path: str | None = None) -> "CharNGramLM":
-        """The model of a version-2 payload; ArtifactError names ``path`` and the bad field."""
+        """The model of a version-2 payload; ArtifactError names ``path`` and the bad field.
+
+        The counts must be in canonical order (see the class docstring),
+        which a linear pass checks.
+        """
         order = _field(payload, "order", lambda v: type(v) is int, "an integer", path)
         if order < 1:
             raise ArtifactError(f"field 'order' must be >= 1, got {order}", path=path)
@@ -327,25 +377,47 @@ class CharNGramLM:
             payload,
             "counts",
             lambda v: type(v) is list and len(v) == order and all(map(_is_level, v, range(order))),
-            f"a list of {order} levels of [k-character context, {{character: count}}] pairs",
+            f"a list of {order} levels of [k-character context, {{character: count}}] pairs, "
+            "contexts and characters in increasing order",
             path,
         )
         lm = cls(order=order, smoothing=smoothing)
-        lm._set_counts(set(alphabet) | {EOS, UNK}, counts)
+        lm._set_counts(alphabet, [{ctx: _stats(bucket) for ctx, bucket in level if bucket} for level in counts])
         return lm
 
 
+_Stats = tuple[dict[str, int], int, int]
+
+
+def _stats(bucket: dict[str, int]) -> _Stats:
+    """A context's counts with their total and number of types."""
+    return bucket, sum(bucket.values()), len(bucket)
+
+
 def _is_level(entries, k: int) -> bool:
-    """Whether ``entries`` is a list of [k-character context, {character: positive count}]."""
-    return type(entries) is list and all(
-        type(entry) is list
-        and len(entry) == 2
-        and type(entry[0]) is str
-        and len(entry[0]) == k
-        and type(entry[1]) is dict
-        and all(type(s) is str and len(s) == 1 and type(c) is int and c > 0 for s, c in entry[1].items())
-        for entry in entries
-    )
+    """Whether ``entries`` is a list of [k-character context, {character: positive count}].
+
+    The contexts must be strictly increasing, and so must each context's
+    characters: the canonical order, checked in one pass.
+    """
+    if type(entries) is not list:
+        return False
+    last_ctx = None
+    for entry in entries:
+        if not (type(entry) is list and len(entry) == 2):
+            return False
+        ctx, bucket = entry
+        if not (type(ctx) is str and len(ctx) == k and type(bucket) is dict):
+            return False
+        if last_ctx is not None and ctx <= last_ctx:
+            return False
+        last_ctx = ctx
+        last_sym = ""
+        for sym, count in bucket.items():
+            if not (type(sym) is str and len(sym) == 1 and sym > last_sym and type(count) is int and count > 0):
+                return False
+            last_sym = sym
+    return True
 
 
 def _field(payload: dict, name: str, ok, what: str, path: str | None):
@@ -358,37 +430,45 @@ def _field(payload: dict, name: str, ok, what: str, path: str | None):
     return value
 
 
+def _count_grams(texts: Iterable[str], order: int) -> Counter[str]:
+    """The n-gram counts of the non-empty texts, padded with sentinels.
+
+    Each n-gram has up to ``order`` characters, ends on a predicted
+    symbol and is keyed by its string: context plus symbol.
+
+    The one counting path: ``train_lm`` counts a corpus with it and
+    ``CharNGramLM.without`` the texts it subtracts.
+    """
+    n = order - 1
+    grams: Counter[str] = Counter()
+    for text in texts:
+        if text:
+            padded = BOS * n + text + EOS
+            grams.update(padded[i - k : i + 1] for i in range(n, len(padded)) for k in range(order))
+    return grams
+
+
 def train_lm(
     texts: Iterable[str], order: int = DEFAULT_LM_ORDER, smoothing: str = "witten_bell"
 ) -> CharNGramLM:
-    """Count character n-grams (with sentinel padding) over target-side text."""
+    """Count character n-grams (with sentinel padding) over target-side text.
+
+    The n-grams are inserted in sorted order, once, so the model holds
+    its counts in canonical order. To train on many subsets of one corpus,
+    as k-fold cross-validation does, train once on the whole corpus and
+    take each subset's model with ``CharNGramLM.without``. EmptyCorpus if
+    no text is non-empty.
+    """
     lm = CharNGramLM(order=order, smoothing=smoothing)
-    n = order - 1
-    # Every n-gram of up to ``order`` characters that ends on a predicted
-    # symbol, keyed by its string: context plus symbol.
-    grams: Counter[str] = Counter()
-    vocab = {EOS, UNK}
-    n_texts = 0
-    for text in texts:
-        if not text:
-            continue
-        vocab.update(text)
-        padded = BOS * n + text + EOS
-        grams.update(padded[i - k : i + 1] for i in range(n, len(padded)) for k in range(order))
-        n_texts += 1
-    if n_texts == 0:
-        raise EmptyCorpus("no non-empty training texts")
     levels: list[dict[str, dict[str, int]]] = [{} for _ in range(order)]
-    for gram, count in grams.items():
+    for gram, count in sorted(_count_grams(texts, order).items()):
         levels[len(gram) - 1].setdefault(gram[:-1], {})[gram[-1]] = count
-    lm._set_counts(vocab, [level.items() for level in levels])
-    return lm
+    return lm._set_trained([{ctx: _stats(bucket) for ctx, bucket in level.items()} for level in levels])
 
 
 def save_lm(lm: CharNGramLM, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(lm.to_payload(), ensure_ascii=False, sort_keys=True), encoding="utf-8"
-    )
+    """Write ``lm.json``; the payload is already in canonical order, so nothing is sorted."""
+    Path(path).write_text(json.dumps(lm.to_payload(), ensure_ascii=False), encoding="utf-8")
 
 
 def _read_artifact(path: str | Path, kind: str, magic: str, version: int, remake: str) -> dict:
@@ -421,25 +501,54 @@ def load_lm(path: str | Path) -> CharNGramLM:
 
 @dataclass
 class TranslitDict:
-    """Word-level lookup built from positionally aligned training pairs."""
+    """Word-level lookup built from positionally aligned training pairs.
+
+    ``votes`` holds, for each source token, how often each target was
+    aligned to it; the entries are chosen from it. A loaded dictionary
+    has none, since ``dict.json`` keeps only the entries.
+    """
 
     direction: str
     entries: dict[str, str] = field(default_factory=dict)
     skipped_pairs: int = 0
+    votes: dict[str, Counter[str]] | None = field(default=None, repr=False, compare=False)
 
     def get(self, token: str) -> str | None:
         return self.entries.get(token)
 
+    def without(self, pairs: Sequence[ParallelPair]) -> "TranslitDict":
+        """The dictionary of the pairs this one was built from, less ``pairs``.
 
-def build_dictionary(pairs: Sequence[ParallelPair], direction: str) -> TranslitDict:
-    """Align word i to word i of each pair's train-normalized sides.
+        ``pairs`` must be some of those pairs. The result equals
+        ``build_dictionary`` on the rest: the votes and ``skipped_pairs``
+        of ``pairs`` are subtracted, a token left with no votes is
+        dropped, and only the tokens ``pairs`` touch choose their target
+        again.
+        """
+        if self.votes is None:
+            raise WrongState("a loaded dictionary keeps no votes to subtract from")
+        fold, skipped = _count_votes(pairs, Direction.of(self.direction))
+        votes = dict(self.votes)
+        entries = dict(self.entries)
+        for src, counter in fold.items():
+            left = votes[src] - counter
+            if left:
+                votes[src] = left
+                entries[src] = _best_target(left)
+            else:
+                del votes[src], entries[src]
+        return TranslitDict(self.direction, entries, self.skipped_pairs - skipped, votes)
 
-    Pairs with unequal token counts are skipped and counted. Each source
-    token keeps its most frequent target (ties broken by the
-    lexicographically smallest).
+
+def _count_votes(pairs: Sequence[ParallelPair], d: Direction) -> tuple[dict[str, Counter[str]], int]:
+    """Each source token's aligned targets with their counts, and the pairs skipped.
+
+    A pair is skipped when its sides differ in token count.
+
+    The one counting path: ``build_dictionary`` counts a corpus with it
+    and ``TranslitDict.without`` the pairs it subtracts.
     """
-    d = Direction.of(direction)
-    votes: dict[str, Counter] = {}
+    votes: dict[str, Counter[str]] = {}
     skipped = 0
     for pair in pairs:
         src_tokens, tgt_tokens = d.source_text(pair).split(), d.target_text(pair).split()
@@ -448,11 +557,27 @@ def build_dictionary(pairs: Sequence[ParallelPair], direction: str) -> TranslitD
             continue
         for s, t in zip(src_tokens, tgt_tokens):
             votes.setdefault(s, Counter())[t] += 1
-    entries = {}
-    for s, counter in votes.items():
-        best_count = max(counter.values())
-        entries[s] = min(t for t, c in counter.items() if c == best_count)
-    return TranslitDict(direction=direction, entries=entries, skipped_pairs=skipped)
+    return votes, skipped
+
+
+def _best_target(counter: Counter[str]) -> str:
+    """The most frequent target, ties broken by the lexicographically smallest."""
+    best_count = max(counter.values())
+    return min(t for t, c in counter.items() if c == best_count)
+
+
+def build_dictionary(pairs: Sequence[ParallelPair], direction: str) -> TranslitDict:
+    """Align word i to word i of each pair's train-normalized sides.
+
+    Pairs with unequal token counts are skipped and counted. Each source
+    token keeps its most frequent target (ties broken by the
+    lexicographically smallest). To build on many subsets of one corpus,
+    as k-fold cross-validation does, build once on the whole corpus and
+    take each subset's dictionary with ``TranslitDict.without``.
+    """
+    votes, skipped = _count_votes(pairs, Direction.of(direction))
+    entries = {s: _best_target(counter) for s, counter in votes.items()}
+    return TranslitDict(direction=direction, entries=entries, skipped_pairs=skipped, votes=votes)
 
 
 def save_dictionary(d: TranslitDict, path: str | Path) -> None:

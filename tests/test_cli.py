@@ -376,25 +376,49 @@ class TestFlagValidation:
             ("train-lm", "--lm-order", "0"),
             ("pipeline", "--folds", "1"),
             ("pipeline", "--folds", "-1"),
+            ("kfold", "--k", "1"),
+            ("kfold", "--k", "0"),
         ],
     )
     def test_out_of_range_rejected_before_work(self, runner, corpus_file, tmp_path, command, flag, value):
         out = tmp_path / "out"
         hyp = tmp_path / "hyp.txt"
         hyp.write_text("x\n" * 24, encoding="utf-8")
+        direction = ["--direction", "tg2fa"]
         args = {
-            "score": ["--corpus", str(corpus_file), "--hyp", str(hyp), "--out", str(out)],
-            "pipeline": ["--corpus", str(corpus_file), "--out", str(out)],
-            "translit": ["-o", str(out)],
-            "train-lm": ["--corpus", str(corpus_file), "--out", str(out)],
+            "score": [*direction, "--corpus", str(corpus_file), "--hyp", str(hyp), "--out", str(out)],
+            "pipeline": [*direction, "--corpus", str(corpus_file), "--out", str(out)],
+            "translit": [*direction, "-o", str(out)],
+            "train-lm": [*direction, "--corpus", str(corpus_file), "--out", str(out)],
+            "kfold": ["--corpus", str(corpus_file), "--out", str(out)],
         }[command]
-        result = invoke(
-            runner, [command, "--direction", "tg2fa", *args, flag, value], input="бғд\n"
-        )
+        result = invoke(runner, [command, *args, flag, value], input="бғд\n")
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert flag in result.output
+        assert not out.exists()
+
+    def test_kfold_k_rejected_before_corpus_is_read(self, runner, tmp_path):
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_bytes(b"not json at all\n")
+        result = invoke(runner, ["kfold", "--corpus", str(corpus), "--k", "1", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "--k" in result.output
+        assert "invalid JSON" not in result.output
+
+    @pytest.mark.parametrize("folds", ["0", "2"])
+    def test_pipeline_too_small_corpus_leaves_no_run_directory(self, runner, tmp_path, folds):
+        corpus = write_corpus(tmp_path / "one.jsonl", toy_corpus(1))
+        out = tmp_path / "p1"
+        result = invoke(
+            runner,
+            ["pipeline", "--corpus", str(corpus), "--direction", "tg2fa", "--folds", folds, "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "split: " in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("ratios", ["0.5,0.5,0.5", "0.8,0.3,-0.1", "0.5,0.5", "a,b,c"])
@@ -478,6 +502,9 @@ BAD_FILES = [
     pytest.param("lm.json", json.dumps(_LM_V1).encode(), [*_TRANSLIT, "--lm", "{path}"],
                  3, "{path}: unsupported format version 1, expected 2; remake the file with `tgfa train-lm`",
                  id="lm-version-1"),
+    pytest.param("lm.json", json.dumps({**_LM_V2, "counts": [[["", {"a": 1, "\x03": 1}]]]}).encode(),
+                 [*_TRANSLIT, "--lm", "{path}"],
+                 3, "{path}: field 'counts' must be a list of 1 levels", id="lm-unsorted"),
     pytest.param("dict.json", json.dumps(_NO_DIRECTION).encode(), [*_TRANSLIT, "--dict", "{path}"],
                  3, "{path}: missing field 'direction'", id="dict-no-direction"),
     pytest.param("dict.json", json.dumps(_DICT_FA2TG).encode(), [*_TRANSLIT, "--dict", "{path}"],

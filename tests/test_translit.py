@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tgfa.errors import (
@@ -16,7 +16,7 @@ from tgfa.errors import (
     UnknownChar,
     WrongState,
 )
-from tgfa.corpus import ParallelPair
+from tgfa.corpus import ParallelPair, kfold
 from tgfa.script import FARSI_LETTERS, Script, ScriptText, TAJIK_LETTERS, TextState, ZWNJ
 from tgfa.translit import (
     BOS,
@@ -289,6 +289,15 @@ class TestCharNGramLMv2:
             if smoothing == "witten_bell" or total:
                 assert total == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    def test_save_load_save_is_byte_identical(self, tmp_path, order):
+        rng = random.Random(order)
+        texts = [random_words(rng, "абвгдж" + UNK, rng.randint(0, 3), max_len=6) for _ in range(20)]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_lm(train_lm(texts, order=order), first)
+        save_lm(load_lm(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_version_1_file_names_file_and_retraining(self, tmp_path):
         payload = {
             "magic": "tgfa-charlm", "version": 1, "order": 2, "smoothing": "none",
@@ -318,11 +327,15 @@ class TestCharNGramLMv2:
             ({"counts": [[], [[["a"], {"b": 1}]]]}, "field 'counts' must be a list of 2 levels"),
             ({"counts": [[], [["a", {"b": -1}]]]}, "field 'counts' must be a list of 2 levels"),
             ({"counts": [[], [["ab", {"b": 1}]]]}, "field 'counts' must be a list of 2 levels"),
+            ({"counts": [[["", {"b": 1, "a": 1}]], []]}, "field 'counts' must be a list of 2 levels"),
+            ({"counts": [[], [["b", {"a": 1}], ["a", {"b": 1}]]]}, "field 'counts' must be a list of 2 levels"),
+            ({"counts": [[], [["a", {"b": 1}], ["a", {"c": 1}]]]}, "field 'counts' must be a list of 2 levels"),
         ],
         ids=[
             "no-order", "order-str", "order-0", "no-smoothing", "unknown-smoothing",
             "no-alphabet", "alphabet-str", "no-counts", "counts-levels",
             "counts-list-context", "counts-negative", "counts-long-context",
+            "counts-symbols-unsorted", "counts-contexts-unsorted", "counts-context-repeated",
         ],
     )
     def test_bad_field_names_file_and_field(self, tmp_path, change, message):
@@ -405,6 +418,98 @@ class TestBuildDictionary:
         with pytest.raises(ArtifactError) as e:
             load_dictionary(path)
         assert str(e.value).startswith(f"{path}: {message}")
+
+
+# Few letters per side, so tokens and n-grams repeat across pairs; "ж"
+# and "ژ" are drawn rarely enough to often sit in a single fold.
+_DERIVE_FA = "ابپژ"
+_DERIVE_TG = "абвж"
+
+
+def _side(alphabet: str):
+    """Zero to three words, so a side may be empty and sides differ in token count."""
+    return st.lists(st.text(alphabet, min_size=1, max_size=3), max_size=3).map(" ".join)
+
+
+@st.composite
+def fold_cases(draw):
+    k = draw(st.integers(2, 6))
+    rows = draw(
+        st.lists(
+            st.tuples(_side(_DERIVE_FA), _side(_DERIVE_TG), st.sampled_from(["Names", "Poems"])),
+            min_size=k,
+            max_size=14,
+        )
+    )
+    pairs = [ParallelPair(fa=fa, tg=tg, dataset=dataset) for fa, tg, dataset in rows]
+    return pairs, k, draw(st.integers(1, 6)), draw(st.sampled_from(sorted(DIRECTIONS))), draw(st.integers(0, 3))
+
+
+def _bytes(save, model, path) -> bytes:
+    save(model, path)
+    return path.read_bytes()
+
+
+class TestFoldDerivation:
+    """Each fold's models, derived from the whole corpus's by subtracting
+    the test fold, save to the same bytes as models trained on the fold's
+    training pairs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(fold_cases())
+    @example((
+        [
+            ParallelPair(fa="اب", tg="аб", dataset="Names"),
+            ParallelPair(fa="ژ پ", tg="ж", dataset="Names"),
+            ParallelPair(fa="", tg="", dataset="Names"),
+            ParallelPair(fa="با", tg="ба", dataset="Names"),
+        ],
+        2, 3, "tg2fa", 0,
+    ))
+    def test_derived_fold_models_equal_training_on_the_fold(self, tmp_path_factory, case):
+        pairs, k, order, direction, seed = case
+        d = DIRECTIONS[direction]
+        out = tmp_path_factory.mktemp("fold")
+        whole_dict = build_dictionary(pairs, direction)
+        targets = [d.target_text(p) for p in pairs]
+        whole_lm = train_lm(targets, order=order) if any(targets) else None
+        for spec in kfold(pairs, k=k, seed=seed):
+            train = [pairs[i] for i in spec.train]
+            test = [pairs[i] for i in spec.test]
+            assert _bytes(save_dictionary, whole_dict.without(test), out / "derived.dict.json") == _bytes(
+                save_dictionary, build_dictionary(train, direction), out / "dict.json"
+            )
+            if whole_lm is None:
+                continue
+            train_targets = [d.target_text(p) for p in train]
+            test_targets = [d.target_text(p) for p in test]
+            if not any(train_targets):
+                with pytest.raises(EmptyCorpus):
+                    whole_lm.without(test_targets)
+                continue
+            derived = whole_lm.without(test_targets)
+            trained = train_lm(train_targets, order=order)
+            assert derived.vocab == trained.vocab
+            assert _bytes(save_lm, derived, out / "derived.lm.json") == _bytes(save_lm, trained, out / "lm.json")
+
+    def test_all_empty_training_side_is_empty_corpus(self):
+        pairs = [ParallelPair(fa="اب", tg="аб"), ParallelPair(fa="ب", tg="")]
+        whole = train_lm([p.tg_train for p in pairs], order=3)
+        with pytest.raises(EmptyCorpus):
+            train_lm([pairs[1].tg_train], order=3)
+        with pytest.raises(EmptyCorpus):
+            whole.without([pairs[0].tg_train])
+
+    def test_subtracting_a_text_never_counted_is_an_error(self):
+        with pytest.raises(ConfigError):
+            train_lm(["аб"], order=2).without(["ба"])
+
+    def test_loaded_dictionary_cannot_derive(self, tmp_path):
+        path = tmp_path / "dict.json"
+        pairs = [ParallelPair(fa="از", tg="аз")]
+        save_dictionary(build_dictionary(pairs, "tg2fa"), path)
+        with pytest.raises(WrongState):
+            load_dictionary(path).without(pairs)
 
 
 class TestLattice:
