@@ -571,10 +571,12 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
         encoding="utf-8",
     )
 
-    def run_block(
-        block_dir: Path, train_idx, test_idx, whole: tuple[translit_mod.TranslitDict, translit_mod.CharNGramLM] | None = None
-    ) -> tuple[list[int], list[str]]:
-        """Train on ``train_idx``, or take the ``whole``-corpus models less ``test_idx``; decode ``test_idx``."""
+    def run_block(block_dir: Path, train_idx, test_idx, whole=None) -> tuple[list[int], list[str]]:
+        """Decode ``test_idx`` with a dictionary and an LM trained on ``train_idx``.
+
+        ``whole``, the whole corpus's (dictionary, LM), gives the models
+        by subtracting ``test_idx`` instead.
+        """
         block_dir.mkdir(parents=True, exist_ok=True)
         train_pairs = [pairs[i] for i in train_idx]
         test_pairs = [pairs[i] for i in test_idx]
@@ -622,7 +624,8 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
         with _stage("train-lm"):
             whole_lm = translit_mod.train_lm([d.target_text(p) for p in pairs], order=lm_order)
         for i, spec in enumerate(specs):
-            blocks.append(run_block(out_dir / f"fold{i:02d}", spec.train, spec.test, (whole_dict, whole_lm)))
+            block_dir = out_dir / f"fold{i:02d}"
+            blocks.append(run_block(block_dir, spec.train, spec.test, (whole_dict, whole_lm)))
 
     scored_indices: list[int] = []
     scored_hyps: list[str] = []

@@ -382,7 +382,8 @@ class CharNGramLM:
             path,
         )
         lm = cls(order=order, smoothing=smoothing)
-        lm._set_counts(alphabet, [{ctx: _stats(bucket) for ctx, bucket in level if bucket} for level in counts])
+        levels = [{ctx: _stats(bucket) for ctx, bucket in level if bucket} for level in counts]
+        lm._set_counts(alphabet, levels)
         return lm
 
 
@@ -414,7 +415,9 @@ def _is_level(entries, k: int) -> bool:
         last_ctx = ctx
         last_sym = ""
         for sym, count in bucket.items():
-            if not (type(sym) is str and len(sym) == 1 and sym > last_sym and type(count) is int and count > 0):
+            if not (type(sym) is str and len(sym) == 1 and sym > last_sym):
+                return False
+            if not (type(count) is int and count > 0):
                 return False
             last_sym = sym
     return True
