@@ -18,6 +18,7 @@ import functools
 import hashlib
 import io
 import json
+import shutil
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -70,6 +71,19 @@ def _stage(name: str):
         yield
     except TgfaError as e:
         e.args = (f"{name}: {e}",)
+        raise
+
+
+@contextmanager
+def _run_directory(path: Path):
+    """Create ``path`` for a run's artifacts; if this run created it and then fails, remove it."""
+    created = not path.exists()
+    path.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        if created:
+            shutil.rmtree(path, ignore_errors=True)
         raise
 
 
@@ -453,7 +467,8 @@ def translit_cmd(direction, table_path, dict_path, lm_path, beam, assume_normali
     out_lines = [
         out.text
         for out in translit_mod.transliterate_lines(
-            normalized, dictionary, table, lm, beam, direction=direction
+            normalized, dictionary, table, lm, beam, direction=direction,
+            where="<stdin>" if input_ == "-" else input_,
         )
     ]
     _write_lines(output, out_lines)
@@ -540,7 +555,8 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
     """Run split, training, transliteration and scoring in one go.
 
     The split comes first, so a corpus too small for it leaves no run
-    directory. With ``--folds k`` the dictionary and the LM are built
+    directory; if a later stage fails, a run directory this run created
+    is removed again. With ``--folds k`` the dictionary and the LM are built
     once on the whole corpus, and each fold's are derived from them by
     subtracting its test pairs, which equals training on the fold's
     training pairs, byte for byte once saved.
@@ -554,8 +570,6 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
             spec = corpus_mod.split_holdout(pairs, seed=seed)
         else:
             specs = corpus_mod.kfold(pairs, k=folds, seed=seed)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = {
         "command": "pipeline",
         "direction": direction,
@@ -566,10 +580,6 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
         "folds": folds,
     }
     meta = _meta(config, [corpus], seed=seed)
-    (out_dir / "config.json").write_text(
-        json.dumps({"config": config, "meta": meta}, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
 
     def run_block(block_dir: Path, train_idx, test_idx, whole=None) -> tuple[list[int], list[str]]:
         """Decode ``test_idx`` with a dictionary and an LM trained on ``train_idx``.
@@ -595,55 +605,63 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
                 lm = whole[1].without(d.target_text(p) for p in test_pairs)
         translit_mod.save_lm(lm, block_dir / "lm.json")
         sources = [d.source_text(p) for p in test_pairs]
+        source_path = str(block_dir / "test.src.txt")
+        _write_lines(source_path, sources)
         with _stage("translit"):
             hyp_lines = [
                 out.text
                 for out in translit_mod.transliterate_lines(
-                    sources, dictionary, table, lm, beam, direction=direction
+                    sources, dictionary, table, lm, beam, direction=direction, where=source_path
                 )
             ]
-        _write_lines(str(block_dir / "test.src.txt"), sources)
         _write_lines(str(block_dir / "test.hyp.txt"), hyp_lines)
         return list(test_idx), hyp_lines
 
-    blocks: list[tuple[list[int], list[str]]] = []
-    if folds == 0:
-        (out_dir / "split.json").write_text(
-            json.dumps(
-                {"seed": seed, "train": list(spec.train), "dev": list(spec.dev), "test": list(spec.test)},
-                sort_keys=True,
-            )
-            + "\n",
+    out_dir = Path(out)
+    with _run_directory(out_dir):
+        (out_dir / "config.json").write_text(
+            json.dumps({"config": config, "meta": meta}, sort_keys=True, ensure_ascii=False) + "\n",
             encoding="utf-8",
         )
-        corpus_mod.save([pairs[i] for i in spec.dev], out_dir / "dev.jsonl")
-        blocks.append(run_block(out_dir, spec.train, spec.test))
-    else:
-        with _stage("build-dict"):
-            whole_dict = translit_mod.build_dictionary(pairs, direction)
-        with _stage("train-lm"):
-            whole_lm = translit_mod.train_lm([d.target_text(p) for p in pairs], order=lm_order)
-        for i, spec in enumerate(specs):
-            block_dir = out_dir / f"fold{i:02d}"
-            blocks.append(run_block(block_dir, spec.train, spec.test, (whole_dict, whole_lm)))
 
-    scored_indices: list[int] = []
-    scored_hyps: list[str] = []
-    for test_idx, hyp_lines in blocks:
-        scored_indices.extend(test_idx)
-        scored_hyps.extend(hyp_lines)
-    refs_raw = [d.reference(pairs[i]) for i in scored_indices]
-    groups = [_group_label(pairs[i]) for i in scored_indices]
-    eval_pairs = _eval_pairs(_eval_texts(refs_raw, d.target), scored_hyps, groups, d.target)
-    _write_lines(str(out_dir / "test.ref.txt"), refs_raw)
-    with _stage("score"):
-        report = score_corpus(eval_pairs)
-    name = f"baseline-{direction}"
-    table_text = _report_table({name: report}, meta)
-    (out_dir / "report.txt").write_text(table_text, encoding="utf-8")
-    (out_dir / "report.jsonl").write_text(
-        _report_jsonl(name, report, meta), encoding="utf-8"
-    )
+        blocks: list[tuple[list[int], list[str]]] = []
+        if folds == 0:
+            (out_dir / "split.json").write_text(
+                json.dumps(
+                    {"seed": seed, "train": list(spec.train), "dev": list(spec.dev), "test": list(spec.test)},
+                    sort_keys=True,
+                )
+                + "\n",
+                encoding="utf-8",
+            )
+            corpus_mod.save([pairs[i] for i in spec.dev], out_dir / "dev.jsonl")
+            blocks.append(run_block(out_dir, spec.train, spec.test))
+        else:
+            with _stage("build-dict"):
+                whole_dict = translit_mod.build_dictionary(pairs, direction)
+            with _stage("train-lm"):
+                whole_lm = translit_mod.train_lm([d.target_text(p) for p in pairs], order=lm_order)
+            for i, spec in enumerate(specs):
+                block_dir = out_dir / f"fold{i:02d}"
+                blocks.append(run_block(block_dir, spec.train, spec.test, (whole_dict, whole_lm)))
+
+        scored_indices: list[int] = []
+        scored_hyps: list[str] = []
+        for test_idx, hyp_lines in blocks:
+            scored_indices.extend(test_idx)
+            scored_hyps.extend(hyp_lines)
+        refs_raw = [d.reference(pairs[i]) for i in scored_indices]
+        groups = [_group_label(pairs[i]) for i in scored_indices]
+        eval_pairs = _eval_pairs(_eval_texts(refs_raw, d.target), scored_hyps, groups, d.target)
+        _write_lines(str(out_dir / "test.ref.txt"), refs_raw)
+        with _stage("score"):
+            report = score_corpus(eval_pairs)
+        name = f"baseline-{direction}"
+        table_text = _report_table({name: report}, meta)
+        (out_dir / "report.txt").write_text(table_text, encoding="utf-8")
+        (out_dir / "report.jsonl").write_text(
+            _report_jsonl(name, report, meta), encoding="utf-8"
+        )
     click.echo(table_text, nl=False)
 
 

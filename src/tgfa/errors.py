@@ -83,11 +83,23 @@ class UnknownDataset(TgfaError):
 
 
 class UnknownChar(TgfaError):
-    """Source character has no mapping-table entry (inventory gap)."""
+    """Source character has no mapping-table entry (inventory gap).
+
+    ``line`` and ``path``, when given, name the input line that first
+    holds the token.
+    """
 
     exit_code = 3
 
-    def __init__(self, char: str, word: str = "", position: int = -1, token_index: int = -1):
+    def __init__(
+        self,
+        char: str,
+        word: str = "",
+        position: int = -1,
+        token_index: int = -1,
+        line: int | None = None,
+        path: str | None = None,
+    ):
         where = []
         if word:
             where.append(f"in {word!r}")
@@ -96,11 +108,12 @@ class UnknownChar(TgfaError):
         if token_index >= 0:
             where.append(f"(token {token_index})")
         suffix = " " + " ".join(where) if where else ""
-        super().__init__(f"no mapping entry for {char!r} (U+{ord(char):04X}){suffix}")
+        super().__init__(f"no mapping entry for {char!r} (U+{ord(char):04X}){suffix}", line=line, path=path)
         self.char = char
         self.word = word
         self.position = position
         self.token_index = token_index
+        self.path = path
 
 
 class EmptyCorpus(TgfaError):

@@ -122,13 +122,18 @@ def classify_char(
     Total and deterministic: any scalar value maps to exactly one class.
     ``table`` holds per-code-point overrides loaded from a TSV config.
     """
+    return _classify(c, Script(script), table)
+
+
+def _classify(c: str, script: Script, table: Mapping[str, CharClass] | None) -> CharClass:
+    """``classify_char`` for a ``script`` already converted, as ``normalize_text`` calls it per character."""
     if table is not None:
         override = table.get(c)
         if override is not None:
             return override
     if c == ZWNJ:
         return CharClass.ZWNJ
-    if Script(script) is Script.FARSI:
+    if script is Script.FARSI:
         if c in FARSI_DIACRITICS:
             return CharClass.PERSO_ARABIC_DIACRITIC
         if c in FARSI_LETTERS:
@@ -146,7 +151,7 @@ def classify_char(
 def _letter_at(text: str, i: int, script: Script, table) -> bool:
     if i < 0 or i >= len(text):
         return False
-    return classify_char(text[i], script, table) in _LETTER_CLASSES
+    return _classify(text[i], script, table) in _LETTER_CLASSES
 
 
 def normalize_text(
@@ -161,7 +166,7 @@ def normalize_text(
     keep_optional = mode is NormMode.TRAIN
     out = []
     for i, ch in enumerate(text):
-        cls = classify_char(ch, script, table)
+        cls = _classify(ch, script, table)
         if cls is CharClass.SPACE:
             out.append(" ")
         elif cls in _LETTER_CLASSES:

@@ -213,11 +213,16 @@ class CharNGramLM:
 
     Every symbol, the sentinels included, is one character, so a context
     is a string. The state a query depends on is the last ``order - 1``
-    characters of the text so far, left-padded with begin sentinels, as
-    in KenLM (Heafield 2011). Each context's counts are stored with their
-    total and number of types. ``prob`` remembers every (state, symbol)
-    it has answered for the life of the model object, so a repeated query
-    costs one dictionary lookup; the memo grows with the distinct queries.
+    characters of the text so far, left-padded with begin sentinels and
+    read through ``symbols``, as in KenLM (Heafield 2011). A query's key
+    is its state plus the symbol, and the state after the symbol is
+    ``key[1:]``. So a decoder carries each hypothesis's state and asks
+    ``logp_key`` with a ready-made key, while ``prob``, ``logp`` and
+    ``score`` build the same key from a context. Each context's counts
+    are stored with their total and number of types. Every query reads
+    one memo of probabilities by key, kept for the life of the model
+    object, so a repeated query costs one dictionary lookup; the memo
+    grows with the distinct queries.
 
     The counts are kept in canonical order: each level's contexts in
     increasing order, and each context's symbols in increasing order.
@@ -234,6 +239,8 @@ class CharNGramLM:
             raise ConfigError(f"unknown smoothing {smoothing!r}")
         self.order = order
         self.smoothing = smoothing
+        # The state of the empty text.
+        self.start = BOS * (order - 1)
         self._set_counts((), [{} for _ in range(order)])
 
     def _set_counts(self, alphabet: Iterable[str], levels: list[dict[str, _Stats]]) -> None:
@@ -263,6 +270,14 @@ class CharNGramLM:
     def vocab(self) -> frozenset[str]:
         return frozenset(self._vocab)
 
+    def symbols(self, text: str) -> str:
+        """``text`` as the model reads it: each character outside the alphabet becomes UNK.
+
+        Begin sentinels stand for themselves.
+        """
+        known = self._known
+        return text if known.issuperset(text) else "".join(c if c in known else UNK for c in text)
+
     def prob(self, symbol: str, context: Sequence[str] | str = ()) -> float:
         """P(symbol | last order-1 context symbols).
 
@@ -272,12 +287,12 @@ class CharNGramLM:
         tail = context[len(context) - n :] if len(context) > n else context
         if not isinstance(tail, str):
             tail = "".join(tail)
-        known = self._known
-        if not known.issuperset(tail):
-            tail = "".join(c if c in known else UNK for c in tail)
         if len(tail) < n:
             tail = BOS * (n - len(tail)) + tail
-        key = tail + (symbol if symbol in known else UNK)
+        return self._lookup(self.symbols(tail) + (symbol if symbol in self._known else UNK))
+
+    def _lookup(self, key: str) -> float:
+        """P(key[-1] | key[:-1]), through the memo."""
         p = self._memo.get(key)
         if p is None:
             p = self._memo[key] = self._prob(key[:-1], key[-1])
@@ -298,8 +313,16 @@ class CharNGramLM:
         return p
 
     def logp(self, symbol: str, context: Sequence[str] | str = ()) -> float:
-        p = self.prob(symbol, context)
-        return math.log(p) if p > 0.0 else float("-inf")
+        return _log(self.prob(symbol, context))
+
+    def logp_key(self, key: str) -> float:
+        """log P(key[-1] | key[:-1]) for a ready-made key: a state, then one symbol.
+
+        The state is ``order - 1`` characters as ``symbols`` gives them,
+        begin sentinels first when the text is shorter; the next state is
+        ``key[1:]``.
+        """
+        return _log(self._lookup(key))
 
     def score(self, text: str) -> float:
         """Total log-probability of a string including the end sentinel."""
@@ -388,6 +411,10 @@ class CharNGramLM:
 
 
 _Stats = tuple[dict[str, int], int, int]
+
+
+def _log(p: float) -> float:
+    return math.log(p) if p > 0.0 else float("-inf")
 
 
 def _stats(bucket: dict[str, int]) -> _Stats:
@@ -646,38 +673,40 @@ def expand_lattice(word: str, table: MappingTable) -> Lattice:
     return Lattice(word=word, slots=tuple(slots))
 
 
-def _extend_score(lm: CharNGramLM, text: str, start: int, base: float) -> float:
-    """``base`` plus the log-probability of ``text[start:]`` following ``text[:start]``."""
-    score = base
-    n = lm.order - 1
-    for i in range(start, len(text)):
-        score += lm.logp(text[i], text[max(0, i - n) : i])
-    return score
-
-
 def beam_decode(lattice: Lattice, lm: CharNGramLM, beam: int = DEFAULT_BEAM) -> list[str]:
     """Rank lattice paths by LM score with a per-position beam.
 
-    A hypothesis is its string; the LM sees its last ``lm.order - 1``
-    characters as the context. Identical partial strings are merged
-    (their scores are equal by construction). Ties break
-    lexicographically, so the result is deterministic; with beam >= path
-    count it equals exhaustive scoring.
+    A hypothesis is ``(-score, text, state)``, ``state`` being the LM
+    state after ``text``. Each character a candidate adds is one keyed
+    query, ``lm.logp_key(state + symbol)``, and moves the state on to
+    ``key[1:]``. Identical partial strings are merged (their scores are
+    equal by construction). Ties break lexicographically, so the result
+    is deterministic; with beam >= path count it equals exhaustive scoring.
     """
     if beam < 1:
         raise ConfigError("beam must be >= 1")
-    hyps: dict[str, float] = {"": 0.0}
+    query = lm.logp_key
+    hyps = [(0.0, "", lm.start)]
     for slot in lattice.slots:
-        extended: dict[str, float] = {}
-        for prefix, score in hyps.items():
-            for cand in slot:
-                grown = prefix + cand
-                if grown not in extended:
-                    extended[grown] = _extend_score(lm, grown, len(prefix), score)
-        ranked = sorted(extended.items(), key=lambda kv: (-kv[1], kv[0]))
-        hyps = dict(ranked[:beam])
-    finals = {text: score + lm.logp(EOS, text) for text, score in hyps.items()}
-    return [text for text, _ in sorted(finals.items(), key=lambda kv: (-kv[1], kv[0]))]
+        cands = [(cand, lm.symbols(cand)) for cand in slot]
+        seen: set[str] = set()
+        extended = []
+        for cost, prefix, state in hyps:
+            for cand, symbols in cands:
+                text = prefix + cand
+                if text in seen:
+                    continue
+                seen.add(text)
+                c, s = cost, state
+                for sym in symbols:
+                    key = s + sym
+                    c -= query(key)
+                    s = key[1:]
+                extended.append((c, text, s))
+        extended.sort()
+        hyps = extended[:beam]
+    finals = sorted([(cost - query(state + EOS), text) for cost, text, state in hyps])
+    return [text for _, text in finals]
 
 
 def first_candidate(word: str, table: MappingTable) -> str:
@@ -708,6 +737,7 @@ def transliterate_lines(
     lm: CharNGramLM | None = None,
     beam: int = DEFAULT_BEAM,
     direction: str | None = None,
+    where: str | None = None,
 ) -> list[ScriptText]:
     """Transliterate train-normalized lines token by token.
 
@@ -718,7 +748,8 @@ def transliterate_lines(
 
     The dictionary, table, LM and beam are fixed for the call, so each
     distinct token is translated once, at its first occurrence, and every
-    later occurrence reuses that output.
+    later occurrence reuses that output. An UnknownChar names that
+    occurrence's 1-based line and ``where``, the name of the input.
     """
     if direction is None:
         if dictionary is not None:
@@ -734,7 +765,7 @@ def transliterate_lines(
         raise ConfigError("table direction does not match")
     done: dict[str, str] = {}
     out = []
-    for text in lines:
+    for lineno, text in enumerate(lines, start=1):
         if isinstance(text, ScriptText):
             if text.state is TextState.RAW:
                 raise WrongState("transliterate expects train-normalized text")
@@ -755,7 +786,7 @@ def transliterate_lines(
                 try:
                     lattice = expand_lattice(token, table)
                 except UnknownChar as e:
-                    raise UnknownChar(e.char, word=token, position=e.position, token_index=i) from None
+                    raise UnknownChar(e.char, token, e.position, i, line=lineno, path=where) from None
                 if lm is None:
                     hit = "".join(slot[0] for slot in lattice.slots)
                 else:

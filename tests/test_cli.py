@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from tgfa.cli import cli
+from tgfa.corpus import ParallelPair
 
 from conftest import toy_corpus
 
@@ -421,6 +422,26 @@ class TestFlagValidation:
         assert "split: " in result.output
         assert not out.exists()
 
+    def test_pipeline_failed_stage_removes_only_a_run_directory_it_created(self, runner, tmp_path):
+        # U+0671 (alef wasla) is a Farsi letter with no fa2tg table row, so
+        # the translit stage fails after the split and the first artifacts.
+        pairs = toy_corpus(10)
+        pairs[3] = ParallelPair(fa="\u0671" + pairs[3].fa, tg=pairs[3].tg, dataset=pairs[3].dataset)
+        corpus = write_corpus(tmp_path / "gap.jsonl", pairs)
+        out = tmp_path / "run"
+        argv = ["pipeline", "--corpus", str(corpus), "--direction", "fa2tg", "--folds", "2", "--out", str(out)]
+        result = invoke(runner, argv)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "translit: " in result.output and "(U+0671)" in result.output
+        assert not out.exists()
+
+        out.mkdir()
+        (out / "keep.txt").write_text("mine\n", encoding="utf-8")
+        result = invoke(runner, argv)
+        assert result.exit_code == 3, result.output
+        assert (out / "keep.txt").read_text(encoding="utf-8") == "mine\n"
+
     @pytest.mark.parametrize("ratios", ["0.5,0.5,0.5", "0.8,0.3,-0.1", "0.5,0.5", "a,b,c"])
     def test_split_ratios_rejected_before_work(self, runner, corpus_file, tmp_path, ratios):
         out = tmp_path / "out"
@@ -534,6 +555,9 @@ BAD_FILES = [
                  3, "{path}: line 2: not valid UTF-8 (byte 0xFF)", id="hyp-not-utf8"),
     pytest.param("in.txt", "бғд\n".encode() + b"\xd0\n", [*_TRANSLIT, "-i", "{path}"],
                  3, "{path}: line 2: not valid UTF-8 (byte 0xD0)", id="input-not-utf8"),
+    pytest.param("in.txt", "از\nاز ٱب\nٱب\n".encode(), ["translit", "--direction", "fa2tg", "-i", "{path}"],
+                 3, "{path}: line 2: no mapping entry for 'ٱ' (U+0671) in 'ٱب' at position 0 (token 1)",
+                 id="input-inventory-gap"),
     pytest.param("s.scores.jsonl", json.dumps(TestReportErrors.GOOD_ROW).encode() + b"\n\xff\n",
                  ["report", "--scores", "{path}"],
                  3, "{path}: line 2: not valid UTF-8 (byte 0xFF)", id="scores-not-utf8"),
@@ -570,6 +594,12 @@ class TestMalformedInputsGuard:
         assert isinstance(result.exception, SystemExit), result.exception
         assert "Traceback" not in result.output
         assert message.format(**fill) in result.output
+
+    def test_stdin_inventory_gap(self, runner):
+        result = invoke(runner, ["translit", "--direction", "fa2tg"], input="از\nٱب\n")
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "<stdin>: line 2: no mapping entry for 'ٱ' (U+0671)" in result.output
 
     def test_stdin_not_utf8(self, runner):
         result = invoke(runner, [*_TRANSLIT], input=b"\xff\xd0\n")

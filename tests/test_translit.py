@@ -21,6 +21,7 @@ from tgfa.script import FARSI_LETTERS, Script, ScriptText, TAJIK_LETTERS, TextSt
 from tgfa.translit import (
     BOS,
     EOS,
+    SMOOTHINGS,
     UNK,
     DIRECTIONS,
     CharNGramLM,
@@ -540,7 +541,64 @@ class TestLattice:
         assert value == (8 + 2 + 1) / 3
 
 
+def _reference_extend_score(lm: CharNGramLM, text: str, start: int, base: float) -> float:
+    """``base`` plus the log-probability of ``text[start:]`` following ``text[:start]``."""
+    score = base
+    n = lm.order - 1
+    for i in range(start, len(text)):
+        score += lm.logp(text[i], text[max(0, i - n) : i])
+    return score
+
+
+def reference_beam_decode(lattice: Lattice, lm: CharNGramLM, beam: int) -> list[str]:
+    """The string-keyed decoder that keyed queries replaced: each extension
+    rebuilds its contexts from the hypothesis text through ``logp``."""
+    hyps: dict[str, float] = {"": 0.0}
+    for slot in lattice.slots:
+        extended: dict[str, float] = {}
+        for prefix, score in hyps.items():
+            for cand in slot:
+                grown = prefix + cand
+                if grown not in extended:
+                    extended[grown] = _reference_extend_score(lm, grown, len(prefix), score)
+        ranked = sorted(extended.items(), key=lambda kv: (-kv[1], kv[0]))
+        hyps = dict(ranked[:beam])
+    finals = {text: score + lm.logp(EOS, text) for text, score in hyps.items()}
+    return [text for text, _ in sorted(finals.items(), key=lambda kv: (-kv[1], kv[0]))]
+
+
+@st.composite
+def decode_cases(draw):
+    """A corpus, an order, a smoothing, a lattice and a beam.
+
+    Candidates may be empty (∅), several characters long, or hold
+    characters the LM never saw. The corpus may hold the unknown-bucket
+    character itself: only then does reading an unseen character as UNK
+    change a probability, since otherwise both miss every count.
+    """
+    texts = draw(st.lists(st.text("ab" + UNK, max_size=6), min_size=1, max_size=6).filter(any))
+    candidate = st.text("ab" + _OOV + UNK, max_size=3)
+    slots = draw(st.lists(st.lists(candidate, min_size=1, max_size=4).map(tuple), max_size=6))
+    return (
+        texts,
+        draw(st.integers(1, 6)),
+        draw(st.sampled_from(SMOOTHINGS)),
+        Lattice("w", tuple(slots)),
+        draw(st.integers(1, 20)),
+    )
+
+
 class TestBeamDecode:
+    @settings(max_examples=300, deadline=None)
+    @given(decode_cases())
+    @example(([UNK + "b", "a", "a", "a"], 2, "witten_bell", Lattice("w", (("x",), ("a", "b"))), 4))
+    def test_keyed_decoder_returns_the_reference_ranking(self, case):
+        texts, order, smoothing, lattice, beam = case
+        # Separate models, so neither decoder reads what the other put in the memo.
+        got = beam_decode(lattice, train_lm(texts, order, smoothing), beam)
+        want = reference_beam_decode(lattice, train_lm(texts, order, smoothing), beam)
+        assert got == want
+
     def test_single_path_any_beam(self):
         lat = Lattice(word="x", slots=(("a",), ("b",)))
         lm = tiny_lm(["ab", "ba"])
