@@ -113,7 +113,6 @@ class UnknownChar(TgfaError):
         self.word = word
         self.position = position
         self.token_index = token_index
-        self.path = path
 
 
 class EmptyCorpus(TgfaError):

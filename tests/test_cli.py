@@ -434,6 +434,7 @@ class TestFlagValidation:
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit)
         assert "translit: " in result.output and "(U+0671)" in result.output
+        assert "test.src.txt: line " in result.output
         assert not out.exists()
 
         out.mkdir()
