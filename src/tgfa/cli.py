@@ -477,6 +477,13 @@ def translit_cmd(direction, table_path, dict_path, lm_path, beam, assume_normali
         click.echo(f"avg alternatives per token: {mean:.2f}", err=True)
 
 
+def _claim_system(sources: dict[str, str], name: str, path: str) -> None:
+    """Record that ``path`` holds system ``name``; a name that two files give raises ConfigError."""
+    if name in sources:
+        raise ConfigError(f"system name {name!r} is given by both {sources[name]} and {path}")
+    sources[name] = path
+
+
 def _load_hyp_lines(hyp_path: str, n_expected: int) -> list[str]:
     lines = _read_lines(hyp_path)
     if len(lines) != n_expected:
@@ -500,6 +507,9 @@ def _load_hyp_lines(hyp_path: str, n_expected: int) -> list[str]:
 @_friendly
 def score(corpus, hyps, direction, sentence_chrf, format_, out):
     """Score hypothesis files against a reference corpus."""
+    sources: dict[str, str] = {}
+    for hyp_path in hyps:
+        _claim_system(sources, Path(hyp_path).stem, hyp_path)
     pairs = corpus_mod.load(corpus)
     d = translit_mod.DIRECTIONS[direction]
     refs = _eval_texts((d.reference(p) for p in pairs), d.target)
@@ -513,10 +523,9 @@ def score(corpus, hyps, direction, sentence_chrf, format_, out):
     }
     meta = _meta(config, [corpus, *hyps], seed=None)
     systems: dict[str, MetricReport] = {}
-    for hyp_path in hyps:
+    for name, hyp_path in sources.items():
         hyp_lines = _load_hyp_lines(hyp_path, len(pairs))
         eval_pairs = _eval_pairs(refs, hyp_lines, groups, d.target)
-        name = Path(hyp_path).stem
         systems[name] = score_corpus(eval_pairs, sentence_chrf)
     table_text = _report_table(systems, meta)
     if format_ == "table":
@@ -687,6 +696,7 @@ def _score_rows(path: str) -> Iterator[tuple[int, dict]]:
 def report(scores, output):
     """Render one or more structured score files as a side-by-side table."""
     systems: dict[str, MetricReport] = {}
+    sources: dict[str, str] = {}
     metas = []
     for path in scores:
         groups: dict[str, GroupScores] = {}
@@ -713,6 +723,7 @@ def report(scores, output):
                 groups[r["group"]] = scores_row
         if overall is None:
             raise ParseError("no Overall row found", path=path)
+        _claim_system(sources, name, path)
         systems[name] = MetricReport(groups=groups, overall=overall)
     merged_meta = metas[0] if metas else None
     _write_lines(output, _report_table(systems, merged_meta).splitlines())

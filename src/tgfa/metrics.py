@@ -20,6 +20,12 @@ single-metric functions (`chrf`, `chrf_pp`, `cer_mean`, `ncer_mean`,
 `seq_acc`) each read one field of its overall scores, so each costs a
 full scoring pass. Every edit distance comes from the bit-parallel
 kernel in `tgfa._kernels`.
+
+Each order's n-gram totals are its side's length minus n - 1 (never
+below 0), so n-grams are counted only to find matches, and only where
+the two sides differ. An exact pair takes every count from its lengths
+and builds no n-gram table; so does the character half of a pair that
+differs only in whitespace.
 """
 
 from __future__ import annotations
@@ -90,29 +96,52 @@ class MetricReport:
     overall: GroupScores
 
 
-def _char_ngrams(text: str, n: int) -> Counter:
-    return Counter(text[i : i + n] for i in range(len(text) - n + 1))
+def _ngrams(seq: str | tuple[str, ...], n: int, total: int) -> Counter:
+    """The ``total`` n-grams of order ``n`` of a string or a tuple of words, counted."""
+    return Counter(seq if n == 1 else (seq[i : i + n] for i in range(total)))
 
 
-def _word_ngrams(words: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(words[i : i + n]) for i in range(len(words) - n + 1))
+def _order_stats(
+    hyp: str | tuple[str, ...], ref: str | tuple[str, ...], max_n: int
+) -> list[tuple[int, int, int]]:
+    """(matched, hyp_total, ref_total) for each order 1..``max_n`` of two sequences.
+
+    The sides are both strings (character n-grams) or both tuples of
+    words (word n-grams). Totals are ``max(0, len - n + 1)``; equal sides
+    match in full, so n-grams are counted only where the sides differ.
+    """
+    same = hyp == ref
+    stats = []
+    for n in range(1, max_n + 1):
+        hyp_total = max(0, len(hyp) - n + 1)
+        ref_total = max(0, len(ref) - n + 1)
+        if same:
+            matched = hyp_total
+        else:
+            hyp_counts = _ngrams(hyp, n, hyp_total)
+            ref_count = _ngrams(ref, n, ref_total).get
+            # min(c, ref_count(g, 0)) per n-gram, without a builtin call per item.
+            matched = sum(
+                [c if c <= ref_count(g, 0) else ref_count(g, 0) for g, c in hyp_counts.items()]
+            )
+        stats.append((matched, hyp_total, ref_total))
+    return stats
+
+
+def _stats(
+    hyp_chars: str, ref_chars: str, hyp: str, ref: str, max_char_n: int, max_word_n: int
+) -> list[tuple[int, int, int]]:
+    """``_pair_stats`` of ``hyp`` and ``ref``, given each with its whitespace removed."""
+    return _order_stats(hyp_chars, ref_chars, max_char_n) + _order_stats(
+        tuple(hyp.split()), tuple(ref.split()), max_word_n
+    )
 
 
 def _pair_stats(
     hyp: str, ref: str, max_char_n: int, max_word_n: int
 ) -> list[tuple[int, int, int]]:
     """Per-order (matched, hyp_total, ref_total) n-gram counts for one pair."""
-    stats = []
-    hc, rc = strip_whitespace(hyp), strip_whitespace(ref)
-    for n in range(1, max_char_n + 1):
-        h, r = _char_ngrams(hc, n), _char_ngrams(rc, n)
-        stats.append((sum((h & r).values()), sum(h.values()), sum(r.values())))
-    if max_word_n > 0:
-        hw, rw = hyp.split(), ref.split()
-        for n in range(1, max_word_n + 1):
-            h, r = _word_ngrams(hw, n), _word_ngrams(rw, n)
-            stats.append((sum((h & r).values()), sum(h.values()), sum(r.values())))
-    return stats
+    return _stats(strip_whitespace(hyp), strip_whitespace(ref), hyp, ref, max_char_n, max_word_n)
 
 
 def _f_from_stats(stats: Sequence[tuple[int, int, int]], beta: float) -> float:
@@ -195,18 +224,17 @@ def score_corpus(
     if not pairs:
         raise EmptyCorpus("no pairs to score")
     dists = [edit_distance(p.hypothesis, p.reference) for p in pairs]
+    stripped = [(strip_whitespace(p.hypothesis), strip_whitespace(p.reference)) for p in pairs]
     stats = [
-        _pair_stats(p.hypothesis, p.reference, CHRF_CHAR_ORDER, CHRF_PP_WORD_ORDER)
-        for p in pairs
+        _stats(hc, rc, p.hypothesis, p.reference, CHRF_CHAR_ORDER, CHRF_PP_WORD_ORDER)
+        for p, (hc, rc) in zip(pairs, stripped)
     ]
     rates = [d / max(1, len(p.reference)) for d, p in zip(dists, pairs)]
     if sentence_level_chrf:
         sent_chrf = [_f_from_stats(s[:CHRF_CHAR_ORDER], CHRF_BETA) for s in stats]
         sent_chrf_pp = [_f_from_stats(s, CHRF_BETA) for s in stats]
     exact = [p.hypothesis == p.reference for p in pairs]
-    exact_no_ws = [
-        strip_whitespace(p.hypothesis) == strip_whitespace(p.reference) for p in pairs
-    ]
+    exact_no_ws = [hc == rc for hc, rc in stripped]
 
     def scores(idx: Sequence[int]) -> GroupScores:
         n = len(idx)

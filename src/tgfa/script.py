@@ -14,6 +14,14 @@ diacritics on the Farsi side and the intra-word hyphen on the Tajik
 side. Eval mode removes those as well, so that scoring never penalizes
 inconsistently written optional characters.
 
+Normalization is one ``str.translate`` per text. Its table, one per
+(script, mode, override table), asks the classifier about each code
+point the first time it appears and keeps the answer, so
+classification stays the one path. The joining-hyphen rule needs each
+hyphen's neighbours in the raw text, so in train mode a pre-pass
+first drops every hyphen-class character without a letter on both
+sides; it runs only on texts that hold one.
+
 The corpus and TSV config readers of every module decode files with
 ``read_utf8``, and the CLI's text inputs, stdin included, with
 ``decode_utf8``; the TSV readers also share ``table_lines`` and
@@ -22,6 +30,7 @@ The corpus and TSV config readers of every module decode files with
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
@@ -99,6 +108,8 @@ FARSI_DIACRITICS = frozenset(
 )
 
 _LETTER_CLASSES = (CharClass.PERSO_ARABIC_LETTER, CharClass.TAJIK_LETTER)
+# Kept in train mode, deleted in eval mode.
+_OPTIONAL_CLASSES = (CharClass.ZWNJ, CharClass.PERSO_ARABIC_DIACRITIC, CharClass.TAJIK_HYPHEN)
 
 
 @dataclass(frozen=True)
@@ -126,7 +137,7 @@ def classify_char(
 
 
 def _classify(c: str, script: Script, table: Mapping[str, CharClass] | None) -> CharClass:
-    """``classify_char`` for a ``script`` already converted, as ``normalize_text`` calls it per character."""
+    """``classify_char`` for a ``script`` already converted, as each new code point of a translation asks it."""
     if table is not None:
         override = table.get(c)
         if override is not None:
@@ -148,10 +159,68 @@ def _classify(c: str, script: Script, table: Mapping[str, CharClass] | None) -> 
     return CharClass.OTHER
 
 
-def _letter_at(text: str, i: int, script: Script, table) -> bool:
-    if i < 0 or i >= len(text):
-        return False
-    return _classify(text[i], script, table) in _LETTER_CLASSES
+class _Translation(dict):
+    """The ``str.translate`` table of one (script, mode, override table).
+
+    Each code point's output is classified on first use and cached:
+    letters map to themselves and whitespace to a space; in train mode
+    ZWNJ, diacritics and the hyphen class map to themselves, since
+    ``join_hyphens`` has already dropped the loose hyphens; everything
+    else is deleted.
+    """
+
+    def __init__(self, script: Script, mode: NormMode, table: Mapping[str, CharClass] | None):
+        super().__init__()
+        self.script = script
+        self.table = table
+        self.keep_optional = mode is NormMode.TRAIN
+        hyphens = sorted(
+            c
+            for c in {HYPHEN, *(table or ())}
+            if len(c) == 1 and _classify(c, script, table) is CharClass.TAJIK_HYPHEN
+        )
+        self.hyphens = hyphens if self.keep_optional else []
+        self.hyphen_pattern = re.compile("|".join(map(re.escape, self.hyphens)))
+
+    def __missing__(self, code_point: int) -> str | None:
+        ch = chr(code_point)
+        cls = _classify(ch, self.script, self.table)
+        if cls is CharClass.SPACE:
+            out = " "
+        elif cls in _LETTER_CLASSES or (self.keep_optional and cls in _OPTIONAL_CLASSES):
+            out = ch
+        else:
+            out = None
+        self[code_point] = out
+        return out
+
+    def join_hyphens(self, text: str) -> str:
+        """``text`` without the hyphens that lack a letter on either side (train mode only).
+
+        A joining hyphen (letter-hyphen-letter in the raw text) is
+        orthography and is kept for training; a standalone dash is
+        punctuation. Eval mode deletes every hyphen in the translation.
+        """
+        if not any(h in text for h in self.hyphens):
+            return text
+        script, table, last = self.script, self.table, len(text) - 1
+
+        def keep(m: re.Match) -> str:
+            i = m.start()
+            joining = (
+                0 < i < last
+                and _classify(text[i - 1], script, table) in _LETTER_CLASSES
+                and _classify(text[i + 1], script, table) in _LETTER_CLASSES
+            )
+            return m[0] if joining else ""
+
+        return self.hyphen_pattern.sub(keep, text)
+
+
+# The translations without an override table, one per (script, mode).
+_DEFAULT_TRANSLATIONS = {
+    (script, mode): _Translation(script, mode, None) for script in Script for mode in NormMode
+}
 
 
 def normalize_text(
@@ -160,29 +229,23 @@ def normalize_text(
     mode: NormMode | str,
     table: Mapping[str, CharClass] | None = None,
 ) -> str:
-    """Normalize a plain string; see :func:`normalize` for the contract."""
+    """Normalize a plain string; see :func:`normalize` for the contract.
+
+    The text goes through one ``str.translate`` whose table classifies
+    each distinct code point once; the tables without an override
+    ``table`` are kept for the life of the process, one with overrides
+    is built per call. In train mode a pre-pass over the raw text first
+    drops each hyphen-class character that lacks a letter on either
+    side; it runs only when the text holds one. Whitespace runs then
+    collapse to one space, and Tajik is lowercased.
+    """
     script = Script(script)
     mode = NormMode(mode)
-    keep_optional = mode is NormMode.TRAIN
-    out = []
-    for i, ch in enumerate(text):
-        cls = _classify(ch, script, table)
-        if cls is CharClass.SPACE:
-            out.append(" ")
-        elif cls in _LETTER_CLASSES:
-            out.append(ch)
-        elif cls is CharClass.TAJIK_HYPHEN:
-            # Joining hyphen (letter-hyphen-letter) is orthography and is
-            # kept for training; a standalone dash is punctuation.
-            if keep_optional and _letter_at(text, i - 1, script, table) and _letter_at(
-                text, i + 1, script, table
-            ):
-                out.append(ch)
-        elif cls in (CharClass.ZWNJ, CharClass.PERSO_ARABIC_DIACRITIC):
-            if keep_optional:
-                out.append(ch)
-        # CharClass.OTHER is dropped in both modes.
-    collapsed = " ".join("".join(out).split())
+    if table is None:
+        translation = _DEFAULT_TRANSLATIONS[script, mode]
+    else:
+        translation = _Translation(script, mode, table)
+    collapsed = " ".join(translation.join_hyphens(text).translate(translation).split())
     if script is Script.TAJIK:
         collapsed = collapsed.lower()
     return collapsed
@@ -212,7 +275,7 @@ def normalize(
 def strip_whitespace(t: ScriptText | str) -> str:
     """Remove every whitespace character (normalized text only has U+0020)."""
     text = t.text if isinstance(t, ScriptText) else t
-    return "".join(ch for ch in text if not ch.isspace())
+    return "".join(text.split())
 
 
 def _inventory(script: Script) -> dict[str, CharClass]:

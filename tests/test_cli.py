@@ -268,6 +268,23 @@ class TestScore:
         assert "chrF[good]" in result.output
         assert "100.00*" in result.output
 
+    @pytest.mark.parametrize("second", ["other/sys.txt", "sys.txt"], ids=["same-stem", "same-file"])
+    def test_duplicate_system_name_rejected_before_work(self, runner, corpus_file, tmp_path, second):
+        # Hypotheses that are not UTF-8 would exit 3 if they were read.
+        first = tmp_path / "sys.txt"
+        first.write_bytes(b"\xff\n")
+        (tmp_path / "other").mkdir()
+        (tmp_path / "other" / "sys.txt").write_bytes(b"\xff\n")
+        out = tmp_path / "scores"
+        result = invoke(
+            runner,
+            ["score", "--corpus", str(corpus_file), "--hyp", str(first),
+             "--hyp", str(tmp_path / second), "--direction", "tg2fa", "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"system name 'sys' is given by both {first} and {tmp_path / second}" in result.output
+        assert not out.exists()
+
     def test_missing_corpus_fails_before_work(self, runner, tmp_path):
         result = invoke(
             runner,
@@ -483,6 +500,16 @@ class TestReportErrors:
         assert f"{path}: line 4: {reason}" in result.output
         assert "Traceback" not in result.output
 
+
+    @pytest.mark.parametrize("second", ["b/s.scores.jsonl", "a/s.scores.jsonl"], ids=["same-system", "same-file"])
+    def test_duplicate_system_name_rejected(self, runner, tmp_path, second):
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            (tmp_path / d / "s.scores.jsonl").write_text(json.dumps(self.GOOD_ROW) + "\n", encoding="utf-8")
+        first = tmp_path / "a" / "s.scores.jsonl"
+        result = invoke(runner, ["report", "--scores", str(first), "--scores", str(tmp_path / second)])
+        assert result.exit_code == 2, result.output
+        assert f"system name 's' is given by both {first} and {tmp_path / second}" in result.output
 
 
 _GOOD_TSV = "از\tаз\n".encode()

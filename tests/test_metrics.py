@@ -18,15 +18,36 @@ from tgfa.metrics import (
     ngram_f,
     score_corpus,
     seq_acc,
+    _pair_stats,
 )
 
 from oracles import (
     corpus_f_direct,
     levenshtein_dp,
+    ngram_stats_direct,
     sentence_f_direct,
 )
 
 _short = st.text(alphabet="abcdefghijkl", max_size=20)
+_sentence = st.lists(st.text(alphabet="abcде", min_size=1, max_size=5), max_size=8).map(" ".join)
+
+
+@st.composite
+def mixed_pairs(draw):
+    """Pairs of which about a third are exact copies and a third differ only in whitespace."""
+    pairs = []
+    for ref in draw(st.lists(_sentence, min_size=1, max_size=12)):
+        kind = draw(st.sampled_from(["exact", "whitespace", "other"]))
+        if kind == "exact":
+            hyp = ref
+        elif kind == "whitespace":
+            chars = "".join(ref.split())
+            cut = draw(st.integers(0, len(chars)))
+            hyp = chars[:cut] + " " + chars[cut:]
+        else:
+            hyp = draw(_sentence)
+        pairs.append(EvalPair(hyp, ref))
+    return pairs
 
 
 def random_pairs(n: int, seed: int, alphabet: str = "abcdefghijkl", max_len: int = 20):
@@ -357,6 +378,28 @@ class TestScoreCorpus:
         ]
         report = score_corpus(pairs, sentence_level)
         assert {**report.groups, "Overall": report.overall} == self.PINNED[sentence_level]
+
+    @given(mixed_pairs(), st.booleans())
+    @settings(max_examples=200)
+    def test_exact_and_whitespace_pairs_match_oracles(self, pairs, sentence_level):
+        tuples = [(p.hypothesis, p.reference) for p in pairs]
+        overall = score_corpus(pairs, sentence_level).overall
+        if sentence_level:
+            want = [sum(sentence_f_direct(h, r, 6, w, 2.0) for h, r in tuples) / len(tuples) for w in (0, 2)]
+        else:
+            want = [corpus_f_direct(tuples, 6, w, 2.0) for w in (0, 2)]
+        assert overall.chrf == pytest.approx(want[0], abs=1e-9)
+        assert overall.chrf_pp == pytest.approx(want[1], abs=1e-9)
+        assert overall.acc_no_ws == pytest.approx(
+            100.0 * sum("".join(h.split()) == "".join(r.split()) for h, r in tuples) / len(tuples),
+            abs=1e-9,
+        )
+
+    @given(st.text(alphabet="abcде \t", max_size=30))
+    def test_exact_pair_counts_are_totals(self, x):
+        chars, words = len("".join(x.split())), len(x.split())
+        totals = [max(0, chars - n + 1) for n in range(1, 7)] + [max(0, words - n + 1) for n in (1, 2)]
+        assert _pair_stats(x, x, 6, 2) == [(t, t, t) for t in totals] == ngram_stats_direct(x, x, 6, 2)
 
     def test_cer_zero_iff_acc_100(self):
         for seed in range(5):

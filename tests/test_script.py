@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 
 from tgfa.errors import ParseError, WrongState
 from tgfa.script import (
+    FARSI_DIACRITICS,
+    FARSI_LETTERS,
+    TAJIK_LETTERS,
     CharClass,
     NormMode,
     Script,
@@ -25,6 +28,51 @@ from tgfa.script import (
 FATHA = "َ"
 SHADDA = "ّ"
 SUPERSCRIPT_ALEF = "ٰ"
+
+_LETTERS = (CharClass.PERSO_ARABIC_LETTER, CharClass.TAJIK_LETTER)
+
+
+def loop_normalize(text, script, mode, table=None):
+    """``normalize_text`` as a per-character loop: the reference for its translate path."""
+    script, mode = Script(script), NormMode(mode)
+    keep_optional = mode is NormMode.TRAIN
+
+    def letter_at(i):
+        return 0 <= i < len(text) and classify_char(text[i], script, table) in _LETTERS
+
+    out = []
+    for i, ch in enumerate(text):
+        cls = classify_char(ch, script, table)
+        if cls is CharClass.SPACE:
+            out.append(" ")
+        elif cls in _LETTERS:
+            out.append(ch)
+        elif cls is CharClass.TAJIK_HYPHEN:
+            if keep_optional and letter_at(i - 1) and letter_at(i + 1):
+                out.append(ch)
+        elif cls in (CharClass.ZWNJ, CharClass.PERSO_ARABIC_DIACRITIC):
+            if keep_optional:
+                out.append(ch)
+    collapsed = " ".join("".join(out).split())
+    return collapsed.lower() if script is Script.TAJIK else collapsed
+
+
+# Pieces of raw text: letters of both inventories, ASCII letters and
+# digits, ZWNJ, diacritics, dashes and underscores, non-ASCII whitespace,
+# and runs of hyphens, which may fall at either edge or inside a word.
+_PIECES = st.one_of(
+    st.sampled_from(sorted(TAJIK_LETTERS | FARSI_LETTERS | FARSI_DIACRITICS)),
+    st.sampled_from("abcxyzQXZ0189"),
+    st.sampled_from([ZWNJ, " ", "\t", "\u00a0", "\u2028", "\u3000", "–", "_", "."]),
+    st.text(alphabet="-", min_size=1, max_size=3),
+)
+_EDGE = st.text(alphabet="-", max_size=2)
+_OVERRIDES = [
+    None,
+    {"-": CharClass.OTHER},
+    {"–": CharClass.TAJIK_HYPHEN, "_": CharClass.TAJIK_HYPHEN},
+    {"Q": CharClass.TAJIK_LETTER, "X": CharClass.PERSO_ARABIC_LETTER},
+]
 
 
 class TestClassify:
@@ -139,6 +187,34 @@ class TestNormalize:
         assert out == out.lower()
 
 
+class TestTranslatePath:
+    @given(
+        st.tuples(_EDGE, st.lists(_PIECES, max_size=40).map("".join), _EDGE).map("".join),
+        st.sampled_from(list(Script)),
+        st.sampled_from(list(NormMode)),
+        st.sampled_from(_OVERRIDES),
+    )
+    @settings(max_examples=600)
+    def test_matches_loop(self, text, script, mode, table):
+        assert normalize_text(text, script, mode, table) == loop_normalize(text, script, mode, table)
+
+    @pytest.mark.parametrize(
+        "text,table,expected",
+        [
+            ("-ва-аз-", None, "ва-аз"),
+            ("-аз ва", None, "аз ва"),
+            ("ва--аз", None, "вааз"),
+            ("ва-аз", {"-": CharClass.OTHER}, "вааз"),
+            ("ва–аз _ва_", {"–": CharClass.TAJIK_HYPHEN, "_": CharClass.TAJIK_HYPHEN}, "ва–аз ва"),
+            ("Qа-Qа", {"Q": CharClass.TAJIK_LETTER}, "qа-qа"),
+            # Classes apply to single code points, so a longer key never matches.
+            ("ва-аз", {"ва": CharClass.TAJIK_HYPHEN}, "ва-аз"),
+        ],
+    )
+    def test_train_mode_hyphens(self, text, table, expected):
+        assert normalize_text(text, Script.TAJIK, NormMode.TRAIN, table) == expected
+
+
 class TestStripWhitespace:
     @pytest.mark.parametrize(
         "text,expected",
@@ -153,6 +229,15 @@ class TestStripWhitespace:
 
     def test_accepts_script_text(self):
         assert strip_whitespace(ScriptText("ва аз", Script.TAJIK)) == "вааз"
+
+    def test_split_matches_isspace_on_every_whitespace_code_point(self):
+        spaces = [chr(cp) for cp in range(0x110000) if chr(cp).isspace()]
+        assert len(spaces) == 29
+        for ch in spaces:
+            text = f"{ch}а{ch}{ch}б{ch}"
+            assert strip_whitespace(text) == "".join(c for c in text if not c.isspace()) == "аб"
+        text = "x".join(spaces)
+        assert strip_whitespace(text) == "".join(c for c in text if not c.isspace())
 
 
 class TestCharTable:
