@@ -137,7 +137,7 @@ def classify_char(
 
 
 def _classify(c: str, script: Script, table: Mapping[str, CharClass] | None) -> CharClass:
-    """``classify_char`` for a ``script`` already converted, as each new code point of a translation asks it."""
+    """``classify_char`` for a ``script`` already converted; a translation asks it once per code point."""
     if table is not None:
         override = table.get(c)
         if override is not None:
@@ -174,12 +174,12 @@ class _Translation(dict):
         self.script = script
         self.table = table
         self.keep_optional = mode is NormMode.TRAIN
-        hyphens = sorted(
+        # The hyphens that join_hyphens looks at; none in eval mode.
+        self.hyphens = sorted(
             c
             for c in {HYPHEN, *(table or ())}
-            if len(c) == 1 and _classify(c, script, table) is CharClass.TAJIK_HYPHEN
+            if self.keep_optional and len(c) == 1 and _classify(c, script, table) is CharClass.TAJIK_HYPHEN
         )
-        self.hyphens = hyphens if self.keep_optional else []
         self.hyphen_pattern = re.compile("|".join(map(re.escape, self.hyphens)))
 
     def __missing__(self, code_point: int) -> str | None:

@@ -500,7 +500,6 @@ class TestReportErrors:
         assert f"{path}: line 4: {reason}" in result.output
         assert "Traceback" not in result.output
 
-
     @pytest.mark.parametrize("second", ["b/s.scores.jsonl", "a/s.scores.jsonl"], ids=["same-system", "same-file"])
     def test_duplicate_system_name_rejected(self, runner, tmp_path, second):
         for d in ("a", "b"):
