@@ -252,7 +252,7 @@ def _report_jsonl(name: str, report: MetricReport, meta: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-@cli.command()
+@cli.command("normalize")
 @click.option("--script", type=click.Choice(["farsi", "tajik"]), required=True)
 @click.option("--mode", type=click.Choice(["train", "eval"]), default="train", show_default=True)
 @click.option("--char-table", type=click.Path(exists=True, dir_okay=False), default=None,
@@ -260,7 +260,7 @@ def _report_jsonl(name: str, report: MetricReport, meta: dict) -> str:
 @click.option("-i", "--input", "input_", default="-", help="Input file, - for stdin.")
 @click.option("-o", "--output", default="-", help="Output file, - for stdout.")
 @_friendly
-def normalize(script, mode, char_table, input_, output):
+def normalize_cmd(script, mode, char_table, input_, output):
     """Normalize raw text, one line at a time."""
     table = load_char_table(char_table) if char_table else None
     lines = [
@@ -464,13 +464,10 @@ def translit_cmd(direction, table_path, dict_path, lm_path, beam, assume_normali
     if not assume_normalized:
         source = translit_mod.DIRECTIONS[direction].source
         normalized = [normalize_text(line, source, NormMode.TRAIN) for line in normalized]
-    out_lines = [
-        out.text
-        for out in translit_mod.transliterate_lines(
-            normalized, dictionary, table, lm, beam, direction=direction,
-            where="<stdin>" if input_ == "-" else input_,
-        )
-    ]
+    out_lines = translit_mod.transliterate_lines(
+        normalized, dictionary, table, lm, beam, direction=direction,
+        where="<stdin>" if input_ == "-" else input_,
+    )
     _write_lines(output, out_lines)
     if ambiguity_stats:
         mean = translit_mod.avg_alternatives(normalized, table)
@@ -617,12 +614,9 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
         source_path = str(block_dir / "test.src.txt")
         _write_lines(source_path, sources)
         with _stage("translit"):
-            hyp_lines = [
-                out.text
-                for out in translit_mod.transliterate_lines(
-                    sources, dictionary, table, lm, beam, direction=direction, where=source_path
-                )
-            ]
+            hyp_lines = translit_mod.transliterate_lines(
+                sources, dictionary, table, lm, beam, direction=direction, where=source_path
+            )
         _write_lines(str(block_dir / "test.hyp.txt"), hyp_lines)
         return list(test_idx), hyp_lines
 

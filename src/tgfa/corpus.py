@@ -209,19 +209,21 @@ def load(path: str | Path, fmt: str | None = None) -> list[ParallelPair]:
 
 
 def save(pairs: Iterable[ParallelPair], path: str | Path, fmt: str = "jsonl") -> None:
-    """Write pairs back out in JSONL or TSV form."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    """Write pairs back out in JSONL or TSV form.
+
+    Any other ``fmt`` raises ConfigError before ``path`` is opened.
+    """
+    if fmt not in ("jsonl", "tsv"):
+        raise ConfigError(f"unknown corpus format {fmt!r}")
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         for p in pairs:
             if fmt == "jsonl":
                 obj = {"fa": p.fa, "tg": p.tg, "dataset": p.dataset}
                 if p.domain is not None:
                     obj["domain"] = p.domain
                 fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
-            elif fmt == "tsv":
-                fh.write("\t".join([p.fa, p.tg, p.dataset, p.domain or ""]) + "\n")
             else:
-                raise ConfigError(f"unknown corpus format {fmt!r}")
+                fh.write("\t".join([p.fa, p.tg, p.dataset, p.domain or ""]) + "\n")
 
 
 def domain_of(pair: ParallelPair) -> str:

@@ -131,17 +131,15 @@ def _order_stats(
 def _stats(
     hyp_chars: str, ref_chars: str, hyp: str, ref: str, max_char_n: int, max_word_n: int
 ) -> list[tuple[int, int, int]]:
-    """``_pair_stats`` of ``hyp`` and ``ref``, given each with its whitespace removed."""
+    """Per-order (matched, hyp_total, ref_total) n-gram counts for one pair.
+
+    ``hyp_chars`` and ``ref_chars`` are ``hyp`` and ``ref`` with their
+    whitespace removed: character n-grams come from them, word n-grams
+    from ``hyp`` and ``ref``.
+    """
     return _order_stats(hyp_chars, ref_chars, max_char_n) + _order_stats(
         tuple(hyp.split()), tuple(ref.split()), max_word_n
     )
-
-
-def _pair_stats(
-    hyp: str, ref: str, max_char_n: int, max_word_n: int
-) -> list[tuple[int, int, int]]:
-    """Per-order (matched, hyp_total, ref_total) n-gram counts for one pair."""
-    return _stats(strip_whitespace(hyp), strip_whitespace(ref), hyp, ref, max_char_n, max_word_n)
 
 
 def _f_from_stats(stats: Sequence[tuple[int, int, int]], beta: float) -> float:
@@ -175,7 +173,8 @@ def ngram_f(
         raise ConfigError("max_char_n must be >= 1")
     if beta <= 0:
         raise ConfigError("beta must be > 0")
-    return _f_from_stats(_pair_stats(hyp, ref, max_char_n, max_word_n), beta)
+    stats = _stats(strip_whitespace(hyp), strip_whitespace(ref), hyp, ref, max_char_n, max_word_n)
+    return _f_from_stats(stats, beta)
 
 
 def chrf(pairs: Sequence[EvalPair], sentence_level: bool = False) -> float:

@@ -15,8 +15,8 @@ side. Eval mode removes those as well, so that scoring never penalizes
 inconsistently written optional characters.
 
 Normalization is one ``str.translate`` per text. Its table, one per
-(script, mode, override table), asks the classifier about each code
-point the first time it appears and keeps the answer, so
+(script, mode, override table contents), asks the classifier about
+each code point the first time it appears and keeps the answer, so
 classification stays the one path. The joining-hyphen rule needs each
 hyphen's neighbours in the raw text, so in train mode a pre-pass
 first drops every hyphen-class character without a letter on both
@@ -30,27 +30,24 @@ The corpus and TSV config readers of every module decode files with
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import ParseError, WrongState
+from .errors import ParseError
 
 __all__ = [
     "Script",
     "CharClass",
     "NormMode",
-    "TextState",
-    "ScriptText",
     "ZWNJ",
     "TAJIK_LETTERS",
     "FARSI_LETTERS",
     "FARSI_DIACRITICS",
     "classify_char",
-    "normalize",
     "normalize_text",
     "strip_whitespace",
     "export_char_table",
@@ -85,12 +82,6 @@ class NormMode(Enum):
     EVAL = "eval"
 
 
-class TextState(Enum):
-    RAW = "raw"
-    TRAIN_NORMALIZED = "train_normalized"
-    EVAL_NORMALIZED = "eval_normalized"
-
-
 # Russian Cyrillic base alphabet plus the six Tajik letters. The base set
 # keeps the four letters dropped from the official Tajik alphabet in 1998
 # (ц щ ы ь) because they still occur in Russian loanwords in real corpora.
@@ -110,19 +101,6 @@ FARSI_DIACRITICS = frozenset(
 _LETTER_CLASSES = (CharClass.PERSO_ARABIC_LETTER, CharClass.TAJIK_LETTER)
 # Kept in train mode, deleted in eval mode.
 _OPTIONAL_CLASSES = (CharClass.ZWNJ, CharClass.PERSO_ARABIC_DIACRITIC, CharClass.TAJIK_HYPHEN)
-
-
-@dataclass(frozen=True)
-class ScriptText:
-    """A text together with its script tag and normalization state."""
-
-    text: str
-    script: Script
-    state: TextState = TextState.RAW
-
-    def __post_init__(self):
-        object.__setattr__(self, "script", Script(self.script))
-        object.__setattr__(self, "state", TextState(self.state))
 
 
 def classify_char(
@@ -217,10 +195,16 @@ class _Translation(dict):
         return self.hyphen_pattern.sub(keep, text)
 
 
-# The translations without an override table, one per (script, mode).
-_DEFAULT_TRANSLATIONS = {
-    (script, mode): _Translation(script, mode, None) for script in Script for mode in NormMode
-}
+@functools.lru_cache(maxsize=16)
+def _translation(
+    script: Script, mode: NormMode, overrides: frozenset[tuple[str, CharClass]] | None
+) -> _Translation:
+    """The translation of one (script, mode, override table), built on first use.
+
+    The overrides are keyed by their contents, so a table changed after
+    its first use gets a translation of its own.
+    """
+    return _Translation(script, mode, None if overrides is None else dict(overrides))
 
 
 def normalize_text(
@@ -229,52 +213,32 @@ def normalize_text(
     mode: NormMode | str,
     table: Mapping[str, CharClass] | None = None,
 ) -> str:
-    """Normalize a plain string; see :func:`normalize` for the contract.
+    """Normalize raw text for training or evaluation.
+
+    Train mode removes class ``other``, lowercases Tajik and collapses
+    whitespace runs; eval mode additionally removes ZWNJ, Arabic
+    diacritics and the Tajik hyphen. Both modes expect raw text: callers
+    re-normalize from raw rather than chaining modes.
 
     The text goes through one ``str.translate`` whose table classifies
-    each distinct code point once; the tables without an override
-    ``table`` are kept for the life of the process, one with overrides
-    is built per call. In train mode a pre-pass over the raw text first
-    drops each hyphen-class character that lacks a letter on either
-    side; it runs only when the text holds one. Whitespace runs then
-    collapse to one space, and Tajik is lowercased.
+    each distinct code point once; the tables are cached per script,
+    mode and contents of the override ``table``. In train mode a
+    pre-pass over the raw text first drops each hyphen-class character
+    that lacks a letter on either side; it runs only when the text holds
+    one. Whitespace runs then collapse to one space, and Tajik is
+    lowercased.
     """
     script = Script(script)
-    mode = NormMode(mode)
-    if table is None:
-        translation = _DEFAULT_TRANSLATIONS[script, mode]
-    else:
-        translation = _Translation(script, mode, table)
+    overrides = None if table is None else frozenset(table.items())
+    translation = _translation(script, NormMode(mode), overrides)
     collapsed = " ".join(translation.join_hyphens(text).translate(translation).split())
     if script is Script.TAJIK:
         collapsed = collapsed.lower()
     return collapsed
 
 
-def normalize(
-    t: ScriptText,
-    mode: NormMode | str,
-    table: Mapping[str, CharClass] | None = None,
-) -> ScriptText:
-    """Normalize raw text for training or evaluation.
-
-    Train mode removes class ``other``, lowercases Tajik and collapses
-    whitespace runs; eval mode additionally removes ZWNJ, Arabic
-    diacritics and the Tajik hyphen. Raises WrongState unless the input
-    is raw: callers re-normalize from raw rather than chaining modes.
-    """
-    if t.state is not TextState.RAW:
-        raise WrongState(f"normalize expects raw text, got {t.state.value}")
-    mode = NormMode(mode)
-    state = (
-        TextState.TRAIN_NORMALIZED if mode is NormMode.TRAIN else TextState.EVAL_NORMALIZED
-    )
-    return ScriptText(normalize_text(t.text, t.script, mode, table), t.script, state)
-
-
-def strip_whitespace(t: ScriptText | str) -> str:
+def strip_whitespace(text: str) -> str:
     """Remove every whitespace character (normalized text only has U+0020)."""
-    text = t.text if isinstance(t, ScriptText) else t
     return "".join(text.split())
 
 

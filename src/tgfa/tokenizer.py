@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import MarkerCollision, WrongState
-from .script import ScriptText, TextState
+from .errors import MarkerCollision
 
 __all__ = [
     "SPACE_MARKER",
@@ -27,16 +26,12 @@ SPACE_MARKER = "_"
 WORD_BOUNDARY = "@"
 
 
-def tokenize(text: ScriptText | str) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Turn normalized text into a marker token sequence.
 
     Each word c1..ck becomes ["@", c1, ..., ck, "@"]; inter-word spaces
     become "_" between the boundary markers. Empty input gives [].
     """
-    if isinstance(text, ScriptText):
-        if text.state is TextState.RAW:
-            raise WrongState("tokenize expects normalized text, got raw")
-        text = text.text
     if SPACE_MARKER in text or WORD_BOUNDARY in text:
         raise MarkerCollision(
             "input already contains a marker character; normalize it first"

@@ -15,7 +15,6 @@ plain TSV, not a vetted linguistic resource.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import Counter
@@ -26,16 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ArtifactError, ConfigError, EmptyCorpus, ParseError, UnknownChar, WrongState
 from .corpus import ParallelPair
-from .script import (
-    FARSI_LETTERS,
-    Script,
-    ScriptText,
-    TAJIK_LETTERS,
-    TextState,
-    ZWNJ,
-    parse_code_point,
-    table_lines,
-)
+from .script import FARSI_LETTERS, Script, TAJIK_LETTERS, ZWNJ, parse_code_point, table_lines
 
 __all__ = [
     "Direction",
@@ -56,7 +46,6 @@ __all__ = [
     "Lattice",
     "expand_lattice",
     "beam_decode",
-    "first_candidate",
     "transliterate",
     "transliterate_lines",
     "avg_alternatives",
@@ -553,15 +542,23 @@ class TranslitDict:
         ``build_dictionary`` on the rest: the votes and ``skipped_pairs``
         of ``pairs`` are subtracted, a token left with no votes is
         dropped, and only the tokens ``pairs`` touch choose their target
-        again.
+        again. ConfigError if a vote or ``skipped_pairs`` would fall below
+        zero, which only pairs the dictionary was not built from can cause.
         """
         if self.votes is None:
             raise WrongState("a loaded dictionary keeps no votes to subtract from")
         fold, skipped = _count_votes(pairs, Direction.of(self.direction))
+        if skipped > self.skipped_pairs:
+            raise ConfigError("cannot subtract pairs the dictionary was not built from")
         votes = dict(self.votes)
         entries = dict(self.entries)
         for src, counter in fold.items():
-            left = votes[src] - counter
+            have = votes.get(src)
+            if have is None or any(have[t] < c for t, c in counter.items()):
+                raise ConfigError(
+                    f"cannot subtract pairs the dictionary was not built from (token {src!r})"
+                )
+            left = have - counter
             if left:
                 votes[src] = left
                 entries[src] = _best_target(left)
@@ -656,11 +653,6 @@ class Lattice:
             count *= len(slot)
         return count
 
-    def paths(self) -> Iterable[str]:
-        """All path strings, lazily, in slot-candidate order."""
-        for combo in itertools.product(*self.slots):
-            yield "".join(combo)
-
 
 def expand_lattice(word: str, table: MappingTable) -> Lattice:
     """Candidate lists per character; UnknownChar on inventory gaps."""
@@ -709,19 +701,14 @@ def beam_decode(lattice: Lattice, lm: CharNGramLM, beam: int = DEFAULT_BEAM) -> 
     return [text for _, text in finals]
 
 
-def first_candidate(word: str, table: MappingTable) -> str:
-    """No-LM baseline: concatenate each character's first candidate."""
-    return "".join(slot[0] for slot in expand_lattice(word, table).slots)
-
-
 def transliterate(
-    text: ScriptText | str,
+    text: str,
     dictionary: TranslitDict | None = None,
     table: MappingTable | None = None,
     lm: CharNGramLM | None = None,
     beam: int = DEFAULT_BEAM,
     direction: str | None = None,
-) -> ScriptText:
+) -> str:
     """Transliterate one train-normalized line; see ``transliterate_lines``.
 
     To transliterate many lines, pass them all to ``transliterate_lines``,
@@ -731,14 +718,14 @@ def transliterate(
 
 
 def transliterate_lines(
-    lines: Iterable[ScriptText | str],
+    lines: Iterable[str],
     dictionary: TranslitDict | None = None,
     table: MappingTable | None = None,
     lm: CharNGramLM | None = None,
     beam: int = DEFAULT_BEAM,
     direction: str | None = None,
     where: str | None = None,
-) -> list[ScriptText]:
+) -> list[str]:
     """Transliterate train-normalized lines token by token.
 
     Dictionary hits return the stored target; misses go through lattice
@@ -758,7 +745,7 @@ def transliterate_lines(
             direction = table.direction
         else:
             raise ConfigError("need a dictionary, a table, or an explicit direction")
-    d = Direction.of(direction)
+    Direction.of(direction)  # ConfigError for an unknown direction
     if dictionary is not None and dictionary.direction != direction:
         raise ConfigError("dictionary direction does not match")
     if table is not None and table.direction != direction:
@@ -766,15 +753,6 @@ def transliterate_lines(
     done: dict[str, str] = {}
     out = []
     for lineno, text in enumerate(lines, start=1):
-        if isinstance(text, ScriptText):
-            if text.state is TextState.RAW:
-                raise WrongState("transliterate expects train-normalized text")
-            if text.script is not d.source:
-                raise WrongState(
-                    f"direction {direction} expects {d.source.value} input, "
-                    f"got {text.script.value}"
-                )
-            text = text.text
         tokens = text.split()
         for i, token in enumerate(tokens):
             if token in done:
@@ -792,7 +770,7 @@ def transliterate_lines(
                 else:
                     hit = beam_decode(lattice, lm, beam)[0]
             done[token] = hit
-        out.append(ScriptText(" ".join(done[t] for t in tokens), d.target, TextState.TRAIN_NORMALIZED))
+        out.append(" ".join(done[t] for t in tokens))
     return out
 
 

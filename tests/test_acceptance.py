@@ -226,7 +226,7 @@ def test_c7a_dictionary_path_consistency():
     table = default_mapping_table("tg2fa")
     assert dictionary.entries
     hits = sum(
-        transliterate(token, dictionary, table, direction="tg2fa").text == target
+        transliterate(token, dictionary, table, direction="tg2fa") == target
         for token, target in dictionary.entries.items()
     )
     assert hits == len(dictionary.entries)
@@ -281,7 +281,7 @@ def test_c7c_lm_rescoring_beats_first_candidate():
             src = normalize_text(p.tg, Script.TAJIK, NormMode.TRAIN)
             hyp = transliterate(src, None, table, lm if with_lm else None, direction="tg2fa")
             ref = normalize_text(p.fa, Script.FARSI, NormMode.EVAL)
-            out.append(EvalPair(normalize_text(hyp.text, Script.FARSI, NormMode.EVAL), ref))
+            out.append(EvalPair(normalize_text(hyp, Script.FARSI, NormMode.EVAL), ref))
         return out
 
     cer_rescored = cer_mean(decode(with_lm=True))

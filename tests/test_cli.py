@@ -73,6 +73,28 @@ class TestTextCommands:
         )
         assert result.output == "н\n"
 
+    def test_char_table_translation_built_once(self, runner, tmp_path, monkeypatch):
+        from tgfa import script
+
+        table = tmp_path / "chars.tsv"
+        table.write_text("U+0438\tother\n", encoding="utf-8")
+        built = Counter()
+        init = script._Translation.__init__
+
+        def counted(self, script_, mode, table_):
+            built[script_, mode] += 1
+            init(self, script_, mode, table_)
+
+        monkeypatch.setattr(script._Translation, "__init__", counted)
+        script._translation.cache_clear()
+        result = invoke(
+            runner,
+            ["normalize", "--script", "tajik", "--char-table", str(table)],
+            input="ин аз\n" * 50,
+        )
+        assert result.output == "н аз\n" * 50
+        assert built == {(script.Script.TAJIK, script.NormMode.TRAIN): 1}
+
 
 class TestCorpusCommands:
     def test_stats_table(self, runner, corpus_file):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tgfa.errors import BadMap, EmptyCorpus, ParseError, TooSmall, UnknownDataset
+from tgfa.errors import BadMap, ConfigError, EmptyCorpus, ParseError, TooSmall, UnknownDataset
 from tgfa.script import ZWNJ, NormMode, Script, normalize_text
 from tgfa.corpus import (
     DATASET_DOMAINS,
@@ -140,6 +140,14 @@ class TestLoad:
             assert [(p.fa, p.tg, p.dataset) for p in again] == [
                 (p.fa, p.tg, p.dataset) for p in pairs
             ]
+
+    @pytest.mark.parametrize("pairs", [[], toy_corpus(3)])
+    def test_save_unknown_format_leaves_file_untouched(self, tmp_path, pairs):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"kept\n")
+        with pytest.raises(ConfigError, match="unknown corpus format 'xml'"):
+            save(pairs, path, fmt="xml")
+        assert path.read_bytes() == b"kept\n"
 
 
 class TestStats:

@@ -18,7 +18,7 @@ from tgfa.metrics import (
     ngram_f,
     score_corpus,
     seq_acc,
-    _pair_stats,
+    _stats,
 )
 
 from oracles import (
@@ -397,9 +397,10 @@ class TestScoreCorpus:
 
     @given(st.text(alphabet="abcде \t", max_size=30))
     def test_exact_pair_counts_are_totals(self, x):
-        chars, words = len("".join(x.split())), len(x.split())
+        stripped = "".join(x.split())
+        chars, words = len(stripped), len(x.split())
         totals = [max(0, chars - n + 1) for n in range(1, 7)] + [max(0, words - n + 1) for n in (1, 2)]
-        assert _pair_stats(x, x, 6, 2) == [(t, t, t) for t in totals] == ngram_stats_direct(x, x, 6, 2)
+        assert _stats(stripped, stripped, x, x, 6, 2) == [(t, t, t) for t in totals] == ngram_stats_direct(x, x, 6, 2)
 
     def test_cer_zero_iff_acc_100(self):
         for seed in range(5):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tgfa.errors import MarkerCollision, WrongState
-from tgfa.script import NormMode, Script, ScriptText, normalize, normalize_text
+from tgfa.errors import MarkerCollision
+from tgfa.script import NormMode, Script, normalize_text
 from tgfa.tokenizer import (
     detokenize,
     format_token_line,
@@ -43,12 +43,8 @@ class TestTokenize:
         with pytest.raises(MarkerCollision):
             tokenize("а@з")
 
-    def test_raw_script_text_rejected(self):
-        with pytest.raises(WrongState):
-            tokenize(ScriptText("аз", Script.TAJIK))
-
     def test_normalized_script_text_accepted(self):
-        t = normalize(ScriptText("аз ин", Script.TAJIK), NormMode.TRAIN)
+        t = normalize_text("Аз  ин", Script.TAJIK, NormMode.TRAIN)
         assert tokenize(t) == ["@", "а", "з", "@", "_", "@", "и", "н", "@"]
 
     @given(_normalized_text)

@@ -17,7 +17,7 @@ from tgfa.errors import (
     WrongState,
 )
 from tgfa.corpus import ParallelPair, kfold
-from tgfa.script import FARSI_LETTERS, Script, ScriptText, TAJIK_LETTERS, TextState, ZWNJ
+from tgfa.script import FARSI_LETTERS, Script, TAJIK_LETTERS, ZWNJ
 from tgfa.translit import (
     BOS,
     EOS,
@@ -33,7 +33,6 @@ from tgfa.translit import (
     build_dictionary,
     default_mapping_table,
     expand_lattice,
-    first_candidate,
     load_dictionary,
     load_lm,
     load_mapping_table,
@@ -505,6 +504,28 @@ class TestFoldDerivation:
         with pytest.raises(ConfigError):
             train_lm(["аб"], order=2).without(["ба"])
 
+    @pytest.mark.parametrize(
+        "fold",
+        [
+            [ParallelPair(fa="این", tg="ин")],  # a token never counted
+            [ParallelPair(fa="ای", tg="аз")],  # a counted token with a target never counted
+            [ParallelPair(fa="از", tg="аз")] * 2,  # one vote subtracted twice
+            [ParallelPair(fa="از", tg="аз ин")] * 2,  # one skipped pair subtracted twice
+        ],
+    )
+    def test_subtracting_pairs_never_counted_is_an_error(self, fold):
+        pairs = [ParallelPair(fa="از", tg="аз"), ParallelPair(fa="از", tg="аз ин")]
+        whole = build_dictionary(pairs, "tg2fa")
+        with pytest.raises(ConfigError, match="not built from"):
+            whole.without(fold)
+
+    def test_skipped_pair_subtracted_in_two_folds_is_an_error(self):
+        skipped = ParallelPair(fa="از", tg="аз ин")
+        once = build_dictionary([ParallelPair(fa="از", tg="аз"), skipped], "tg2fa").without([skipped])
+        assert once.skipped_pairs == 0
+        with pytest.raises(ConfigError, match="not built from"):
+            once.without([skipped])
+
     def test_loaded_dictionary_cannot_derive(self, tmp_path):
         path = tmp_path / "dict.json"
         pairs = [ParallelPair(fa="از", tg="аз")]
@@ -520,7 +541,6 @@ class TestLattice:
         )
         lat = expand_lattice("абв", t)
         assert lat.path_count == 6
-        assert len(list(lat.paths())) == 6
 
     def test_single_path_for_unambiguous(self):
         t = default_mapping_table("tg2fa")
@@ -637,42 +657,26 @@ class TestTransliterate:
         d = build_dictionary([ParallelPair(fa="کتاب", tg="китоб")], "tg2fa")
         t = default_mapping_table("tg2fa")
         lm = tiny_lm(["کتاب"])
-        out = transliterate("китоб", d, t, lm)
-        assert out.text == "کتاب"
-        assert out.script is Script.FARSI
-        assert out.state is TextState.TRAIN_NORMALIZED
+        assert transliterate("китоб", d, t, lm) == "کتاب"
 
     def test_all_tokens_in_dict_concatenate(self):
         pairs = [ParallelPair(fa="از", tg="аз"), ParallelPair(fa="این", tg="ин")]
         d = build_dictionary(pairs, "tg2fa")
-        out = transliterate("аз ин аз", d, None, None, direction="tg2fa")
-        assert out.text == "از این از"
+        assert transliterate("аз ин аз", d, None, None, direction="tg2fa") == "از این از"
 
     def test_empty_input(self):
         t = default_mapping_table("tg2fa")
-        assert transliterate("", None, t).text == ""
+        assert transliterate("", None, t) == ""
 
     def test_first_candidate_baseline_without_lm(self):
         t = MappingTable("tg2fa", {"а": ("x", "y"), "б": ("z",)})
-        assert transliterate("аб", None, t).text == "xz"
-        assert first_candidate("аб", t) == "xz"
+        assert transliterate("аб", None, t) == "xz"
 
     def test_unknown_char_carries_token_index(self):
         t = MappingTable("tg2fa", {"а": ("x",)})
         with pytest.raises(UnknownChar) as e:
             transliterate("а ж", None, t)
         assert e.value.token_index == 1
-
-    def test_wrong_script_rejected(self):
-        t = default_mapping_table("tg2fa")
-        text = ScriptText("از", Script.FARSI, TextState.TRAIN_NORMALIZED)
-        with pytest.raises(WrongState):
-            transliterate(text, None, t)
-
-    def test_raw_state_rejected(self):
-        t = default_mapping_table("tg2fa")
-        with pytest.raises(WrongState):
-            transliterate(ScriptText("аз", Script.TAJIK), None, t)
 
     def test_output_purity(self):
         rng = random.Random(41)
@@ -683,12 +687,12 @@ class TestTransliterate:
         for _ in range(50):
             word = "".join(rng.choice(source_alphabet) for _ in range(rng.randint(1, 6)))
             out = transliterate(word, None, t, lm)
-            assert set(out.text) <= allowed
+            assert set(out) <= allowed
 
     def test_deterministic(self):
         t = default_mapping_table("tg2fa")
         lm = tiny_lm(["از این", "کتاب"], order=2)
-        outs = {transliterate("аз ин китоб", None, t, lm).text for _ in range(5)}
+        outs = {transliterate("аз ин китоб", None, t, lm) for _ in range(5)}
         assert len(outs) == 1
 
     def test_math_sanity_log_scores(self):
