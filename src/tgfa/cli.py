@@ -14,7 +14,6 @@ TGFA_ prefix (e.g. TGFA_PIPELINE_SEED for `tgfa pipeline --seed`).
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import io
 import json
@@ -53,15 +52,14 @@ class _CliError(click.ClickException):
         self.exit_code = err.exit_code
 
 
-def _friendly(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
+class _Group(click.Group):
+    """The command group: a toolkit error from any command exits with its code and message."""
+
+    def invoke(self, ctx):
         try:
-            return f(*args, **kwargs)
+            return super().invoke(ctx)
         except TgfaError as e:
             raise _CliError(e) from e
-
-    return wrapper
 
 
 @contextmanager
@@ -87,7 +85,7 @@ def _run_directory(path: Path):
         raise
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+@click.group(cls=_Group, context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(version=__version__, prog_name="tgfa")
 def cli():
     """Tajik-Cyrillic / Perso-Arabic transliteration toolkit."""
@@ -259,7 +257,6 @@ def _report_jsonl(name: str, report: MetricReport, meta: dict) -> str:
               help="TSV with classification overrides (codepoint<TAB>class).")
 @click.option("-i", "--input", "input_", default="-", help="Input file, - for stdin.")
 @click.option("-o", "--output", default="-", help="Output file, - for stdout.")
-@_friendly
 def normalize_cmd(script, mode, char_table, input_, output):
     """Normalize raw text, one line at a time."""
     table = load_char_table(char_table) if char_table else None
@@ -272,7 +269,6 @@ def normalize_cmd(script, mode, char_table, input_, output):
 @cli.command("tokenize")
 @click.option("-i", "--input", "input_", default="-")
 @click.option("-o", "--output", default="-")
-@_friendly
 def tokenize_cmd(input_, output):
     """Insert contextual markers into normalized text."""
     _write_lines(output, (format_token_line(tokenize(line)) for line in _read_lines(input_)))
@@ -281,7 +277,6 @@ def tokenize_cmd(input_, output):
 @cli.command("detokenize")
 @click.option("-i", "--input", "input_", default="-")
 @click.option("-o", "--output", default="-")
-@_friendly
 def detokenize_cmd(input_, output):
     """Strip contextual markers from token lines."""
     _write_lines(output, (detokenize(parse_token_line(line)) for line in _read_lines(input_)))
@@ -292,7 +287,6 @@ def detokenize_cmd(input_, output):
 @click.option("--per", type=click.Choice(["dataset", "domain"]), default="dataset", show_default=True)
 @click.option("--format", "format_", type=click.Choice(["table", "jsonl"]), default="table", show_default=True)
 @click.option("-o", "--output", default="-")
-@_friendly
 def stats(corpus, per, format_, output):
     """Pair counts and average token/character lengths."""
     pairs = corpus_mod.load(corpus)
@@ -313,6 +307,13 @@ def stats(corpus, per, format_, output):
     _write_lines(output, lines)
 
 
+# --direction, converted once to its Direction.
+_direction_option = click.option(
+    "--direction", type=click.Choice(list(translit_mod.DIRECTIONS)), required=True,
+    callback=lambda ctx, param, name: translit_mod.Direction.of(name),
+)
+
+
 def _ratios(ctx, param, value: str) -> tuple[float, ...]:
     try:
         ratios = tuple(float(x) for x in value.split(","))
@@ -328,7 +329,6 @@ def _ratios(ctx, param, value: str) -> tuple[float, ...]:
 @click.option("--ratios", default="0.8,0.1,0.1", show_default=True, callback=_ratios,
               help="Train, dev and test shares: three non-negative values summing to 1.")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
-@_friendly
 def split(corpus, seed, ratios, out):
     """Stratified train/dev/test holdout split; writes the three subsets."""
     pairs = corpus_mod.load(corpus)
@@ -357,7 +357,6 @@ def split(corpus, seed, ratios, out):
 @click.option("--k", type=click.IntRange(min=2), default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), required=True)
-@_friendly
 def kfold(corpus, k, seed, out):
     """Stratified k-fold cross-validation index sets."""
     pairs = corpus_mod.load(corpus)
@@ -382,7 +381,6 @@ def kfold(corpus, k, seed, out):
 @click.option("--count-based", is_flag=True,
               help="Compare consonant counts only, ignoring their order.")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
-@_friendly
 def filter_names(corpus, map_path, count_based, out):
     """Keep pairs whose unambiguous consonants correspond one-to-one."""
     pairs = corpus_mod.load(corpus)
@@ -402,9 +400,8 @@ def filter_names(corpus, map_path, count_based, out):
 
 @cli.command("build-dict")
 @click.option("--corpus", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--direction", type=click.Choice(list(translit_mod.DIRECTIONS)), required=True)
+@_direction_option
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-@_friendly
 def build_dict(corpus, direction, out):
     """Build the word-level lookup from positionally aligned pairs."""
     pairs = corpus_mod.load(corpus)
@@ -415,24 +412,22 @@ def build_dict(corpus, direction, out):
 
 @cli.command("train-lm")
 @click.option("--corpus", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--direction", type=click.Choice(list(translit_mod.DIRECTIONS)), required=True)
+@_direction_option
 @click.option("--lm-order", type=click.IntRange(min=1), default=translit_mod.DEFAULT_LM_ORDER,
               show_default=True)
 @click.option("--smoothing", type=click.Choice(list(translit_mod.SMOOTHINGS)), default="witten_bell",
               show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-@_friendly
 def train_lm_cmd(corpus, direction, lm_order, smoothing, out):
     """Train the character n-gram model on the target side of a corpus."""
     pairs = corpus_mod.load(corpus)
-    d = translit_mod.DIRECTIONS[direction]
-    lm = translit_mod.train_lm([d.target_text(p) for p in pairs], order=lm_order, smoothing=smoothing)
+    lm = translit_mod.train_lm([direction.target_text(p) for p in pairs], order=lm_order, smoothing=smoothing)
     translit_mod.save_lm(lm, out)
     click.echo(f"order-{lm_order} model over {len(lm.vocab)} symbols")
 
 
 @cli.command("translit")
-@click.option("--direction", type=click.Choice(list(translit_mod.DIRECTIONS)), required=True)
+@_direction_option
 @click.option("--table", "table_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Mapping table TSV; defaults to the built-in table.")
 @click.option("--dict", "dict_path", type=click.Path(exists=True, dir_okay=False), default=None)
@@ -445,28 +440,26 @@ def train_lm_cmd(corpus, direction, lm_order, smoothing, out):
               help="Print the mean lattice path count per token to stderr.")
 @click.option("-i", "--input", "input_", default="-")
 @click.option("-o", "--output", default="-")
-@_friendly
 def translit_cmd(direction, table_path, dict_path, lm_path, beam, assume_normalized,
                  ambiguity_stats, input_, output):
     """Transliterate text line by line with the lattice baseline."""
     table = (
         translit_mod.load_mapping_table(table_path, direction)
         if table_path
-        else translit_mod.default_mapping_table(direction)
+        else translit_mod.default_mapping_table(direction.name)
     )
     dictionary = translit_mod.load_dictionary(dict_path) if dict_path else None
     if dictionary is not None and dictionary.direction != direction:
         raise ConfigError(
-            f"dictionary direction is {dictionary.direction}, but --direction is {direction}", path=dict_path
+            f"dictionary direction is {dictionary.direction.name}, but --direction is {direction.name}",
+            path=dict_path,
         )
     lm = translit_mod.load_lm(lm_path) if lm_path else None
     normalized = _read_lines(input_)
     if not assume_normalized:
-        source = translit_mod.DIRECTIONS[direction].source
-        normalized = [normalize_text(line, source, NormMode.TRAIN) for line in normalized]
+        normalized = [normalize_text(line, direction.source, NormMode.TRAIN) for line in normalized]
     out_lines = translit_mod.transliterate_lines(
-        normalized, dictionary, table, lm, beam, direction=direction,
-        where="<stdin>" if input_ == "-" else input_,
+        normalized, table, dictionary, lm, beam, where="<stdin>" if input_ == "-" else input_
     )
     _write_lines(output, out_lines)
     if ambiguity_stats:
@@ -497,23 +490,21 @@ def _load_hyp_lines(hyp_path: str, n_expected: int) -> list[str]:
               help="Reference corpus (JSONL or TSV).")
 @click.option("--hyp", "hyps", type=click.Path(exists=True, dir_okay=False), multiple=True, required=True,
               help="Hypothesis file, one detokenized line per pair; repeatable.")
-@click.option("--direction", type=click.Choice(list(translit_mod.DIRECTIONS)), required=True)
+@_direction_option
 @click.option("--sentence-chrf", is_flag=True, help="Average sentence-level chrF instead of pooling counts.")
 @click.option("--format", "format_", type=click.Choice(["table", "jsonl"]), default="table", show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
-@_friendly
 def score(corpus, hyps, direction, sentence_chrf, format_, out):
     """Score hypothesis files against a reference corpus."""
     sources: dict[str, str] = {}
     for hyp_path in hyps:
         _claim_system(sources, Path(hyp_path).stem, hyp_path)
     pairs = corpus_mod.load(corpus)
-    d = translit_mod.DIRECTIONS[direction]
-    refs = _eval_texts((d.reference(p) for p in pairs), d.target)
+    refs = _eval_texts((direction.reference(p) for p in pairs), direction.target)
     groups = [_group_label(p) for p in pairs]
     config = {
         "command": "score",
-        "direction": direction,
+        "direction": direction.name,
         "corpus": str(corpus),
         "hyp": [str(h) for h in hyps],
         "sentence_chrf": sentence_chrf,
@@ -522,7 +513,7 @@ def score(corpus, hyps, direction, sentence_chrf, format_, out):
     systems: dict[str, MetricReport] = {}
     for name, hyp_path in sources.items():
         hyp_lines = _load_hyp_lines(hyp_path, len(pairs))
-        eval_pairs = _eval_pairs(refs, hyp_lines, groups, d.target)
+        eval_pairs = _eval_pairs(refs, hyp_lines, groups, direction.target)
         systems[name] = score_corpus(eval_pairs, sentence_chrf)
     table_text = _report_table(systems, meta)
     if format_ == "table":
@@ -548,7 +539,7 @@ def _fold_count(ctx, param, value: int) -> int:
 
 @cli.command()
 @click.option("--corpus", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--direction", type=click.Choice(list(translit_mod.DIRECTIONS)), required=True)
+@_direction_option
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--beam", type=click.IntRange(min=1), default=translit_mod.DEFAULT_BEAM, show_default=True)
 @click.option("--lm-order", type=click.IntRange(min=1), default=translit_mod.DEFAULT_LM_ORDER,
@@ -556,29 +547,27 @@ def _fold_count(ctx, param, value: int) -> int:
 @click.option("--folds", type=int, default=0, show_default=True, callback=_fold_count,
               help="0 = 80/10/10 holdout; k >= 2 = k-fold cross-validation.")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
-@_friendly
 def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
     """Run split, training, transliteration and scoring in one go.
 
     The split comes first, so a corpus too small for it leaves no run
     directory; if a later stage fails, a run directory this run created
-    is removed again. With ``--folds k`` the dictionary and the LM are built
-    once on the whole corpus, and each fold's are derived from them by
-    subtracting its test pairs, which equals training on the fold's
-    training pairs, byte for byte once saved.
+    is removed again. The dictionary and the LM are built once on the
+    whole corpus. Each block's, the holdout's or a fold's, are derived
+    from them by subtracting its held-out pairs (dev and test), which
+    equals training on its training pairs, byte for byte once saved.
     """
     with _stage("load"):
         pairs = corpus_mod.load(corpus)
-    d = translit_mod.DIRECTIONS[direction]
-    table = translit_mod.default_mapping_table(direction)
+    table = translit_mod.default_mapping_table(direction.name)
     with _stage("split"):
         if folds == 0:
-            spec = corpus_mod.split_holdout(pairs, seed=seed)
+            specs = [corpus_mod.split_holdout(pairs, seed=seed)]
         else:
             specs = corpus_mod.kfold(pairs, k=folds, seed=seed)
     config = {
         "command": "pipeline",
-        "direction": direction,
+        "direction": direction.name,
         "corpus": str(corpus),
         "seed": seed,
         "beam": beam,
@@ -587,38 +576,32 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
     }
     meta = _meta(config, [corpus], seed=seed)
 
-    def run_block(block_dir: Path, train_idx, test_idx, whole=None) -> tuple[list[int], list[str]]:
-        """Decode ``test_idx`` with a dictionary and an LM trained on ``train_idx``.
+    def run_block(block_dir: Path, spec: corpus_mod.SplitSpec) -> list[str]:
+        """Decode ``spec.test`` with the whole corpus's models less the held-out pairs.
 
-        ``whole``, the whole corpus's (dictionary, LM), gives the models
-        by subtracting ``test_idx`` instead.
+        A function of its own, so that one block's models and LM memo
+        are freed before the next block's are derived.
         """
         block_dir.mkdir(parents=True, exist_ok=True)
-        train_pairs = [pairs[i] for i in train_idx]
-        test_pairs = [pairs[i] for i in test_idx]
-        corpus_mod.save(train_pairs, block_dir / "train.jsonl")
+        test_pairs = [pairs[i] for i in spec.test]
+        held_out = [pairs[i] for i in spec.dev] + test_pairs
+        corpus_mod.save([pairs[i] for i in spec.train], block_dir / "train.jsonl")
         corpus_mod.save(test_pairs, block_dir / "test.jsonl")
         with _stage("build-dict"):
-            if whole is None:
-                dictionary = translit_mod.build_dictionary(train_pairs, direction)
-            else:
-                dictionary = whole[0].without(test_pairs)
+            dictionary = whole_dict.without(held_out)
         translit_mod.save_dictionary(dictionary, block_dir / "dict.json")
         with _stage("train-lm"):
-            if whole is None:
-                lm = translit_mod.train_lm([d.target_text(p) for p in train_pairs], order=lm_order)
-            else:
-                lm = whole[1].without(d.target_text(p) for p in test_pairs)
+            lm = whole_lm.without(direction.target_text(p) for p in held_out)
         translit_mod.save_lm(lm, block_dir / "lm.json")
-        sources = [d.source_text(p) for p in test_pairs]
+        sources = [direction.source_text(p) for p in test_pairs]
         source_path = str(block_dir / "test.src.txt")
         _write_lines(source_path, sources)
         with _stage("translit"):
             hyp_lines = translit_mod.transliterate_lines(
-                sources, dictionary, table, lm, beam, direction=direction, where=source_path
+                sources, table, dictionary, lm, beam, where=source_path
             )
         _write_lines(str(block_dir / "test.hyp.txt"), hyp_lines)
-        return list(test_idx), hyp_lines
+        return hyp_lines
 
     out_dir = Path(out)
     with _run_directory(out_dir):
@@ -626,9 +609,8 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
             json.dumps({"config": config, "meta": meta}, sort_keys=True, ensure_ascii=False) + "\n",
             encoding="utf-8",
         )
-
-        blocks: list[tuple[list[int], list[str]]] = []
         if folds == 0:
+            spec = specs[0]
             (out_dir / "split.json").write_text(
                 json.dumps(
                     {"seed": seed, "train": list(spec.train), "dev": list(spec.dev), "test": list(spec.test)},
@@ -638,28 +620,26 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
                 encoding="utf-8",
             )
             corpus_mod.save([pairs[i] for i in spec.dev], out_dir / "dev.jsonl")
-            blocks.append(run_block(out_dir, spec.train, spec.test))
+            block_dirs = [out_dir]
         else:
-            with _stage("build-dict"):
-                whole_dict = translit_mod.build_dictionary(pairs, direction)
-            with _stage("train-lm"):
-                whole_lm = translit_mod.train_lm([d.target_text(p) for p in pairs], order=lm_order)
-            for i, spec in enumerate(specs):
-                block_dir = out_dir / f"fold{i:02d}"
-                blocks.append(run_block(block_dir, spec.train, spec.test, (whole_dict, whole_lm)))
+            block_dirs = [out_dir / f"fold{i:02d}" for i in range(folds)]
+        with _stage("build-dict"):
+            whole_dict = translit_mod.build_dictionary(pairs, direction)
+        with _stage("train-lm"):
+            whole_lm = translit_mod.train_lm([direction.target_text(p) for p in pairs], order=lm_order)
 
         scored_indices: list[int] = []
         scored_hyps: list[str] = []
-        for test_idx, hyp_lines in blocks:
-            scored_indices.extend(test_idx)
-            scored_hyps.extend(hyp_lines)
-        refs_raw = [d.reference(pairs[i]) for i in scored_indices]
+        for block_dir, spec in zip(block_dirs, specs):
+            scored_hyps.extend(run_block(block_dir, spec))
+            scored_indices.extend(spec.test)
+        refs_raw = [direction.reference(pairs[i]) for i in scored_indices]
         groups = [_group_label(pairs[i]) for i in scored_indices]
-        eval_pairs = _eval_pairs(_eval_texts(refs_raw, d.target), scored_hyps, groups, d.target)
+        eval_pairs = _eval_pairs(_eval_texts(refs_raw, direction.target), scored_hyps, groups, direction.target)
         _write_lines(str(out_dir / "test.ref.txt"), refs_raw)
         with _stage("score"):
             report = score_corpus(eval_pairs)
-        name = f"baseline-{direction}"
+        name = f"baseline-{direction.name}"
         table_text = _report_table({name: report}, meta)
         (out_dir / "report.txt").write_text(table_text, encoding="utf-8")
         (out_dir / "report.jsonl").write_text(
@@ -686,7 +666,6 @@ def _score_rows(path: str) -> Iterator[tuple[int, dict]]:
 @click.option("--scores", type=click.Path(exists=True, dir_okay=False), multiple=True, required=True,
               help="Structured score file produced by `score` or `pipeline`; repeatable.")
 @click.option("-o", "--output", default="-")
-@_friendly
 def report(scores, output):
     """Render one or more structured score files as a side-by-side table."""
     systems: dict[str, MetricReport] = {}
@@ -698,13 +677,20 @@ def report(scores, output):
         name = Path(path).stem.removesuffix(".scores")
         for lineno, r in _score_rows(path):
             if "meta" in r:
+                if not isinstance(r["meta"], dict):
+                    raise ParseError("field 'meta' is not an object", line=lineno, path=path)
                 metas.append(r["meta"])
                 continue
             for key in ("group", "n_pairs", *METRIC_COLUMNS):
                 if key not in r:
                     raise ParseError(f"missing field {key!r}", line=lineno, path=path)
-            for key in ("n_pairs", *METRIC_COLUMNS):
-                if not isinstance(r[key], (int, float)):
+            for key in ("system", "group"):
+                if not isinstance(r.get(key, ""), str):
+                    raise ParseError(f"field {key!r} is not a string", line=lineno, path=path)
+            if type(r["n_pairs"]) is not int:
+                raise ParseError("field 'n_pairs' is not an integer", line=lineno, path=path)
+            for key in METRIC_COLUMNS:
+                if type(r[key]) not in (int, float):
                     raise ParseError(f"field {key!r} is not a number", line=lineno, path=path)
             name = r.get("system", name)
             scores_row = GroupScores(

@@ -115,7 +115,6 @@ class SplitSpec:
     train: tuple[int, ...]
     dev: tuple[int, ...]
     test: tuple[int, ...]
-    seed: int
 
 
 def _detect_format(path: Path) -> str:
@@ -333,7 +332,6 @@ def split_holdout(
         train=tuple(sorted(parts[0])),
         dev=tuple(sorted(parts[1])),
         test=tuple(sorted(parts[2])),
-        seed=seed,
     )
 
 
@@ -362,9 +360,7 @@ def kfold(
     for fold in range(k):
         test = set(test_sets[fold])
         train = tuple(i for i in range(len(pairs)) if i not in test)
-        folds.append(
-            SplitSpec(train=train, dev=(), test=tuple(sorted(test)), seed=seed)
-        )
+        folds.append(SplitSpec(train=train, dev=(), test=tuple(sorted(test))))
     return folds
 
 

@@ -311,8 +311,8 @@ def load_char_table(source: str | Path | Iterable[str]) -> dict[str, CharClass]:
     Each line is ``codepoint<TAB>class``; the code point may be written
     as ``U+0438``, ``0x0438`` or a single literal character. Lines that
     are empty or start with ``#`` are ignored. Assigning class ``other``
-    removes a character from its inventory. Errors name the file when
-    ``source`` is a path.
+    removes a character from its inventory. A code point given twice is
+    a ParseError. Errors name the file when ``source`` is a path.
     """
     where, rows = table_lines(source)
     table: dict[str, CharClass] = {}
@@ -325,5 +325,8 @@ def load_char_table(source: str | Path | Iterable[str]) -> dict[str, CharClass]:
             cls = CharClass(cls_field)
         except ValueError:
             raise ParseError(f"unknown class {cls_field!r}", line=lineno, path=where) from None
-        table[parse_code_point(parts[0], lineno, where)] = cls
+        char = parse_code_point(parts[0], lineno, where)
+        if char in table:
+            raise ParseError(f"duplicate code point U+{ord(char):04X}", line=lineno, path=where)
+        table[char] = cls
     return table

@@ -46,7 +46,6 @@ __all__ = [
     "Lattice",
     "expand_lattice",
     "beam_decode",
-    "transliterate",
     "transliterate_lines",
     "avg_alternatives",
 ]
@@ -115,17 +114,8 @@ _CANDIDATE_CHARS = {Script.FARSI: FARSI_LETTERS | {ZWNJ}, Script.TAJIK: TAJIK_LE
 class MappingTable:
     """Per-character candidate expansion table for one direction."""
 
-    direction: str
+    direction: Direction
     entries: dict[str, tuple[str, ...]]
-
-    def __post_init__(self):
-        Direction.of(self.direction)
-
-    def candidates(self, char: str) -> tuple[str, ...]:
-        try:
-            return self.entries[char]
-        except KeyError:
-            raise UnknownChar(char) from None
 
     def validate(self, path: str | None = None) -> None:
         """Check that every entry has candidates, all written in the target script.
@@ -133,7 +123,7 @@ class MappingTable:
         Raises ConfigError (a ValueError) naming ``path``, when given, and
         the offending character.
         """
-        allowed = _CANDIDATE_CHARS[Direction.of(self.direction).target]
+        allowed = _CANDIDATE_CHARS[self.direction.target]
         for src, cands in self.entries.items():
             if not cands:
                 raise ConfigError(f"{src!r} has no candidates", path=path)
@@ -147,9 +137,7 @@ class MappingTable:
                     )
 
 
-def load_mapping_table(
-    source: str | Path | Iterable[str], direction: str
-) -> MappingTable:
+def load_mapping_table(source: str | Path | Iterable[str], direction: Direction) -> MappingTable:
     """Read and validate ``source_char<TAB>cand1|cand2|...`` lines; ``∅`` is the empty string.
 
     The source character may be written as ``U+XXXX`` or ``0xXXXX`` so
@@ -186,10 +174,10 @@ def save_mapping_table(table: MappingTable, path: str | Path) -> None:
             fh.write(f"{shown}\t{cands}\n")
 
 
-def default_mapping_table(direction: str) -> MappingTable:
-    """The packaged provisional table for the given direction."""
-    Direction.of(direction)
-    text = resources.files("tgfa.data").joinpath(f"map_{direction}.tsv").read_text("utf-8")
+def default_mapping_table(name: str) -> MappingTable:
+    """The packaged provisional table for the direction called ``name``."""
+    direction = Direction.of(name)
+    text = resources.files("tgfa.data").joinpath(f"map_{name}.tsv").read_text("utf-8")
     return load_mapping_table(text.splitlines(), direction)
 
 
@@ -527,7 +515,7 @@ class TranslitDict:
     has none, since ``dict.json`` keeps only the entries.
     """
 
-    direction: str
+    direction: Direction
     entries: dict[str, str] = field(default_factory=dict)
     skipped_pairs: int = 0
     votes: dict[str, Counter[str]] | None = field(default=None, repr=False, compare=False)
@@ -547,7 +535,7 @@ class TranslitDict:
         """
         if self.votes is None:
             raise WrongState("a loaded dictionary keeps no votes to subtract from")
-        fold, skipped = _count_votes(pairs, Direction.of(self.direction))
+        fold, skipped = _count_votes(pairs, self.direction)
         if skipped > self.skipped_pairs:
             raise ConfigError("cannot subtract pairs the dictionary was not built from")
         votes = dict(self.votes)
@@ -593,7 +581,7 @@ def _best_target(counter: Counter[str]) -> str:
     return min(t for t, c in counter.items() if c == best_count)
 
 
-def build_dictionary(pairs: Sequence[ParallelPair], direction: str) -> TranslitDict:
+def build_dictionary(pairs: Sequence[ParallelPair], direction: Direction) -> TranslitDict:
     """Align word i to word i of each pair's train-normalized sides.
 
     Pairs with unequal token counts are skipped and counted. Each source
@@ -602,7 +590,7 @@ def build_dictionary(pairs: Sequence[ParallelPair], direction: str) -> TranslitD
     as k-fold cross-validation does, build once on the whole corpus and
     take each subset's dictionary with ``TranslitDict.without``.
     """
-    votes, skipped = _count_votes(pairs, Direction.of(direction))
+    votes, skipped = _count_votes(pairs, direction)
     entries = {s: _best_target(counter) for s, counter in votes.items()}
     return TranslitDict(direction=direction, entries=entries, skipped_pairs=skipped, votes=votes)
 
@@ -611,7 +599,7 @@ def save_dictionary(d: TranslitDict, path: str | Path) -> None:
     payload = {
         "magic": DICT_MAGIC,
         "version": DICT_FORMAT_VERSION,
-        "direction": d.direction,
+        "direction": d.direction.name,
         "skipped_pairs": d.skipped_pairs,
         "entries": dict(sorted(d.entries.items())),
     }
@@ -625,7 +613,7 @@ def load_dictionary(path: str | Path) -> TranslitDict:
     where = str(path)
     payload = _read_artifact(path, "dictionary", DICT_MAGIC, DICT_FORMAT_VERSION, "build-dict")
     names = tuple(DIRECTIONS)
-    direction = _field(payload, "direction", lambda v: v in names, f"one of {names}", where)
+    name = _field(payload, "direction", lambda v: v in names, f"one of {names}", where)
     entries = _field(
         payload,
         "entries",
@@ -636,7 +624,7 @@ def load_dictionary(path: str | Path) -> TranslitDict:
     skipped = payload.get("skipped_pairs", 0)
     if type(skipped) is not int or skipped < 0:
         raise ArtifactError("field 'skipped_pairs' must be a non-negative integer", path=where)
-    return TranslitDict(direction=direction, entries=dict(entries), skipped_pairs=skipped)
+    return TranslitDict(DIRECTIONS[name], entries=dict(entries), skipped_pairs=skipped)
 
 
 @dataclass(frozen=True)
@@ -655,13 +643,13 @@ class Lattice:
 
 
 def expand_lattice(word: str, table: MappingTable) -> Lattice:
-    """Candidate lists per character; UnknownChar on inventory gaps."""
+    """Candidate lists per character; UnknownChar names the word and position of an inventory gap."""
     slots = []
     for pos, ch in enumerate(word):
-        try:
-            slots.append(table.candidates(ch))
-        except UnknownChar:
-            raise UnknownChar(ch, word=word, position=pos) from None
+        cands = table.entries.get(ch)
+        if cands is None:
+            raise UnknownChar(ch, word=word, position=pos)
+        slots.append(cands)
     return Lattice(word=word, slots=tuple(slots))
 
 
@@ -701,55 +689,28 @@ def beam_decode(lattice: Lattice, lm: CharNGramLM, beam: int = DEFAULT_BEAM) -> 
     return [text for _, text in finals]
 
 
-def transliterate(
-    text: str,
-    dictionary: TranslitDict | None = None,
-    table: MappingTable | None = None,
-    lm: CharNGramLM | None = None,
-    beam: int = DEFAULT_BEAM,
-    direction: str | None = None,
-) -> str:
-    """Transliterate one train-normalized line; see ``transliterate_lines``.
-
-    To transliterate many lines, pass them all to ``transliterate_lines``,
-    which translates each distinct token once over the whole batch.
-    """
-    return transliterate_lines([text], dictionary, table, lm, beam, direction)[0]
-
-
 def transliterate_lines(
     lines: Iterable[str],
+    table: MappingTable,
     dictionary: TranslitDict | None = None,
-    table: MappingTable | None = None,
     lm: CharNGramLM | None = None,
     beam: int = DEFAULT_BEAM,
-    direction: str | None = None,
     where: str | None = None,
 ) -> list[str]:
-    """Transliterate train-normalized lines token by token.
+    """Transliterate train-normalized lines token by token, in the table's direction.
 
     Dictionary hits return the stored target; misses go through lattice
     expansion and, when an LM is given, beam rescoring (otherwise the
-    first-candidate baseline). The direction comes from the dictionary or
-    table unless passed explicitly.
+    first-candidate baseline). ConfigError if the dictionary is for the
+    other direction.
 
-    The dictionary, table, LM and beam are fixed for the call, so each
+    The table, dictionary, LM and beam are fixed for the call, so each
     distinct token is translated once, at its first occurrence, and every
     later occurrence reuses that output. An UnknownChar names that
     occurrence's 1-based line and ``where``, the name of the input.
     """
-    if direction is None:
-        if dictionary is not None:
-            direction = dictionary.direction
-        elif table is not None:
-            direction = table.direction
-        else:
-            raise ConfigError("need a dictionary, a table, or an explicit direction")
-    Direction.of(direction)  # ConfigError for an unknown direction
-    if dictionary is not None and dictionary.direction != direction:
-        raise ConfigError("dictionary direction does not match")
-    if table is not None and table.direction != direction:
-        raise ConfigError("table direction does not match")
+    if dictionary is not None and dictionary.direction != table.direction:
+        raise ConfigError("dictionary direction does not match the table's")
     done: dict[str, str] = {}
     out = []
     for lineno, text in enumerate(lines, start=1):
@@ -759,8 +720,6 @@ def transliterate_lines(
                 continue
             hit = dictionary.get(token) if dictionary is not None else None
             if hit is None:
-                if table is None:
-                    raise ConfigError(f"token {token!r} not in dictionary and no table given")
                 try:
                     lattice = expand_lattice(token, table)
                 except UnknownChar as e:

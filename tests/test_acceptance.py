@@ -39,12 +39,13 @@ from tgfa.metrics import EvalPair, cer_mean, chrf, chrf_pp, edit_distance, score
 from tgfa.script import CharClass, NormMode, Script, classify_char, normalize_text
 from tgfa.tokenizer import detokenize, tokenize
 from tgfa.translit import (
+    DIRECTIONS,
     Lattice,
     beam_decode,
     build_dictionary,
     default_mapping_table,
     train_lm,
-    transliterate,
+    transliterate_lines,
 )
 
 from conftest import FARSI_SAMPLE, TAJIK_SAMPLE
@@ -222,13 +223,11 @@ def _synthetic_dictionary_corpus(n: int, seed: int) -> list[ParallelPair]:
 
 def test_c7a_dictionary_path_consistency():
     pairs = _synthetic_dictionary_corpus(300, seed=71)
-    dictionary = build_dictionary(pairs, "tg2fa")
+    dictionary = build_dictionary(pairs, DIRECTIONS["tg2fa"])
     table = default_mapping_table("tg2fa")
     assert dictionary.entries
-    hits = sum(
-        transliterate(token, dictionary, table, direction="tg2fa") == target
-        for token, target in dictionary.entries.items()
-    )
+    outputs = transliterate_lines(dictionary.entries, table, dictionary)
+    hits = sum(out == target for out, target in zip(outputs, dictionary.entries.values()))
     assert hits == len(dictionary.entries)
     _report(7, "PASS", f"(a) 100% sequence accuracy on {hits} in-dictionary tokens")
 
@@ -279,7 +278,7 @@ def test_c7c_lm_rescoring_beats_first_candidate():
         out = []
         for p in test_pairs:
             src = normalize_text(p.tg, Script.TAJIK, NormMode.TRAIN)
-            hyp = transliterate(src, None, table, lm if with_lm else None, direction="tg2fa")
+            [hyp] = transliterate_lines([src], table, lm=lm if with_lm else None)
             ref = normalize_text(p.fa, Script.FARSI, NormMode.EVAL)
             out.append(EvalPair(normalize_text(hyp, Script.FARSI, NormMode.EVAL), ref))
         return out

@@ -509,8 +509,13 @@ class TestReportErrors:
             (json.dumps({k: v for k, v in GOOD_ROW.items() if k != "group"}), "missing field 'group'"),
             (json.dumps({k: v for k, v in GOOD_ROW.items() if k != "ncer"}), "missing field 'ncer'"),
             (json.dumps({**GOOD_ROW, "chrf": "high"}), "field 'chrf' is not a number"),
+            (json.dumps({**GOOD_ROW, "system": ["s"]}), "field 'system' is not a string"),
+            (json.dumps({**GOOD_ROW, "group": 5}), "field 'group' is not a string"),
+            (json.dumps({"meta": "v1"}), "field 'meta' is not an object"),
+            (json.dumps({**GOOD_ROW, "n_pairs": True}), "field 'n_pairs' is not an integer"),
         ],
-        ids=["bad-json", "not-an-object", "no-group", "no-metric", "non-numeric-metric"],
+        ids=["bad-json", "not-an-object", "no-group", "no-metric", "non-numeric-metric",
+             "system-list", "group-number", "meta-string", "n-pairs-bool"],
     )
     def test_malformed_row_is_parse_error(self, runner, tmp_path, bad_line, reason):
         path = tmp_path / "s.scores.jsonl"
@@ -584,6 +589,9 @@ BAD_FILES = [
                  3, "{path}: line 1: expected source_char<TAB>candidates", id="table-bad-line"),
     pytest.param("chars.tsv", b"no tab\n", ["normalize", "--script", "tajik", "--char-table", "{path}"],
                  3, "{path}: line 1: expected codepoint<TAB>class", id="char-table-bad-line"),
+    pytest.param("chars.tsv", b"U+0438\tother\nU+0438\ttajik_letter\n",
+                 ["normalize", "--script", "tajik", "--char-table", "{path}"],
+                 3, "{path}: line 2: duplicate code point U+0438", id="char-table-duplicate-row"),
     pytest.param("cons.tsv", b"no tab\n", _FILTER_NAMES,
                  3, "{path}: line 1: expected tajik_char<TAB>farsi_char", id="map-bad-line"),
     pytest.param("map.tsv", "б\tب\n".encode() + b"\xff\tx\n", [*_TRANSLIT, "--table", "{path}"],

@@ -16,7 +16,7 @@ from tgfa.errors import (
     UnknownChar,
     WrongState,
 )
-from tgfa.corpus import ParallelPair, kfold
+from tgfa.corpus import ParallelPair, kfold, split_holdout
 from tgfa.script import FARSI_LETTERS, Script, TAJIK_LETTERS, ZWNJ
 from tgfa.translit import (
     BOS,
@@ -40,12 +40,14 @@ from tgfa.translit import (
     save_lm,
     save_mapping_table,
     train_lm,
-    transliterate,
     transliterate_lines,
 )
 
 from conftest import TAJIK_SAMPLE, random_words
 from oracles import CharLMOracle, exhaustive_rank
+
+
+TG2FA, FA2TG = DIRECTIONS["tg2fa"], DIRECTIONS["fa2tg"]
 
 
 def tiny_lm(texts, order=3):
@@ -102,28 +104,28 @@ class TestDirection:
 
 class TestMappingTable:
     def test_load_candidates_and_empty_mark(self):
-        t = load_mapping_table(["а\t∅|ا", "б\tب"], "tg2fa")
+        t = load_mapping_table(["а\t∅|ا", "б\tب"], TG2FA)
         assert t.entries["а"] == ("", "ا")
         assert t.entries["б"] == ("ب",)
 
     def test_u_escape_source(self):
-        t = load_mapping_table(["U+200C\t∅"], "fa2tg")
+        t = load_mapping_table(["U+200C\t∅"], FA2TG)
         assert t.entries[ZWNJ] == ("",)
 
     def test_hex_source(self):
-        t = load_mapping_table(["0x200C\t∅"], "fa2tg")
+        t = load_mapping_table(["0x200C\t∅"], FA2TG)
         assert t.entries[ZWNJ] == ("",)
 
     def test_duplicate_source_rejected(self):
         with pytest.raises(ParseError):
-            load_mapping_table(["б\tب", "б\tپ"], "tg2fa")
+            load_mapping_table(["б\tب", "б\tپ"], TG2FA)
 
     def test_empty_candidate_field_rejected(self):
         with pytest.raises(ParseError):
-            load_mapping_table(["б\tب||پ"], "tg2fa")
+            load_mapping_table(["б\tب||پ"], TG2FA)
 
     def test_validate_rejects_wrong_script(self):
-        t = MappingTable("tg2fa", {"б": ("b",)})
+        t = MappingTable(TG2FA, {"б": ("b",)})
         with pytest.raises(ValueError):
             t.validate()
 
@@ -131,7 +133,7 @@ class TestMappingTable:
         t = default_mapping_table("fa2tg")
         path = tmp_path / "map.tsv"
         save_mapping_table(t, path)
-        again = load_mapping_table(path, "fa2tg")
+        again = load_mapping_table(path, FA2TG)
         assert again.entries == t.entries
 
     def test_default_tables_validate(self):
@@ -355,12 +357,12 @@ class TestCharNGramLMv2:
 class TestBuildDictionary:
     def test_modal_target(self):
         pairs = [ParallelPair(fa="خوب", tg="аз")] * 3 + [ParallelPair(fa="بد", tg="аз")]
-        d = build_dictionary(pairs, "tg2fa")
+        d = build_dictionary(pairs, TG2FA)
         assert d.entries["аз"] == "خوب"
 
     def test_unequal_token_counts_skipped(self):
         pairs = [ParallelPair(fa="از این جا", tg="аз ин")]
-        d = build_dictionary(pairs, "tg2fa")
+        d = build_dictionary(pairs, TG2FA)
         assert d.entries == {}
         assert d.skipped_pairs == 1
 
@@ -371,27 +373,27 @@ class TestBuildDictionary:
             ParallelPair(fa="ا", tg="аз"),
             ParallelPair(fa="ا", tg="аз"),
         ]
-        d = build_dictionary(pairs, "tg2fa")
+        d = build_dictionary(pairs, TG2FA)
         assert d.entries["аз"] == min("ا", "ب")
 
     def test_direction_swaps_sides(self):
         pairs = [ParallelPair(fa="از", tg="аз")]
-        d = build_dictionary(pairs, "fa2tg")
+        d = build_dictionary(pairs, FA2TG)
         assert d.entries == {"از": "аз"}
 
     def test_normalizes_before_aligning(self):
         pairs = [ParallelPair(fa="از!", tg="Аз")]
-        d = build_dictionary(pairs, "tg2fa")
+        d = build_dictionary(pairs, TG2FA)
         assert d.entries == {"аз": "از"}
 
     def test_save_load_roundtrip(self, tmp_path):
-        d = build_dictionary([ParallelPair(fa="از", tg="аз")], "tg2fa")
+        d = build_dictionary([ParallelPair(fa="از", tg="аз")], TG2FA)
         path = tmp_path / "dict.json"
         save_dictionary(d, path)
         assert json.loads(path.read_text(encoding="utf-8"))["version"] == 1
         again = load_dictionary(path)
         assert again.entries == d.entries
-        assert again.direction == "tg2fa"
+        assert again.direction is TG2FA
 
     @pytest.mark.parametrize(
         "change,message",
@@ -407,7 +409,7 @@ class TestBuildDictionary:
     )
     def test_bad_field_names_file_and_field(self, tmp_path, change, message):
         path = tmp_path / "dict.json"
-        save_dictionary(build_dictionary([ParallelPair(fa="از", tg="аз")], "tg2fa"), path)
+        save_dictionary(build_dictionary([ParallelPair(fa="از", tg="аз")], TG2FA), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         for key, value in change.items():
             if value is None:
@@ -442,7 +444,7 @@ def fold_cases(draw):
         )
     )
     pairs = [ParallelPair(fa=fa, tg=tg, dataset=dataset) for fa, tg, dataset in rows]
-    return pairs, k, draw(st.integers(1, 6)), draw(st.sampled_from(sorted(DIRECTIONS))), draw(st.integers(0, 3))
+    return pairs, k, draw(st.integers(1, 6)), draw(st.sampled_from(list(DIRECTIONS.values()))), draw(st.integers(0, 3))
 
 
 def _bytes(save, model, path) -> bytes:
@@ -451,9 +453,9 @@ def _bytes(save, model, path) -> bytes:
 
 
 class TestFoldDerivation:
-    """Each fold's models, derived from the whole corpus's by subtracting
-    the test fold, save to the same bytes as models trained on the fold's
-    training pairs."""
+    """Each fold's models, and the holdout split's, derived from the whole
+    corpus's by subtracting the held-out pairs (dev and test), save to the
+    same bytes as models trained on the training pairs."""
 
     @settings(max_examples=200, deadline=None)
     @given(fold_cases())
@@ -464,25 +466,31 @@ class TestFoldDerivation:
             ParallelPair(fa="", tg="", dataset="Names"),
             ParallelPair(fa="با", tg="ба", dataset="Names"),
         ],
-        2, 3, "tg2fa", 0,
+        2, 3, TG2FA, 0,
+    ))
+    @example((
+        [ParallelPair(fa="اب ژ"[: i % 4], tg="аб ж"[: i % 4], dataset="Names") for i in range(11)],
+        3, 2, FA2TG, 1,
     ))
     def test_derived_fold_models_equal_training_on_the_fold(self, tmp_path_factory, case):
-        pairs, k, order, direction, seed = case
-        d = DIRECTIONS[direction]
+        pairs, k, order, d, seed = case
         out = tmp_path_factory.mktemp("fold")
-        whole_dict = build_dictionary(pairs, direction)
+        whole_dict = build_dictionary(pairs, d)
         targets = [d.target_text(p) for p in pairs]
         whole_lm = train_lm(targets, order=order) if any(targets) else None
-        for spec in kfold(pairs, k=k, seed=seed):
+        specs = kfold(pairs, k=k, seed=seed)
+        if len(pairs) >= 10:
+            specs.append(split_holdout(pairs, seed=seed))
+        for spec in specs:
             train = [pairs[i] for i in spec.train]
-            test = [pairs[i] for i in spec.test]
-            assert _bytes(save_dictionary, whole_dict.without(test), out / "derived.dict.json") == _bytes(
-                save_dictionary, build_dictionary(train, direction), out / "dict.json"
+            held_out = [pairs[i] for i in spec.dev + spec.test]
+            assert _bytes(save_dictionary, whole_dict.without(held_out), out / "derived.dict.json") == _bytes(
+                save_dictionary, build_dictionary(train, d), out / "dict.json"
             )
             if whole_lm is None:
                 continue
             train_targets = [d.target_text(p) for p in train]
-            test_targets = [d.target_text(p) for p in test]
+            test_targets = [d.target_text(p) for p in held_out]
             if not any(train_targets):
                 with pytest.raises(EmptyCorpus):
                     whole_lm.without(test_targets)
@@ -515,13 +523,13 @@ class TestFoldDerivation:
     )
     def test_subtracting_pairs_never_counted_is_an_error(self, fold):
         pairs = [ParallelPair(fa="از", tg="аз"), ParallelPair(fa="از", tg="аз ин")]
-        whole = build_dictionary(pairs, "tg2fa")
+        whole = build_dictionary(pairs, TG2FA)
         with pytest.raises(ConfigError, match="not built from"):
             whole.without(fold)
 
     def test_skipped_pair_subtracted_in_two_folds_is_an_error(self):
         skipped = ParallelPair(fa="از", tg="аз ин")
-        once = build_dictionary([ParallelPair(fa="از", tg="аз"), skipped], "tg2fa").without([skipped])
+        once = build_dictionary([ParallelPair(fa="از", tg="аз"), skipped], TG2FA).without([skipped])
         assert once.skipped_pairs == 0
         with pytest.raises(ConfigError, match="not built from"):
             once.without([skipped])
@@ -529,7 +537,7 @@ class TestFoldDerivation:
     def test_loaded_dictionary_cannot_derive(self, tmp_path):
         path = tmp_path / "dict.json"
         pairs = [ParallelPair(fa="از", tg="аз")]
-        save_dictionary(build_dictionary(pairs, "tg2fa"), path)
+        save_dictionary(build_dictionary(pairs, TG2FA), path)
         with pytest.raises(WrongState):
             load_dictionary(path).without(pairs)
 
@@ -537,7 +545,7 @@ class TestFoldDerivation:
 class TestLattice:
     def test_path_count_is_product(self):
         t = MappingTable(
-            "tg2fa", {"а": ("x",), "б": ("y", "z"), "в": ("p", "q", "r")}
+            TG2FA, {"а": ("x",), "б": ("y", "z"), "в": ("p", "q", "r")}
         )
         lat = expand_lattice("абв", t)
         assert lat.path_count == 6
@@ -548,7 +556,7 @@ class TestLattice:
         assert lat.path_count == 1
 
     def test_unknown_char_reports_position(self):
-        t = MappingTable("tg2fa", {"а": ("x",)})
+        t = MappingTable(TG2FA, {"а": ("x",)})
         with pytest.raises(UnknownChar) as e:
             expand_lattice("аж", t)
         assert e.value.char == "ж"
@@ -654,28 +662,34 @@ class TestBeamDecode:
 
 class TestTransliterate:
     def test_dictionary_path_wins(self):
-        d = build_dictionary([ParallelPair(fa="کتاب", tg="китоб")], "tg2fa")
+        d = build_dictionary([ParallelPair(fa="کتاب", tg="китоб")], TG2FA)
         t = default_mapping_table("tg2fa")
         lm = tiny_lm(["کتاب"])
-        assert transliterate("китоб", d, t, lm) == "کتاب"
+        assert transliterate_lines(["китоб"], t, d, lm) == ["کتاب"]
 
     def test_all_tokens_in_dict_concatenate(self):
         pairs = [ParallelPair(fa="از", tg="аз"), ParallelPair(fa="این", tg="ин")]
-        d = build_dictionary(pairs, "tg2fa")
-        assert transliterate("аз ин аз", d, None, None, direction="tg2fa") == "از این از"
+        d = build_dictionary(pairs, TG2FA)
+        # The table's first candidates alone give "ز ن ز".
+        assert transliterate_lines(["аз ин аз"], default_mapping_table("tg2fa"), d) == ["از این از"]
+
+    def test_dictionary_for_the_other_direction_rejected(self):
+        d = build_dictionary([ParallelPair(fa="از", tg="аз")], FA2TG)
+        with pytest.raises(ConfigError, match="dictionary direction"):
+            transliterate_lines(["аз"], default_mapping_table("tg2fa"), d)
 
     def test_empty_input(self):
         t = default_mapping_table("tg2fa")
-        assert transliterate("", None, t) == ""
+        assert transliterate_lines([""], t) == [""]
 
     def test_first_candidate_baseline_without_lm(self):
-        t = MappingTable("tg2fa", {"а": ("x", "y"), "б": ("z",)})
-        assert transliterate("аб", None, t) == "xz"
+        t = MappingTable(TG2FA, {"а": ("x", "y"), "б": ("z",)})
+        assert transliterate_lines(["аб"], t) == ["xz"]
 
     def test_unknown_char_carries_token_index(self):
-        t = MappingTable("tg2fa", {"а": ("x",)})
+        t = MappingTable(TG2FA, {"а": ("x",)})
         with pytest.raises(UnknownChar) as e:
-            transliterate("а ж", None, t)
+            transliterate_lines(["а ж"], t)
         assert e.value.token_index == 1
 
     def test_output_purity(self):
@@ -686,13 +700,13 @@ class TestTransliterate:
         source_alphabet = "абвгдезиклмнопрстуфхчшъ"
         for _ in range(50):
             word = "".join(rng.choice(source_alphabet) for _ in range(rng.randint(1, 6)))
-            out = transliterate(word, None, t, lm)
+            [out] = transliterate_lines([word], t, lm=lm)
             assert set(out) <= allowed
 
     def test_deterministic(self):
         t = default_mapping_table("tg2fa")
         lm = tiny_lm(["از این", "کتاب"], order=2)
-        outs = {transliterate("аз ин китоб", None, t, lm) for _ in range(5)}
+        outs = {transliterate_lines(["аз ин китоб"], t, lm=lm)[0] for _ in range(5)}
         assert len(outs) == 1
 
     def test_math_sanity_log_scores(self):
@@ -706,14 +720,14 @@ class TestTransliterateLines:
         rng = random.Random(17)
         self.table = default_mapping_table("tg2fa")
         self.lm = tiny_lm(["از این کتاب", "کتاب خوب", "در آن شهر"], order=3)
-        self.dictionary = build_dictionary([ParallelPair(fa="کتاب", tg="китоб")], "tg2fa")
+        self.dictionary = build_dictionary([ParallelPair(fa="کتاب", tg="китоб")], TG2FA)
         words = [random_words(rng, TAJIK_SAMPLE, 1, max_len=4) for _ in range(8)] + ["китоб"]
         self.lines = [" ".join(rng.choice(words) for _ in range(rng.randint(0, 5))) for _ in range(40)]
 
     def test_equals_per_line_transliterate(self):
         for lm in (self.lm, None):
-            batch = transliterate_lines(self.lines, self.dictionary, self.table, lm, beam=4)
-            single = [transliterate(line, self.dictionary, self.table, lm, beam=4) for line in self.lines]
+            batch = transliterate_lines(self.lines, self.table, self.dictionary, lm, beam=4)
+            single = [transliterate_lines([line], self.table, self.dictionary, lm, beam=4)[0] for line in self.lines]
             assert batch == single
 
     def test_decodes_each_distinct_oov_token_once(self, monkeypatch):
@@ -727,6 +741,6 @@ class TestTransliterateLines:
             return real(lattice, lm, beam)
 
         monkeypatch.setattr(translit_mod, "beam_decode", counting)
-        transliterate_lines(self.lines, self.dictionary, self.table, self.lm)
+        transliterate_lines(self.lines, self.table, self.dictionary, self.lm)
         oov = {tok for line in self.lines for tok in line.split()} - {"китоб"}
         assert sorted(decoded) == sorted(oov)
