@@ -662,6 +662,19 @@ def _score_rows(path: str) -> Iterator[tuple[int, dict]]:
         yield lineno, row
 
 
+# The meta fields that report prints (see _meta_lines): name, check, what it must be.
+_META_FIELDS = (
+    ("version", lambda v: type(v) is str, "a string"),
+    ("seed", lambda v: v is None or type(v) is int, "an integer or null"),
+    ("config_hash", lambda v: type(v) is str, "a string"),
+    (
+        "inputs",
+        lambda v: type(v) is dict and all(type(d) is str for d in v.values()),
+        "an object of string to string",
+    ),
+)
+
+
 @cli.command()
 @click.option("--scores", type=click.Path(exists=True, dir_okay=False), multiple=True, required=True,
               help="Structured score file produced by `score` or `pipeline`; repeatable.")
@@ -679,6 +692,11 @@ def report(scores, output):
             if "meta" in r:
                 if not isinstance(r["meta"], dict):
                     raise ParseError("field 'meta' is not an object", line=lineno, path=path)
+                for key, ok, what in _META_FIELDS:
+                    if key not in r["meta"]:
+                        raise ParseError(f"missing field 'meta.{key}'", line=lineno, path=path)
+                    if not ok(r["meta"][key]):
+                        raise ParseError(f"field 'meta.{key}' is not {what}", line=lineno, path=path)
                 metas.append(r["meta"])
                 continue
             for key in ("group", "n_pairs", *METRIC_COLUMNS):

@@ -16,6 +16,7 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 from math import floor
 from pathlib import Path
@@ -77,7 +78,8 @@ class ParallelPair:
     ``fa_train`` and ``tg_train`` are the sides train-normalized, computed
     once when the pair is made; every stage reads them rather than
     normalizing again. Equality, hashing, ``repr`` and ``save`` see only
-    the raw fields.
+    the raw fields; ``jsonl_line``, the pair's line in a JSONL file, is
+    made from them on first use and kept.
     """
 
     fa: str
@@ -92,6 +94,14 @@ class ParallelPair:
             raise ValueError(f"unknown domain {self.domain!r}")
         object.__setattr__(self, "fa_train", normalize_text(self.fa, Script.FARSI, NormMode.TRAIN))
         object.__setattr__(self, "tg_train", normalize_text(self.tg, Script.TAJIK, NormMode.TRAIN))
+
+    @cached_property
+    def jsonl_line(self) -> str:
+        """The raw fields as one JSON object, keys sorted, ending in a newline."""
+        obj = {"fa": self.fa, "tg": self.tg, "dataset": self.dataset}
+        if self.domain is not None:
+            obj["domain"] = self.domain
+        return json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n"
 
     def text(self, script: Script, train: bool = True) -> str:
         """The side written in ``script``: train-normalized, or raw if not ``train``."""
@@ -217,10 +227,7 @@ def save(pairs: Iterable[ParallelPair], path: str | Path, fmt: str = "jsonl") ->
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         for p in pairs:
             if fmt == "jsonl":
-                obj = {"fa": p.fa, "tg": p.tg, "dataset": p.dataset}
-                if p.domain is not None:
-                    obj["domain"] = p.domain
-                fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
+                fh.write(p.jsonl_line)
             else:
                 fh.write("\t".join([p.fa, p.tg, p.dataset, p.domain or ""]) + "\n")
 

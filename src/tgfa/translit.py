@@ -20,6 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -61,6 +62,8 @@ DICT_MAGIC = "tgfa-dict"
 # Version 2 of the LM file stores contexts as strings; version 1 stored
 # them as lists of symbols.
 LM_FORMAT_VERSION = 2
+# The most contexts that save_lm encodes in one call.
+_SAVE_BLOCK = 512
 DICT_FORMAT_VERSION = 1
 SMOOTHINGS = ("witten_bell", "none")
 
@@ -181,6 +184,10 @@ def default_mapping_table(name: str) -> MappingTable:
     return load_mapping_table(text.splitlines(), direction)
 
 
+# One level of LM counts: each k-character context's bucket, {symbol: count}.
+_Level = dict[str, dict[str, int]]
+
+
 class CharNGramLM:
     """Character n-gram model with Witten-Bell interpolation.
 
@@ -194,19 +201,21 @@ class CharNGramLM:
     read through ``symbols``, as in KenLM (Heafield 2011). A query's key
     is its state plus the symbol, and the state after the symbol is
     ``key[1:]``. So a decoder carries each hypothesis's state and asks
-    ``logp_key`` with a ready-made key, while ``prob``, ``logp`` and
-    ``score`` build the same key from a context. Each context's counts
-    are stored with their total and number of types. Every query reads
-    one memo of probabilities by key, kept for the life of the model
-    object, so a repeated query costs one dictionary lookup; the memo
-    grows with the distinct queries.
+    ``logp_key`` with a ready-made key, while ``logp`` and ``score``
+    build the same key from a context. ``logp_key`` reads one memo of
+    log-probabilities by key, kept for the life of the model object, so
+    a repeated query costs one dictionary lookup; the memo grows with
+    the distinct queries. ``prob`` computes its value afresh.
 
-    The counts are kept in canonical order: each level's contexts in
-    increasing order, and each context's symbols in increasing order.
-    Training inserts the n-grams sorted once, ``without`` only deletes,
-    which keeps the order of what remains, and a loaded file is checked
-    to be in that order. So ``to_payload`` emits the counts as stored,
-    and ``save_lm`` writes them without sorting.
+    The counts have ``lm.json``'s shape: level k maps each k-character
+    context to its bucket, ``{symbol: count}``, and one dict holds each
+    context's total; a context's number of types is its bucket's size.
+    They are kept in canonical order: each level's contexts in
+    increasing order, and each bucket's symbols in increasing order.
+    Training inserts each order's n-grams sorted, ``without`` only
+    deletes, which keeps the order of what remains, and a loaded file is
+    checked to be in that order. So ``to_payload`` and ``save_lm`` emit
+    the counts as stored, without sorting.
     """
 
     def __init__(self, order: int, smoothing: str = "witten_bell"):
@@ -220,19 +229,26 @@ class CharNGramLM:
         self.start = BOS * (order - 1)
         self._set_counts((), [{} for _ in range(order)])
 
-    def _set_counts(self, alphabet: Iterable[str], levels: list[dict[str, _Stats]]) -> None:
+    def _set_counts(
+        self, alphabet: Iterable[str], levels: list[_Level], totals: dict[str, int] | None = None
+    ) -> None:
         """Install the alphabet, plus the end sentinel and the unknown bucket, and the counts.
 
-        ``levels[k]`` maps each k-character context to its ``_stats``.
+        ``levels[k]`` maps each k-character context to its non-empty
+        bucket. ``totals`` maps each context to its bucket's sum; it is
+        summed from ``levels`` when not given.
         """
         self._vocab = {EOS, UNK}.union(alphabet)
         # Characters that stand for themselves in a context; others become UNK.
         self._known = frozenset(self._vocab | {BOS})
         self._base = 1.0 / len(self._vocab)
         self._levels = levels
+        if totals is None:
+            totals = {ctx: sum(bucket.values()) for level in levels for ctx, bucket in level.items()}
+        self._totals = totals
         self._memo: dict[str, float] = {}
 
-    def _set_trained(self, levels: list[dict[str, _Stats]]) -> "CharNGramLM":
+    def _set_trained(self, levels: list[_Level], totals: dict[str, int] | None = None) -> "CharNGramLM":
         """Install trained counts, with the characters the unigram level counts as the alphabet.
 
         EmptyCorpus if nothing is counted: every non-empty training text
@@ -240,7 +256,7 @@ class CharNGramLM:
         """
         if not levels[0]:
             raise EmptyCorpus("no non-empty training texts")
-        self._set_counts(levels[0][""][0], levels)
+        self._set_counts(levels[0][""], levels, totals)
         return self
 
     @property
@@ -255,51 +271,54 @@ class CharNGramLM:
         known = self._known
         return text if known.issuperset(text) else "".join(c if c in known else UNK for c in text)
 
-    def prob(self, symbol: str, context: Sequence[str] | str = ()) -> float:
-        """P(symbol | last order-1 context symbols).
-
-        ``context`` is a str or a sequence of one-character symbols.
-        """
+    def _key(self, symbol: str, context: Sequence[str] | str) -> str:
+        """The query key of ``symbol`` after ``context``: its state, then the symbol."""
         n = self.order - 1
         tail = context[len(context) - n :] if len(context) > n else context
         if not isinstance(tail, str):
             tail = "".join(tail)
         if len(tail) < n:
             tail = BOS * (n - len(tail)) + tail
-        return self._lookup(self.symbols(tail) + (symbol if symbol in self._known else UNK))
+        return self.symbols(tail) + (symbol if symbol in self._known else UNK)
 
-    def _lookup(self, key: str) -> float:
-        """P(key[-1] | key[:-1]), through the memo."""
-        p = self._memo.get(key)
-        if p is None:
-            p = self._memo[key] = self._prob(key[:-1], key[-1])
-        return p
+    def prob(self, symbol: str, context: Sequence[str] | str = ()) -> float:
+        """P(symbol | last order-1 context symbols), computed without the memo.
+
+        ``context`` is a str or a sequence of one-character symbols.
+        """
+        key = self._key(symbol, context)
+        return self._prob(key[:-1], key[-1])
 
     def _prob(self, ctx: str, sym: str) -> float:
         n = self.order - 1
+        totals = self._totals
         if self.smoothing == "none":
-            stats = self._levels[n].get(ctx)
-            return stats[0].get(sym, 0) / stats[1] if stats else 0.0
+            bucket = self._levels[n].get(ctx)
+            return bucket.get(sym, 0) / totals[ctx] if bucket else 0.0
         # Uniform base distribution over the extended alphabet.
         p = self._base
         for k, level in enumerate(self._levels):
-            stats = level.get(ctx[n - k :])
-            if stats is not None:
-                bucket, total, types = stats
-                p = (bucket.get(sym, 0) + types * p) / (total + types)
+            c = ctx[n - k :]
+            bucket = level.get(c)
+            if bucket is not None:
+                types = len(bucket)
+                p = (bucket.get(sym, 0) + types * p) / (totals[c] + types)
         return p
 
     def logp(self, symbol: str, context: Sequence[str] | str = ()) -> float:
-        return _log(self.prob(symbol, context))
+        return self.logp_key(self._key(symbol, context))
 
     def logp_key(self, key: str) -> float:
         """log P(key[-1] | key[:-1]) for a ready-made key: a state, then one symbol.
 
         The state is ``order - 1`` characters as ``symbols`` gives them,
         begin sentinels first when the text is shorter; the next state is
-        ``key[1:]``.
+        ``key[1:]``. A repeated key is one memo lookup.
         """
-        return _log(self._lookup(key))
+        lp = self._memo.get(key)
+        if lp is None:
+            lp = self._memo[key] = _log(self._prob(key[:-1], key[-1]))
+        return lp
 
     def score(self, text: str) -> float:
         """Total log-probability of a string including the end sentinel."""
@@ -315,38 +334,41 @@ class CharNGramLM:
         ``texts`` must be some of those training texts. The result equals
         ``train_lm`` on the rest, byte for byte once saved: a count that
         falls to zero is dropped, a context left with no counts is
-        dropped, and the alphabet is what the rest still counts. Only the
-        contexts ``texts`` touch are copied. EmptyCorpus if no non-empty
-        text is left.
+        dropped, and the alphabet is what the rest still counts. The
+        level dicts are copied, but only the buckets ``texts`` touch;
+        ``texts`` are counted one order at a time. EmptyCorpus if no
+        non-empty text is left.
         """
+        texts = list(texts)
         levels = [dict(level) for level in self._levels]
-        touched: dict[str, dict[str, int]] = {}
-        for gram, count in _count_grams(texts, self.order).items():
-            # A context's length is its level, so the context alone is a key.
-            ctx, sym = gram[:-1], gram[-1]
-            bucket = touched.get(ctx)
-            if bucket is None:
-                stats = levels[len(ctx)].get(ctx)
-                bucket = touched[ctx] = dict(stats[0]) if stats else {}
-            left = bucket.get(sym, 0) - count
-            if left < 0:
-                raise ConfigError("cannot subtract texts the model was not trained on")
-            if left:
-                bucket[sym] = left
-            else:
-                del bucket[sym]
-        for ctx, bucket in touched.items():
-            if bucket:
-                levels[len(ctx)][ctx] = _stats(bucket)
-            else:
-                del levels[len(ctx)][ctx]
-        return CharNGramLM(self.order, self.smoothing)._set_trained(levels)
+        totals = dict(self._totals)
+        for k, level in enumerate(levels):
+            touched: dict[str, dict[str, int]] = {}
+            for gram, count in _count_grams(texts, k).items():
+                ctx, sym = gram[:-1], gram[-1]
+                bucket = touched.get(ctx)
+                if bucket is None:
+                    bucket = touched[ctx] = dict(level.get(ctx, ()))
+                left = bucket.get(sym, 0) - count
+                if left < 0:
+                    raise ConfigError("cannot subtract texts the model was not trained on")
+                if left:
+                    bucket[sym] = left
+                else:
+                    del bucket[sym]
+            for ctx, bucket in touched.items():
+                if bucket:
+                    level[ctx] = bucket
+                    totals[ctx] = sum(bucket.values())
+                else:
+                    del level[ctx], totals[ctx]
+        return CharNGramLM(self.order, self.smoothing)._set_trained(levels, totals)
 
     def to_payload(self) -> dict:
-        """The version-2 payload, keys in sorted order; its count objects are the model's own."""
+        """The version-2 payload, keys in sorted order; its buckets are the model's own."""
         return {
             "alphabet": sorted(self._vocab),
-            "counts": [[[ctx, stats[0]] for ctx, stats in level.items()] for level in self._levels],
+            "counts": [[[ctx, bucket] for ctx, bucket in level.items()] for level in self._levels],
             "magic": LM_MAGIC,
             "order": self.order,
             "smoothing": self.smoothing,
@@ -358,7 +380,8 @@ class CharNGramLM:
         """The model of a version-2 payload; ArtifactError names ``path`` and the bad field.
 
         The counts must be in canonical order (see the class docstring),
-        which a linear pass checks.
+        which a linear pass checks. The model keeps the decoded buckets,
+        less any empty one.
         """
         order = _field(payload, "order", lambda v: type(v) is int, "an integer", path)
         if order < 1:
@@ -382,21 +405,12 @@ class CharNGramLM:
             path,
         )
         lm = cls(order=order, smoothing=smoothing)
-        levels = [{ctx: _stats(bucket) for ctx, bucket in level if bucket} for level in counts]
-        lm._set_counts(alphabet, levels)
+        lm._set_counts(alphabet, [{ctx: bucket for ctx, bucket in level if bucket} for level in counts])
         return lm
-
-
-_Stats = tuple[dict[str, int], int, int]
 
 
 def _log(p: float) -> float:
     return math.log(p) if p > 0.0 else float("-inf")
-
-
-def _stats(bucket: dict[str, int]) -> _Stats:
-    """A context's counts with their total and number of types."""
-    return bucket, sum(bucket.values()), len(bucket)
 
 
 def _is_level(entries, k: int) -> bool:
@@ -437,22 +451,41 @@ def _field(payload: dict, name: str, ok, what: str, path: str | None):
     return value
 
 
-def _count_grams(texts: Iterable[str], order: int) -> Counter[str]:
-    """The n-gram counts of the non-empty texts, padded with sentinels.
+def _count_grams(texts: Sequence[str], k: int) -> Counter[str]:
+    """The counts of the (k+1)-grams of the non-empty texts, padded with sentinels.
 
-    Each n-gram has up to ``order`` characters, ends on a predicted
-    symbol and is keyed by its string: context plus symbol.
+    Each n-gram is k context characters, begin sentinels first where the
+    text is shorter, then the predicted symbol, and is keyed by its
+    string. One order at a time, so that no caller holds more than one
+    order's counts.
 
     The one counting path: ``train_lm`` counts a corpus with it and
     ``CharNGramLM.without`` the texts it subtracts.
     """
-    n = order - 1
+    pad = BOS * k
     grams: Counter[str] = Counter()
     for text in texts:
         if text:
-            padded = BOS * n + text + EOS
-            grams.update(padded[i - k : i + 1] for i in range(n, len(padded)) for k in range(order))
+            padded = pad + text + EOS
+            grams.update(padded[i : i + k + 1] for i in range(len(text) + 1))
     return grams
+
+
+def _sorted_level(grams: Counter[str], symbols: dict[str, str]) -> _Level:
+    """One order's counts as a level: contexts, and each bucket's symbols, inserted in increasing order.
+
+    ``symbols`` maps each symbol to the one ``str`` object that every
+    bucket uses for it.
+    """
+    level: _Level = {}
+    last = None
+    for gram in sorted(grams):
+        ctx, sym = gram[:-1], gram[-1]
+        if ctx != last:
+            bucket = level[ctx] = {}
+            last = ctx
+        bucket[symbols.setdefault(sym, sym)] = grams[gram]
+    return level
 
 
 def train_lm(
@@ -460,22 +493,45 @@ def train_lm(
 ) -> CharNGramLM:
     """Count character n-grams (with sentinel padding) over target-side text.
 
-    The n-grams are inserted in sorted order, once, so the model holds
-    its counts in canonical order. To train on many subsets of one corpus,
-    as k-fold cross-validation does, train once on the whole corpus and
-    take each subset's model with ``CharNGramLM.without``. EmptyCorpus if
-    no text is non-empty.
+    The n-grams are counted one order at a time, and each order's counts
+    are inserted sorted into their level and freed before the next order
+    is counted, so training holds the model plus one order's counts. The
+    model keeps its counts in canonical order, and its buckets share one
+    ``str`` object per symbol. To train on many subsets of one corpus, as
+    k-fold cross-validation does, train once on the whole corpus and take
+    each subset's model with ``CharNGramLM.without``. EmptyCorpus if no
+    text is non-empty.
     """
     lm = CharNGramLM(order=order, smoothing=smoothing)
-    levels: list[dict[str, dict[str, int]]] = [{} for _ in range(order)]
-    for gram, count in sorted(_count_grams(texts, order).items()):
-        levels[len(gram) - 1].setdefault(gram[:-1], {})[gram[-1]] = count
-    return lm._set_trained([{ctx: _stats(bucket) for ctx, bucket in level.items()} for level in levels])
+    texts = list(texts)
+    symbols: dict[str, str] = {}
+    return lm._set_trained([_sorted_level(_count_grams(texts, k), symbols) for k in range(order)])
 
 
 def save_lm(lm: CharNGramLM, path: str | Path) -> None:
-    """Write ``lm.json``; the payload is already in canonical order, so nothing is sorted."""
-    Path(path).write_text(json.dumps(lm.to_payload(), ensure_ascii=False), encoding="utf-8")
+    """Write ``lm.json``: the bytes of ``json.dumps(lm.to_payload(), ensure_ascii=False)``.
+
+    The levels are read as stored, already in canonical order, and
+    encoded in blocks of at most ``_SAVE_BLOCK`` contexts, so the write
+    holds one block's text at a time, never the whole file's.
+    """
+    encode = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(f'{{"alphabet": {encode(sorted(lm._vocab))}, "counts": [')
+        for k, level in enumerate(lm._levels):
+            fh.write(", [" if k else "[")
+            entries = iter(level.items())
+            sep = ""
+            while block := list(islice(entries, _SAVE_BLOCK)):
+                # A block of [context, bucket] pairs, without its brackets.
+                fh.write(sep)
+                fh.write(encode(block)[1:-1])
+                sep = ", "
+            fh.write("]")
+        fh.write(
+            f'], "magic": {encode(LM_MAGIC)}, "order": {lm.order}, '
+            f'"smoothing": {encode(lm.smoothing)}, "version": {LM_FORMAT_VERSION}}}'
+        )
 
 
 def _read_artifact(path: str | Path, kind: str, magic: str, version: int, remake: str) -> dict:

@@ -495,11 +495,16 @@ class TestFlagValidation:
         assert not out.exists()
 
 
+# A meta field left out of the row.
+_DROP = object()
+
+
 class TestReportErrors:
     GOOD_ROW = {
         "system": "s", "group": "Overall", "n_pairs": 3,
         "chrf": 1.0, "chrf_pp": 1.0, "cer": 0.0, "ncer": 0.0, "acc": 100.0, "acc_no_ws": 100.0,
     }
+    GOOD_META = {"tool": "tgfa", "version": "0", "seed": None, "config_hash": "ab" * 32, "inputs": {"c.jsonl": "cd" * 32}}
 
     @pytest.mark.parametrize(
         "bad_line,reason",
@@ -519,13 +524,49 @@ class TestReportErrors:
     )
     def test_malformed_row_is_parse_error(self, runner, tmp_path, bad_line, reason):
         path = tmp_path / "s.scores.jsonl"
-        lines = [json.dumps({"meta": {"version": "0"}}), json.dumps(self.GOOD_ROW), "", bad_line]
+        lines = [json.dumps({"meta": self.GOOD_META}), json.dumps(self.GOOD_ROW), "", bad_line]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         result = invoke(runner, ["report", "--scores", str(path)])
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"{path}: line 4: {reason}" in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "key,value,reason",
+        [
+            ("version", _DROP, "missing field 'meta.version'"),
+            ("seed", _DROP, "missing field 'meta.seed'"),
+            ("config_hash", _DROP, "missing field 'meta.config_hash'"),
+            ("inputs", _DROP, "missing field 'meta.inputs'"),
+            ("version", 0, "field 'meta.version' is not a string"),
+            ("seed", "1", "field 'meta.seed' is not an integer or null"),
+            ("seed", True, "field 'meta.seed' is not an integer or null"),
+            ("config_hash", ["ab"], "field 'meta.config_hash' is not a string"),
+            ("inputs", ["c.jsonl"], "field 'meta.inputs' is not an object of string to string"),
+            ("inputs", {"c.jsonl": 7}, "field 'meta.inputs' is not an object of string to string"),
+        ],
+        ids=["no-version", "no-seed", "no-config-hash", "no-inputs", "version-number", "seed-string",
+             "seed-bool", "config-hash-list", "inputs-list", "inputs-number"],
+    )
+    def test_incomplete_meta_is_parse_error(self, runner, tmp_path, key, value, reason):
+        meta = {k: v for k, v in self.GOOD_META.items() if k != key}
+        if value is not _DROP:
+            meta[key] = value
+        path = tmp_path / "s.scores.jsonl"
+        path.write_text(json.dumps(self.GOOD_ROW) + "\n" + json.dumps({"meta": meta}) + "\n", encoding="utf-8")
+        result = invoke(runner, ["report", "--scores", str(path)])
+        assert result.exit_code == 3, result.output
+        assert f"{path}: line 2: {reason}" in result.output
+        assert "Traceback" not in result.output
+
+    def test_complete_meta_is_printed(self, runner, tmp_path):
+        path = tmp_path / "s.scores.jsonl"
+        path.write_text(json.dumps({"meta": self.GOOD_META}) + "\n" + json.dumps(self.GOOD_ROW) + "\n", encoding="utf-8")
+        result = invoke(runner, ["report", "--scores", str(path)])
+        assert result.exit_code == 0, result.output
+        assert "# tgfa 0  seed=None  config=abababababababab" in result.output
+        assert "# input c.jsonl sha256=cdcdcdcdcdcdcdcd" in result.output
 
     @pytest.mark.parametrize("second", ["b/s.scores.jsonl", "a/s.scores.jsonl"], ids=["same-system", "same-file"])
     def test_duplicate_system_name_rejected(self, runner, tmp_path, second):

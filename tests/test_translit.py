@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from tgfa.errors import (
     UnknownChar,
     WrongState,
 )
+from tgfa import translit
 from tgfa.corpus import ParallelPair, kfold, split_holdout
 from tgfa.script import FARSI_LETTERS, Script, TAJIK_LETTERS, ZWNJ
 from tgfa.translit import (
@@ -267,6 +269,9 @@ class TestCharNGramLMv2:
                 want = oracle.prob(sym, tuple(ctx))
                 assert lm.prob(sym, list(ctx)) == pytest.approx(want, abs=1e-12)
                 assert lm.prob(sym, ctx) == pytest.approx(want, abs=1e-12)
+                # The memo holds exactly the log of the value prob computes afresh.
+                want_logp = math.log(lm.prob(sym, ctx)) if lm.prob(sym, ctx) > 0 else float("-inf")
+                assert lm.logp(sym, ctx) == lm.logp(sym, ctx) == want_logp
 
     @pytest.mark.parametrize("smoothing", ["witten_bell", "none"])
     @pytest.mark.parametrize("order", [1, 2, 3, 6])
@@ -352,6 +357,99 @@ class TestCharNGramLMv2:
         with pytest.raises(ArtifactError) as e:
             load_lm(path)
         assert str(e.value).startswith(f"{path}: {message}")
+
+
+def oracle_lm_json(texts, order: int, smoothing: str = "witten_bell") -> str:
+    """The expected ``lm.json`` text, built from the tuple oracle's counts.
+
+    Format version 2: keys sorted, each level's contexts joined into
+    strings and sorted, each bucket's symbols sorted.
+    """
+    oracle = CharLMOracle(texts, order, smoothing)
+    counts = [
+        [["".join(ctx), dict(sorted(bucket.items()))] for ctx, bucket in sorted(level.items())]
+        for level in oracle.counts
+    ]
+    payload = {
+        "alphabet": sorted(oracle.vocab), "counts": counts, "magic": "tgfa-charlm",
+        "order": order, "smoothing": smoothing, "version": 2,
+    }
+    return json.dumps(payload, ensure_ascii=False)
+
+
+# Characters that JSON escapes, the unknown bucket, and letters outside Latin-1.
+_FILE_ALPHABET = 'ab "\\\n\t\x1f\x7f' + UNK + "жқ"
+
+
+@st.composite
+def lm_file_cases(draw):
+    """A corpus, some of its texts to subtract, an order and a smoothing."""
+    texts = draw(st.lists(st.text(_FILE_ALPHABET, max_size=10), min_size=1, max_size=8).filter(any))
+    drop = draw(st.lists(st.booleans(), min_size=len(texts), max_size=len(texts)))
+    return texts, drop, draw(st.integers(1, 5)), draw(st.sampled_from(SMOOTHINGS))
+
+
+class TestLMFile:
+    """``save_lm`` writes the bytes an independent oracle expects."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lm_file_cases())
+    def test_saved_bytes_match_oracle(self, tmp_path_factory, case):
+        texts, drop, order, smoothing = case
+        out = tmp_path_factory.mktemp("lm")
+        lm = train_lm(texts, order=order, smoothing=smoothing)
+        want = oracle_lm_json(texts, order, smoothing).encode("utf-8")
+        assert _bytes(save_lm, lm, out / "trained.json") == want
+        assert json.dumps(lm.to_payload(), ensure_ascii=False).encode("utf-8") == want
+        removed = [t for t, d in zip(texts, drop) if d]
+        rest = [t for t, d in zip(texts, drop) if not d]
+        if not any(rest):
+            return
+        derived = lm.without(removed)
+        assert _bytes(save_lm, derived, out / "derived.json") == oracle_lm_json(rest, order, smoothing).encode("utf-8")
+
+    def test_levels_spanning_several_blocks(self, tmp_path):
+        rng = random.Random(14)
+        texts = [random_words(rng, TAJIK_SAMPLE, rng.randint(1, 6)) for _ in range(120)]
+        lm = train_lm(texts, order=4)
+        sizes = [len(level) for level in lm._levels]
+        assert max(sizes) > 2 * translit._SAVE_BLOCK
+        assert any(size % translit._SAVE_BLOCK for size in sizes if size > translit._SAVE_BLOCK)
+        assert _bytes(save_lm, lm, tmp_path / "lm.json") == oracle_lm_json(texts, 4).encode("utf-8")
+
+    def test_loaded_file_with_an_empty_level(self, tmp_path):
+        payload = {
+            "alphabet": [UNK, EOS, "a"], "counts": [[["", {EOS: 1, "a": 2}]], []],
+            "magic": "tgfa-charlm", "order": 2, "smoothing": "none", "version": 2,
+        }
+        text = json.dumps(payload, ensure_ascii=False)
+        src = tmp_path / "in.json"
+        src.write_text(text, encoding="utf-8")
+        assert _bytes(save_lm, load_lm(src), tmp_path / "out.json") == text.encode("utf-8")
+
+    def test_save_peak_memory_is_bounded_by_file_size(self, tmp_path):
+        """Saving holds one block of the file, not the whole: tracemalloc counts, not RSS."""
+        rng = random.Random(14)
+        texts = [random_words(rng, TAJIK_SAMPLE, rng.randint(2, 8)) for _ in range(300)]
+        lm = train_lm(texts, order=5)
+        path = tmp_path / "lm.json"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            save_lm(lm, path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert 300_000 < size < 600_000
+        assert peak < 1.5 * size
+
+    def test_trained_buckets_share_one_str_per_symbol(self):
+        rng = random.Random(3)
+        texts = [random_words(rng, TAJIK_SAMPLE, rng.randint(1, 6)) for _ in range(40)]
+        lm = train_lm(texts, order=4)
+        syms = [sym for level in lm._levels for bucket in level.values() for sym in bucket]
+        assert len({id(sym) for sym in syms}) == len(set(syms)) == len(lm.vocab) - 1
 
 
 class TestBuildDictionary:
