@@ -14,7 +14,6 @@ TGFA_ prefix (e.g. TGFA_PIPELINE_SEED for `tgfa pipeline --seed`).
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import shutil
@@ -24,6 +23,16 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import click
+
+# SHA-256 from CPython's built-in module, resolved once: hashlib always
+# loads OpenSSL's libcrypto, several MB resident in every command.
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .errors import ConfigError, LengthMismatch, ParseError, TgfaError, UnknownDataset
@@ -109,7 +118,11 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
 
 
 def _sha256(path: str | Path) -> str:
-    h = hashlib.sha256()
+    """The hex SHA-256 of the file at ``path``, read in 1 MiB chunks.
+
+    Equal to ``hashlib.sha256(data).hexdigest()``, from the built-in module.
+    """
+    h = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
@@ -117,8 +130,9 @@ def _sha256(path: str | Path) -> str:
 
 
 def _config_hash(config: dict) -> str:
+    """The hex SHA-256 of ``config`` as sorted-key JSON, encoded as UTF-8."""
     blob = json.dumps(config, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _meta(config: dict, inputs: Sequence[str | Path], seed: int | None) -> dict:

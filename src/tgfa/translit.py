@@ -63,7 +63,7 @@ DICT_MAGIC = "tgfa-dict"
 # them as lists of symbols.
 LM_FORMAT_VERSION = 2
 # The most contexts that save_lm encodes in one call.
-_SAVE_BLOCK = 512
+_SAVE_BLOCK = 128
 DICT_FORMAT_VERSION = 1
 SMOOTHINGS = ("witten_bell", "none")
 
@@ -380,8 +380,11 @@ class CharNGramLM:
         """The model of a version-2 payload; ArtifactError names ``path`` and the bad field.
 
         The counts must be in canonical order (see the class docstring),
-        which a linear pass checks. The model keeps the decoded buckets,
-        less any empty one.
+        which a linear pass checks; the same pass checks that the alphabet
+        holds every counted character. The alphabet must be exactly the
+        end sentinel, the unknown bucket and the characters of level 0's
+        ``""`` bucket, sorted, so every distribution sums to 1 over it.
+        The model keeps the decoded buckets, less any empty one.
         """
         order = _field(payload, "order", lambda v: type(v) is int, "an integer", path)
         if order < 1:
@@ -396,14 +399,24 @@ class CharNGramLM:
             "a list of characters",
             path,
         )
+        vocab = frozenset(alphabet)
         counts = _field(
             payload,
             "counts",
-            lambda v: type(v) is list and len(v) == order and all(map(_is_level, v, range(order))),
+            lambda v: type(v) is list
+            and len(v) == order
+            and all(_is_level(level, k, vocab, path) for k, level in enumerate(v)),
             f"a list of {order} levels of [k-character context, {{character: count}}] pairs, "
             "contexts and characters in increasing order",
             path,
         )
+        unigrams = counts[0][0][1] if counts[0] else {}
+        if alphabet != sorted({EOS, UNK}.union(unigrams)):
+            raise ArtifactError(
+                "field 'alphabet' must be the end sentinel, the unknown bucket and the "
+                "characters counted in context '', in increasing order",
+                path=path,
+            )
         lm = cls(order=order, smoothing=smoothing)
         lm._set_counts(alphabet, [{ctx: bucket for ctx, bucket in level if bucket} for level in counts])
         return lm
@@ -413,11 +426,13 @@ def _log(p: float) -> float:
     return math.log(p) if p > 0.0 else float("-inf")
 
 
-def _is_level(entries, k: int) -> bool:
+def _is_level(entries, k: int, alphabet: frozenset[str], path: str | None) -> bool:
     """Whether ``entries`` is a list of [k-character context, {character: positive count}].
 
     The contexts must be strictly increasing, and so must each context's
-    characters: the canonical order, checked in one pass.
+    characters: the canonical order, checked in one pass. The same pass
+    raises ArtifactError, naming ``path`` and the alphabet, for a
+    character outside ``alphabet``.
     """
     if type(entries) is not list:
         return False
@@ -438,6 +453,11 @@ def _is_level(entries, k: int) -> bool:
             if not (type(count) is int and count > 0):
                 return False
             last_sym = sym
+        if not alphabet.issuperset(bucket):
+            missing = sorted(set(bucket) - alphabet)[0]
+            raise ArtifactError(
+                f"field 'alphabet' lacks {missing!r}, counted in level {k} context {ctx!r}", path=path
+            )
     return True
 
 

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tgfa.cli import cli
+import tgfa
+from tgfa.cli import _config_hash, _sha256, cli
 from tgfa.corpus import ParallelPair
 
 from conftest import toy_corpus
@@ -621,6 +627,13 @@ BAD_FILES = [
     pytest.param("lm.json", json.dumps({**_LM_V2, "counts": [[["", {"a": 1, "\x03": 1}]]]}).encode(),
                  [*_TRANSLIT, "--lm", "{path}"],
                  3, "{path}: field 'counts' must be a list of 1 levels", id="lm-unsorted"),
+    pytest.param("lm.json", json.dumps({**_LM_V2, "smoothing": "witten_bell", "alphabet": ["\x01", "\x03"]}).encode(),
+                 [*_TRANSLIT, "--lm", "{path}"],
+                 3, "{path}: field 'alphabet' lacks 'a', counted in level 0 context ''", id="lm-alphabet-missing"),
+    pytest.param("lm.json", json.dumps({**_LM_V2, "alphabet": ["\x01", "\x03", "a", "b"]}).encode(),
+                 [*_TRANSLIT, "--lm", "{path}"],
+                 3, "{path}: field 'alphabet' must be the end sentinel, the unknown bucket and the characters "
+                 "counted in context ''", id="lm-alphabet-extra"),
     pytest.param("dict.json", json.dumps(_NO_DIRECTION).encode(), [*_TRANSLIT, "--dict", "{path}"],
                  3, "{path}: missing field 'direction'", id="dict-no-direction"),
     pytest.param("dict.json", json.dumps(_DICT_FA2TG).encode(), [*_TRANSLIT, "--dict", "{path}"],
@@ -704,3 +717,82 @@ class TestMalformedInputsGuard:
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert "<stdin>: line 1: not valid UTF-8 (byte 0xFF)" in result.output
+
+
+# The child runs each command through tgfa.cli.main, then reports whether
+# any of them loaded OpenSSL's hashlib backend.
+_NO_OPENSSL_CHILD = """
+import sys
+from tgfa.cli import main
+
+for argv in sys.argv[1:]:
+    try:
+        main(argv.split("\\t"))
+    except SystemExit as e:
+        if e.code:
+            raise
+print("_hashlib" in sys.modules)
+"""
+
+
+class TestDigests:
+    """Run digests come from CPython's built-in SHA-256 and equal hashlib's."""
+
+    def test_no_command_loads_openssl(self, tmp_path):
+        corpus = write_corpus(tmp_path / "corpus.jsonl", toy_corpus(20))
+        pairs = toy_corpus(20)
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("".join(p.fa + "\n" for p in pairs), encoding="utf-8")
+        src = tmp_path / "in.txt"
+        src.write_text("".join(p.tg + "\n" for p in pairs[:5]), encoding="utf-8")
+        commands = [
+            ["pipeline", "--corpus", str(corpus), "--direction", "tg2fa", "--folds", "2",
+             "--lm-order", "3", "--out", str(tmp_path / "run")],
+            ["score", "--corpus", str(corpus), "--hyp", str(hyp), "--direction", "tg2fa",
+             "--out", str(tmp_path / "scores")],
+            ["train-lm", "--corpus", str(corpus), "--direction", "tg2fa", "--lm-order", "3",
+             "--out", str(tmp_path / "lm.json")],
+            ["translit", "--direction", "tg2fa", "--lm", str(tmp_path / "lm.json"),
+             "-i", str(src), "-o", str(tmp_path / "out.txt")],
+        ]
+        package_root = str(Path(tgfa.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", _NO_OPENSSL_CHILD, *("\t".join(argv) for argv in commands)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
+        assert (tmp_path / "out.txt").read_text(encoding="utf-8").count("\n") == 5
+        assert (tmp_path / "scores" / "hyp.scores.jsonl").exists()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.one_of(
+            st.binary(max_size=4096),
+            st.builds(lambda head, n: head * n, st.binary(min_size=1, max_size=64), st.integers(1, 1 << 16)),
+        )
+    )
+    def test_file_digest_matches_hashlib(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("digest") / "data.bin"
+        path.write_bytes(data)
+        assert _sha256(path) == hashlib.sha256(data).hexdigest()
+
+    @example({"direction": "tg2fa", "corpus": "корпус.jsonl", "note": "کتاب‌"})
+    @given(
+        st.dictionaries(
+            st.text(max_size=8),
+            st.one_of(st.text(), st.integers(), st.none(), st.lists(st.text(max_size=4), max_size=3)),
+            max_size=6,
+        )
+    )
+    def test_config_hash_matches_hashlib(self, config):
+        blob = json.dumps(config, sort_keys=True, ensure_ascii=False).encode("utf-8")
+        assert _config_hash(config) == hashlib.sha256(blob).hexdigest()
+
+    @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, 3 * (1 << 20) + 17])
+    def test_file_digest_across_read_chunks(self, tmp_path, size):
+        data = bytes(range(256)) * (size // 256) + bytes(range(size % 256))
+        path = tmp_path / "data.bin"
+        path.write_bytes(data)
+        assert _sha256(path) == hashlib.sha256(data).hexdigest()

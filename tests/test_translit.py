@@ -442,7 +442,7 @@ class TestLMFile:
             tracemalloc.stop()
         size = path.stat().st_size
         assert 300_000 < size < 600_000
-        assert peak < 1.5 * size
+        assert peak < 0.8 * size
 
     def test_trained_buckets_share_one_str_per_symbol(self):
         rng = random.Random(3)
