@@ -14,13 +14,13 @@ TGFA_ prefix (e.g. TGFA_PIPELINE_SEED for `tgfa pipeline --seed`).
 
 from __future__ import annotations
 
-import io
 import json
+import math
 import shutil
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import click
 
@@ -37,7 +37,7 @@ except ImportError:
 from . import __version__
 from .errors import ConfigError, LengthMismatch, ParseError, TgfaError, UnknownDataset
 from .metrics import EvalPair, GroupScores, MetricReport, score_corpus
-from .script import NormMode, Script, decode_utf8, load_char_table, normalize_text, read_utf8
+from .script import NormMode, Script, load_char_table, normalize_text, parse_json_object, read_lines
 from .tokenizer import detokenize, format_token_line, parse_token_line, tokenize
 from . import corpus as corpus_mod
 from . import translit as translit_mod
@@ -100,21 +100,15 @@ def cli():
     """Tajik-Cyrillic / Perso-Arabic transliteration toolkit."""
 
 
-def _read_lines(path: str) -> list[str]:
-    """The lines of a UTF-8 file, or of stdin for ``-``; lines end as in a text-mode file."""
-    if path == "-":
-        text = decode_utf8(sys.stdin.buffer.read(), "<stdin>")
-    else:
-        text = read_utf8(path)
-    return [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
-
-
-def _write_lines(path: str, lines: Iterable[str]) -> None:
-    text = "".join(line + "\n" for line in lines)
+def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    _write_text(path, "".join(line + "\n" for line in lines))
 
 
 def _sha256(path: str | Path) -> str:
@@ -275,7 +269,7 @@ def normalize_cmd(script, mode, char_table, input_, output):
     """Normalize raw text, one line at a time."""
     table = load_char_table(char_table) if char_table else None
     lines = [
-        normalize_text(line, Script(script), mode, table) for line in _read_lines(input_)
+        normalize_text(line, Script(script), mode, table) for line in read_lines(input_)
     ]
     _write_lines(output, lines)
 
@@ -285,7 +279,7 @@ def normalize_cmd(script, mode, char_table, input_, output):
 @click.option("-o", "--output", default="-")
 def tokenize_cmd(input_, output):
     """Insert contextual markers into normalized text."""
-    _write_lines(output, (format_token_line(tokenize(line)) for line in _read_lines(input_)))
+    _write_lines(output, (format_token_line(tokenize(line)) for line in read_lines(input_)))
 
 
 @cli.command("detokenize")
@@ -293,7 +287,7 @@ def tokenize_cmd(input_, output):
 @click.option("-o", "--output", default="-")
 def detokenize_cmd(input_, output):
     """Strip contextual markers from token lines."""
-    _write_lines(output, (detokenize(parse_token_line(line)) for line in _read_lines(input_)))
+    _write_lines(output, (detokenize(parse_token_line(line)) for line in read_lines(input_)))
 
 
 @cli.command()
@@ -304,7 +298,8 @@ def detokenize_cmd(input_, output):
 def stats(corpus, per, format_, output):
     """Pair counts and average token/character lengths."""
     pairs = corpus_mod.load(corpus)
-    table = corpus_mod.stats(pairs, per=per)
+    with _stage(corpus):
+        table = corpus_mod.stats(pairs, per=per)
     if format_ == "jsonl":
         lines = [
             json.dumps({"label": label, **vars(s)}, sort_keys=True, ensure_ascii=False)
@@ -469,7 +464,7 @@ def translit_cmd(direction, table_path, dict_path, lm_path, beam, assume_normali
             path=dict_path,
         )
     lm = translit_mod.load_lm(lm_path) if lm_path else None
-    normalized = _read_lines(input_)
+    normalized = list(read_lines(input_))
     if not assume_normalized:
         normalized = [normalize_text(line, direction.source, NormMode.TRAIN) for line in normalized]
     out_lines = translit_mod.transliterate_lines(
@@ -489,7 +484,7 @@ def _claim_system(sources: dict[str, str], name: str, path: str) -> None:
 
 
 def _load_hyp_lines(hyp_path: str, n_expected: int) -> list[str]:
-    lines = _read_lines(hyp_path)
+    lines = list(read_lines(hyp_path))
     if len(lines) != n_expected:
         beyond = min(len(lines), n_expected) + 1
         raise LengthMismatch(
@@ -662,20 +657,6 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
     click.echo(table_text, nl=False)
 
 
-def _score_rows(path: str) -> Iterator[tuple[int, dict]]:
-    """(1-based line number, row) for each non-blank line of a score file."""
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON ({e.msg})", line=lineno, path=path) from None
-        if not isinstance(row, dict):
-            raise ParseError("expected a JSON object", line=lineno, path=path)
-        yield lineno, row
-
-
 # The meta fields that report prints (see _meta_lines): name, check, what it must be.
 _META_FIELDS = (
     ("version", lambda v: type(v) is str, "a string"),
@@ -687,6 +668,9 @@ _META_FIELDS = (
         "an object of string to string",
     ),
 )
+# Metric bounds in a report row: CER and NCER are error rates, unbounded above; the rest are percentages.
+_METRIC_RANGES = {m: (math.inf, "a finite number >= 0") if m in ("cer", "ncer") else (100, "a number in [0, 100]")
+                  for m in METRIC_COLUMNS}
 
 
 @cli.command()
@@ -702,7 +686,10 @@ def report(scores, output):
         groups: dict[str, GroupScores] = {}
         overall: GroupScores | None = None
         name = Path(path).stem.removesuffix(".scores")
-        for lineno, r in _score_rows(path):
+        for lineno, line in enumerate(read_lines(path), start=1):
+            if not line.strip():
+                continue
+            r = parse_json_object(line, path, lineno)
             if "meta" in r:
                 if not isinstance(r["meta"], dict):
                     raise ParseError("field 'meta' is not an object", line=lineno, path=path)
@@ -719,11 +706,12 @@ def report(scores, output):
             for key in ("system", "group"):
                 if not isinstance(r.get(key, ""), str):
                     raise ParseError(f"field {key!r} is not a string", line=lineno, path=path)
-            if type(r["n_pairs"]) is not int:
-                raise ParseError("field 'n_pairs' is not an integer", line=lineno, path=path)
+            if type(r["n_pairs"]) is not int or r["n_pairs"] < 1:
+                raise ParseError("field 'n_pairs' is not an integer >= 1", line=lineno, path=path)
             for key in METRIC_COLUMNS:
-                if type(r[key]) not in (int, float):
-                    raise ParseError(f"field {key!r} is not a number", line=lineno, path=path)
+                value, (high, what) = r[key], _METRIC_RANGES[key]
+                if type(value) not in (int, float) or not (math.isfinite(value) and 0 <= value <= high):
+                    raise ParseError(f"field {key!r} is not {what}", line=lineno, path=path)
             name = r.get("system", name)
             scores_row = GroupScores(
                 n_pairs=r["n_pairs"],
@@ -738,7 +726,7 @@ def report(scores, output):
         _claim_system(sources, name, path)
         systems[name] = MetricReport(groups=groups, overall=overall)
     merged_meta = metas[0] if metas else None
-    _write_lines(output, _report_table(systems, merged_meta).splitlines())
+    _write_text(output, _report_table(systems, merged_meta))
 
 
 def main(argv: Sequence[str] | None = None):

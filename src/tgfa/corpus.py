@@ -10,7 +10,6 @@ File formats (all UTF-8, LF):
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import random
@@ -30,7 +29,7 @@ from .errors import (
     TooSmall,
     UnknownDataset,
 )
-from .script import NormMode, Script, normalize_text, read_utf8, table_lines
+from .script import NormMode, Script, normalize_text, parse_json_object, read_lines, split_lines, table_lines
 
 __all__ = [
     "DOMAINS",
@@ -134,14 +133,9 @@ def _detect_format(path: Path) -> str:
 
 
 # Line parsers, and ParallelPair for an unknown domain, raise ValueError
-# with the reason; read_pairs adds the file and line.
+# or ParseError with the reason; read_pairs adds the file and line.
 def _parse_jsonl_line(line: str) -> ParallelPair:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"invalid JSON ({e.msg})") from None
-    if not isinstance(obj, dict):
-        raise ValueError("expected a JSON object")
+    obj = parse_json_object(line)
     for key in ("fa", "tg"):
         if key not in obj:
             raise ValueError(f"missing field {key!r}")
@@ -187,15 +181,12 @@ def read_pairs(
     parse = _parse_jsonl_line if fmt == "jsonl" else _parse_tsv_line
     pairs: list[ParallelPair] = []
     skipped: list[str] = []
-    # Lines end as in a text-mode file: at \n, \r\n or \r, but not at the
-    # other breaks str.splitlines() knows, such as U+2028 inside a JSON string.
-    for lineno, line in enumerate(io.StringIO(read_utf8(path), newline=None), start=1):
-        line = line.rstrip("\n")
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line:
             continue
         try:
             pair = parse(line)
-        except ValueError as e:
+        except (ValueError, ParseError) as e:
             raise ParseError(str(e), line=lineno, path=str(path)) from None
         empty = [side for side, text in (("fa", pair.fa_train), ("tg", pair.tg_train)) if not text]
         if empty:
@@ -395,7 +386,7 @@ def load_consonant_map(source: str | Path | Iterable[str]) -> dict[str, str]:
 def default_consonant_map() -> dict[str, str]:
     """The built-in unambiguous-consonant correspondence table."""
     text = resources.files("tgfa.data").joinpath("consonants.tsv").read_text("utf-8")
-    return load_consonant_map(text.splitlines())
+    return load_consonant_map(split_lines(text))
 
 
 def _first_mismatch(tg_seq: list[str], fa_seq: list[str]) -> str:

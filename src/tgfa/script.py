@@ -22,20 +22,23 @@ hyphen's neighbours in the raw text, so in train mode a pre-pass
 first drops every hyphen-class character without a letter on both
 sides; it runs only on texts that hold one.
 
-The corpus and TSV config readers of every module decode files with
-``read_utf8``, and the CLI's text inputs, stdin included, with
-``decode_utf8``; the TSV readers also share ``table_lines`` and
-``parse_code_point``.
+Every input file is read here: ``read_lines`` decodes UTF-8 and splits
+lines only at LF, CRLF or CR; ``parse_json_object`` decodes every JSON
+value, refusing ``NaN``, ``Infinity``, over-long integers and deep
+nesting; the TSV readers share ``table_lines`` and ``parse_code_point``.
 """
 
 from __future__ import annotations
 
 import functools
+import io
+import json
 import re
+import sys
 import unicodedata
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError
 
@@ -54,6 +57,9 @@ __all__ = [
     "load_char_table",
     "decode_utf8",
     "read_utf8",
+    "split_lines",
+    "read_lines",
+    "parse_json_object",
     "table_lines",
     "parse_code_point",
 ]
@@ -279,15 +285,45 @@ def read_utf8(path: str | Path) -> str:
     return decode_utf8(Path(path).read_bytes(), str(path))
 
 
+def split_lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` without their ends, split as a text-mode file is: at LF, CRLF or CR."""
+    return (line.rstrip("\n") for line in io.StringIO(text, newline=None))
+
+
+def read_lines(path: str | Path) -> Iterator[str]:
+    """The ``split_lines`` of a UTF-8 file, or of stdin for ``"-"``; ParseError if not UTF-8."""
+    return split_lines(decode_utf8(sys.stdin.buffer.read(), "<stdin>") if path == "-" else read_utf8(path))
+
+
+def _refuse_constant(name: str):
+    raise json.JSONDecodeError(f"{name} is not a JSON number", name, 0)
+
+
+_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def parse_json_object(text: str, path: str | None = None, line: int | None = None) -> dict:
+    """The JSON object ``text`` holds, else ParseError naming ``path`` and ``line`` when given."""
+    try:
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        value = _JSON.decode(text)
+    except (ValueError, RecursionError) as e:
+        raise ParseError(f"invalid JSON ({getattr(e, 'msg', e)})", line=line, path=path) from None
+    if not isinstance(value, dict):
+        raise ParseError("expected a JSON object", line=line, path=path)
+    return value
+
+
 def table_lines(source: str | Path | Iterable[str]) -> tuple[str | None, list[tuple[int, str]]]:
     """The file name and the (1-based line number, stripped line) rows of a TSV config.
 
-    ``source`` is a path, read with ``read_utf8``, or an iterable of
-    lines; for the latter the file name is None. Blank lines and lines
-    starting with ``#`` are skipped.
+    ``source`` is a path, read with ``read_utf8`` and ``split_lines``, or
+    an iterable of lines; for the latter the file name is None. Blank
+    lines and lines starting with ``#`` are skipped.
     """
     where = str(source) if isinstance(source, (str, Path)) else None
-    lines = list(source) if where is None else read_utf8(where).splitlines()
+    lines = source if where is None else split_lines(read_utf8(where))
     rows = ((lineno, line.strip()) for lineno, line in enumerate(lines, start=1))
     return where, [(lineno, line) for lineno, line in rows if line and not line.startswith("#")]
 

@@ -26,7 +26,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ArtifactError, ConfigError, EmptyCorpus, ParseError, UnknownChar, WrongState
 from .corpus import ParallelPair
-from .script import FARSI_LETTERS, Script, TAJIK_LETTERS, ZWNJ, parse_code_point, table_lines
+from .script import FARSI_LETTERS, Script, TAJIK_LETTERS, ZWNJ, parse_code_point, parse_json_object
+from .script import read_utf8, split_lines, table_lines
 
 __all__ = [
     "Direction",
@@ -181,7 +182,7 @@ def default_mapping_table(name: str) -> MappingTable:
     """The packaged provisional table for the direction called ``name``."""
     direction = Direction.of(name)
     text = resources.files("tgfa.data").joinpath(f"map_{name}.tsv").read_text("utf-8")
-    return load_mapping_table(text.splitlines(), direction)
+    return load_mapping_table(split_lines(text), direction)
 
 
 # One level of LM counts: each k-character context's bucket, {symbol: count}.
@@ -560,12 +561,11 @@ def _read_artifact(path: str | Path, kind: str, magic: str, version: int, remake
     ``remake`` is the command that writes the current version of the file.
     """
     where = str(path)
+    text = read_utf8(path)
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ArtifactError(f"not a valid {kind} file: {e.msg}", path=where) from None
-    if not isinstance(payload, dict):
-        raise ArtifactError(f"not a valid {kind} file: expected a JSON object", path=where)
+        payload = parse_json_object(text)
+    except ParseError as e:
+        raise ArtifactError(f"not a valid {kind} file: {e}", path=where) from None
     if payload.get("magic") != magic:
         raise ArtifactError(f"not a {magic} file", path=where)
     if payload.get("version") != version:

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -14,8 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tgfa
-from tgfa.cli import _config_hash, _sha256, cli
+from tgfa.cli import _config_hash, _sha256, cli, main
 from tgfa.corpus import ParallelPair
+from tgfa.script import export_char_table
+from tgfa.translit import train_lm
 
 from conftest import toy_corpus
 
@@ -394,6 +400,23 @@ class TestPipelineAndReport:
         # reference and hypothesis once, since each pair is tested once.
         assert calls == {script.NormMode.TRAIN: 2 * n_pairs, script.NormMode.EVAL: 2 * n_pairs}
 
+    def test_report_prints_score_table_unchanged(self, runner, tmp_path):
+        """A group label holding U+2028 stays on its line, as in the table score writes."""
+        pairs = toy_corpus(4, dataset="Blog\u2028Two")
+        corpus = write_corpus(tmp_path / "c.jsonl", pairs)
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("".join(p.fa + "\n" for p in pairs), encoding="utf-8")
+        out = tmp_path / "scores"
+        scored = invoke(
+            runner,
+            ["score", "--corpus", str(corpus), "--hyp", str(hyp), "--direction", "tg2fa", "--out", str(out)],
+        )
+        assert scored.exit_code == 0, scored.output
+        result = invoke(runner, ["report", "--scores", str(out / "hyp.scores.jsonl")])
+        assert result.exit_code == 0, result.output
+        assert "Blog\u2028Two" in result.output
+        assert result.output == (out / "report.txt").read_text(encoding="utf-8")
+
     def test_report_merges_systems(self, runner, corpus_file, tmp_path):
         refs = TestScore()._refs(corpus_file)
         hyp = tmp_path / "sys1.txt"
@@ -524,9 +547,21 @@ class TestReportErrors:
             (json.dumps({**GOOD_ROW, "group": 5}), "field 'group' is not a string"),
             (json.dumps({"meta": "v1"}), "field 'meta' is not an object"),
             (json.dumps({**GOOD_ROW, "n_pairs": True}), "field 'n_pairs' is not an integer"),
+            (json.dumps({**GOOD_ROW, "n_pairs": -5}), "field 'n_pairs' is not an integer >= 1"),
+            (json.dumps({**GOOD_ROW, "n_pairs": 0}), "field 'n_pairs' is not an integer >= 1"),
+            (json.dumps({**GOOD_ROW, "cer": -1}), "field 'cer' is not a finite number >= 0"),
+            (json.dumps({**GOOD_ROW, "acc": 250}), "field 'acc' is not a number in [0, 100]"),
+            (json.dumps({**GOOD_ROW, "chrf": -0.5}), "field 'chrf' is not a number in [0, 100]"),
+            (json.dumps({**GOOD_ROW, "ncer": 1e300}).replace("1e+300", "1e999"),
+             "field 'ncer' is not a finite number >= 0"),
+            (json.dumps({**GOOD_ROW, "chrf_pp": 1e300}).replace("1e+300", "1e999"),
+             "field 'chrf_pp' is not a number in [0, 100]"),
+            (json.dumps({**GOOD_ROW, "acc_no_ws": float("-inf")}), "invalid JSON (-Infinity is not a JSON number)"),
         ],
         ids=["bad-json", "not-an-object", "no-group", "no-metric", "non-numeric-metric",
-             "system-list", "group-number", "meta-string", "n-pairs-bool"],
+             "system-list", "group-number", "meta-string", "n-pairs-bool", "n-pairs-negative",
+             "n-pairs-zero", "cer-negative", "acc-over-100", "chrf-negative", "ncer-overflow",
+             "chrf-pp-overflow", "minus-infinity"],
     )
     def test_malformed_row_is_parse_error(self, runner, tmp_path, bad_line, reason):
         path = tmp_path / "s.scores.jsonl"
@@ -597,6 +632,8 @@ _LM_V1 = {**_LM_V2, "version": 1, "counts": [[[[], {"\x03": 1, "a": 1}]]]}
 _DICT_FA2TG = {"magic": "tgfa-dict", "version": 1, "direction": "fa2tg", "skipped_pairs": 0,
                "entries": {"از": "аз"}}
 _NO_DIRECTION = {k: v for k, v in _DICT_FA2TG.items() if k != "direction"}
+# Deeper than any JSON decoder recurses.
+_NESTED = b"[" * 50_000
 # One row per malformed file: its name and bytes, the command that reads
 # it ({path} is the file), the exit code and the message naming the file.
 BAD_FILES = [
@@ -681,7 +718,99 @@ BAD_FILES = [
     pytest.param("bad.jsonl", b'{"fa": "\xd8\xa7", "tg": "a", "domain": 5}\n',
                  ["stats", "--corpus", "{path}"],
                  3, "{path}: line 1: field 'domain' is not a string", id="corpus-domain-number"),
+    pytest.param("bad.jsonl", b"\n", ["stats", "--corpus", "{path}"], 4, "{path}: no pairs", id="corpus-empty"),
+    pytest.param("lm.json", b"\xff" + json.dumps(_LM_V2).encode(), [*_TRANSLIT, "--lm", "{path}"],
+                 3, "{path}: line 1: not valid UTF-8 (byte 0xFF)", id="lm-not-utf8"),
+    pytest.param("dict.json", b"\xff" + json.dumps(_DICT_FA2TG).encode(), [*_TRANSLIT, "--dict", "{path}"],
+                 3, "{path}: line 1: not valid UTF-8 (byte 0xFF)", id="dict-not-utf8"),
+    pytest.param("bad.jsonl", _NESTED + b"\n", ["stats", "--corpus", "{path}"],
+                 3, "{path}: line 1: invalid JSON (", id="corpus-nested"),
+    pytest.param("lm.json", _NESTED, [*_TRANSLIT, "--lm", "{path}"],
+                 3, "{path}: not a valid model file: invalid JSON (", id="lm-nested"),
+    pytest.param("s.scores.jsonl", _NESTED, ["report", "--scores", "{path}"],
+                 3, "{path}: line 1: invalid JSON (", id="scores-nested"),
+    pytest.param("s.scores.jsonl", json.dumps({**TestReportErrors.GOOD_ROW, "chrf": float("nan")}).encode(),
+                 ["report", "--scores", "{path}"],
+                 3, "{path}: line 1: invalid JSON (NaN is not a JSON number)", id="scores-nan"),
+    pytest.param("s.scores.jsonl", json.dumps({**TestReportErrors.GOOD_ROW, "cer": float("inf")}).encode(),
+                 ["report", "--scores", "{path}"],
+                 3, "{path}: line 1: invalid JSON (Infinity is not a JSON number)", id="scores-infinity"),
+    pytest.param("lm.json", json.dumps(_LM_V2).replace('"order": 1', '"order": ' + "1" * 5000).encode(),
+                 [*_TRANSLIT, "--lm", "{path}"],
+                 3, "{path}: not a valid model file: invalid JSON (Exceeds the limit", id="lm-long-integer"),
+    pytest.param("s.scores.jsonl", json.dumps(TestReportErrors.GOOD_ROW).replace('"n_pairs": 3', '"n_pairs": ' + "3" * 5000).encode(),
+                 ["report", "--scores", "{path}"],
+                 3, "{path}: line 1: invalid JSON (Exceeds the limit", id="scores-long-integer"),
+    # A comment ends only at a line end, not at U+0085 or U+2028.
+    pytest.param("map.tsv", "# a\u0085b\tc\nno tab\n".encode(), [*_TRANSLIT, "--table", "{path}"],
+                 3, "{path}: line 2: expected source_char<TAB>candidates", id="table-comment-u0085"),
+    pytest.param("chars.tsv", "# note\u2028 tail\nU+0438\tbogus\n".encode(),
+                 ["normalize", "--script", "tajik", "--char-table", "{path}"],
+                 3, "{path}: line 2: unknown class 'bogus'", id="char-table-comment-u2028"),
 ]
+
+
+def _packaged(name: str) -> bytes:
+    return resources.files("tgfa.data").joinpath(name).read_bytes()
+
+
+_TOY = toy_corpus(4)
+_TOY_LM = train_lm([p.tg_train for p in _TOY], order=2).to_payload()
+_SCORE_ROWS = [{"meta": TestReportErrors.GOOD_META}, {**TestReportErrors.GOOD_ROW, "group": "poetry"},
+               TestReportErrors.GOOD_ROW]
+# One valid file of each kind, and the command that reads it: {path} is
+# the file, {input} a text input, {corpus} a valid corpus of 4 pairs.
+_VALID_FILES = {
+    "corpus.jsonl": ("".join(p.jsonl_line for p in _TOY).encode(), ["stats", "--corpus", "{path}"]),
+    "corpus.tsv": ("".join(f"{p.fa}\t{p.tg}\t{p.dataset}\n" for p in _TOY).encode(), ["stats", "--corpus", "{path}"]),
+    "lm.json": (json.dumps(_TOY_LM, ensure_ascii=False).encode(),
+                ["translit", "--direction", "fa2tg", "--lm", "{path}", "-i", "{input}", "-o", "{output}"]),
+    "dict.json": (json.dumps({**_DICT_FA2TG, "direction": "tg2fa", "entries": {"бғд": "بغد"}}).encode(),
+                  [*_TRANSLIT, "--dict", "{path}", "-i", "{input}", "-o", "{output}"]),
+    "s.scores.jsonl": ("".join(json.dumps(r) + "\n" for r in _SCORE_ROWS).encode(),
+                       ["report", "--scores", "{path}", "-o", "{output}"]),
+    "map.tsv": (_packaged("map_tg2fa.tsv"), [*_TRANSLIT, "--table", "{path}", "-i", "{input}", "-o", "{output}"]),
+    "chars.tsv": (export_char_table("tajik").encode(),
+                  ["normalize", "--script", "tajik", "--char-table", "{path}", "-i", "{input}", "-o", "{output}"]),
+    "cons.tsv": (_packaged("consonants.tsv"), _FILTER_NAMES),
+    "hyp.txt": ("".join(p.fa + "\n" for p in _TOY).encode(),
+                ["score", "--corpus", "{corpus}", "--hyp", "{path}", "--direction", "tg2fa"]),
+}
+# A JSON number or string, key or value.
+_JSON_TOKEN = re.compile(rb'-?\d+(?:\.\d+)?|"(?:[^"\\]|\\.)*"')
+_BAD_VALUES = (b"NaN", b"-Infinity", b"-5", b"0", b"9" * 5000, b'""', b"[]", b"null")
+
+
+def _mutations(data: bytes):
+    """One mutation of ``data``: truncate, flip or insert a byte, insert 0xFF or U+2028,
+    nest, duplicate or drop a line, or set a JSON token to a bad value."""
+    n, lines = len(data), data.split(b"\n")
+    at = st.integers(0, n)
+
+    def splice(i: int, j: int, new: bytes) -> bytes:
+        return data[:i] + new + data[j:]
+
+    line = st.integers(0, len(lines) - 1)
+    tokens = [m.span() for m in _JSON_TOKEN.finditer(data)]
+    # Where a JSON value may start: a line or a token.
+    starts = sorted({*(m.start() for m in re.finditer(rb"^", data, re.M)), *(i for i, _ in tokens)})
+    mutations = [
+        at.map(lambda i: data[:i]),
+        st.tuples(st.integers(0, n - 1), st.integers(1, 255)).map(
+            lambda t: splice(t[0], t[0] + 1, bytes([data[t[0]] ^ t[1]]))
+        ),
+        st.tuples(at, st.sampled_from([b"\xff", "\u2028".encode()]) | st.binary(min_size=1, max_size=1)).map(
+            lambda t: splice(t[0], t[0], t[1])
+        ),
+        st.sampled_from(starts).map(lambda i: splice(i, i, b"[" * 2000)),
+        line.map(lambda k: b"\n".join(lines[: k + 1] + lines[k:])),
+        line.map(lambda k: b"\n".join(lines[:k] + lines[k + 1 :])),
+    ]
+    if tokens:
+        mutations.append(
+            st.tuples(st.sampled_from(tokens), st.sampled_from(_BAD_VALUES)).map(lambda t: splice(*t[0], t[1]))
+        )
+    return st.one_of(mutations)
 
 
 class TestMalformedInputsGuard:
@@ -717,6 +846,29 @@ class TestMalformedInputsGuard:
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert "<stdin>: line 1: not valid UTF-8 (byte 0xFF)" in result.output
+
+    @pytest.mark.parametrize("name", list(_VALID_FILES))
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file(self, tmp_path_factory, name, data):
+        """One mutation of a valid file ends in success or a typed error naming a file at fault."""
+        valid, argv = _VALID_FILES[name]
+        mutated = data.draw(_mutations(valid), label="file")
+        assert len(mutated) < 1 << 16
+        tmp = tmp_path_factory.mktemp("mutated")
+        path, inp = tmp / name, tmp / "in.txt"
+        path.write_bytes(mutated)
+        inp.write_text("бғд\n", encoding="utf-8")
+        fill = {"path": str(path), "input": str(inp), "output": str(tmp / "out.txt"), "out": str(tmp / "out"),
+                "corpus": str(write_corpus(tmp / "corpus.jsonl", _TOY))}
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err), pytest.raises(SystemExit) as exited:
+            main([arg.format(**fill) for arg in argv])
+        code = exited.value.code or 0
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        # An inventory gap names the input line that holds the character.
+        assert code == 0 or str(path) in err.getvalue() or str(inp) in err.getvalue(), err.getvalue()
 
 
 # The child runs each command through tgfa.cli.main, then reports whether

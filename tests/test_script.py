@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tgfa
 from tgfa.errors import ParseError
 from tgfa.script import (
     FARSI_DIACRITICS,
@@ -278,3 +282,50 @@ class TestTableLines:
     def test_bad_code_point(self, field):
         with pytest.raises(ParseError, match="line 7: bad code point"):
             parse_code_point(field, line=7)
+
+
+# The (module, name) pairs that turn input text into lines or JSON values;
+# any ``.splitlines`` does too.
+_READERS = {("json", "loads"), ("json", "load"), ("json", "JSONDecoder"), ("io", "StringIO")}
+
+
+class _ReaderUses(ast.NodeVisitor):
+    """(enclosing function, name) of each use of a reader in a module."""
+
+    def __init__(self):
+        self.scope: list[str] = []
+        self.found: list[tuple[str, str]] = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Attribute(self, node):
+        module = node.value.id if isinstance(node.value, ast.Name) else None
+        if node.attr == "splitlines" or (module, node.attr) in _READERS:
+            self.found.append((".".join(self.scope) or "<module>", ast.unparse(node)))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        self.found += [("<module>", f"{node.module}.{a.name}") for a in node.names if (node.module, a.name) in _READERS]
+
+
+class TestOneReader:
+    """Input text becomes lines, and JSON values, only in script.py."""
+
+    @staticmethod
+    def _uses(path: Path) -> list[tuple[str, str]]:
+        visitor = _ReaderUses()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        return visitor.found
+
+    def test_no_other_module_splits_lines_or_decodes_json(self):
+        package = Path(tgfa.__file__).parent
+        found = [f"{path.name}: {name} in {scope}" for path in sorted(package.glob("*.py")) if path.name != "script.py"
+                 for scope, name in self._uses(path)]
+        assert not found, "read input through script.read_lines and script.parse_json_object: " + ", ".join(found)
+
+    def test_script_splits_and_decodes_in_one_place_each(self):
+        uses = self._uses(Path(tgfa.__file__).parent / "script.py")
+        assert sorted(uses) == [("<module>", "json.JSONDecoder"), ("split_lines", "io.StringIO")]
