@@ -73,7 +73,7 @@ class _Group(click.Group):
 
 @contextmanager
 def _stage(name: str):
-    """Attach the failing pipeline stage to any toolkit error."""
+    """Prefix any toolkit error with ``name``: the failing pipeline stage, or the input file."""
     try:
         yield
     except TgfaError as e:
@@ -341,7 +341,8 @@ def _ratios(ctx, param, value: str) -> tuple[float, ...]:
 def split(corpus, seed, ratios, out):
     """Stratified train/dev/test holdout split; writes the three subsets."""
     pairs = corpus_mod.load(corpus)
-    spec = corpus_mod.split_holdout(pairs, ratios, seed)
+    with _stage(corpus):
+        spec = corpus_mod.split_holdout(pairs, ratios, seed)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -369,7 +370,8 @@ def split(corpus, seed, ratios, out):
 def kfold(corpus, k, seed, out):
     """Stratified k-fold cross-validation index sets."""
     pairs = corpus_mod.load(corpus)
-    folds = corpus_mod.kfold(pairs, k=k, seed=seed)
+    with _stage(corpus):
+        folds = corpus_mod.kfold(pairs, k=k, seed=seed)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = [
@@ -430,7 +432,8 @@ def build_dict(corpus, direction, out):
 def train_lm_cmd(corpus, direction, lm_order, smoothing, out):
     """Train the character n-gram model on the target side of a corpus."""
     pairs = corpus_mod.load(corpus)
-    lm = translit_mod.train_lm([direction.target_text(p) for p in pairs], order=lm_order, smoothing=smoothing)
+    with _stage(corpus):
+        lm = translit_mod.train_lm([direction.target_text(p) for p in pairs], order=lm_order, smoothing=smoothing)
     translit_mod.save_lm(lm, out)
     click.echo(f"order-{lm_order} model over {len(lm.vocab)} symbols")
 
@@ -569,7 +572,7 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
     with _stage("load"):
         pairs = corpus_mod.load(corpus)
     table = translit_mod.default_mapping_table(direction.name)
-    with _stage("split"):
+    with _stage("split"), _stage(corpus):
         if folds == 0:
             specs = [corpus_mod.split_holdout(pairs, seed=seed)]
         else:

@@ -309,7 +309,9 @@ def parse_json_object(text: str, path: str | None = None, line: int | None = Non
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
         value = _JSON.decode(text)
     except (ValueError, RecursionError) as e:
-        raise ParseError(f"invalid JSON ({getattr(e, 'msg', e)})", line=line, path=path) from None
+        # Drop CPython's advice to raise the integer digit limit, which no command-line user can take.
+        reason = str(getattr(e, "msg", e)).split("; use sys.set_int_max_str_digits()")[0]
+        raise ParseError(f"invalid JSON ({reason})", line=line, path=path) from None
     if not isinstance(value, dict):
         raise ParseError("expected a JSON object", line=line, path=path)
     return value

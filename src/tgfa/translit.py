@@ -197,16 +197,24 @@ class CharNGramLM:
     Every conditional distribution sums to 1 over that extended alphabet.
 
     Every symbol, the sentinels included, is one character, so a context
-    is a string. The state a query depends on is the last ``order - 1``
-    characters of the text so far, left-padded with begin sentinels and
-    read through ``symbols``, as in KenLM (Heafield 2011). A query's key
-    is its state plus the symbol, and the state after the symbol is
-    ``key[1:]``. So a decoder carries each hypothesis's state and asks
-    ``logp_key`` with a ready-made key, while ``logp`` and ``score``
-    build the same key from a context. ``logp_key`` reads one memo of
-    log-probabilities by key, kept for the life of the model object, so
-    a repeated query costs one dictionary lookup; the memo grows with
-    the distinct queries. ``prob`` computes its value afresh.
+    is a string. A query depends on the last ``order - 1`` characters of
+    the text so far, left-padded with begin sentinels and read through
+    ``symbols``, and only on the longest suffix of them that the model
+    counted as a context: Witten-Bell skips every level whose context
+    was never counted. That suffix, or ``""``, is the query's state; the
+    states are minimized as in KenLM (Heafield 2011). A query's key is
+    its state plus the symbol. Training counts the prefix of every
+    context it counts, so the state after the symbol is the longest
+    counted suffix of the key.
+
+    A decoder carries each hypothesis's state, starting from ``start``,
+    and asks ``logp_key`` with a ready-made key, while ``logp`` and
+    ``score`` build the same key from a context. ``logp_key`` reads one
+    memo that maps each key to its log-probability and the next state,
+    kept for the life of the model object, so a repeated query costs one
+    dictionary lookup; the memo grows with the distinct queries, and its
+    values share one ``str`` per state. ``prob`` computes its value
+    afresh.
 
     The counts have ``lm.json``'s shape: level k maps each k-character
     context to its bucket, ``{symbol: count}``, and one dict holds each
@@ -226,8 +234,6 @@ class CharNGramLM:
             raise ConfigError(f"unknown smoothing {smoothing!r}")
         self.order = order
         self.smoothing = smoothing
-        # The state of the empty text.
-        self.start = BOS * (order - 1)
         self._set_counts((), [{} for _ in range(order)])
 
     def _set_counts(
@@ -247,7 +253,11 @@ class CharNGramLM:
         if totals is None:
             totals = {ctx: sum(bucket.values()) for level in levels for ctx, bucket in level.items()}
         self._totals = totals
-        self._memo: dict[str, float] = {}
+        # One str per state, which every memo value naming it shares.
+        self._states: dict[str, str] = {}
+        self._memo: dict[str, tuple[float, str]] = {}
+        # The state of the empty text.
+        self.start = self._minimize(BOS * (self.order - 1))
 
     def _set_trained(self, levels: list[_Level], totals: dict[str, int] | None = None) -> "CharNGramLM":
         """Install trained counts, with the characters the unigram level counts as the alphabet.
@@ -272,15 +282,23 @@ class CharNGramLM:
         known = self._known
         return text if known.issuperset(text) else "".join(c if c in known else UNK for c in text)
 
+    def _minimize(self, text: str) -> str:
+        """The longest suffix of ``text`` that the model counted as a context, or ``""``."""
+        totals = self._totals
+        i = 0
+        while i < len(text) and text[i:] not in totals:
+            i += 1
+        state = text[i:]
+        return self._states.setdefault(state, state)
+
     def _key(self, symbol: str, context: Sequence[str] | str) -> str:
         """The query key of ``symbol`` after ``context``: its state, then the symbol."""
         n = self.order - 1
         tail = context[len(context) - n :] if len(context) > n else context
         if not isinstance(tail, str):
             tail = "".join(tail)
-        if len(tail) < n:
-            tail = BOS * (n - len(tail)) + tail
-        return self.symbols(tail) + (symbol if symbol in self._known else UNK)
+        state = self._minimize(self.symbols(BOS * (n - len(tail)) + tail))
+        return state + (symbol if symbol in self._known else UNK)
 
     def prob(self, symbol: str, context: Sequence[str] | str = ()) -> float:
         """P(symbol | last order-1 context symbols), computed without the memo.
@@ -291,14 +309,19 @@ class CharNGramLM:
         return self._prob(key[:-1], key[-1])
 
     def _prob(self, ctx: str, sym: str) -> float:
-        n = self.order - 1
+        """P(sym | ctx) for a context of at most ``order - 1`` characters.
+
+        Witten-Bell reads the levels up to the context's length; without
+        smoothing only the top level is read, so a shorter context gives 0.
+        """
         totals = self._totals
         if self.smoothing == "none":
-            bucket = self._levels[n].get(ctx)
+            bucket = self._levels[self.order - 1].get(ctx)
             return bucket.get(sym, 0) / totals[ctx] if bucket else 0.0
         # Uniform base distribution over the extended alphabet.
         p = self._base
-        for k, level in enumerate(self._levels):
+        n = len(ctx)
+        for k, level in enumerate(self._levels[: n + 1]):
             c = ctx[n - k :]
             bucket = level.get(c)
             if bucket is not None:
@@ -307,19 +330,20 @@ class CharNGramLM:
         return p
 
     def logp(self, symbol: str, context: Sequence[str] | str = ()) -> float:
-        return self.logp_key(self._key(symbol, context))
+        return self.logp_key(self._key(symbol, context))[0]
 
-    def logp_key(self, key: str) -> float:
-        """log P(key[-1] | key[:-1]) for a ready-made key: a state, then one symbol.
+    def logp_key(self, key: str) -> tuple[float, str]:
+        """log P(key[-1] | key[:-1]) and the state after it, for a ready-made key.
 
-        The state is ``order - 1`` characters as ``symbols`` gives them,
-        begin sentinels first when the text is shorter; the next state is
-        ``key[1:]``. A repeated key is one memo lookup.
+        The key is a state, then one symbol; the state after it is the
+        longest counted suffix of the key, which no counted context's
+        ``order - 1`` characters can exceed. A repeated key is one memo
+        lookup.
         """
-        lp = self._memo.get(key)
-        if lp is None:
-            lp = self._memo[key] = _log(self._prob(key[:-1], key[-1]))
-        return lp
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = (_log(self._prob(key[:-1], key[-1])), self._minimize(key))
+        return hit
 
     def score(self, text: str) -> float:
         """Total log-probability of a string including the end sentinel."""
@@ -385,7 +409,9 @@ class CharNGramLM:
         holds every counted character. The alphabet must be exactly the
         end sentinel, the unknown bucket and the characters of level 0's
         ``""`` bucket, sorted, so every distribution sums to 1 over it.
-        The model keeps the decoded buckets, less any empty one.
+        Each context of level k > 0 less its last character must be a
+        context of level k - 1, as in every trained model. The model
+        keeps the decoded buckets, less any empty one.
         """
         order = _field(payload, "order", lambda v: type(v) is int, "an integer", path)
         if order < 1:
@@ -418,8 +444,18 @@ class CharNGramLM:
                 "characters counted in context '', in increasing order",
                 path=path,
             )
+        levels = [{ctx: bucket for ctx, bucket in level if bucket} for level in counts]
+        # Minimized states rely on this: training counts the prefix of every context it counts.
+        for k in range(1, order):
+            shorter = levels[k - 1]
+            for ctx in levels[k]:
+                if ctx[:-1] not in shorter:
+                    raise ArtifactError(
+                        f"field 'counts' has level {k} context {ctx!r} but not its prefix in level {k - 1}",
+                        path=path,
+                    )
         lm = cls(order=order, smoothing=smoothing)
-        lm._set_counts(alphabet, [{ctx: bucket for ctx, bucket in level if bucket} for level in counts])
+        lm._set_counts(alphabet, levels)
         return lm
 
 
@@ -732,12 +768,13 @@ def expand_lattice(word: str, table: MappingTable) -> Lattice:
 def beam_decode(lattice: Lattice, lm: CharNGramLM, beam: int = DEFAULT_BEAM) -> list[str]:
     """Rank lattice paths by LM score with a per-position beam.
 
-    A hypothesis is ``(-score, text, state)``, ``state`` being the LM
-    state after ``text``. Each character a candidate adds is one keyed
-    query, ``lm.logp_key(state + symbol)``, and moves the state on to
-    ``key[1:]``. Identical partial strings are merged (their scores are
-    equal by construction). Ties break lexicographically, so the result
-    is deterministic; with beam >= path count it equals exhaustive scoring.
+    A hypothesis is ``(-score, text, state)``, ``state`` being the
+    model's minimized state after ``text``. Each character a candidate
+    adds is one keyed query, ``lm.logp_key(state + symbol)``, which gives
+    its log-probability and the next state. Identical partial strings
+    are merged (their scores are equal by construction). Ties break
+    lexicographically, so the result is deterministic; with beam >= path
+    count it equals exhaustive scoring.
     """
     if beam < 1:
         raise ConfigError("beam must be >= 1")
@@ -755,13 +792,12 @@ def beam_decode(lattice: Lattice, lm: CharNGramLM, beam: int = DEFAULT_BEAM) -> 
                 seen.add(text)
                 c, s = cost, state
                 for sym in symbols:
-                    key = s + sym
-                    c -= query(key)
-                    s = key[1:]
+                    lp, s = query(s + sym)
+                    c -= lp
                 extended.append((c, text, s))
         extended.sort()
         hyps = extended[:beam]
-    finals = sorted([(cost - query(state + EOS), text) for cost, text, state in hyps])
+    finals = sorted([(cost - query(state + EOS)[0], text) for cost, text, state in hyps])
     return [text for _, text in finals]
 
 

@@ -719,6 +719,14 @@ BAD_FILES = [
                  ["stats", "--corpus", "{path}"],
                  3, "{path}: line 1: field 'domain' is not a string", id="corpus-domain-number"),
     pytest.param("bad.jsonl", b"\n", ["stats", "--corpus", "{path}"], 4, "{path}: no pairs", id="corpus-empty"),
+    pytest.param("empty.jsonl", b"\n", ["split", "--corpus", "{path}", "--out", "{out}"],
+                 2, "{path}: need at least 10 pairs, got 0", id="split-corpus-empty"),
+    pytest.param("empty.jsonl", b"\n", ["kfold", "--corpus", "{path}", "--out", "{out}"],
+                 2, "{path}: need at least k=10 pairs, got 0", id="kfold-corpus-empty"),
+    pytest.param("empty.jsonl", b"\n", ["train-lm", "--corpus", "{path}", "--direction", "tg2fa", "--out", "{out}"],
+                 4, "{path}: no non-empty training texts", id="train-lm-corpus-empty"),
+    pytest.param("empty.jsonl", b"\n", ["pipeline", "--corpus", "{path}", "--direction", "tg2fa", "--out", "{out}"],
+                 2, "split: {path}: need at least 10 pairs, got 0", id="pipeline-corpus-empty"),
     pytest.param("lm.json", b"\xff" + json.dumps(_LM_V2).encode(), [*_TRANSLIT, "--lm", "{path}"],
                  3, "{path}: line 1: not valid UTF-8 (byte 0xFF)", id="lm-not-utf8"),
     pytest.param("dict.json", b"\xff" + json.dumps(_DICT_FA2TG).encode(), [*_TRANSLIT, "--dict", "{path}"],
@@ -834,6 +842,16 @@ class TestMalformedInputsGuard:
         assert isinstance(result.exception, SystemExit), result.exception
         assert "Traceback" not in result.output
         assert message.format(**fill) in result.output
+
+    @pytest.mark.parametrize("row", ["lm-long-integer", "scores-long-integer"])
+    def test_long_integer_message_gives_no_python_advice(self, runner, tmp_path, row):
+        [(name, data, argv, _, _)] = [p.values for p in BAD_FILES if p.id == row]
+        path = tmp_path / name
+        path.write_bytes(data)
+        result = invoke(runner, [arg.format(path=path) for arg in argv], input="бғд\n")
+        assert result.exit_code == 3, result.output
+        assert "value has 5000 digits)" in result.output
+        assert "set_int_max_str_digits" not in result.output
 
     def test_stdin_inventory_gap(self, runner):
         result = invoke(runner, ["translit", "--direction", "fa2tg"], input="از\nٱب\n")

@@ -6,7 +6,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tgfa.errors import (
@@ -357,6 +357,84 @@ class TestCharNGramLMv2:
         with pytest.raises(ArtifactError) as e:
             load_lm(path)
         assert str(e.value).startswith(f"{path}: {message}")
+
+
+@st.composite
+def state_chain_cases(draw):
+    """A corpus, the indices of the texts a derived model drops, an order, a smoothing and query texts.
+
+    The corpus and the queries may hold the unknown-bucket character, and
+    the queries characters outside the alphabet.
+    """
+    texts = draw(st.lists(st.text(_LM_ALPHABET + UNK, max_size=10), min_size=1, max_size=8).filter(any))
+    dropped = draw(st.sets(st.integers(0, len(texts) - 1), max_size=len(texts) - 1))
+    assume(any(t for i, t in enumerate(texts) if i not in dropped))
+    order = draw(st.integers(1, 6))
+    smoothing = draw(st.sampled_from(SMOOTHINGS))
+    queries = draw(st.lists(st.text(_LM_ALPHABET + _OOV + UNK, max_size=10), min_size=1, max_size=4))
+    return texts, dropped, order, smoothing, queries
+
+
+def _is_state(lm: CharNGramLM, state: str) -> bool:
+    """Whether ``state`` is minimized: ``""`` or a context the model counted."""
+    return state == "" or state in lm._totals
+
+
+class TestMinimizedStates:
+    @settings(max_examples=200, deadline=None)
+    @given(state_chain_cases())
+    def test_keyed_chain_matches_oracle_bit_for_bit(self, case):
+        texts, dropped, order, smoothing, queries = case
+        lm = train_lm(texts, order=order, smoothing=smoothing)
+        if dropped:
+            lm = lm.without(texts[i] for i in sorted(dropped))
+        oracle = CharLMOracle([t for i, t in enumerate(texts) if i not in dropped], order, smoothing)
+        assert _is_state(lm, lm.start)
+        for text in queries:
+            state = lm.start
+            for i, sym in enumerate(lm.symbols(text) + EOS):
+                lp, state = lm.logp_key(state + sym)
+                p = oracle.prob((text + EOS)[i], tuple(text[:i]))
+                assert lp == (math.log(p) if p > 0.0 else float("-inf"))
+                assert _is_state(lm, state)
+
+    def test_decoder_states_are_counted_contexts_held_once(self):
+        rng = random.Random(5)
+        lm = random_lm(rng, "abc", order=4)
+        for _ in range(30):
+            beam_decode(random_lattice(rng, "abc" + _OOV), lm, beam=4)
+        states = [state for _, state in lm._memo.values()]
+        assert states and all(_is_state(lm, s) for s in states)
+        # Every memo value that names a state holds the same str object.
+        assert len({id(s) for s in states}) == len(set(states))
+
+    def test_order_one_has_only_the_empty_state(self):
+        lm = train_lm(["ab", "b"], order=1)
+        assert lm.start == ""
+        assert lm.logp_key("a") == (math.log(lm.prob("a")), "")
+        assert lm.logp_key(EOS)[1] == ""
+
+    def test_file_whose_contexts_lack_their_prefix_is_refused(self, tmp_path):
+        # The decoder's state after "xa" would be "a", losing the counted "xa".
+        payload = train_lm(["ab", "b"], order=3).to_payload()
+        payload["alphabet"] = sorted([*payload["alphabet"], "x"])
+        payload["counts"][0][0][1]["x"] = 1
+        payload["counts"][2].append(["xa", {"a": 5}])
+        path = tmp_path / "lm.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ArtifactError) as e:
+            load_lm(path)
+        assert str(e.value) == f"{path}: field 'counts' has level 2 context 'xa' but not its prefix in level 1"
+
+    @pytest.mark.parametrize("smoothing", SMOOTHINGS)
+    def test_untrained_model_answers_the_uniform_base(self, smoothing):
+        lm = CharNGramLM(3, smoothing)
+        assert lm.start == ""
+        lp, state = lm.logp_key(lm.start + UNK)
+        assert state == ""
+        # The extended alphabet is the end sentinel and the unknown bucket.
+        assert lp == (math.log(0.5) if smoothing == "witten_bell" else float("-inf"))
+        assert lm.logp("a", "xy") == lp
 
 
 def oracle_lm_json(texts, order: int, smoothing: str = "witten_bell") -> str:
