@@ -35,7 +35,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from .errors import ConfigError, LengthMismatch, ParseError, TgfaError, UnknownDataset
+from .errors import ConfigError, LengthMismatch, MarkerCollision, ParseError, TgfaError, UnknownDataset
 from .metrics import EvalPair, GroupScores, MetricReport, score_corpus
 from .script import NormMode, Script, load_char_table, normalize_text, parse_json_object, read_lines
 from .tokenizer import detokenize, format_token_line, parse_token_line, tokenize
@@ -279,7 +279,13 @@ def normalize_cmd(script, mode, char_table, input_, output):
 @click.option("-o", "--output", default="-")
 def tokenize_cmd(input_, output):
     """Insert contextual markers into normalized text."""
-    _write_lines(output, (format_token_line(tokenize(line)) for line in read_lines(input_)))
+    lines = []
+    for lineno, line in enumerate(read_lines(input_), start=1):
+        try:
+            lines.append(format_token_line(tokenize(line)))
+        except MarkerCollision as e:
+            raise MarkerCollision(str(e), line=lineno, path="<stdin>" if input_ == "-" else input_) from None
+    _write_lines(output, lines)
 
 
 @cli.command("detokenize")
@@ -470,12 +476,12 @@ def translit_cmd(direction, table_path, dict_path, lm_path, beam, assume_normali
     normalized = list(read_lines(input_))
     if not assume_normalized:
         normalized = [normalize_text(line, direction.source, NormMode.TRAIN) for line in normalized]
-    out_lines = translit_mod.transliterate_lines(
-        normalized, table, dictionary, lm, beam, where="<stdin>" if input_ == "-" else input_
-    )
+    where = "<stdin>" if input_ == "-" else input_
+    out_lines = translit_mod.transliterate_lines(normalized, table, dictionary, lm, beam, where=where)
     _write_lines(output, out_lines)
     if ambiguity_stats:
-        mean = translit_mod.avg_alternatives(normalized, table)
+        with _stage(where):
+            mean = translit_mod.avg_alternatives(normalized, table)
         click.echo(f"avg alternatives per token: {mean:.2f}", err=True)
 
 
@@ -526,7 +532,8 @@ def score(corpus, hyps, direction, sentence_chrf, format_, out):
     for name, hyp_path in sources.items():
         hyp_lines = _load_hyp_lines(hyp_path, len(pairs))
         eval_pairs = _eval_pairs(refs, hyp_lines, groups, direction.target)
-        systems[name] = score_corpus(eval_pairs, sentence_chrf)
+        with _stage(corpus):
+            systems[name] = score_corpus(eval_pairs, sentence_chrf)
     table_text = _report_table(systems, meta)
     if format_ == "table":
         click.echo(table_text, nl=False)

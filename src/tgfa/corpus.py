@@ -4,7 +4,9 @@ File formats (all UTF-8, LF):
 
 * JSONL: one object per line with keys ``fa``, ``tg``, ``dataset``
   (optional) and ``domain`` (optional, derivable from the dataset label).
-* TSV: ``fa<TAB>tg[<TAB>dataset[<TAB>domain]]``.
+  A corpus named ``*.jsonl``, ``*.json`` or ``*.ndjson`` is read as
+  JSONL, and ``save`` writes JSONL.
+* TSV: ``fa<TAB>tg[<TAB>dataset[<TAB>domain]]``, any other corpus name.
 * Consonant map TSV: ``tajik_char<TAB>farsi_char``, one-to-one.
 """
 
@@ -14,7 +16,7 @@ import json
 import logging
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from math import floor
@@ -48,7 +50,6 @@ __all__ = [
     "default_consonant_map",
     "load_consonant_map",
     "paranames_filter",
-    "group_domains",
 ]
 
 log = logging.getLogger(__name__)
@@ -126,12 +127,6 @@ class SplitSpec:
     test: tuple[int, ...]
 
 
-def _detect_format(path: Path) -> str:
-    if path.suffix.lower() in (".jsonl", ".json", ".ndjson"):
-        return "jsonl"
-    return "tsv"
-
-
 # Line parsers, and ParallelPair for an unknown domain, raise ValueError
 # or ParseError with the reason; read_pairs adds the file and line.
 def _parse_jsonl_line(line: str) -> ParallelPair:
@@ -163,10 +158,8 @@ def _parse_tsv_line(line: str) -> ParallelPair:
     )
 
 
-def read_pairs(
-    path: str | Path, fmt: str | None = None
-) -> tuple[list[ParallelPair], list[str]]:
-    """Parse a corpus file; returns (pairs, per-line skip diagnostics).
+def read_pairs(path: str | Path) -> tuple[list[ParallelPair], list[str]]:
+    """Parse a JSONL or TSV corpus file, by its suffix; returns (pairs, per-line skip diagnostics).
 
     Each pair carries its train-normalized sides (see ParallelPair).
     Pairs with a side that is empty after train normalization are
@@ -175,10 +168,7 @@ def read_pairs(
     ParseError naming the file and the 1-based line.
     """
     path = Path(path)
-    fmt = fmt or _detect_format(path)
-    if fmt not in ("jsonl", "tsv"):
-        raise ConfigError(f"unknown corpus format {fmt!r}")
-    parse = _parse_jsonl_line if fmt == "jsonl" else _parse_tsv_line
+    parse = _parse_jsonl_line if path.suffix.lower() in (".jsonl", ".json", ".ndjson") else _parse_tsv_line
     pairs: list[ParallelPair] = []
     skipped: list[str] = []
     for lineno, line in enumerate(read_lines(path), start=1):
@@ -198,9 +188,9 @@ def read_pairs(
     return pairs, skipped
 
 
-def load(path: str | Path, fmt: str | None = None) -> list[ParallelPair]:
+def load(path: str | Path) -> list[ParallelPair]:
     """Load a JSONL or TSV corpus, logging skipped lines."""
-    pairs, skipped = read_pairs(path, fmt)
+    pairs, skipped = read_pairs(path)
     for msg in skipped:
         log.warning("%s: %s", path, msg)
     if skipped:
@@ -208,19 +198,10 @@ def load(path: str | Path, fmt: str | None = None) -> list[ParallelPair]:
     return pairs
 
 
-def save(pairs: Iterable[ParallelPair], path: str | Path, fmt: str = "jsonl") -> None:
-    """Write pairs back out in JSONL or TSV form.
-
-    Any other ``fmt`` raises ConfigError before ``path`` is opened.
-    """
-    if fmt not in ("jsonl", "tsv"):
-        raise ConfigError(f"unknown corpus format {fmt!r}")
+def save(pairs: Iterable[ParallelPair], path: str | Path) -> None:
+    """Write pairs as JSONL, one ``jsonl_line`` each."""
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for p in pairs:
-            if fmt == "jsonl":
-                fh.write(p.jsonl_line)
-            else:
-                fh.write("\t".join([p.fa, p.tg, p.dataset, p.domain or ""]) + "\n")
+        fh.writelines(p.jsonl_line for p in pairs)
 
 
 def domain_of(pair: ParallelPair) -> str:
@@ -230,15 +211,6 @@ def domain_of(pair: ParallelPair) -> str:
     if pair.domain is not None:
         return pair.domain
     raise UnknownDataset(f"dataset {pair.dataset!r} has no registered domain")
-
-
-def group_domains(pairs: Sequence[ParallelPair]) -> list[ParallelPair]:
-    """Fill in domain tags from the fixed dataset grouping.
-
-    Pairs whose dataset label is unregistered keep an explicit domain if
-    they carry one; otherwise UnknownDataset is raised.
-    """
-    return [replace(p, domain=domain_of(p)) for p in pairs]
 
 
 def stats(

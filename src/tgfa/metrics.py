@@ -16,10 +16,10 @@ Conventions that matter for comparability:
 `score_corpus` is the one scorer. It scores each pair once (one edit
 distance, one chrF++ count vector whose first six orders are chrF's)
 and builds every group and the pooled overall from those values. The
-single-metric functions (`chrf`, `chrf_pp`, `cer_mean`, `ncer_mean`,
-`seq_acc`) each read one field of its overall scores, so each costs a
-full scoring pass. Every edit distance comes from the bit-parallel
-kernel in `tgfa._kernels`.
+single-metric functions (`chrf`, `chrf_pp`, `cer_mean`, `ncer_mean`)
+each read one field of its overall scores, so each costs a full
+scoring pass. Every edit distance comes from the bit-parallel kernel in
+`tgfa._kernels`.
 
 Each order's n-gram totals are its side's length minus n - 1 (never
 below 0), so n-grams are counted only to find matches, and only where
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ._kernels import levenshtein as edit_distance
-from .errors import ConfigError, EmptyCorpus, WrongState
+from .errors import EmptyCorpus, WrongState
 from .script import FARSI_DIACRITICS, ZWNJ, strip_whitespace
 
 __all__ = [
@@ -45,10 +45,8 @@ __all__ = [
     "edit_distance",
     "cer_mean",
     "ncer_mean",
-    "ngram_f",
     "chrf",
     "chrf_pp",
-    "seq_acc",
     "score_corpus",
 ]
 
@@ -165,18 +163,7 @@ def _f_from_stats(stats: Sequence[tuple[int, int, int]], beta: float) -> float:
     return (1 + b2) * p * r / (b2 * p + r) * 100.0
 
 
-def ngram_f(
-    hyp: str, ref: str, max_char_n: int, max_word_n: int = 0, beta: float = CHRF_BETA
-) -> float:
-    """Sentence-level character/word n-gram F-score in [0, 100]."""
-    if max_char_n < 1:
-        raise ConfigError("max_char_n must be >= 1")
-    if beta <= 0:
-        raise ConfigError("beta must be > 0")
-    stats = _stats(strip_whitespace(hyp), strip_whitespace(ref), hyp, ref, max_char_n, max_word_n)
-    return _f_from_stats(stats, beta)
-
-
+# perfbench/tracer.py binds these four by name; they can go once its metrics.chrf and metrics.cer rows do.
 def chrf(pairs: Sequence[EvalPair], sentence_level: bool = False) -> float:
     """Corpus chrF: character n-grams up to order 6, beta = 2."""
     return score_corpus(pairs, sentence_level).overall.chrf
@@ -195,12 +182,6 @@ def cer_mean(pairs: Sequence[EvalPair]) -> float:
 def ncer_mean(pairs: Sequence[EvalPair]) -> float:
     """Mean of edit distance divided by max(1, reference length)."""
     return score_corpus(pairs).overall.ncer
-
-
-def seq_acc(pairs: Sequence[EvalPair], strip_ws: bool = False) -> float:
-    """Percentage of hypotheses exactly matching their references."""
-    overall = score_corpus(pairs).overall
-    return overall.acc_no_ws if strip_ws else overall.acc
 
 
 _GROUP_ORDER = {"poetry": 0, "prose": 1, "names": 2, "dictionary": 3}

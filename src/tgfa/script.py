@@ -53,7 +53,6 @@ __all__ = [
     "classify_char",
     "normalize_text",
     "strip_whitespace",
-    "export_char_table",
     "load_char_table",
     "decode_utf8",
     "read_utf8",
@@ -117,11 +116,7 @@ def classify_char(
     Total and deterministic: any scalar value maps to exactly one class.
     ``table`` holds per-code-point overrides loaded from a TSV config.
     """
-    return _classify(c, Script(script), table)
-
-
-def _classify(c: str, script: Script, table: Mapping[str, CharClass] | None) -> CharClass:
-    """``classify_char`` for a ``script`` already converted; a translation asks it once per code point."""
+    script = Script(script)
     if table is not None:
         override = table.get(c)
         if override is not None:
@@ -162,13 +157,13 @@ class _Translation(dict):
         self.hyphens = sorted(
             c
             for c in {HYPHEN, *(table or ())}
-            if self.keep_optional and len(c) == 1 and _classify(c, script, table) is CharClass.TAJIK_HYPHEN
+            if self.keep_optional and len(c) == 1 and classify_char(c, script, table) is CharClass.TAJIK_HYPHEN
         )
         self.hyphen_pattern = re.compile("|".join(map(re.escape, self.hyphens)))
 
     def __missing__(self, code_point: int) -> str | None:
         ch = chr(code_point)
-        cls = _classify(ch, self.script, self.table)
+        cls = classify_char(ch, self.script, self.table)
         if cls is CharClass.SPACE:
             out = " "
         elif cls in _LETTER_CLASSES or (self.keep_optional and cls in _OPTIONAL_CLASSES):
@@ -193,8 +188,8 @@ class _Translation(dict):
             i = m.start()
             joining = (
                 0 < i < last
-                and _classify(text[i - 1], script, table) in _LETTER_CLASSES
-                and _classify(text[i + 1], script, table) in _LETTER_CLASSES
+                and classify_char(text[i - 1], script, table) in _LETTER_CLASSES
+                and classify_char(text[i + 1], script, table) in _LETTER_CLASSES
             )
             return m[0] if joining else ""
 
@@ -246,29 +241,6 @@ def normalize_text(
 def strip_whitespace(text: str) -> str:
     """Remove every whitespace character (normalized text only has U+0020)."""
     return "".join(text.split())
-
-
-def _inventory(script: Script) -> dict[str, CharClass]:
-    chars: dict[str, CharClass] = {ZWNJ: CharClass.ZWNJ}
-    if script is Script.FARSI:
-        for c in sorted(FARSI_LETTERS):
-            chars[c] = CharClass.PERSO_ARABIC_LETTER
-        for c in sorted(FARSI_DIACRITICS):
-            chars[c] = CharClass.PERSO_ARABIC_DIACRITIC
-    else:
-        for c in sorted(TAJIK_LETTERS):
-            chars[c] = CharClass.TAJIK_LETTER
-        chars[HYPHEN] = CharClass.TAJIK_HYPHEN
-    return chars
-
-
-def export_char_table(script: Script | str) -> str:
-    """Dump the built-in inventory as ``U+XXXX<TAB>class`` TSV lines."""
-    rows = [
-        f"U+{ord(c):04X}\t{cls.value}"
-        for c, cls in sorted(_inventory(Script(script)).items())
-    ]
-    return "\n".join(rows) + "\n"
 
 
 def decode_utf8(data: bytes, where: str) -> str:

@@ -35,7 +35,6 @@ __all__ = [
     "EMPTY_MARK",
     "MappingTable",
     "load_mapping_table",
-    "save_mapping_table",
     "default_mapping_table",
     "CharNGramLM",
     "train_lm",
@@ -168,14 +167,6 @@ def load_mapping_table(source: str | Path | Iterable[str], direction: Direction)
     table = MappingTable(direction=direction, entries=entries)
     table.validate(where)
     return table
-
-
-def save_mapping_table(table: MappingTable, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for src in sorted(table.entries):
-            shown = src if src.isprintable() else f"U+{ord(src):04X}"
-            cands = "|".join(c if c else EMPTY_MARK for c in table.entries[src])
-            fh.write(f"{shown}\t{cands}\n")
 
 
 def default_mapping_table(name: str) -> MappingTable:
@@ -632,9 +623,6 @@ class TranslitDict:
     skipped_pairs: int = 0
     votes: dict[str, Counter[str]] | None = field(default=None, repr=False, compare=False)
 
-    def get(self, token: str) -> str | None:
-        return self.entries.get(token)
-
     def without(self, pairs: Sequence[ParallelPair]) -> "TranslitDict":
         """The dictionary of the pairs this one was built from, less ``pairs``.
 
@@ -830,7 +818,7 @@ def transliterate_lines(
         for i, token in enumerate(tokens):
             if token in done:
                 continue
-            hit = dictionary.get(token) if dictionary is not None else None
+            hit = dictionary.entries.get(token) if dictionary is not None else None
             if hit is None:
                 try:
                     lattice = expand_lattice(token, table)

@@ -5,11 +5,18 @@ import random
 import pytest
 
 from tgfa.corpus import ParallelPair
+from tgfa.script import TAJIK_LETTERS, ZWNJ, CharClass
 
 # Letters that sit in both default mapping tables, so synthetic corpora
 # built from them never hit inventory gaps.
 TAJIK_SAMPLE = "абвгдежзийклмнопрстуфхчшъэюяёғӣқӯҳҷ"
 FARSI_SAMPLE = "ابپتثجچحخدذرزژسشصضطظعغفقکگلمنوهیء"
+
+
+def tajik_char_table() -> str:
+    """The built-in Tajik inventory as ``U+XXXX<TAB>class`` lines in code point order: a valid ``--char-table``."""
+    chars = {ZWNJ: CharClass.ZWNJ, "-": CharClass.TAJIK_HYPHEN, **dict.fromkeys(TAJIK_LETTERS, CharClass.TAJIK_LETTER)}
+    return "".join(f"U+{ord(c):04X}\t{cls.value}\n" for c, cls in sorted(chars.items()))
 
 
 def random_words(rng: random.Random, alphabet: str, n_words: int, max_len: int = 8) -> str:

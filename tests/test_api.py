@@ -1,22 +1,64 @@
-"""Each module's ``__all__`` is its public API: names that resolve, none of them private."""
+"""Each module's ``__all__`` is its public API: names that resolve, none of them private, each of them used."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 from pathlib import Path
 
 import tgfa
 
+SRC = Path(tgfa.__file__).parent
+ROOT = SRC.parent.parent
+
+
+def _exports() -> dict[str, list[str]]:
+    """Each ``tgfa`` module that has an ``__all__``, mapped to it."""
+    exports = {}
+    for path in sorted(SRC.glob("*.py")):
+        name = "tgfa" if path.stem == "__init__" else f"tgfa.{path.stem}"
+        exported = getattr(importlib.import_module(name), "__all__", None)
+        if exported is not None:
+            exports[name] = exported
+    return exports
+
 
 def test_all_lists_public_names_that_resolve():
-    checked, bad = 0, []
-    for path in sorted(Path(tgfa.__file__).parent.glob("*.py")):
-        name = "tgfa" if path.stem == "__init__" else f"tgfa.{path.stem}"
+    exports, bad = _exports(), []
+    for name, exported in exports.items():
         module = importlib.import_module(name)
-        exported = getattr(module, "__all__", None)
-        if exported is None:
-            continue
-        checked += 1
         bad += [f"{name}.{attr}" for attr in exported if attr.startswith("_") or not hasattr(module, attr)]
-    assert checked, "no module has an __all__"
+    assert exports, "no module has an __all__"
     assert not bad, "private or unresolved names in __all__: " + ", ".join(bad)
+
+
+def _references(path: Path, strings: bool) -> set[str]:
+    """The names a file's code uses: loaded names, attributes and imported names.
+
+    With ``strings``, also every string constant, since the benchmark
+    tracer looks functions up by name with ``getattr``; a constant
+    counts only as a whole name, so a docstring that mentions one does
+    not. A definition is not a use, and neither is an ``__all__`` entry.
+    """
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def test_every_public_name_is_used():
+    """No public name is dead: the package, the benchmark or the test oracles use each one."""
+    used = set()
+    for path in SRC.glob("*.py"):
+        used |= _references(path, strings=False)
+    for path in [*(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "oracles.py"]:
+        used |= _references(path, strings=True)
+    dead = [f"{name}.{attr}" for name, exported in _exports().items() for attr in exported if attr not in used]
+    assert not dead, "public names nothing uses: " + ", ".join(dead)

@@ -20,10 +20,9 @@ from hypothesis import strategies as st
 import tgfa
 from tgfa.cli import _config_hash, _sha256, cli, main
 from tgfa.corpus import ParallelPair
-from tgfa.script import export_char_table
 from tgfa.translit import train_lm
 
-from conftest import toy_corpus
+from conftest import tajik_char_table, toy_corpus
 
 
 @pytest.fixture
@@ -727,6 +726,12 @@ BAD_FILES = [
                  4, "{path}: no non-empty training texts", id="train-lm-corpus-empty"),
     pytest.param("empty.jsonl", b"\n", ["pipeline", "--corpus", "{path}", "--direction", "tg2fa", "--out", "{out}"],
                  2, "split: {path}: need at least 10 pairs, got 0", id="pipeline-corpus-empty"),
+    pytest.param("empty.jsonl", b"", ["score", "--corpus", "{path}", "--hyp", "{path}", "--direction", "fa2tg"],
+                 4, "{path}: no pairs to score", id="score-corpus-empty"),
+    pytest.param("tok.txt", b"a_b\n", ["tokenize", "-i", "{path}"],
+                 2, "{path}: line 1: input already contains a marker character", id="tokenize-marker-collision"),
+    pytest.param("in.txt", b"\n", [*_TRANSLIT, "--ambiguity-stats", "-i", "{path}"],
+                 4, "{path}: no tokens", id="ambiguity-stats-no-tokens"),
     pytest.param("lm.json", b"\xff" + json.dumps(_LM_V2).encode(), [*_TRANSLIT, "--lm", "{path}"],
                  3, "{path}: line 1: not valid UTF-8 (byte 0xFF)", id="lm-not-utf8"),
     pytest.param("dict.json", b"\xff" + json.dumps(_DICT_FA2TG).encode(), [*_TRANSLIT, "--dict", "{path}"],
@@ -778,7 +783,7 @@ _VALID_FILES = {
     "s.scores.jsonl": ("".join(json.dumps(r) + "\n" for r in _SCORE_ROWS).encode(),
                        ["report", "--scores", "{path}", "-o", "{output}"]),
     "map.tsv": (_packaged("map_tg2fa.tsv"), [*_TRANSLIT, "--table", "{path}", "-i", "{input}", "-o", "{output}"]),
-    "chars.tsv": (export_char_table("tajik").encode(),
+    "chars.tsv": (tajik_char_table().encode(),
                   ["normalize", "--script", "tajik", "--char-table", "{path}", "-i", "{input}", "-o", "{output}"]),
     "cons.tsv": (_packaged("consonants.tsv"), _FILTER_NAMES),
     "hyp.txt": ("".join(p.fa + "\n" for p in _TOY).encode(),
@@ -858,6 +863,20 @@ class TestMalformedInputsGuard:
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert "<stdin>: line 2: no mapping entry for 'ٱ' (U+0671)" in result.output
+
+    @pytest.mark.parametrize(
+        "argv,stdin,code,message",
+        [
+            (["tokenize"], "аз\nа_б\n", 2, "<stdin>: line 2: input already contains a marker character"),
+            ([*_TRANSLIT, "--ambiguity-stats"], "\n", 4, "<stdin>: no tokens"),
+        ],
+        ids=["tokenize-marker-collision", "ambiguity-stats-no-tokens"],
+    )
+    def test_stdin_named(self, runner, argv, stdin, code, message):
+        result = invoke(runner, argv, input=stdin)
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert message in result.output
 
     def test_stdin_not_utf8(self, runner):
         result = invoke(runner, [*_TRANSLIT], input=b"\xff\xd0\n")

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tgfa.errors import BadMap, ConfigError, EmptyCorpus, ParseError, TooSmall, UnknownDataset
+from tgfa.errors import BadMap, EmptyCorpus, ParseError, TooSmall, UnknownDataset
 from tgfa.script import ZWNJ, NormMode, Script, normalize_text
 from tgfa.corpus import (
     DATASET_DOMAINS,
     ParallelPair,
     default_consonant_map,
     domain_of,
-    group_domains,
     kfold,
     load,
     load_consonant_map,
@@ -133,21 +132,15 @@ class TestLoad:
 
     def test_save_load_roundtrip(self, tmp_path):
         pairs = toy_corpus(20)
-        for fmt, name in (("jsonl", "c.jsonl"), ("tsv", "c.tsv")):
-            path = tmp_path / name
-            save(pairs, path, fmt)
-            again = load(path)
+        save(pairs, tmp_path / "c.jsonl")
+        (tmp_path / "c.tsv").write_text(
+            "".join(f"{p.fa}\t{p.tg}\t{p.dataset}\t{p.domain or ''}\n" for p in pairs), encoding="utf-8"
+        )
+        for name in ("c.jsonl", "c.tsv"):
+            again = load(tmp_path / name)
             assert [(p.fa, p.tg, p.dataset) for p in again] == [
                 (p.fa, p.tg, p.dataset) for p in pairs
             ]
-
-    @pytest.mark.parametrize("pairs", [[], toy_corpus(3)])
-    def test_save_unknown_format_leaves_file_untouched(self, tmp_path, pairs):
-        path = tmp_path / "c.jsonl"
-        path.write_bytes(b"kept\n")
-        with pytest.raises(ConfigError, match="unknown corpus format 'xml'"):
-            save(pairs, path, fmt="xml")
-        assert path.read_bytes() == b"kept\n"
 
 
 class TestStats:
@@ -298,12 +291,12 @@ class TestGroupDomains:
     )
     def test_fixed_map(self, dataset, domain):
         pair = ParallelPair(fa="از", tg="аз", dataset=dataset)
-        assert group_domains([pair])[0].domain == domain
+        assert domain_of(pair) == domain
         assert DATASET_DOMAINS[dataset] == domain
 
     def test_unknown_dataset(self):
         with pytest.raises(UnknownDataset):
-            group_domains([ParallelPair(fa="از", tg="аз", dataset="MadeUp")])
+            domain_of(ParallelPair(fa="از", tg="аз", dataset="MadeUp"))
 
     def test_explicit_domain_survives_unknown_dataset(self):
         pair = ParallelPair(fa="از", tg="аз", dataset="MadeUp", domain="prose")

@@ -15,9 +15,7 @@ from tgfa.metrics import (
     chrf_pp,
     edit_distance,
     ncer_mean,
-    ngram_f,
     score_corpus,
-    seq_acc,
     _stats,
 )
 
@@ -130,45 +128,45 @@ class TestCer:
             ncer_mean([])
 
 
+def sentence_scores(hyp: str, ref: str) -> GroupScores:
+    """One pair scored alone at sentence level: chrF is orders (6, 0), chrF++ orders (6, 2)."""
+    return score_corpus([EvalPair(hyp, ref)], sentence_level_chrf=True).overall
+
+
 class TestNgramF:
     def test_identity_is_100(self):
         for x in ("a", "abc", "аз ин ҷо"):
-            assert ngram_f(x, x, 6, 2) == 100.0
+            assert sentence_scores(x, x).chrf_pp == 100.0
 
     def test_disjoint_is_0(self):
-        assert ngram_f("aaaa", "bbbb", 6) == 0.0
+        assert sentence_scores("aaaa", "bbbb").chrf == 0.0
 
     def test_derived_value(self):
-        # Frozen from the direct-definition oracle:
-        # char 1-grams overlap 3/4, 2-grams 2/3; P == R == 17/24.
-        expected = sentence_f_direct("abcd", "abce", 2, 0, 2.0)
-        assert expected == pytest.approx(1700 / 24, abs=1e-12)
-        assert ngram_f("abcd", "abce", 2, 0, 2.0) == pytest.approx(expected, abs=1e-12)
+        # Frozen from the direct-definition oracle: char 1-grams overlap
+        # 3/4, 2-grams 2/3, 3-grams 1/2, 4-grams 0/1; P == R == 23/48.
+        expected = sentence_f_direct("abcd", "abce", 6, 0, 2.0)
+        assert expected == pytest.approx(2300 / 48, abs=1e-12)
+        assert sentence_scores("abcd", "abce").chrf == pytest.approx(expected, abs=1e-12)
 
     def test_empty_edges(self):
-        assert ngram_f("", "", 6, 2) == 100.0
-        assert ngram_f("a", "", 6, 2) == 0.0
-        assert ngram_f("", "a", 6, 2) == 0.0
+        for hyp, ref, want in (("", "", 100.0), ("a", "", 0.0), ("", "a", 0.0)):
+            scores = sentence_scores(hyp, ref)
+            assert scores.chrf == sentence_f_direct(hyp, ref, 6, 0, 2.0) == want
+            assert scores.chrf_pp == sentence_f_direct(hyp, ref, 6, 2, 2.0) == want
 
     def test_short_reference_skips_high_orders(self):
         # Reference has no 2-grams, so only order 1 is active.
-        assert ngram_f("ab", "a", 2, 0, 1.0) == pytest.approx(
-            sentence_f_direct("ab", "a", 2, 0, 1.0), abs=1e-12
+        assert sentence_scores("ab", "a").chrf == pytest.approx(
+            sentence_f_direct("ab", "a", 6, 0, 2.0), abs=1e-12
         )
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ngram_f("a", "b", 0)
-        with pytest.raises(ValueError):
-            ngram_f("a", "b", 2, 0, 0.0)
-
-    @given(_short, _short)
+    @given(_short | _sentence, _short | _sentence)
     @settings(max_examples=300)
     def test_matches_oracle(self, hyp, ref):
-        got = ngram_f(hyp, ref, 4, 2, 2.0)
-        want = sentence_f_direct(hyp, ref, 4, 2, 2.0)
-        assert got == pytest.approx(want, abs=1e-9)
-        assert 0.0 <= got <= 100.0
+        scores = sentence_scores(hyp, ref)
+        assert scores.chrf == pytest.approx(sentence_f_direct(hyp, ref, 6, 0, 2.0), abs=1e-9)
+        assert scores.chrf_pp == pytest.approx(sentence_f_direct(hyp, ref, 6, 2, 2.0), abs=1e-9)
+        assert 0.0 <= scores.chrf <= 100.0 and 0.0 <= scores.chrf_pp <= 100.0
 
 
 class TestCorpusChrf:
@@ -212,12 +210,12 @@ class TestCorpusChrf:
 
 class TestSeqAcc:
     def test_all_identical(self):
-        assert seq_acc([EvalPair("аз", "аз")] * 3) == 100.0
+        assert score_corpus([EvalPair("аз", "аз")] * 3).overall.acc == 100.0
 
     def test_whitespace_variants(self):
-        pairs = [EvalPair("а б", "аб")]
-        assert seq_acc(pairs, strip_ws=True) == 100.0
-        assert seq_acc(pairs, strip_ws=False) == 0.0
+        overall = score_corpus([EvalPair("а б", "аб")]).overall
+        assert overall.acc_no_ws == 100.0
+        assert overall.acc == 0.0
 
     def test_counting(self):
         pairs = [
@@ -226,13 +224,13 @@ class TestSeqAcc:
             EvalPair("c", "x"),
             EvalPair("d", "x"),
         ]
-        assert seq_acc(pairs) == 25.0
+        assert score_corpus(pairs).overall.acc == 25.0
 
     @given(st.lists(st.tuples(_short, _short), min_size=1, max_size=30))
     @settings(max_examples=200)
     def test_strip_ws_never_lowers_accuracy(self, raw):
-        pairs = [EvalPair(h, r) for h, r in raw]
-        assert seq_acc(pairs, strip_ws=True) >= seq_acc(pairs, strip_ws=False)
+        overall = score_corpus([EvalPair(h, r) for h, r in raw]).overall
+        assert overall.acc_no_ws >= overall.acc
 
 
 class TestEvalPair:
@@ -340,8 +338,8 @@ class TestScoreCorpus:
                 chrf_pp=chrf_pp(group_pairs, sentence_level),
                 cer=cer_mean(group_pairs),
                 ncer=ncer_mean(group_pairs),
-                acc=seq_acc(group_pairs),
-                acc_no_ws=seq_acc(group_pairs, strip_ws=True),
+                acc=score_corpus(group_pairs).overall.acc,
+                acc_no_ws=score_corpus(group_pairs).overall.acc_no_ws,
             )
 
     # Exact scores of the 90-pair, three-group input above. Reports print

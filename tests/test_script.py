@@ -18,13 +18,14 @@ from tgfa.script import (
     Script,
     ZWNJ,
     classify_char,
-    export_char_table,
     load_char_table,
     normalize_text,
     parse_code_point,
     strip_whitespace,
     table_lines,
 )
+
+from conftest import tajik_char_table
 
 FATHA = "َ"
 SHADDA = "ّ"
@@ -227,7 +228,7 @@ class TestStripWhitespace:
 
 class TestCharTable:
     def test_export_load_roundtrip(self, tmp_path):
-        dump = export_char_table(Script.TAJIK)
+        dump = tajik_char_table()
         path = tmp_path / "chars.tsv"
         path.write_text(dump, encoding="utf-8")
         table = load_char_table(path)

@@ -40,7 +40,6 @@ from tgfa.translit import (
     load_mapping_table,
     save_dictionary,
     save_lm,
-    save_mapping_table,
     train_lm,
     transliterate_lines,
 )
@@ -130,13 +129,6 @@ class TestMappingTable:
         t = MappingTable(TG2FA, {"б": ("b",)})
         with pytest.raises(ValueError):
             t.validate()
-
-    def test_save_load_roundtrip(self, tmp_path):
-        t = default_mapping_table("fa2tg")
-        path = tmp_path / "map.tsv"
-        save_mapping_table(t, path)
-        again = load_mapping_table(path, FA2TG)
-        assert again.entries == t.entries
 
     def test_default_tables_validate(self):
         for direction in ("tg2fa", "fa2tg"):
