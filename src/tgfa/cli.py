@@ -478,11 +478,11 @@ def translit_cmd(direction, table_path, dict_path, lm_path, beam, assume_normali
         normalized = [normalize_text(line, direction.source, NormMode.TRAIN) for line in normalized]
     where = "<stdin>" if input_ == "-" else input_
     out_lines = translit_mod.transliterate_lines(normalized, table, dictionary, lm, beam, where=where)
-    _write_lines(output, out_lines)
     if ambiguity_stats:
         with _stage(where):
             mean = translit_mod.avg_alternatives(normalized, table)
         click.echo(f"avg alternatives per token: {mean:.2f}", err=True)
+    _write_lines(output, out_lines)
 
 
 def _claim_system(sources: dict[str, str], name: str, path: str) -> None:

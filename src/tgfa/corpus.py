@@ -18,7 +18,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from importlib import resources
 from math import floor
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -31,7 +30,7 @@ from .errors import (
     TooSmall,
     UnknownDataset,
 )
-from .script import NormMode, Script, normalize_text, parse_json_object, read_lines, split_lines, table_lines
+from .script import NormMode, Script, data_lines, normalize_text, parse_json_object, read_lines, table_lines
 
 __all__ = [
     "DOMAINS",
@@ -357,8 +356,7 @@ def load_consonant_map(source: str | Path | Iterable[str]) -> dict[str, str]:
 
 def default_consonant_map() -> dict[str, str]:
     """The built-in unambiguous-consonant correspondence table."""
-    text = resources.files("tgfa.data").joinpath("consonants.tsv").read_text("utf-8")
-    return load_consonant_map(split_lines(text))
+    return load_consonant_map(data_lines("consonants.tsv"))
 
 
 def _first_mismatch(tg_seq: list[str], fa_seq: list[str]) -> str:

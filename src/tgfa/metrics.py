@@ -30,13 +30,14 @@ differs only in whitespace.
 
 from __future__ import annotations
 
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ._kernels import levenshtein as edit_distance
 from .errors import EmptyCorpus, WrongState
-from .script import FARSI_DIACRITICS, ZWNJ, strip_whitespace
+from .script import ZWNJ, strip_whitespace
 
 __all__ = [
     "EvalPair",
@@ -54,9 +55,9 @@ CHRF_CHAR_ORDER = 6
 CHRF_PP_WORD_ORDER = 2
 CHRF_BETA = 2.0
 
-# Characters that may not survive eval normalization; their presence in
-# an EvalPair means a stage was skipped upstream.
-_FORBIDDEN = frozenset("@_-") | {ZWNJ} | FARSI_DIACRITICS
+# Characters that, with every combining mark, may not survive eval
+# normalization; one in an EvalPair means a stage was skipped upstream.
+_FORBIDDEN = frozenset("@_-") | {ZWNJ}
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class EvalPair:
 
     def __post_init__(self):
         for side, text in (("hypothesis", self.hypothesis), ("reference", self.reference)):
-            bad = set(text) & _FORBIDDEN
+            bad = {c for c in set(text) if c in _FORBIDDEN or unicodedata.combining(c)}
             if bad:
                 shown = ", ".join(f"U+{ord(c):04X}" for c in sorted(bad))
                 raise WrongState(f"{side} is not eval-normalized (contains {shown})")

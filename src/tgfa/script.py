@@ -1,14 +1,14 @@
 """Character classification and normalization for Perso-Arabic and Tajik-Cyrillic text.
 
 Classification is a total function over Unicode scalar values: every code
-point falls into exactly one class for a given script. The built-in
-inventories cover the Arabic block U+0600..U+06FF (letters and combining
-marks, which include the Persian-specific letters) and Russian Cyrillic
-plus the six Tajik-specific letters. Both can be amended at runtime from
-a TSV table without touching the code.
+point falls into exactly one class for a given script. A script's
+characters are the source column of the default mapping table from it,
+so a new letter is covered by adding its row (Farsi diacritics are the
+marks, by combining class; Tajik letters count with their uppercase).
+Any other character is class ``other``. A TSV table can amend classes.
 
-Normalization has two modes. Train mode removes everything outside the
-script (punctuation, digits, symbols, foreign letters), lowercases Tajik
+Normalization has two modes. Train mode removes class ``other``
+(punctuation, digits, symbols, letters with no row), lowercases Tajik
 and collapses whitespace, but keeps ZWNJ on both sides, Arabic
 diacritics on the Farsi side and the intra-word hyphen on the Tajik
 side. Eval mode removes those as well, so that scoring never penalizes
@@ -25,7 +25,8 @@ sides; it runs only on texts that hold one.
 Every input file is read here: ``read_lines`` decodes UTF-8 and splits
 lines only at LF, CRLF or CR; ``parse_json_object`` decodes every JSON
 value, refusing ``NaN``, ``Infinity``, over-long integers and deep
-nesting; the TSV readers share ``table_lines`` and ``parse_code_point``.
+nesting; ``data_lines`` reads a packaged data file; the TSV readers
+share ``table_lines`` and ``parse_code_point``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import re
 import sys
 import unicodedata
 from enum import Enum
+from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -61,6 +63,7 @@ __all__ = [
     "parse_json_object",
     "table_lines",
     "parse_code_point",
+    "data_lines",
 ]
 
 ZWNJ = "‌"
@@ -86,22 +89,6 @@ class NormMode(Enum):
     TRAIN = "train"
     EVAL = "eval"
 
-
-# Russian Cyrillic base alphabet plus the six Tajik letters. The base set
-# keeps the four letters dropped from the official Tajik alphabet in 1998
-# (ц щ ы ь) because they still occur in Russian loanwords in real corpora.
-_TAJIK_LOWER = "абвгдежзийклмнопрстуфхцчшщъыьэюяё" + "ғӣқӯҳҷ"
-TAJIK_LETTERS = frozenset(_TAJIK_LOWER + _TAJIK_LOWER.upper())
-
-# Arabic block letters (category Lo covers the Persian-specific letters
-# such as پ چ ژ گ) and combining marks (fatha, kasra, damma, sukun,
-# shadda, the tanwin series, superscript alef, Quranic annotation signs).
-FARSI_LETTERS = frozenset(
-    chr(cp) for cp in range(0x0600, 0x0700) if unicodedata.category(chr(cp)) == "Lo"
-)
-FARSI_DIACRITICS = frozenset(
-    chr(cp) for cp in range(0x0600, 0x0700) if unicodedata.category(chr(cp)) == "Mn"
-)
 
 _LETTER_CLASSES = (CharClass.PERSO_ARABIC_LETTER, CharClass.TAJIK_LETTER)
 # Kept in train mode, deleted in eval mode.
@@ -313,6 +300,22 @@ def parse_code_point(field: str, line: int | None = None, path: str | None = Non
     except (ValueError, OverflowError):
         pass
     raise ParseError(f"bad code point {field!r}", line=line, path=path)
+
+
+def data_lines(name: str) -> Iterator[str]:
+    """The ``split_lines`` of the packaged data file ``tgfa/data/<name>``."""
+    return split_lines(resources.files("tgfa.data").joinpath(name).read_text("utf-8"))
+
+
+def _sources(name: str) -> frozenset[str]:
+    """The source column of the packaged mapping table ``name``, less ZWNJ and the hyphen."""
+    _, rows = table_lines(data_lines(name))
+    return frozenset(parse_code_point(line.split("\t")[0], lineno, name) for lineno, line in rows) - {ZWNJ, HYPHEN}
+
+
+FARSI_DIACRITICS = frozenset(filter(unicodedata.combining, _sources("map_fa2tg.tsv")))
+FARSI_LETTERS = _sources("map_fa2tg.tsv") - FARSI_DIACRITICS
+TAJIK_LETTERS = frozenset(c for lower in _sources("map_tg2fa.tsv") for c in (lower, lower.upper()))
 
 
 def load_char_table(source: str | Path | Iterable[str]) -> dict[str, CharClass]:

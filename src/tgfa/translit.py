@@ -19,7 +19,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from importlib import resources
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -27,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ArtifactError, ConfigError, EmptyCorpus, ParseError, UnknownChar, WrongState
 from .corpus import ParallelPair
 from .script import FARSI_LETTERS, Script, TAJIK_LETTERS, ZWNJ, parse_code_point, parse_json_object
-from .script import read_utf8, split_lines, table_lines
+from .script import data_lines, read_utf8, table_lines
 
 __all__ = [
     "Direction",
@@ -172,8 +171,7 @@ def load_mapping_table(source: str | Path | Iterable[str], direction: Direction)
 def default_mapping_table(name: str) -> MappingTable:
     """The packaged provisional table for the direction called ``name``."""
     direction = Direction.of(name)
-    text = resources.files("tgfa.data").joinpath(f"map_{name}.tsv").read_text("utf-8")
-    return load_mapping_table(split_lines(text), direction)
+    return load_mapping_table(data_lines(f"map_{name}.tsv"), direction)
 
 
 # One level of LM counts: each k-character context's bucket, {symbol: count}.

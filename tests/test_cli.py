@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 import tgfa
 from tgfa.cli import _config_hash, _sha256, cli, main
 from tgfa.corpus import ParallelPair
-from tgfa.translit import train_lm
+from tgfa import translit
+from tgfa.translit import MappingTable, train_lm
 
 from conftest import tajik_char_table, toy_corpus
 
@@ -50,6 +51,12 @@ class TestTextCommands:
         )
         assert result.exit_code == 0
         assert result.output == "ва аз\n"
+
+    def test_translit_fa2tg_variant_letters(self, runner):
+        # ٱ ھ ہ ے have table rows with the candidates of ا ه ه ی.
+        result = invoke(runner, ["translit", "--direction", "fa2tg"], input="ٱب ھا ہا بے\n")
+        assert result.exit_code == 0, result.output
+        assert result.output == "об ҳо ҳо би\n"
 
     def test_normalize_eval_mode(self, runner):
         result = invoke(
@@ -489,9 +496,16 @@ class TestFlagValidation:
         assert "split: " in result.output
         assert not out.exists()
 
-    def test_pipeline_failed_stage_removes_only_a_run_directory_it_created(self, runner, tmp_path):
-        # U+0671 (alef wasla) is a Farsi letter with no fa2tg table row, so
-        # the translit stage fails after the split and the first artifacts.
+    def test_pipeline_failed_stage_removes_only_a_run_directory_it_created(self, runner, tmp_path, monkeypatch):
+        # Without its fa2tg table row, U+0671 (alef wasla) is an inventory
+        # gap, so the translit stage fails after the split and the first artifacts.
+        default_table = translit.default_mapping_table
+
+        def table_without_wasla(name):
+            table = default_table(name)
+            return MappingTable(table.direction, {c: v for c, v in table.entries.items() if c != "\u0671"})
+
+        monkeypatch.setattr(translit, "default_mapping_table", table_without_wasla)
         pairs = toy_corpus(10)
         pairs[3] = ParallelPair(fa="\u0671" + pairs[3].fa, tg=pairs[3].tg, dataset=pairs[3].dataset)
         corpus = write_corpus(tmp_path / "gap.jsonl", pairs)
@@ -633,6 +647,8 @@ _DICT_FA2TG = {"magic": "tgfa-dict", "version": 1, "direction": "fa2tg", "skippe
 _NO_DIRECTION = {k: v for k, v in _DICT_FA2TG.items() if k != "direction"}
 # Deeper than any JSON decoder recurses.
 _NESTED = b"[" * 50_000
+# A fa2tg table without a row for U+0671 (ٱ), which makes it an inventory gap.
+_GAP_TABLE = "ا\tа\nز\tз\nب\tб\n"
 # One row per malformed file: its name and bytes, the command that reads
 # it ({path} is the file), the exit code and the message naming the file.
 BAD_FILES = [
@@ -702,7 +718,8 @@ BAD_FILES = [
                  3, "{path}: line 2: not valid UTF-8 (byte 0xFF)", id="hyp-not-utf8"),
     pytest.param("in.txt", "бғд\n".encode() + b"\xd0\n", [*_TRANSLIT, "-i", "{path}"],
                  3, "{path}: line 2: not valid UTF-8 (byte 0xD0)", id="input-not-utf8"),
-    pytest.param("in.txt", "از\nاز ٱب\nٱب\n".encode(), ["translit", "--direction", "fa2tg", "-i", "{path}"],
+    pytest.param("in.txt", "از\nاز ٱب\nٱب\n".encode(),
+                 ["translit", "--direction", "fa2tg", "--table", "{table}", "-i", "{path}"],
                  3, "{path}: line 2: no mapping entry for 'ٱ' (U+0671) in 'ٱب' at position 0 (token 1)",
                  id="input-inventory-gap"),
     pytest.param("s.scores.jsonl", json.dumps(TestReportErrors.GOOD_ROW).encode() + b"\n\xff\n",
@@ -730,7 +747,7 @@ BAD_FILES = [
                  4, "{path}: no pairs to score", id="score-corpus-empty"),
     pytest.param("tok.txt", b"a_b\n", ["tokenize", "-i", "{path}"],
                  2, "{path}: line 1: input already contains a marker character", id="tokenize-marker-collision"),
-    pytest.param("in.txt", b"\n", [*_TRANSLIT, "--ambiguity-stats", "-i", "{path}"],
+    pytest.param("in.txt", b"\n", [*_TRANSLIT, "--ambiguity-stats", "-i", "{path}", "-o", "{out}"],
                  4, "{path}: no tokens", id="ambiguity-stats-no-tokens"),
     pytest.param("lm.json", b"\xff" + json.dumps(_LM_V2).encode(), [*_TRANSLIT, "--lm", "{path}"],
                  3, "{path}: line 1: not valid UTF-8 (byte 0xFF)", id="lm-not-utf8"),
@@ -840,13 +857,18 @@ class TestMalformedInputsGuard:
         hyp = tmp_path / "hyp.txt"
         hyp.write_text("x\n", encoding="utf-8")
         corpus = write_corpus(tmp_path / "corpus.jsonl", toy_corpus(4))
-        fill = {"path": str(path), "hyp": str(hyp), "corpus": str(corpus), "out": str(tmp_path / "out")}
+        table = tmp_path / "gap.tsv"
+        table.write_text(_GAP_TABLE, encoding="utf-8")
+        out = tmp_path / "out"
+        fill = {"path": str(path), "hyp": str(hyp), "corpus": str(corpus), "out": str(out), "table": str(table)}
         result = invoke(runner, [arg.format(**fill) for arg in argv], input="бғд\n")
         assert code in (2, 3, 4)
         assert result.exit_code == code, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert "Traceback" not in result.output
         assert message.format(**fill) in result.output
+        # A failed command leaves no output behind.
+        assert not out.exists()
 
     @pytest.mark.parametrize("row", ["lm-long-integer", "scores-long-integer"])
     def test_long_integer_message_gives_no_python_advice(self, runner, tmp_path, row):
@@ -858,8 +880,10 @@ class TestMalformedInputsGuard:
         assert "value has 5000 digits)" in result.output
         assert "set_int_max_str_digits" not in result.output
 
-    def test_stdin_inventory_gap(self, runner):
-        result = invoke(runner, ["translit", "--direction", "fa2tg"], input="از\nٱب\n")
+    def test_stdin_inventory_gap(self, runner, tmp_path):
+        table = tmp_path / "gap.tsv"
+        table.write_text(_GAP_TABLE, encoding="utf-8")
+        result = invoke(runner, ["translit", "--direction", "fa2tg", "--table", str(table)], input="از\nٱب\n")
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert "<stdin>: line 2: no mapping entry for 'ٱ' (U+0671)" in result.output

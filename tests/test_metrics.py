@@ -250,6 +250,12 @@ class TestEvalPair:
         with pytest.raises(WrongState):
             EvalPair("в-аз", "ваз")
 
+    # U+0653 (maddah above) has no table row; U+0301 (acute) is outside the Arabic block.
+    @pytest.mark.parametrize("mark", ["\u0653", "\u0301"])
+    def test_rejects_every_combining_mark(self, mark):
+        with pytest.raises(WrongState, match=f"U\\+{ord(mark):04X}"):
+            EvalPair("аз", "а" + mark + "з")
+
 
 class TestScoreCorpus:
     def test_perfect_single_group(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import tgfa
 from tgfa.errors import ParseError
+from tgfa.translit import DIRECTIONS, default_mapping_table
 from tgfa.script import (
     FARSI_DIACRITICS,
     FARSI_LETTERS,
@@ -204,6 +205,24 @@ class TestTranslatePath:
         assert normalize_text(text, Script.TAJIK, NormMode.TRAIN, table) == expected
 
 
+# Raw text from any code point, with the Cyrillic and Arabic blocks weighted up.
+_ANY_TEXT = st.text(st.one_of(st.characters(), st.characters(min_codepoint=0x0400, max_codepoint=0x06FF)), max_size=60)
+
+
+class TestInventory:
+    """The default mapping tables are the one inventory."""
+
+    @given(_ANY_TEXT, st.sampled_from(list(DIRECTIONS.values())), st.sampled_from(list(NormMode)))
+    @settings(max_examples=400)
+    def test_normalized_source_is_covered_by_the_default_table(self, text, direction, mode):
+        keys = default_mapping_table(direction.name).entries
+        assert set(normalize_text(text, direction.source, mode)) <= {*keys, " "}
+
+    def test_tajik_letters_are_the_russian_alphabet_plus_six(self):
+        lower = "абвгдежзийклмнопрстуфхцчшщъыьэюяё" + "ғӣқӯҳҷ"
+        assert TAJIK_LETTERS == frozenset(lower + lower.upper())
+
+
 class TestStripWhitespace:
     @pytest.mark.parametrize(
         "text,expected",
@@ -285,9 +304,9 @@ class TestTableLines:
             parse_code_point(field, line=7)
 
 
-# The (module, name) pairs that turn input text into lines or JSON values;
-# any ``.splitlines`` does too.
-_READERS = {("json", "loads"), ("json", "load"), ("json", "JSONDecoder"), ("io", "StringIO")}
+# The (module, name) pairs that turn input text into lines or JSON values,
+# or that read a packaged data file; any ``.splitlines`` does too.
+_READERS = {("json", "loads"), ("json", "load"), ("json", "JSONDecoder"), ("io", "StringIO"), ("resources", "files")}
 
 
 class _ReaderUses(ast.NodeVisitor):
@@ -313,7 +332,7 @@ class _ReaderUses(ast.NodeVisitor):
 
 
 class TestOneReader:
-    """Input text becomes lines, and JSON values, only in script.py."""
+    """Input text becomes lines, and JSON values, and packaged data files are read, only in script.py."""
 
     @staticmethod
     def _uses(path: Path) -> list[tuple[str, str]]:
@@ -325,8 +344,14 @@ class TestOneReader:
         package = Path(tgfa.__file__).parent
         found = [f"{path.name}: {name} in {scope}" for path in sorted(package.glob("*.py")) if path.name != "script.py"
                  for scope, name in self._uses(path)]
-        assert not found, "read input through script.read_lines and script.parse_json_object: " + ", ".join(found)
+        assert not found, (
+            "read input through script.read_lines, script.parse_json_object and script.data_lines: " + ", ".join(found)
+        )
 
     def test_script_splits_and_decodes_in_one_place_each(self):
         uses = self._uses(Path(tgfa.__file__).parent / "script.py")
-        assert sorted(uses) == [("<module>", "json.JSONDecoder"), ("split_lines", "io.StringIO")]
+        assert sorted(uses) == [
+            ("<module>", "json.JSONDecoder"),
+            ("data_lines", "resources.files"),
+            ("split_lines", "io.StringIO"),
+        ]
