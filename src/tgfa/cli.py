@@ -37,7 +37,8 @@ except ImportError:
 from . import __version__
 from .errors import ConfigError, LengthMismatch, MarkerCollision, ParseError, TgfaError, UnknownDataset
 from .metrics import EvalPair, GroupScores, MetricReport, score_corpus
-from .script import NormMode, Script, load_char_table, normalize_text, parse_json_object, read_lines
+from .script import FARSI_LETTERS, NormMode, Script, TAJIK_LETTERS, load_char_table, normalize_text
+from .script import parse_json_object, read_lines
 from .tokenizer import detokenize, format_token_line, parse_token_line, tokenize
 from . import corpus as corpus_mod
 from . import translit as translit_mod
@@ -473,6 +474,14 @@ def translit_cmd(direction, table_path, dict_path, lm_path, beam, assume_normali
             path=dict_path,
         )
     lm = translit_mod.load_lm(lm_path) if lm_path else None
+    letters = FARSI_LETTERS if direction.target is Script.FARSI else TAJIK_LETTERS
+    if lm is not None and lm.vocab.isdisjoint(letters):
+        # A model trained for the other direction; one holding stray letters still loads.
+        script = direction.target.value.capitalize()
+        raise ConfigError(
+            f"model alphabet holds no {script} letter, but --direction {direction.name} writes {script}",
+            path=lm_path,
+        )
     normalized = list(read_lines(input_))
     if not assume_normalized:
         normalized = [normalize_text(line, direction.source, NormMode.TRAIN) for line in normalized]

@@ -40,7 +40,7 @@ import unicodedata
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import ParseError
 
@@ -258,15 +258,29 @@ def _refuse_constant(name: str):
     raise json.JSONDecodeError(f"{name} is not a JSON number", name, 0)
 
 
-_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
+# Every JSON decoder: json's, refusing NaN and Infinity.
+_decoder = functools.partial(json.JSONDecoder, parse_constant=_refuse_constant)
+_JSON = _decoder()
 
 
-def parse_json_object(text: str, path: str | None = None, line: int | None = None) -> dict:
-    """The JSON object ``text`` holds, else ParseError naming ``path`` and ``line`` when given."""
+def parse_json_object(
+    text: str,
+    path: str | None = None,
+    line: int | None = None,
+    *,
+    pairs_hook: Callable[[list[tuple[str, Any]]], Any] | None = None,
+) -> dict:
+    """The JSON object ``text`` holds, else ParseError naming ``path`` and ``line`` when given.
+
+    ``pairs_hook``, when given, makes the value of every JSON object from
+    its list of (key, value) pairs, as ``json``'s ``object_pairs_hook``
+    does; the errors are the same with it and without.
+    """
+    decoder = _JSON if pairs_hook is None else _decoder(object_pairs_hook=pairs_hook)
     try:
         if text.startswith("\ufeff"):
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        value = _JSON.decode(text)
+        value = decoder.decode(text)
     except (ValueError, RecursionError) as e:
         # Drop CPython's advice to raise the integer digit limit, which no command-line user can take.
         reason = str(getattr(e, "msg", e)).split("; use sys.set_int_max_str_digits()")[0]

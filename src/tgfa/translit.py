@@ -176,6 +176,8 @@ def default_mapping_table(name: str) -> MappingTable:
 
 # One level of LM counts: each k-character context's bucket, {symbol: count}.
 _Level = dict[str, dict[str, int]]
+# The one dict of each distinct bucket, keyed by its (symbol, count) pairs.
+_Pool = dict[tuple[tuple[str, int], ...], dict[str, int]]
 
 
 class CharNGramLM:
@@ -206,9 +208,12 @@ class CharNGramLM:
     afresh.
 
     The counts have ``lm.json``'s shape: level k maps each k-character
-    context to its bucket, ``{symbol: count}``, and one dict holds each
-    context's total; a context's number of types is its bucket's size.
-    They are kept in canonical order: each level's contexts in
+    context to its bucket, ``{symbol: count}``; a context's total is its
+    bucket's sum and its number of types its bucket's size. Equal buckets
+    are one dict, shared by every context that has them, in a trained
+    model and in a loaded one alike, so no code may change a bucket in
+    place: ``without`` copies each bucket it subtracts from. The counts
+    are kept in canonical order: each level's contexts in
     increasing order, and each bucket's symbols in increasing order.
     Training inserts each order's n-grams sorted, ``without`` only
     deletes, which keeps the order of what remains, and a loaded file is
@@ -225,30 +230,23 @@ class CharNGramLM:
         self.smoothing = smoothing
         self._set_counts((), [{} for _ in range(order)])
 
-    def _set_counts(
-        self, alphabet: Iterable[str], levels: list[_Level], totals: dict[str, int] | None = None
-    ) -> None:
+    def _set_counts(self, alphabet: Iterable[str], levels: list[_Level]) -> None:
         """Install the alphabet, plus the end sentinel and the unknown bucket, and the counts.
 
-        ``levels[k]`` maps each k-character context to its non-empty
-        bucket. ``totals`` maps each context to its bucket's sum; it is
-        summed from ``levels`` when not given.
+        ``levels[k]`` maps each k-character context to its non-empty bucket.
         """
         self._vocab = {EOS, UNK}.union(alphabet)
         # Characters that stand for themselves in a context; others become UNK.
         self._known = frozenset(self._vocab | {BOS})
         self._base = 1.0 / len(self._vocab)
         self._levels = levels
-        if totals is None:
-            totals = {ctx: sum(bucket.values()) for level in levels for ctx, bucket in level.items()}
-        self._totals = totals
         # One str per state, which every memo value naming it shares.
         self._states: dict[str, str] = {}
         self._memo: dict[str, tuple[float, str]] = {}
         # The state of the empty text.
         self.start = self._minimize(BOS * (self.order - 1))
 
-    def _set_trained(self, levels: list[_Level], totals: dict[str, int] | None = None) -> "CharNGramLM":
+    def _set_trained(self, levels: list[_Level]) -> "CharNGramLM":
         """Install trained counts, with the characters the unigram level counts as the alphabet.
 
         EmptyCorpus if nothing is counted: every non-empty training text
@@ -256,7 +254,7 @@ class CharNGramLM:
         """
         if not levels[0]:
             raise EmptyCorpus("no non-empty training texts")
-        self._set_counts(levels[0][""], levels, totals)
+        self._set_counts(levels[0][""], levels)
         return self
 
     @property
@@ -272,10 +270,15 @@ class CharNGramLM:
         return text if known.issuperset(text) else "".join(c if c in known else UNK for c in text)
 
     def _minimize(self, text: str) -> str:
-        """The longest suffix of ``text`` that the model counted as a context, or ``""``."""
-        totals = self._totals
-        i = 0
-        while i < len(text) and text[i:] not in totals:
+        """The longest suffix of ``text`` that the model counted as a context, or ``""``.
+
+        A counted context has at most ``order - 1`` characters, and level k
+        holds those of k characters.
+        """
+        levels = self._levels
+        n = len(text)
+        i = n - len(levels) + 1 if n >= len(levels) else 0
+        while i < n and text[i:] not in levels[n - i]:
             i += 1
         state = text[i:]
         return self._states.setdefault(state, state)
@@ -303,10 +306,9 @@ class CharNGramLM:
         Witten-Bell reads the levels up to the context's length; without
         smoothing only the top level is read, so a shorter context gives 0.
         """
-        totals = self._totals
         if self.smoothing == "none":
             bucket = self._levels[self.order - 1].get(ctx)
-            return bucket.get(sym, 0) / totals[ctx] if bucket else 0.0
+            return bucket.get(sym, 0) / sum(bucket.values()) if bucket else 0.0
         # Uniform base distribution over the extended alphabet.
         p = self._base
         n = len(ctx)
@@ -315,7 +317,7 @@ class CharNGramLM:
             bucket = level.get(c)
             if bucket is not None:
                 types = len(bucket)
-                p = (bucket.get(sym, 0) + types * p) / (totals[c] + types)
+                p = (bucket.get(sym, 0) + types * p) / (sum(bucket.values()) + types)
         return p
 
     def logp(self, symbol: str, context: Sequence[str] | str = ()) -> float:
@@ -349,13 +351,12 @@ class CharNGramLM:
         ``train_lm`` on the rest, byte for byte once saved: a count that
         falls to zero is dropped, a context left with no counts is
         dropped, and the alphabet is what the rest still counts. The
-        level dicts are copied, but only the buckets ``texts`` touch;
-        ``texts`` are counted one order at a time. EmptyCorpus if no
-        non-empty text is left.
+        level dicts are copied, but only the buckets ``texts`` touch; the
+        rest stay shared with this model. ``texts`` are counted one order
+        at a time. EmptyCorpus if no non-empty text is left.
         """
         texts = list(texts)
         levels = [dict(level) for level in self._levels]
-        totals = dict(self._totals)
         for k, level in enumerate(levels):
             touched: dict[str, dict[str, int]] = {}
             for gram, count in _count_grams(texts, k).items():
@@ -373,13 +374,16 @@ class CharNGramLM:
             for ctx, bucket in touched.items():
                 if bucket:
                     level[ctx] = bucket
-                    totals[ctx] = sum(bucket.values())
                 else:
-                    del level[ctx], totals[ctx]
-        return CharNGramLM(self.order, self.smoothing)._set_trained(levels, totals)
+                    del level[ctx]
+        return CharNGramLM(self.order, self.smoothing)._set_trained(levels)
 
     def to_payload(self) -> dict:
-        """The version-2 payload, keys in sorted order; its buckets are the model's own."""
+        """The version-2 payload, keys in sorted order.
+
+        Its buckets are the model's own, shared wherever they are equal;
+        neither the caller nor the model may change one in place.
+        """
         return {
             "alphabet": sorted(self._vocab),
             "counts": [[[ctx, bucket] for ctx, bucket in level.items()] for level in self._levels],
@@ -400,7 +404,8 @@ class CharNGramLM:
         ``""`` bucket, sorted, so every distribution sums to 1 over it.
         Each context of level k > 0 less its last character must be a
         context of level k - 1, as in every trained model. The model
-        keeps the decoded buckets, less any empty one.
+        keeps the decoded buckets, less any empty one; ``load_lm`` decodes
+        equal buckets as one dict.
         """
         order = _field(payload, "order", lambda v: type(v) is int, "an integer", path)
         if order < 1:
@@ -416,12 +421,14 @@ class CharNGramLM:
             path,
         )
         vocab = frozenset(alphabet)
+        # The ids of the buckets found valid, so that a shared bucket is checked once.
+        checked: set[int] = set()
         counts = _field(
             payload,
             "counts",
             lambda v: type(v) is list
             and len(v) == order
-            and all(_is_level(level, k, vocab, path) for k, level in enumerate(v)),
+            and all(_is_level(level, k, vocab, path, checked) for k, level in enumerate(v)),
             f"a list of {order} levels of [k-character context, {{character: count}}] pairs, "
             "contexts and characters in increasing order",
             path,
@@ -452,13 +459,15 @@ def _log(p: float) -> float:
     return math.log(p) if p > 0.0 else float("-inf")
 
 
-def _is_level(entries, k: int, alphabet: frozenset[str], path: str | None) -> bool:
+def _is_level(entries, k: int, alphabet: frozenset[str], path: str | None, checked: set[int]) -> bool:
     """Whether ``entries`` is a list of [k-character context, {character: positive count}].
 
     The contexts must be strictly increasing, and so must each context's
     characters: the canonical order, checked in one pass. The same pass
     raises ArtifactError, naming ``path`` and the alphabet, for a
-    character outside ``alphabet``.
+    character outside ``alphabet``. A bucket whose id is in ``checked``
+    passed before and is not checked again; each bucket that passes is
+    added to it.
     """
     if type(entries) is not list:
         return False
@@ -472,6 +481,8 @@ def _is_level(entries, k: int, alphabet: frozenset[str], path: str | None) -> bo
         if last_ctx is not None and ctx <= last_ctx:
             return False
         last_ctx = ctx
+        if id(bucket) in checked:
+            continue
         last_sym = ""
         for sym, count in bucket.items():
             if not (type(sym) is str and len(sym) == 1 and sym > last_sym):
@@ -484,6 +495,7 @@ def _is_level(entries, k: int, alphabet: frozenset[str], path: str | None) -> bo
             raise ArtifactError(
                 f"field 'alphabet' lacks {missing!r}, counted in level {k} context {ctx!r}", path=path
             )
+        checked.add(id(bucket))
     return True
 
 
@@ -517,20 +529,46 @@ def _count_grams(texts: Sequence[str], k: int) -> Counter[str]:
     return grams
 
 
-def _sorted_level(grams: Counter[str], symbols: dict[str, str]) -> _Level:
+def _shared_bucket(buckets: _Pool, pairs: tuple[tuple[str, int], ...]) -> dict[str, int]:
+    """The dict of the (symbol, count) ``pairs``: the one in ``buckets``, else a new one put there."""
+    bucket = buckets.get(pairs)
+    if bucket is None:
+        bucket = buckets[pairs] = dict(pairs)
+    return bucket
+
+
+def _bucket_hook():
+    """A ``pairs_hook`` for ``parse_json_object`` that decodes equal all-integer objects as one dict."""
+    buckets: _Pool = {}
+
+    def hook(pairs: list[tuple[str, object]]) -> dict:
+        for _, value in pairs:
+            if type(value) is not int:
+                return dict(pairs)
+        return _shared_bucket(buckets, tuple(pairs))
+
+    return hook
+
+
+def _sorted_level(grams: Counter[str], symbols: dict[str, str], buckets: _Pool) -> _Level:
     """One order's counts as a level: contexts, and each bucket's symbols, inserted in increasing order.
 
     ``symbols`` maps each symbol to the one ``str`` object that every
-    bucket uses for it.
+    bucket uses for it. Each bucket is made as a tuple of (symbol, count)
+    pairs and replaced at once by its dict in ``buckets``, so equal
+    buckets are one dict and no duplicate outlives its context.
     """
     level: _Level = {}
-    last = None
+    ctx, pairs = None, []
     for gram in sorted(grams):
-        ctx, sym = gram[:-1], gram[-1]
-        if ctx != last:
-            bucket = level[ctx] = {}
-            last = ctx
-        bucket[symbols.setdefault(sym, sym)] = grams[gram]
+        if gram[:-1] != ctx:
+            if pairs:
+                level[ctx] = _shared_bucket(buckets, tuple(pairs))
+            ctx, pairs = gram[:-1], []
+        sym = gram[-1]
+        pairs.append((symbols.setdefault(sym, sym), grams[gram]))
+    if pairs:
+        level[ctx] = _shared_bucket(buckets, tuple(pairs))
     return level
 
 
@@ -542,16 +580,17 @@ def train_lm(
     The n-grams are counted one order at a time, and each order's counts
     are inserted sorted into their level and freed before the next order
     is counted, so training holds the model plus one order's counts. The
-    model keeps its counts in canonical order, and its buckets share one
-    ``str`` object per symbol. To train on many subsets of one corpus, as
-    k-fold cross-validation does, train once on the whole corpus and take
-    each subset's model with ``CharNGramLM.without``. EmptyCorpus if no
-    text is non-empty.
+    model keeps its counts in canonical order, its buckets share one
+    ``str`` object per symbol, and equal buckets are one dict. To train on
+    many subsets of one corpus, as k-fold cross-validation does, train
+    once on the whole corpus and take each subset's model with
+    ``CharNGramLM.without``. EmptyCorpus if no text is non-empty.
     """
     lm = CharNGramLM(order=order, smoothing=smoothing)
     texts = list(texts)
     symbols: dict[str, str] = {}
-    return lm._set_trained([_sorted_level(_count_grams(texts, k), symbols) for k in range(order)])
+    buckets: _Pool = {}
+    return lm._set_trained([_sorted_level(_count_grams(texts, k), symbols, buckets) for k in range(order)])
 
 
 def save_lm(lm: CharNGramLM, path: str | Path) -> None:
@@ -580,15 +619,18 @@ def save_lm(lm: CharNGramLM, path: str | Path) -> None:
         )
 
 
-def _read_artifact(path: str | Path, kind: str, magic: str, version: int, remake: str) -> dict:
+def _read_artifact(
+    path: str | Path, kind: str, magic: str, version: int, remake: str, pairs_hook=None
+) -> dict:
     """The JSON object of a saved model file, checked for magic and version.
 
-    ``remake`` is the command that writes the current version of the file.
+    ``remake`` is the command that writes the current version of the file;
+    ``pairs_hook`` is passed to ``parse_json_object``.
     """
     where = str(path)
     text = read_utf8(path)
     try:
-        payload = parse_json_object(text)
+        payload = parse_json_object(text, pairs_hook=pairs_hook)
     except ParseError as e:
         raise ArtifactError(f"not a valid {kind} file: {e}", path=where) from None
     if payload.get("magic") != magic:
@@ -603,7 +645,12 @@ def _read_artifact(path: str | Path, kind: str, magic: str, version: int, remake
 
 
 def load_lm(path: str | Path) -> CharNGramLM:
-    payload = _read_artifact(path, "model", LM_MAGIC, LM_FORMAT_VERSION, "train-lm")
+    """The saved model; ArtifactError names the file and any bad field.
+
+    Equal buckets are decoded as one dict, which the model keeps, so a
+    duplicate is freed as soon as it is parsed.
+    """
+    payload = _read_artifact(path, "model", LM_MAGIC, LM_FORMAT_VERSION, "train-lm", _bucket_hook())
     return CharNGramLM.from_payload(payload, path=str(path))
 
 

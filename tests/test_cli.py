@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 import tgfa
 from tgfa.cli import _config_hash, _sha256, cli, main
 from tgfa.corpus import ParallelPair
+from tgfa.errors import ParseError
+from tgfa.script import parse_json_object
 from tgfa import translit
 from tgfa.translit import MappingTable, train_lm
 
@@ -236,6 +238,14 @@ class TestModelCommands:
         )
         assert result.exit_code == 0
         assert "avg alternatives per token" in result.output
+
+    def test_translit_lm_with_letters_outside_the_target_script_loads(self, runner, tmp_path):
+        # Only a model holding no letter of the target script is refused.
+        lm_path = tmp_path / "lm.json"
+        lm_path.write_text(json.dumps(train_lm(["باد", "ab"], order=2).to_payload()), encoding="utf-8")
+        result = invoke(runner, ["translit", "--direction", "tg2fa", "--lm", str(lm_path)], input="бод\n")
+        assert result.exit_code == 0, result.output
+        assert len(result.output.splitlines()) == 1
 
     def test_translit_with_lm_and_dict(self, runner, corpus_file, tmp_path):
         dict_path = tmp_path / "dict.json"
@@ -642,6 +652,8 @@ _LM_HEADER = {"magic": "tgfa-charlm", "version": 2}
 _LM_V2 = {**_LM_HEADER, "order": 1, "smoothing": "none", "alphabet": ["\x01", "\x03", "a"],
           "counts": [[["", {"\x03": 1, "a": 1}]]]}
 _LM_V1 = {**_LM_V2, "version": 1, "counts": [[[[], {"\x03": 1, "a": 1}]]]}
+# A valid model of Tajik text, the target of fa2tg.
+_LM_TAJIK = {**_LM_V2, "alphabet": ["\x01", "\x03", "б"], "counts": [[["", {"\x03": 1, "б": 1}]]]}
 _DICT_FA2TG = {"magic": "tgfa-dict", "version": 1, "direction": "fa2tg", "skipped_pairs": 0,
                "entries": {"از": "аз"}}
 _NO_DIRECTION = {k: v for k, v in _DICT_FA2TG.items() if k != "direction"}
@@ -686,6 +698,9 @@ BAD_FILES = [
                  [*_TRANSLIT, "--lm", "{path}"],
                  3, "{path}: field 'alphabet' must be the end sentinel, the unknown bucket and the characters "
                  "counted in context ''", id="lm-alphabet-extra"),
+    pytest.param("lm.json", json.dumps(_LM_TAJIK).encode(), [*_TRANSLIT, "--lm", "{path}"],
+                 2, "{path}: model alphabet holds no Farsi letter, but --direction tg2fa writes Farsi",
+                 id="lm-wrong-script"),
     pytest.param("dict.json", json.dumps(_NO_DIRECTION).encode(), [*_TRANSLIT, "--dict", "{path}"],
                  3, "{path}: missing field 'direction'", id="dict-no-direction"),
     pytest.param("dict.json", json.dumps(_DICT_FA2TG).encode(), [*_TRANSLIT, "--dict", "{path}"],
@@ -869,6 +884,21 @@ class TestMalformedInputsGuard:
         assert message.format(**fill) in result.output
         # A failed command leaves no output behind.
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name,data,argv,code,message", [row for row in BAD_FILES if row.values[0].endswith((".json", ".jsonl"))]
+    )
+    def test_pairs_hook_decodes_and_refuses_alike(self, name, data, argv, code, message):
+        """``load_lm``'s ``pairs_hook`` changes neither the values ``parse_json_object`` gives nor its errors."""
+        texts = data.decode("utf-8", errors="replace")
+        for lineno, text in enumerate(texts.split("\n") if name.endswith(".jsonl") else [texts], start=1):
+            outcomes = []
+            for hook in (None, translit._bucket_hook()):
+                try:
+                    outcomes.append(parse_json_object(text, name, lineno, pairs_hook=hook))
+                except ParseError as e:
+                    outcomes.append(str(e))
+            assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("row", ["lm-long-integer", "scores-long-integer"])
     def test_long_integer_message_gives_no_python_advice(self, runner, tmp_path, row):

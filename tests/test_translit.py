@@ -369,7 +369,7 @@ def state_chain_cases(draw):
 
 def _is_state(lm: CharNGramLM, state: str) -> bool:
     """Whether ``state`` is minimized: ``""`` or a context the model counted."""
-    return state == "" or state in lm._totals
+    return state == "" or state in lm._levels[len(state)]
 
 
 class TestMinimizedStates:
@@ -427,6 +427,45 @@ class TestMinimizedStates:
         # The extended alphabet is the end sentinel and the unknown bucket.
         assert lp == (math.log(0.5) if smoothing == "witten_bell" else float("-inf"))
         assert lm.logp("a", "xy") == lp
+
+
+class TestSharedBuckets:
+    """Equal buckets are one dict, in trained and loaded models, so none may change in place."""
+
+    @staticmethod
+    def _buckets(lm: CharNGramLM) -> list[dict[str, int]]:
+        return [bucket for level in lm._levels for bucket in level.values()]
+
+    def test_trained_and_loaded_models_hold_one_dict_per_distinct_bucket(self, tmp_path):
+        rng = random.Random(3)
+        texts = [random_words(rng, TAJIK_SAMPLE, rng.randint(1, 6)) for _ in range(60)]
+        lm = train_lm(texts, order=4)
+        path = tmp_path / "lm.json"
+        save_lm(lm, path)
+        for model in (lm, load_lm(path)):
+            buckets = self._buckets(model)
+            distinct = {tuple(bucket.items()) for bucket in buckets}
+            assert len({id(bucket) for bucket in buckets}) == len(distinct) < len(buckets)
+
+    @settings(max_examples=150, deadline=None)
+    @given(state_chain_cases())
+    def test_deriving_and_decoding_leave_the_source_model_unchanged(self, tmp_path_factory, case):
+        texts, dropped, order, smoothing, queries = case
+        lm = train_lm(texts, order=order, smoothing=smoothing)
+        out = tmp_path_factory.mktemp("shared")
+        saved = _bytes(save_lm, lm, out / "before.json")
+        derived = lm.without(texts[i] for i in sorted(dropped))
+        for text in queries:
+            beam_decode(Lattice(text, tuple((c, "") for c in text)), derived, beam=4)
+            derived.score(text)
+        derived.to_payload()
+        lm.to_payload()
+        assert _bytes(save_lm, lm, out / "after.json") == saved
+        oracle = CharLMOracle(texts, order, smoothing)
+        for text in queries:
+            for i, sym in enumerate(text + EOS):
+                p = oracle.prob(sym, tuple(text[:i]))
+                assert lm.logp(sym, text[:i]) == (math.log(p) if p > 0.0 else float("-inf"))
 
 
 def oracle_lm_json(texts, order: int, smoothing: str = "witten_bell") -> str:
@@ -513,6 +552,25 @@ class TestLMFile:
         size = path.stat().st_size
         assert 300_000 < size < 600_000
         assert peak < 0.8 * size
+
+    def test_models_retain_less_than_seven_times_the_file_size(self, tmp_path):
+        """A trained model and a loaded one each hold one dict per distinct bucket: tracemalloc counts, not RSS."""
+        rng = random.Random(14)
+        texts = [random_words(rng, TAJIK_SAMPLE, rng.randint(2, 8)) for _ in range(300)]
+        path = tmp_path / "lm.json"
+        save_lm(train_lm(texts, order=5), path)
+        size = path.stat().st_size
+        assert 300_000 < size < 600_000
+        for make in (lambda: train_lm(texts, order=5), lambda: load_lm(path)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                lm = make()
+                retained = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            del lm
+            assert retained < 7 * size
 
     def test_trained_buckets_share_one_str_per_symbol(self):
         rng = random.Random(3)
