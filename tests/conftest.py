@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import io
+import os
 import random
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
+from unittest import mock
 
 import pytest
 
@@ -11,6 +17,33 @@ from tgfa.script import TAJIK_LETTERS, ZWNJ, CharClass
 # built from them never hit inventory gaps.
 TAJIK_SAMPLE = "абвгдежзийклмнопрстуфхчшъэюяёғӣқӯҳҷ"
 FARSI_SAMPLE = "ابپتثجچحخدذرزژسشصضطظعغفقکگلمنوهیء"
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    output: str  # stdout and stderr together, in the order they were written
+    exception: SystemExit
+
+
+def run_cli(args, input: str | bytes = b"", env: dict[str, str] | None = None) -> CliResult:
+    """Run ``tgfa.cli.main(args)`` in this process, with ``input`` on stdin and ``env`` added to the environment.
+
+    ``main`` must end in SystemExit; returning normally fails the test.
+    """
+    from tgfa.cli import main
+
+    data = input.encode("utf-8") if isinstance(input, str) else input
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, env or {}), mock.patch.object(sys, "stdin", stdin), \
+            redirect_stdout(out), redirect_stderr(out):
+        try:
+            main(list(args))
+        except SystemExit as e:
+            code = e.code if isinstance(e.code, int) else (0 if e.code is None else 1)
+            return CliResult(code, out.getvalue(), e)
+    raise AssertionError(f"main({list(args)}) returned instead of raising SystemExit")
 
 
 def tajik_char_table() -> str:

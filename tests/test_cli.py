@@ -25,7 +25,7 @@ from tgfa.script import parse_json_object
 from tgfa import translit
 from tgfa.translit import MappingTable, train_lm
 
-from conftest import tajik_char_table, toy_corpus
+from conftest import run_cli, tajik_char_table, toy_corpus
 
 
 @pytest.fixture
@@ -449,6 +449,74 @@ class TestPipelineAndReport:
         assert result.exit_code == 0
         assert "Overall" in result.output
         assert "100.00" in result.output
+
+
+# Every command and each of its flags, short and long.
+SURFACE = {
+    "normalize": ["--script", "--mode", "--char-table", "-i", "--input", "-o", "--output"],
+    "tokenize": ["-i", "--input", "-o", "--output"],
+    "detokenize": ["-i", "--input", "-o", "--output"],
+    "stats": ["--corpus", "--per", "--format", "-o", "--output"],
+    "split": ["--corpus", "--seed", "--ratios", "--out"],
+    "kfold": ["--corpus", "--k", "--seed", "--out"],
+    "filter-names": ["--corpus", "--map", "--count-based", "--out"],
+    "build-dict": ["--corpus", "--direction", "--out"],
+    "train-lm": ["--corpus", "--direction", "--lm-order", "--smoothing", "--out"],
+    "translit": ["--direction", "--table", "--dict", "--lm", "--beam", "--assume-normalized", "--ambiguity-stats",
+                 "-i", "--input", "-o", "--output"],
+    "score": ["--corpus", "--hyp", "--direction", "--sentence-chrf", "--format", "--out"],
+    "pipeline": ["--corpus", "--direction", "--seed", "--beam", "--lm-order", "--folds", "--out"],
+    "report": ["--scores", "-o", "--output"],
+}
+
+
+def _names(word: str, text: str) -> bool:
+    """Whether ``text`` holds ``word`` as a whole flag or command name: ``--out`` is not in ``--output``."""
+    return re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", text) is not None
+
+
+class TestSurface:
+    def test_version(self):
+        result = run_cli(["--version"])
+        assert result.exit_code == 0, result.output
+        assert result.output == f"tgfa, version {tgfa.__version__}\n"
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_group_help_names_every_command(self, flag):
+        result = run_cli([flag])
+        assert result.exit_code == 0, result.output
+        for command in SURFACE:
+            assert _names(command, result.output), command
+
+    @pytest.mark.parametrize("command", list(SURFACE))
+    def test_command_help_names_every_flag(self, command):
+        for flag in ("-h", "--help"):
+            result = run_cli([command, flag])
+            assert result.exit_code == 0, result.output
+            for name in SURFACE[command]:
+                assert _names(name, result.output), (command, name)
+
+    @pytest.mark.parametrize("argv", [[], ["no-such-command"]], ids=["no-command", "unknown-command"])
+    def test_missing_or_unknown_command_is_a_usage_error(self, argv):
+        result = run_cli(argv)
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["tokenize", "--no-such-flag"], "--no-such-flag"),
+            (["translit", "--direction", "tg2fa", "--no-such-flag"], "--no-such-flag"),
+            # No flag may be abbreviated.
+            (["translit", "--direction", "tg2fa", "--bea", "3"], "--bea"),
+            (["tokenize", "--output", "-", "--out", "x"], "--out"),
+        ],
+        ids=["tokenize", "translit", "abbreviated", "prefix-of-another"],
+    )
+    def test_unknown_flag_is_a_usage_error_naming_it(self, argv, flag):
+        result = run_cli(argv, input="бғд\n")
+        assert result.exit_code == 2, result.output
+        assert _names(flag, result.output), result.output
 
 
 class TestFlagValidation:
