@@ -8,21 +8,27 @@ every emitted report embeds the tool version, seed, a config hash and
 the input file digests, so a rerun with the same seed and config is
 byte-identical.
 
-Every flag can also be set through an environment variable with the
-TGFA_ prefix (e.g. TGFA_PIPELINE_SEED for `tgfa pipeline --seed`).
+The parser is the standard library's argparse, built from one table,
+COMMANDS: each command's function and the arguments of each of its
+options' add_argument call. Every flag can also be set through an
+environment variable named after the command and the long flag,
+TGFA_<COMMAND>_<FLAG> (e.g. TGFA_PIPELINE_SEED for `tgfa pipeline --seed`,
+TGFA_TRANSLIT_INPUT for `tgfa translit -i/--input`). A variable's value
+becomes an argument placed before the command line's own, so it passes
+the same checks and the flag, when given, wins.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import os
 import shutil
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import click
+from typing import Callable, Iterable, NoReturn, Sequence
 
 # SHA-256 from CPython's built-in module, resolved once: hashlib always
 # loads OpenSSL's libcrypto, several MB resident in every command.
@@ -56,20 +62,106 @@ METRIC_LABELS = {
 LOWER_IS_BETTER = {"cer", "ncer"}
 
 
-class _CliError(click.ClickException):
-    def __init__(self, err: TgfaError):
-        super().__init__(str(err))
-        self.exit_code = err.exit_code
+# One option: the flags and the keywords of its add_argument call.
+Option = tuple[tuple[str, ...], dict]
+# Each command's function and options, in the order `tgfa -h` lists them.
+COMMANDS: dict[str, tuple[Callable[..., None], list[Option]]] = {}
 
 
-class _Group(click.Group):
-    """The command group: a toolkit error from any command exits with its code and message."""
+def _opt(*flags: str, **kwargs) -> Option:
+    return flags, kwargs
 
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except TgfaError as e:
-            raise _CliError(e) from e
+
+def _command(name: str, *options: Option):
+    """Enter the decorated function in COMMANDS as command ``name``; its docstring is the help."""
+
+    def register(func):
+        COMMANDS[name] = (func, list(options))
+        return func
+
+    return register
+
+
+def _integer(value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a valid integer") from None
+
+
+def _int_range(low: int, high: int | None = None) -> Callable[[str], int]:
+    """An argument type: an integer of at least ``low`` and, if ``high`` is given, at most ``high``."""
+    bounds = f"x>={low}" if high is None else f"{low}<=x<={high}"
+
+    def in_range(value: str) -> int:
+        n = _integer(value)
+        if n < low or (high is not None and n > high):
+            raise argparse.ArgumentTypeError(f"{n} is not in the range {bounds}")
+        return n
+
+    return in_range
+
+
+def _file_path(value: str) -> str:
+    """An argument type: a path that is not a directory."""
+    if Path(value).is_dir():
+        raise argparse.ArgumentTypeError(f"file {value!r} is a directory")
+    return value
+
+
+def _existing_file(value: str) -> str:
+    """An argument type: a file that exists and can be read."""
+    if not Path(value).exists():
+        raise argparse.ArgumentTypeError(f"file {value!r} does not exist")
+    if not os.access(_file_path(value), os.R_OK):
+        raise argparse.ArgumentTypeError(f"file {value!r} is not readable")
+    return value
+
+
+def _dir_path(value: str) -> str:
+    """An argument type: a path that is not a file."""
+    if Path(value).is_file():
+        raise argparse.ArgumentTypeError(f"directory {value!r} is a file")
+    return value
+
+
+def _direction(name: str) -> translit_mod.Direction:
+    """An argument type: the Direction named ``name``, converted once."""
+    try:
+        return translit_mod.Direction.of(name)
+    except ConfigError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+def _ratios(value: str) -> tuple[float, ...]:
+    try:
+        ratios = tuple(float(x) for x in value.split(","))
+        corpus_mod.check_ratios(ratios)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"{value!r}: {e}") from None
+    return ratios
+
+
+def _fold_count(value: str) -> int:
+    n = _integer(value)
+    if n == 1 or n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is neither 0 (holdout) nor at least 2")
+    return n
+
+
+_CORPUS = _opt("--corpus", type=_existing_file, required=True)
+_DIRECTION = _opt("--direction", type=_direction, required=True,
+                  metavar="{" + ",".join(translit_mod.DIRECTIONS) + "}")
+_SEED = _opt("--seed", type=int, default=0)
+_BEAM = _opt("--beam", type=_int_range(1), default=translit_mod.DEFAULT_BEAM, help="Beam width, at least 1.")
+# Each order pads every text with that many begin sentinels, so a model grows with the square of its order.
+_LM_ORDER = _opt("--lm-order", type=_int_range(1, 10), default=translit_mod.DEFAULT_LM_ORDER,
+                 help="Character n-gram order, 1 to 10.")
+_FORMAT = _opt("--format", dest="format_", choices=["table", "jsonl"], default="table")
+_INPUT = _opt("-i", "--input", dest="input_", metavar="INPUT", default="-", help="Input file, - for stdin.")
+_OUTPUT = _opt("-o", "--output", default="-", help="Output file, - for stdout.")
+_OUT_DIR = _opt("--out", type=_dir_path, required=True)
+_OUT_FILE = _opt("--out", type=_file_path, required=True)
 
 
 @contextmanager
@@ -93,12 +185,6 @@ def _run_directory(path: Path):
         if created:
             shutil.rmtree(path, ignore_errors=True)
         raise
-
-
-@click.group(cls=_Group, context_settings={"help_option_names": ["-h", "--help"]})
-@click.version_option(version=__version__, prog_name="tgfa")
-def cli():
-    """Tajik-Cyrillic / Perso-Arabic transliteration toolkit."""
 
 
 def _write_text(path: str, text: str) -> None:
@@ -141,9 +227,7 @@ def _meta(config: dict, inputs: Sequence[str | Path], seed: int | None) -> dict:
 
 
 def _meta_lines(meta: dict) -> list[str]:
-    lines = [
-        f"# tgfa {meta['version']}  seed={meta['seed']}  config={meta['config_hash'][:16]}"
-    ]
+    lines = [f"# tgfa {meta['version']}  seed={meta['seed']}  config={meta['config_hash'][:16]}"]
     for path, digest in meta["inputs"].items():
         lines.append(f"# input {path} sha256={digest[:16]}")
     return lines
@@ -161,16 +245,11 @@ def _eval_texts(texts: Iterable[str], target: Script) -> list[str]:
 
 
 def _eval_pairs(
-    refs: Sequence[str],
-    hyps_raw: Sequence[str],
-    groups: Sequence[str],
-    target: Script,
+    refs: Sequence[str], hyps_raw: Sequence[str], groups: Sequence[str], target: Script
 ) -> list[EvalPair]:
     """Pair eval-normalized references with hypotheses, normalizing the latter."""
-    return [
-        EvalPair(hypothesis=hyp, reference=ref, group=group)
-        for ref, hyp, group in zip(refs, _eval_texts(hyps_raw, target), groups)
-    ]
+    hyps = _eval_texts(hyps_raw, target)
+    return [EvalPair(hypothesis=hyp, reference=ref, group=group) for ref, hyp, group in zip(refs, hyps, groups)]
 
 
 def _fmt_cell(value: float) -> str:
@@ -204,9 +283,7 @@ def _report_table(systems: dict[str, MetricReport], meta: dict | None = None) ->
 
     rows = []
     for group in group_labels:
-        n_pairs = next(
-            s.n_pairs for s in (scores_of(n, group) for n in names) if s is not None
-        )
+        n_pairs = next(s.n_pairs for s in (scores_of(n, group) for n in names) if s is not None)
         row = [group, str(n_pairs)]
         for metric, name, _ in columns:
             scores = scores_of(name, group)
@@ -216,11 +293,7 @@ def _report_table(systems: dict[str, MetricReport], meta: dict | None = None) ->
             value = getattr(scores, metric)
             cell = _fmt_cell(value)
             if multi:
-                values = [
-                    getattr(s, metric)
-                    for s in (scores_of(n, group) for n in names)
-                    if s is not None
-                ]
+                values = [getattr(s, metric) for s in (scores_of(n, group) for n in names) if s is not None]
                 best = min(values) if metric in LOWER_IS_BETTER else max(values)
                 if value == best:
                     cell += "*"
@@ -228,25 +301,10 @@ def _report_table(systems: dict[str, MetricReport], meta: dict | None = None) ->
         rows.append(row)
 
     header = ["Group", "N"] + [label for _, _, label in columns]
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))
-    ]
-    out = []
-    if meta is not None:
-        out.extend(_meta_lines(meta))
-    out.append(
-        "  ".join(
-            h.ljust(widths[i]) if i == 0 else h.rjust(widths[i])
-            for i, h in enumerate(header)
-        )
-    )
-    for row in rows:
-        out.append(
-            "  ".join(
-                c.ljust(widths[i]) if i == 0 else c.rjust(widths[i])
-                for i, c in enumerate(row)
-            )
-        )
+    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
+    out = _meta_lines(meta) if meta is not None else []
+    for row in [header, *rows]:
+        out.append("  ".join(c.ljust(widths[i]) if i == 0 else c.rjust(widths[i]) for i, c in enumerate(row)))
     return "\n".join(out) + "\n"
 
 
@@ -259,25 +317,20 @@ def _report_jsonl(name: str, report: MetricReport, meta: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-@cli.command("normalize")
-@click.option("--script", type=click.Choice(["farsi", "tajik"]), required=True)
-@click.option("--mode", type=click.Choice(["train", "eval"]), default="train", show_default=True)
-@click.option("--char-table", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="TSV with classification overrides (codepoint<TAB>class).")
-@click.option("-i", "--input", "input_", default="-", help="Input file, - for stdin.")
-@click.option("-o", "--output", default="-", help="Output file, - for stdout.")
+@_command(
+    "normalize",
+    _opt("--script", choices=["farsi", "tajik"], required=True),
+    _opt("--mode", choices=["train", "eval"], default="train"),
+    _opt("--char-table", type=_existing_file, help="TSV with classification overrides (codepoint<TAB>class)."),
+    _INPUT, _OUTPUT,
+)
 def normalize_cmd(script, mode, char_table, input_, output):
     """Normalize raw text, one line at a time."""
     table = load_char_table(char_table) if char_table else None
-    lines = [
-        normalize_text(line, Script(script), mode, table) for line in read_lines(input_)
-    ]
-    _write_lines(output, lines)
+    _write_lines(output, [normalize_text(line, Script(script), mode, table) for line in read_lines(input_)])
 
 
-@cli.command("tokenize")
-@click.option("-i", "--input", "input_", default="-")
-@click.option("-o", "--output", default="-")
+@_command("tokenize", _INPUT, _OUTPUT)
 def tokenize_cmd(input_, output):
     """Insert contextual markers into normalized text."""
     lines = []
@@ -289,29 +342,21 @@ def tokenize_cmd(input_, output):
     _write_lines(output, lines)
 
 
-@cli.command("detokenize")
-@click.option("-i", "--input", "input_", default="-")
-@click.option("-o", "--output", default="-")
+@_command("detokenize", _INPUT, _OUTPUT)
 def detokenize_cmd(input_, output):
     """Strip contextual markers from token lines."""
     _write_lines(output, (detokenize(parse_token_line(line)) for line in read_lines(input_)))
 
 
-@cli.command()
-@click.option("--corpus", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--per", type=click.Choice(["dataset", "domain"]), default="dataset", show_default=True)
-@click.option("--format", "format_", type=click.Choice(["table", "jsonl"]), default="table", show_default=True)
-@click.option("-o", "--output", default="-")
+@_command("stats", _CORPUS, _opt("--per", choices=["dataset", "domain"], default="dataset"), _FORMAT, _OUTPUT)
 def stats(corpus, per, format_, output):
     """Pair counts and average token/character lengths."""
     pairs = corpus_mod.load(corpus)
     with _stage(corpus):
         table = corpus_mod.stats(pairs, per=per)
     if format_ == "jsonl":
-        lines = [
-            json.dumps({"label": label, **vars(s)}, sort_keys=True, ensure_ascii=False)
-            for label, s in table.items()
-        ]
+        lines = [json.dumps({"label": label, **vars(s)}, sort_keys=True, ensure_ascii=False)
+                 for label, s in table.items()]
     else:
         header = f"{'Label':<20}  {'Pairs':>8}  {'FaTok':>7}  {'FaChr':>8}  {'TgTok':>7}  {'TgChr':>8}"
         lines = [header]
@@ -323,28 +368,12 @@ def stats(corpus, per, format_, output):
     _write_lines(output, lines)
 
 
-# --direction, converted once to its Direction.
-_direction_option = click.option(
-    "--direction", type=click.Choice(list(translit_mod.DIRECTIONS)), required=True,
-    callback=lambda ctx, param, name: translit_mod.Direction.of(name),
+@_command(
+    "split", _CORPUS, _SEED,
+    _opt("--ratios", type=_ratios, default="0.8,0.1,0.1",
+         help="Train, dev and test shares: three non-negative values summing to 1."),
+    _OUT_DIR,
 )
-
-
-def _ratios(ctx, param, value: str) -> tuple[float, ...]:
-    try:
-        ratios = tuple(float(x) for x in value.split(","))
-        corpus_mod.check_ratios(ratios)
-    except ValueError as e:
-        raise click.BadParameter(f"{value!r}: {e}") from None
-    return ratios
-
-
-@cli.command()
-@click.option("--corpus", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--ratios", default="0.8,0.1,0.1", show_default=True, callback=_ratios,
-              help="Train, dev and test shares: three non-negative values summing to 1.")
-@click.option("--out", type=click.Path(file_okay=False), required=True)
 def split(corpus, seed, ratios, out):
     """Stratified train/dev/test holdout split; writes the three subsets."""
     pairs = corpus_mod.load(corpus)
@@ -352,28 +381,16 @@ def split(corpus, seed, ratios, out):
         spec = corpus_mod.split_holdout(pairs, ratios, seed)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "seed": seed,
-        "ratios": list(ratios),
-        "train": list(spec.train),
-        "dev": list(spec.dev),
-        "test": list(spec.test),
-    }
-    (out_dir / "split.json").write_text(
-        json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    payload = {"seed": seed, "ratios": list(ratios), "train": list(spec.train), "dev": list(spec.dev),
+               "test": list(spec.test)}
+    (out_dir / "split.json").write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
     for name, indices in (("train", spec.train), ("dev", spec.dev), ("test", spec.test)):
         corpus_mod.save([pairs[i] for i in indices], out_dir / f"{name}.jsonl")
-    click.echo(
-        f"split {len(pairs)} pairs -> train={len(spec.train)} dev={len(spec.dev)} test={len(spec.test)}"
-    )
+    print(f"split {len(pairs)} pairs -> train={len(spec.train)} dev={len(spec.dev)} test={len(spec.test)}")
 
 
-@cli.command()
-@click.option("--corpus", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--k", type=click.IntRange(min=2), default=10, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(file_okay=False), required=True)
+@_command("kfold", _CORPUS, _opt("--k", type=_int_range(2), default=10, help="Number of folds, at least 2."),
+          _SEED, _OUT_DIR)
 def kfold(corpus, k, seed, out):
     """Stratified k-fold cross-validation index sets."""
     pairs = corpus_mod.load(corpus)
@@ -381,31 +398,25 @@ def kfold(corpus, k, seed, out):
         folds = corpus_mod.kfold(pairs, k=k, seed=seed)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = [
-        {"fold": i, "train": list(f.train), "test": list(f.test)}
-        for i, f in enumerate(folds)
-    ]
+    payload = [{"fold": i, "train": list(f.train), "test": list(f.test)} for i, f in enumerate(folds)]
     (out_dir / "folds.json").write_text(
-        json.dumps({"seed": seed, "k": k, "folds": payload}, sort_keys=True) + "\n",
-        encoding="utf-8",
+        json.dumps({"seed": seed, "k": k, "folds": payload}, sort_keys=True) + "\n", encoding="utf-8"
     )
-    click.echo(f"wrote {k} folds over {len(pairs)} pairs")
+    print(f"wrote {k} folds over {len(pairs)} pairs")
 
 
-@cli.command("filter-names")
-@click.option("--corpus", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--map", "map_path", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Consonant map TSV; defaults to the built-in table.")
-@click.option("--count-based", is_flag=True,
-              help="Compare consonant counts only, ignoring their order.")
-@click.option("--out", type=click.Path(file_okay=False), required=True)
+@_command(
+    "filter-names", _CORPUS,
+    _opt("--map", dest="map_path", metavar="MAP", type=_existing_file,
+         help="Consonant map TSV; defaults to the built-in table."),
+    _opt("--count-based", action="store_true", help="Compare consonant counts only, ignoring their order."),
+    _OUT_DIR,
+)
 def filter_names(corpus, map_path, count_based, out):
     """Keep pairs whose unambiguous consonants correspond one-to-one."""
     pairs = corpus_mod.load(corpus)
     cmap = corpus_mod.load_consonant_map(map_path) if map_path else None
-    kept, rejected = corpus_mod.paranames_filter(
-        pairs, cmap, order_sensitive=not count_based
-    )
+    kept, rejected = corpus_mod.paranames_filter(pairs, cmap, order_sensitive=not count_based)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus_mod.save(kept, out_dir / "kept.jsonl")
@@ -413,60 +424,49 @@ def filter_names(corpus, map_path, count_based, out):
         for pair, cls in rejected:
             row = {"fa": pair.fa, "tg": pair.tg, "dataset": pair.dataset, "violating_class": cls}
             fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
-    click.echo(f"kept {len(kept)}, rejected {len(rejected)} of {len(pairs)} pairs")
+    print(f"kept {len(kept)}, rejected {len(rejected)} of {len(pairs)} pairs")
 
 
-@cli.command("build-dict")
-@click.option("--corpus", type=click.Path(exists=True, dir_okay=False), required=True)
-@_direction_option
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
+@_command("build-dict", _CORPUS, _DIRECTION, _OUT_FILE)
 def build_dict(corpus, direction, out):
     """Build the word-level lookup from positionally aligned pairs."""
     pairs = corpus_mod.load(corpus)
     d = translit_mod.build_dictionary(pairs, direction)
     translit_mod.save_dictionary(d, out)
-    click.echo(f"{len(d.entries)} entries ({d.skipped_pairs} pairs skipped)")
+    print(f"{len(d.entries)} entries ({d.skipped_pairs} pairs skipped)")
 
 
-@cli.command("train-lm")
-@click.option("--corpus", type=click.Path(exists=True, dir_okay=False), required=True)
-@_direction_option
-@click.option("--lm-order", type=click.IntRange(min=1), default=translit_mod.DEFAULT_LM_ORDER,
-              show_default=True)
-@click.option("--smoothing", type=click.Choice(list(translit_mod.SMOOTHINGS)), default="witten_bell",
-              show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
+@_command("train-lm", _CORPUS, _DIRECTION, _LM_ORDER,
+          _opt("--smoothing", choices=translit_mod.SMOOTHINGS, default="witten_bell"), _OUT_FILE)
 def train_lm_cmd(corpus, direction, lm_order, smoothing, out):
     """Train the character n-gram model on the target side of a corpus."""
     pairs = corpus_mod.load(corpus)
     with _stage(corpus):
         lm = translit_mod.train_lm([direction.target_text(p) for p in pairs], order=lm_order, smoothing=smoothing)
     translit_mod.save_lm(lm, out)
-    click.echo(f"order-{lm_order} model over {len(lm.vocab)} symbols")
+    print(f"order-{lm_order} model over {len(lm.vocab)} symbols")
 
 
-@cli.command("translit")
-@_direction_option
-@click.option("--table", "table_path", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Mapping table TSV; defaults to the built-in table.")
-@click.option("--dict", "dict_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--lm", "lm_path", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Without an LM the first table candidate is taken.")
-@click.option("--beam", type=click.IntRange(min=1), default=translit_mod.DEFAULT_BEAM, show_default=True)
-@click.option("--assume-normalized", is_flag=True,
-              help="Input is already train-normalized; skip normalization.")
-@click.option("--ambiguity-stats", is_flag=True,
-              help="Print the mean lattice path count per token to stderr.")
-@click.option("-i", "--input", "input_", default="-")
-@click.option("-o", "--output", default="-")
+@_command(
+    "translit", _DIRECTION,
+    _opt("--table", dest="table_path", metavar="TABLE", type=_existing_file,
+         help="Mapping table TSV; defaults to the built-in table."),
+    _opt("--dict", dest="dict_path", metavar="DICT", type=_existing_file),
+    _opt("--lm", dest="lm_path", metavar="LM", type=_existing_file,
+         help="Without an LM the first table candidate is taken."),
+    _BEAM,
+    _opt("--assume-normalized", action="store_true",
+         help="Input is already train-normalized; skip normalization."),
+    _opt("--ambiguity-stats", action="store_true", help="Print the mean lattice path count per token to stderr."),
+    _INPUT, _OUTPUT,
+)
 def translit_cmd(direction, table_path, dict_path, lm_path, beam, assume_normalized,
                  ambiguity_stats, input_, output):
     """Transliterate text line by line with the lattice baseline."""
-    table = (
-        translit_mod.load_mapping_table(table_path, direction)
-        if table_path
-        else translit_mod.default_mapping_table(direction.name)
-    )
+    if table_path:
+        table = translit_mod.load_mapping_table(table_path, direction)
+    else:
+        table = translit_mod.default_mapping_table(direction.name)
     dictionary = translit_mod.load_dictionary(dict_path) if dict_path else None
     if dictionary is not None and dictionary.direction != direction:
         raise ConfigError(
@@ -490,7 +490,7 @@ def translit_cmd(direction, table_path, dict_path, lm_path, beam, assume_normali
     if ambiguity_stats:
         with _stage(where):
             mean = translit_mod.avg_alternatives(normalized, table)
-        click.echo(f"avg alternatives per token: {mean:.2f}", err=True)
+        print(f"avg alternatives per token: {mean:.2f}", file=sys.stderr)
     _write_lines(output, out_lines)
 
 
@@ -512,15 +512,16 @@ def _load_hyp_lines(hyp_path: str, n_expected: int) -> list[str]:
     return lines
 
 
-@cli.command()
-@click.option("--corpus", type=click.Path(exists=True, dir_okay=False), required=True,
-              help="Reference corpus (JSONL or TSV).")
-@click.option("--hyp", "hyps", type=click.Path(exists=True, dir_okay=False), multiple=True, required=True,
-              help="Hypothesis file, one detokenized line per pair; repeatable.")
-@_direction_option
-@click.option("--sentence-chrf", is_flag=True, help="Average sentence-level chrF instead of pooling counts.")
-@click.option("--format", "format_", type=click.Choice(["table", "jsonl"]), default="table", show_default=True)
-@click.option("--out", type=click.Path(file_okay=False), default=None)
+@_command(
+    "score",
+    _opt("--corpus", type=_existing_file, required=True, help="Reference corpus (JSONL or TSV)."),
+    _opt("--hyp", dest="hyps", metavar="HYP", type=_existing_file, action="append", required=True,
+         help="Hypothesis file, one detokenized line per pair; repeatable."),
+    _DIRECTION,
+    _opt("--sentence-chrf", action="store_true", help="Average sentence-level chrF instead of pooling counts."),
+    _FORMAT,
+    _opt("--out", type=_dir_path),
+)
 def score(corpus, hyps, direction, sentence_chrf, format_, out):
     """Score hypothesis files against a reference corpus."""
     sources: dict[str, str] = {}
@@ -529,13 +530,8 @@ def score(corpus, hyps, direction, sentence_chrf, format_, out):
     pairs = corpus_mod.load(corpus)
     refs = _eval_texts((direction.reference(p) for p in pairs), direction.target)
     groups = [_group_label(p) for p in pairs]
-    config = {
-        "command": "score",
-        "direction": direction.name,
-        "corpus": str(corpus),
-        "hyp": [str(h) for h in hyps],
-        "sentence_chrf": sentence_chrf,
-    }
+    config = {"command": "score", "direction": direction.name, "corpus": str(corpus),
+              "hyp": [str(h) for h in hyps], "sentence_chrf": sentence_chrf}
     meta = _meta(config, [corpus, *hyps], seed=None)
     systems: dict[str, MetricReport] = {}
     for name, hyp_path in sources.items():
@@ -545,36 +541,23 @@ def score(corpus, hyps, direction, sentence_chrf, format_, out):
             systems[name] = score_corpus(eval_pairs, sentence_chrf)
     table_text = _report_table(systems, meta)
     if format_ == "table":
-        click.echo(table_text, nl=False)
+        sys.stdout.write(table_text)
     else:
         for name, report in systems.items():
-            click.echo(_report_jsonl(name, report, meta), nl=False)
+            sys.stdout.write(_report_jsonl(name, report, meta))
     if out:
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.txt").write_text(table_text, encoding="utf-8")
         for name, report in systems.items():
-            (out_dir / f"{name}.scores.jsonl").write_text(
-                _report_jsonl(name, report, meta), encoding="utf-8"
-            )
+            (out_dir / f"{name}.scores.jsonl").write_text(_report_jsonl(name, report, meta), encoding="utf-8")
 
 
-def _fold_count(ctx, param, value: int) -> int:
-    if value == 1 or value < 0:
-        raise click.BadParameter(f"{value} is neither 0 (holdout) nor at least 2")
-    return value
-
-
-@cli.command()
-@click.option("--corpus", type=click.Path(exists=True, dir_okay=False), required=True)
-@_direction_option
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--beam", type=click.IntRange(min=1), default=translit_mod.DEFAULT_BEAM, show_default=True)
-@click.option("--lm-order", type=click.IntRange(min=1), default=translit_mod.DEFAULT_LM_ORDER,
-              show_default=True)
-@click.option("--folds", type=int, default=0, show_default=True, callback=_fold_count,
-              help="0 = 80/10/10 holdout; k >= 2 = k-fold cross-validation.")
-@click.option("--out", type=click.Path(file_okay=False), required=True)
+@_command(
+    "pipeline", _CORPUS, _DIRECTION, _SEED, _BEAM, _LM_ORDER,
+    _opt("--folds", type=_fold_count, default=0, help="0 = 80/10/10 holdout; k >= 2 = k-fold cross-validation."),
+    _OUT_DIR,
+)
 def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
     """Run split, training, transliteration and scoring in one go.
 
@@ -593,15 +576,8 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
             specs = [corpus_mod.split_holdout(pairs, seed=seed)]
         else:
             specs = corpus_mod.kfold(pairs, k=folds, seed=seed)
-    config = {
-        "command": "pipeline",
-        "direction": direction.name,
-        "corpus": str(corpus),
-        "seed": seed,
-        "beam": beam,
-        "lm_order": lm_order,
-        "folds": folds,
-    }
+    config = {"command": "pipeline", "direction": direction.name, "corpus": str(corpus), "seed": seed,
+              "beam": beam, "lm_order": lm_order, "folds": folds}
     meta = _meta(config, [corpus], seed=seed)
 
     def run_block(block_dir: Path, spec: corpus_mod.SplitSpec) -> list[str]:
@@ -625,9 +601,7 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
         source_path = str(block_dir / "test.src.txt")
         _write_lines(source_path, sources)
         with _stage("translit"):
-            hyp_lines = translit_mod.transliterate_lines(
-                sources, table, dictionary, lm, beam, where=source_path
-            )
+            hyp_lines = translit_mod.transliterate_lines(sources, table, dictionary, lm, beam, where=source_path)
         _write_lines(str(block_dir / "test.hyp.txt"), hyp_lines)
         return hyp_lines
 
@@ -639,14 +613,8 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
         )
         if folds == 0:
             spec = specs[0]
-            (out_dir / "split.json").write_text(
-                json.dumps(
-                    {"seed": seed, "train": list(spec.train), "dev": list(spec.dev), "test": list(spec.test)},
-                    sort_keys=True,
-                )
-                + "\n",
-                encoding="utf-8",
-            )
+            payload = {"seed": seed, "train": list(spec.train), "dev": list(spec.dev), "test": list(spec.test)}
+            (out_dir / "split.json").write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
             corpus_mod.save([pairs[i] for i in spec.dev], out_dir / "dev.jsonl")
             block_dirs = [out_dir]
         else:
@@ -673,7 +641,7 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
         (out_dir / "report.jsonl").write_text(
             _report_jsonl(name, report, meta), encoding="utf-8"
         )
-    click.echo(table_text, nl=False)
+    sys.stdout.write(table_text)
 
 
 # The meta fields that report prints (see _meta_lines): name, check, what it must be.
@@ -692,10 +660,12 @@ _METRIC_RANGES = {m: (math.inf, "a finite number >= 0") if m in ("cer", "ncer") 
                   for m in METRIC_COLUMNS}
 
 
-@cli.command()
-@click.option("--scores", type=click.Path(exists=True, dir_okay=False), multiple=True, required=True,
-              help="Structured score file produced by `score` or `pipeline`; repeatable.")
-@click.option("-o", "--output", default="-")
+@_command(
+    "report",
+    _opt("--scores", type=_existing_file, action="append", required=True,
+         help="Structured score file produced by `score` or `pipeline`; repeatable."),
+    _OUTPUT,
+)
 def report(scores, output):
     """Render one or more structured score files as a side-by-side table."""
     systems: dict[str, MetricReport] = {}
@@ -748,8 +718,82 @@ def report(scores, output):
     _write_text(output, _report_table(systems, merged_meta))
 
 
-def main(argv: Sequence[str] | None = None):
-    cli(args=argv, auto_envvar_prefix="TGFA")
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser of the whole command line, and each command's own parser."""
+    parser = argparse.ArgumentParser(
+        prog="tgfa", description="Tajik-Cyrillic / Perso-Arabic transliteration toolkit.", allow_abbrev=False
+    )
+    parser.add_argument("--version", action="version", version=f"tgfa, version {__version__}")
+    group = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    commands = {}
+    for name, (func, options) in COMMANDS.items():
+        doc = func.__doc__
+        sub = commands[name] = group.add_parser(name, help=doc.partition("\n")[0], description=doc,
+                                                allow_abbrev=False)
+        for flags, kwargs in options:
+            if kwargs.get("default") is not None:
+                kwargs = {**kwargs, "help": f"{kwargs.get('help', '')} (default: %(default)s)".lstrip()}
+            sub.add_argument(*flags, **kwargs)
+    return parser, commands
+
+
+def env_var(command: str, long_flag: str) -> str:
+    """The environment variable that sets ``command``'s option ``long_flag``: TGFA_<COMMAND>_<FLAG>."""
+    return f"TGFA_{command}_{long_flag[2:]}".upper().replace("-", "_")
+
+
+def _env_args(command: str, parser: argparse.ArgumentParser, argv: Sequence[str]) -> list[str]:
+    """The arguments that set variables give ``command``, to be placed before its own ``argv``.
+
+    An empty variable is unset. A repeatable option's variable counts only
+    when ``argv`` does not give the flag, and is split on whitespace. A
+    store_true flag's variable is a boolean word; any other is a usage error.
+    """
+    args = []
+    for flags, kwargs in COMMANDS[command][1]:
+        long = flags[-1]
+        value = os.environ.get(env_var(command, long))
+        if not value:
+            continue
+        action = kwargs.get("action")
+        if action == "store_true":
+            word = value.strip().lower()
+            if word in ("1", "true", "t", "yes", "y", "on"):
+                args.append(long)
+            elif word not in ("0", "false", "f", "no", "n", "off"):
+                parser.error(f"argument {'/'.join(flags)}: {value!r} is not a valid boolean")
+        elif action == "append":
+            if not any(arg.split("=", 1)[0] in flags for arg in argv):
+                args += [f"{long}={v}" for v in value.split()]
+        else:
+            args.append(f"{long}={value}")
+    return args
+
+
+def main(argv: Sequence[str] | None = None) -> NoReturn:
+    """Run one command line; always ends in SystemExit.
+
+    The code is 0 on success, 2 for a usage error and a TgfaError's own
+    code (2, 3 or 4) after printing ``Error: <message>`` to stderr.
+    """
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser, commands = _parser()
+    # The group's own flags take no value, so the first word is the command. Help reads no variable.
+    at = next((i for i, arg in enumerate(argv) if not arg.startswith("-")), None)
+    if at is not None and argv[at] in COMMANDS and not {"-h", "--help"} & set(argv):
+        argv[at + 1 : at + 1] = _env_args(argv[at], commands[argv[at]], argv[at + 1 :])
+    kwargs = vars(parser.parse_args(argv))
+    func, _ = COMMANDS[kwargs.pop("command")]
+    try:
+        func(**kwargs)
+    except TgfaError as e:
+        print(f"Error: {e}", file=sys.stderr)
+        sys.exit(e.exit_code)
+    except BrokenPipeError:
+        # The reader closed stdout (`tgfa ... | head`): point it at devnull so the exit flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

@@ -24,9 +24,7 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from tgfa.cli import cli
 from tgfa.corpus import (
     ParallelPair,
     load,
@@ -333,20 +331,17 @@ def test_c8_eval_normalization_purity():
 
 
 def test_c9_pipeline_determinism(tmp_path):
-    from conftest import toy_corpus
+    from conftest import run_cli, toy_corpus
     from tgfa.corpus import save
 
     corpus = tmp_path / "corpus.jsonl"
     save(toy_corpus(60, seed=9), corpus)
-    runner = CliRunner()
     digests = []
     for name in ("one", "two"):
         out = tmp_path / name
-        result = runner.invoke(
-            cli,
+        result = run_cli(
             ["pipeline", "--corpus", str(corpus), "--direction", "tg2fa",
              "--seed", "99", "--out", str(out)],
-            auto_envvar_prefix="TGFA",
         )
         assert result.exit_code == 0, result.output
         digests.append(

@@ -1,10 +1,15 @@
-"""Each module's ``__all__`` is its public API: names that resolve, none of them private, each of them used."""
+"""The package's surface: each module's ``__all__`` is its public API, with names that
+resolve, none of them private, each of them used; and nothing is imported from outside
+the standard library."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import sys
 from pathlib import Path
+
+import pytest
 
 import tgfa
 
@@ -62,3 +67,26 @@ def test_every_public_name_is_used():
         used |= _references(path, strings=True)
     dead = [f"{name}.{attr}" for name, exported in _exports().items() for attr in exported if attr not in used]
     assert not dead, "public names nothing uses: " + ", ".join(dead)
+
+
+# CPython 3.12's built-in SHA-2 module, which older sys.stdlib_module_names do not list.
+_NEWER_STDLIB = {"_sha2"}
+
+
+def test_no_runtime_dependency():
+    """Every import in the package names the standard library or tgfa, and pyproject.toml lists no dependency."""
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            top = {name.partition(".")[0] for name in names} - sys.stdlib_module_names - _NEWER_STDLIB - {"tgfa"}
+            outside += [f"{path.name}: {name}" for name in top]
+    assert not outside, "imports from outside the standard library: " + ", ".join(outside)
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []

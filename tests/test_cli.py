@@ -13,12 +13,11 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tgfa
-from tgfa.cli import _config_hash, _sha256, cli, main
+from tgfa.cli import COMMANDS, _config_hash, _direction, _existing_file, _sha256, env_var, main
 from tgfa.corpus import ParallelPair
 from tgfa.errors import ParseError
 from tgfa.script import parse_json_object
@@ -26,15 +25,6 @@ from tgfa import translit
 from tgfa.translit import MappingTable, train_lm
 
 from conftest import run_cli, tajik_char_table, toy_corpus
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, args, **kwargs):
-    return runner.invoke(cli, args, auto_envvar_prefix="TGFA", **kwargs)
 
 
 def write_corpus(path: Path, pairs):
@@ -45,55 +35,57 @@ def write_corpus(path: Path, pairs):
 
 
 class TestTextCommands:
-    def test_normalize(self, runner):
-        result = invoke(
-            runner,
+    def test_normalize(self):
+        result = run_cli(
             ["normalize", "--script", "tajik", "--mode", "train"],
             input="Ва — аз!\n",
         )
         assert result.exit_code == 0
         assert result.output == "ва аз\n"
 
-    def test_translit_fa2tg_variant_letters(self, runner):
+    def test_translit_fa2tg_variant_letters(self):
         # ٱ ھ ہ ے have table rows with the candidates of ا ه ه ی.
-        result = invoke(runner, ["translit", "--direction", "fa2tg"], input="ٱب ھا ہا بے\n")
+        result = run_cli(["translit", "--direction", "fa2tg"], input="ٱب ھا ہا بے\n")
         assert result.exit_code == 0, result.output
         assert result.output == "об ҳо ҳо би\n"
 
-    def test_normalize_eval_mode(self, runner):
-        result = invoke(
-            runner,
+    def test_normalize_eval_mode(self):
+        result = run_cli(
             ["normalize", "--script", "tajik", "--mode", "eval"],
             input="В-аз\n",
         )
         assert result.output == "ваз\n"
 
-    def test_mode_from_env(self, runner):
-        result = invoke(
-            runner,
+    def test_mode_from_env(self):
+        result = run_cli(
             ["normalize", "--script", "tajik"],
             input="В-аз\n",
             env={"TGFA_NORMALIZE_MODE": "eval"},
         )
         assert result.output == "ваз\n"
 
-    def test_tokenize_detokenize_round_trip(self, runner):
-        tokenized = invoke(runner, ["tokenize"], input="аз ин\n")
+    def test_mode_flag_beats_its_variable(self):
+        result = run_cli(["normalize", "--script", "tajik", "--mode", "train"], input="В-аз\n",
+                         env={"TGFA_NORMALIZE_MODE": "eval"})
+        assert result.exit_code == 0, result.output
+        assert result.output == "в-аз\n"
+
+    def test_tokenize_detokenize_round_trip(self):
+        tokenized = run_cli(["tokenize"], input="аз ин\n")
         assert tokenized.output == "@ а з @ _ @ и н @\n"
-        back = invoke(runner, ["detokenize"], input=tokenized.output)
+        back = run_cli(["detokenize"], input=tokenized.output)
         assert back.output == "аз ин\n"
 
-    def test_char_table_override(self, runner, tmp_path):
+    def test_char_table_override(self, tmp_path):
         table = tmp_path / "chars.tsv"
         table.write_text("U+0438\tother\n", encoding="utf-8")
-        result = invoke(
-            runner,
+        result = run_cli(
             ["normalize", "--script", "tajik", "--char-table", str(table)],
             input="ин\n",
         )
         assert result.output == "н\n"
 
-    def test_char_table_translation_built_once(self, runner, tmp_path, monkeypatch):
+    def test_char_table_translation_built_once(self, tmp_path, monkeypatch):
         from tgfa import script
 
         table = tmp_path / "chars.tsv"
@@ -107,8 +99,7 @@ class TestTextCommands:
 
         monkeypatch.setattr(script._Translation, "__init__", counted)
         script._translation.cache_clear()
-        result = invoke(
-            runner,
+        result = run_cli(
             ["normalize", "--script", "tajik", "--char-table", str(table)],
             input="ин аз\n" * 50,
         )
@@ -117,24 +108,22 @@ class TestTextCommands:
 
 
 class TestCorpusCommands:
-    def test_stats_table(self, runner, corpus_file):
-        result = invoke(runner, ["stats", "--corpus", str(corpus_file)])
+    def test_stats_table(self, corpus_file):
+        result = run_cli(["stats", "--corpus", str(corpus_file)])
         assert result.exit_code == 0
         assert "Dictionary" in result.output
         assert "Masnavi" in result.output
 
-    def test_stats_jsonl_per_domain(self, runner, corpus_file):
-        result = invoke(
-            runner,
+    def test_stats_jsonl_per_domain(self, corpus_file):
+        result = run_cli(
             ["stats", "--corpus", str(corpus_file), "--per", "domain", "--format", "jsonl"],
         )
         rows = [json.loads(line) for line in result.output.splitlines()]
         assert {r["label"] for r in rows} == {"poetry", "prose", "names", "dictionary"}
 
-    def test_split_writes_artifacts(self, runner, corpus_file, tmp_path):
+    def test_split_writes_artifacts(self, corpus_file, tmp_path):
         out = tmp_path / "split"
-        result = invoke(
-            runner,
+        result = run_cli(
             ["split", "--corpus", str(corpus_file), "--seed", "3", "--out", str(out)],
         )
         assert result.exit_code == 0
@@ -143,18 +132,17 @@ class TestCorpusCommands:
         for name in ("train", "dev", "test"):
             assert (out / f"{name}.jsonl").exists()
 
-    def test_split_deterministic(self, runner, corpus_file, tmp_path):
+    def test_split_deterministic(self, corpus_file, tmp_path):
         outs = []
         for sub in ("a", "b"):
             out = tmp_path / sub
-            invoke(runner, ["split", "--corpus", str(corpus_file), "--seed", "5", "--out", str(out)])
+            run_cli(["split", "--corpus", str(corpus_file), "--seed", "5", "--out", str(out)])
             outs.append((out / "split.json").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_kfold(self, runner, corpus_file, tmp_path):
+    def test_kfold(self, corpus_file, tmp_path):
         out = tmp_path / "folds"
-        result = invoke(
-            runner,
+        result = run_cli(
             ["kfold", "--corpus", str(corpus_file), "--k", "4", "--seed", "1", "--out", str(out)],
         )
         assert result.exit_code == 0
@@ -163,11 +151,11 @@ class TestCorpusCommands:
         seen = sorted(i for f in payload["folds"] for i in f["test"])
         assert seen == list(range(24))
 
-    def test_filter_names(self, runner, tmp_path):
+    def test_filter_names(self, tmp_path):
         corpus = write_corpus(tmp_path / "names.jsonl", toy_corpus(30, dataset="People"))
         out = tmp_path / "filtered"
-        result = invoke(
-            runner, ["filter-names", "--corpus", str(corpus), "--out", str(out)]
+        result = run_cli(
+            ["filter-names", "--corpus", str(corpus), "--out", str(out)]
         )
         assert result.exit_code == 0
         kept = (out / "kept.jsonl").read_text().splitlines()
@@ -178,42 +166,38 @@ class TestCorpusCommands:
 
 
 class TestModelCommands:
-    def test_build_dict_and_train_lm(self, runner, corpus_file, tmp_path):
+    def test_build_dict_and_train_lm(self, corpus_file, tmp_path):
         dict_path = tmp_path / "dict.json"
         lm_path = tmp_path / "lm.json"
-        r1 = invoke(
-            runner,
+        r1 = run_cli(
             ["build-dict", "--corpus", str(corpus_file), "--direction", "tg2fa", "--out", str(dict_path)],
         )
         assert r1.exit_code == 0 and dict_path.exists()
-        r2 = invoke(
-            runner,
+        r2 = run_cli(
             ["train-lm", "--corpus", str(corpus_file), "--direction", "tg2fa",
              "--lm-order", "3", "--out", str(lm_path)],
         )
         assert r2.exit_code == 0 and lm_path.exists()
 
-    def test_translit_first_candidate(self, runner):
-        result = invoke(
-            runner, ["translit", "--direction", "tg2fa"], input="бғд\n"
+    def test_translit_first_candidate(self):
+        result = run_cli(
+            ["translit", "--direction", "tg2fa"], input="бғд\n"
         )
         assert result.exit_code == 0
         assert result.output == "بغد\n"
 
-    def test_translit_missing_table_fails_before_work(self, runner, tmp_path):
-        result = invoke(
-            runner,
+    def test_translit_missing_table_fails_before_work(self, tmp_path):
+        result = run_cli(
             ["translit", "--direction", "tg2fa", "--table", str(tmp_path / "nope.tsv")],
             input="бғд\n",
         )
         assert result.exit_code == 2
 
-    def test_translit_out_of_script_table_fails_before_output(self, runner, tmp_path):
+    def test_translit_out_of_script_table_fails_before_output(self, tmp_path):
         table = tmp_path / "t.tsv"
         table.write_text("б\tb\n", encoding="utf-8")
         out = tmp_path / "out.txt"
-        result = invoke(
-            runner,
+        result = run_cli(
             ["translit", "--direction", "tg2fa", "--table", str(table), "-o", str(out)],
             input="б\n",
         )
@@ -225,35 +209,33 @@ class TestModelCommands:
         [("fa2tg", "خانهٔ من"), ("fa2tg", "خانۀ من"), ("tg2fa", "ман\u200cба")],
         ids=["ezafe-hamza", "heh-with-yeh", "tajik-zwnj"],
     )
-    def test_translit_ordinary_text_has_table_rows(self, runner, direction, line):
-        result = invoke(runner, ["translit", "--direction", direction], input=line + "\n")
+    def test_translit_ordinary_text_has_table_rows(self, direction, line):
+        result = run_cli(["translit", "--direction", direction], input=line + "\n")
         assert result.exit_code == 0, result.output
         assert len(result.output.splitlines()) == 1
 
-    def test_translit_ambiguity_stats(self, runner):
-        result = invoke(
-            runner,
+    def test_translit_ambiguity_stats(self):
+        result = run_cli(
             ["translit", "--direction", "tg2fa", "--ambiguity-stats"],
             input="аз ин\n",
         )
         assert result.exit_code == 0
         assert "avg alternatives per token" in result.output
 
-    def test_translit_lm_with_letters_outside_the_target_script_loads(self, runner, tmp_path):
+    def test_translit_lm_with_letters_outside_the_target_script_loads(self, tmp_path):
         # Only a model holding no letter of the target script is refused.
         lm_path = tmp_path / "lm.json"
         lm_path.write_text(json.dumps(train_lm(["باد", "ab"], order=2).to_payload()), encoding="utf-8")
-        result = invoke(runner, ["translit", "--direction", "tg2fa", "--lm", str(lm_path)], input="бод\n")
+        result = run_cli(["translit", "--direction", "tg2fa", "--lm", str(lm_path)], input="бод\n")
         assert result.exit_code == 0, result.output
         assert len(result.output.splitlines()) == 1
 
-    def test_translit_with_lm_and_dict(self, runner, corpus_file, tmp_path):
+    def test_translit_with_lm_and_dict(self, corpus_file, tmp_path):
         dict_path = tmp_path / "dict.json"
         lm_path = tmp_path / "lm.json"
-        invoke(runner, ["build-dict", "--corpus", str(corpus_file), "--direction", "tg2fa", "--out", str(dict_path)])
-        invoke(runner, ["train-lm", "--corpus", str(corpus_file), "--direction", "tg2fa", "--lm-order", "2", "--out", str(lm_path)])
-        result = invoke(
-            runner,
+        run_cli(["build-dict", "--corpus", str(corpus_file), "--direction", "tg2fa", "--out", str(dict_path)])
+        run_cli(["train-lm", "--corpus", str(corpus_file), "--direction", "tg2fa", "--lm-order", "2", "--out", str(lm_path)])
+        result = run_cli(
             ["translit", "--direction", "tg2fa", "--dict", str(dict_path), "--lm", str(lm_path)],
             input="бғд аз\n",
         )
@@ -271,12 +253,11 @@ class TestScore:
         script = Script.FARSI if direction == "tg2fa" else Script.TAJIK
         return [normalize_text(side(p), script, NormMode.EVAL) for p in pairs]
 
-    def test_identity_hypothesis_scores_perfect(self, runner, corpus_file, tmp_path):
+    def test_identity_hypothesis_scores_perfect(self, corpus_file, tmp_path):
         hyp = tmp_path / "hyp.txt"
         hyp.write_text("".join(line + "\n" for line in self._refs(corpus_file)), encoding="utf-8")
         out = tmp_path / "scores"
-        result = invoke(
-            runner,
+        result = run_cli(
             ["score", "--corpus", str(corpus_file), "--hyp", str(hyp),
              "--direction", "tg2fa", "--out", str(out)],
         )
@@ -292,25 +273,23 @@ class TestScore:
         meta = rows[0]["meta"]
         assert meta["version"] and meta["config_hash"] and meta["inputs"]
 
-    def test_length_mismatch_exit_code(self, runner, corpus_file, tmp_path):
+    def test_length_mismatch_exit_code(self, corpus_file, tmp_path):
         hyp = tmp_path / "hyp.txt"
         lines = self._refs(corpus_file) + ["зиёдатӣ"]
         hyp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        result = invoke(
-            runner,
+        result = run_cli(
             ["score", "--corpus", str(corpus_file), "--hyp", str(hyp), "--direction", "tg2fa"],
         )
         assert result.exit_code == 4
         assert "25" in result.output  # first offending line
 
-    def test_two_systems_best_marked(self, runner, corpus_file, tmp_path):
+    def test_two_systems_best_marked(self, corpus_file, tmp_path):
         refs = self._refs(corpus_file)
         good = tmp_path / "good.txt"
         good.write_text("".join(line + "\n" for line in refs), encoding="utf-8")
         bad = tmp_path / "bad.txt"
         bad.write_text("".join("خطا" + "\n" for _ in refs), encoding="utf-8")
-        result = invoke(
-            runner,
+        result = run_cli(
             ["score", "--corpus", str(corpus_file), "--hyp", str(good),
              "--hyp", str(bad), "--direction", "tg2fa"],
         )
@@ -319,15 +298,14 @@ class TestScore:
         assert "100.00*" in result.output
 
     @pytest.mark.parametrize("second", ["other/sys.txt", "sys.txt"], ids=["same-stem", "same-file"])
-    def test_duplicate_system_name_rejected_before_work(self, runner, corpus_file, tmp_path, second):
+    def test_duplicate_system_name_rejected_before_work(self, corpus_file, tmp_path, second):
         # Hypotheses that are not UTF-8 would exit 3 if they were read.
         first = tmp_path / "sys.txt"
         first.write_bytes(b"\xff\n")
         (tmp_path / "other").mkdir()
         (tmp_path / "other" / "sys.txt").write_bytes(b"\xff\n")
         out = tmp_path / "scores"
-        result = invoke(
-            runner,
+        result = run_cli(
             ["score", "--corpus", str(corpus_file), "--hyp", str(first),
              "--hyp", str(tmp_path / second), "--direction", "tg2fa", "--out", str(out)],
         )
@@ -335,21 +313,19 @@ class TestScore:
         assert f"system name 'sys' is given by both {first} and {tmp_path / second}" in result.output
         assert not out.exists()
 
-    def test_missing_corpus_fails_before_work(self, runner, tmp_path):
-        result = invoke(
-            runner,
+    def test_missing_corpus_fails_before_work(self, tmp_path):
+        result = run_cli(
             ["score", "--corpus", str(tmp_path / "nope.jsonl"), "--hyp", str(tmp_path / "nope.txt"),
              "--direction", "tg2fa"],
         )
         assert result.exit_code == 2
 
-    def test_corrupt_corpus_parse_exit_code(self, runner, tmp_path):
+    def test_corrupt_corpus_parse_exit_code(self, tmp_path):
         corpus = tmp_path / "bad.jsonl"
         corpus.write_text("not json at all\n", encoding="utf-8")
         hyp = tmp_path / "hyp.txt"
         hyp.write_text("x\n", encoding="utf-8")
-        result = invoke(
-            runner,
+        result = run_cli(
             ["score", "--corpus", str(corpus), "--hyp", str(hyp), "--direction", "tg2fa"],
         )
         assert result.exit_code == 3
@@ -357,11 +333,10 @@ class TestScore:
 
 
 class TestPipelineAndReport:
-    def test_pipeline_holdout(self, runner, tmp_path):
+    def test_pipeline_holdout(self, tmp_path):
         corpus = write_corpus(tmp_path / "c.jsonl", toy_corpus(60))
         out = tmp_path / "run"
-        result = invoke(
-            runner,
+        result = run_cli(
             ["pipeline", "--corpus", str(corpus), "--direction", "tg2fa",
              "--seed", "7", "--out", str(out)],
         )
@@ -374,11 +349,10 @@ class TestPipelineAndReport:
             assert (out / name).exists(), name
         assert "Overall" in (out / "report.txt").read_text()
 
-    def test_pipeline_kfold(self, runner, tmp_path):
+    def test_pipeline_kfold(self, tmp_path):
         corpus = write_corpus(tmp_path / "c.jsonl", toy_corpus(30))
         out = tmp_path / "run"
-        result = invoke(
-            runner,
+        result = run_cli(
             ["pipeline", "--corpus", str(corpus), "--direction", "fa2tg",
              "--seed", "1", "--folds", "3", "--out", str(out)],
         )
@@ -389,7 +363,7 @@ class TestPipelineAndReport:
         overall = next(r for r in rows if r.get("group") == "Overall")
         assert overall["n_pairs"] == 30  # every pair tested exactly once
 
-    def test_pipeline_normalizes_each_text_once(self, runner, tmp_path, monkeypatch):
+    def test_pipeline_normalizes_each_text_once(self, tmp_path, monkeypatch):
         from tgfa import script
 
         n_pairs = 30
@@ -406,8 +380,7 @@ class TestPipelineAndReport:
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, counted)
-        result = invoke(
-            runner,
+        result = run_cli(
             ["pipeline", "--corpus", str(corpus), "--direction", "tg2fa",
              "--folds", "3", "--out", str(tmp_path / "run")],
         )
@@ -416,35 +389,33 @@ class TestPipelineAndReport:
         # reference and hypothesis once, since each pair is tested once.
         assert calls == {script.NormMode.TRAIN: 2 * n_pairs, script.NormMode.EVAL: 2 * n_pairs}
 
-    def test_report_prints_score_table_unchanged(self, runner, tmp_path):
+    def test_report_prints_score_table_unchanged(self, tmp_path):
         """A group label holding U+2028 stays on its line, as in the table score writes."""
         pairs = toy_corpus(4, dataset="Blog\u2028Two")
         corpus = write_corpus(tmp_path / "c.jsonl", pairs)
         hyp = tmp_path / "hyp.txt"
         hyp.write_text("".join(p.fa + "\n" for p in pairs), encoding="utf-8")
         out = tmp_path / "scores"
-        scored = invoke(
-            runner,
+        scored = run_cli(
             ["score", "--corpus", str(corpus), "--hyp", str(hyp), "--direction", "tg2fa", "--out", str(out)],
         )
         assert scored.exit_code == 0, scored.output
-        result = invoke(runner, ["report", "--scores", str(out / "hyp.scores.jsonl")])
+        result = run_cli(["report", "--scores", str(out / "hyp.scores.jsonl")])
         assert result.exit_code == 0, result.output
         assert "Blog\u2028Two" in result.output
         assert result.output == (out / "report.txt").read_text(encoding="utf-8")
 
-    def test_report_merges_systems(self, runner, corpus_file, tmp_path):
+    def test_report_merges_systems(self, corpus_file, tmp_path):
         refs = TestScore()._refs(corpus_file)
         hyp = tmp_path / "sys1.txt"
         hyp.write_text("".join(line + "\n" for line in refs), encoding="utf-8")
         out = tmp_path / "scores"
-        invoke(
-            runner,
+        run_cli(
             ["score", "--corpus", str(corpus_file), "--hyp", str(hyp),
              "--direction", "tg2fa", "--out", str(out)],
         )
-        result = invoke(
-            runner, ["report", "--scores", str(out / "sys1.scores.jsonl")]
+        result = run_cli(
+            ["report", "--scores", str(out / "sys1.scores.jsonl")]
         )
         assert result.exit_code == 0
         assert "Overall" in result.output
@@ -519,21 +490,96 @@ class TestSurface:
         assert _names(flag, result.output), result.output
 
 
+# Each option that names a file which must exist, as (command, long flag).
+MUST_EXIST = [(command, flags[-1]) for command, (_, options) in COMMANDS.items()
+              for flags, kwargs in options if kwargs.get("type") is _existing_file]
+
+
+def _required_args(command: str, skip: str, existing: Path, out: Path) -> list[str]:
+    """Valid values for each required option of ``command`` but ``skip``."""
+    by_type = {_existing_file: str(existing), _direction: "tg2fa"}
+    args = []
+    for flags, kwargs in COMMANDS[command][1]:
+        if kwargs.get("required") and flags[-1] != skip:
+            value = kwargs["choices"][0] if "choices" in kwargs else by_type.get(kwargs.get("type"), str(out))
+            args += [flags[-1], value]
+    return args
+
+
+class TestEnvironment:
+    """Each option's TGFA_<COMMAND>_<FLAG> variable, named after its long flag."""
+
+    def test_table_holds_every_flag(self):
+        table = {name: [flag for flags, _ in options for flag in flags] for name, (_, options) in COMMANDS.items()}
+        assert table == SURFACE
+
+    @pytest.mark.parametrize("command,flag", MUST_EXIST, ids=[f"{c}-{f}" for c, f in MUST_EXIST])
+    def test_missing_file_from_variable_rejected_before_work(self, tmp_path, command, flag):
+        existing, out = tmp_path / "exists.txt", tmp_path / "out"
+        existing.write_text("x\n", encoding="utf-8")
+        result = run_cli([command, *_required_args(command, flag, existing, out)], input="бғд\n",
+                         env={env_var(command, flag): str(tmp_path / "missing.txt")})
+        assert result.exit_code == 2, result.output
+        assert _names(flag, result.output), result.output
+        assert "missing.txt" in result.output
+        assert not out.exists()
+
+    def test_help_reads_no_variable(self):
+        env = {"TGFA_TRANSLIT_BEAM": "0", "TGFA_TRANSLIT_ASSUME_NORMALIZED": "maybe"}
+        result = run_cli(["translit", "-h"], env=env)
+        assert result.exit_code == 0, result.output
+        assert _names("--beam", result.output)
+
+    def test_input_from_variable(self, tmp_path):
+        source = tmp_path / "in.txt"
+        source.write_text("бғд\n", encoding="utf-8")
+        result = run_cli(["translit", "--direction", "tg2fa"], env={"TGFA_TRANSLIT_INPUT": str(source)})
+        assert result.exit_code == 0, result.output
+        assert result.output == "بغد\n"
+
+    def test_repeatable_variable_split_on_whitespace_unless_the_flag_is_given(self, corpus_file, tmp_path):
+        hyps = [tmp_path / f"{name}.txt" for name in ("one", "two", "three")]
+        for hyp in hyps:
+            hyp.write_text("x\n" * 24, encoding="utf-8")
+        argv = ["score", "--corpus", str(corpus_file), "--direction", "tg2fa"]
+        env = {"TGFA_SCORE_HYP": f" {hyps[0]}  {hyps[1]}\n"}
+        both = run_cli(argv, env=env)
+        assert both.exit_code == 0, both.output
+        assert "chrF[one]" in both.output and "chrF[two]" in both.output
+        # The table's meta lines name every input file.
+        given = run_cli([*argv, "--hyp", str(hyps[2])], env=env)
+        assert given.exit_code == 0, given.output
+        assert f"# input {hyps[2]} " in given.output and str(hyps[0]) not in given.output
+
+
+# Flag values out of range; --lm-order is at most 10.
+OUT_OF_RANGE = [
+    ("pipeline", "--beam", "0"),
+    ("pipeline", "--lm-order", "0"),
+    ("translit", "--beam", "0"),
+    ("train-lm", "--lm-order", "0"),
+    ("pipeline", "--folds", "1"),
+    ("pipeline", "--folds", "-1"),
+    ("kfold", "--k", "1"),
+    ("kfold", "--k", "0"),
+    ("train-lm", "--lm-order", "11"),
+    ("pipeline", "--lm-order", "11"),
+]
+
+
 class TestFlagValidation:
     @pytest.mark.parametrize(
-        "command,flag,value",
+        "command,flag,value,env_value",
         [
-            ("pipeline", "--beam", "0"),
-            ("pipeline", "--lm-order", "0"),
-            ("translit", "--beam", "0"),
-            ("train-lm", "--lm-order", "0"),
-            ("pipeline", "--folds", "1"),
-            ("pipeline", "--folds", "-1"),
-            ("kfold", "--k", "1"),
-            ("kfold", "--k", "0"),
+            *(pytest.param(*row, None, id="-".join(row)) for row in OUT_OF_RANGE),
+            # The same values, each set through its flag's variable.
+            *(pytest.param(c, f, None, v, id=f"{c}-{f}-{v}-env") for c, f, v in OUT_OF_RANGE),
+            # The flag wins over its variable, whose value would be valid.
+            pytest.param("pipeline", "--beam", "0", "4", id="flag-beats-variable"),
+            pytest.param("translit", "--ambiguity-stats", None, "maybe", id="non-boolean-variable"),
         ],
     )
-    def test_out_of_range_rejected_before_work(self, runner, corpus_file, tmp_path, command, flag, value):
+    def test_out_of_range_rejected_before_work(self, corpus_file, tmp_path, command, flag, value, env_value):
         out = tmp_path / "out"
         hyp = tmp_path / "hyp.txt"
         hyp.write_text("x\n" * 24, encoding="utf-8")
@@ -545,27 +591,28 @@ class TestFlagValidation:
             "train-lm": [*direction, "--corpus", str(corpus_file), "--out", str(out)],
             "kfold": ["--corpus", str(corpus_file), "--out", str(out)],
         }[command]
-        result = invoke(runner, [command, *args, flag, value], input="бғд\n")
+        argv = [command, *args] + ([flag, value] if value is not None else [])
+        env = {env_var(command, flag): env_value} if env_value is not None else {}
+        result = run_cli(argv, input="бғд\n", env=env)
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert flag in result.output
         assert not out.exists()
 
-    def test_kfold_k_rejected_before_corpus_is_read(self, runner, tmp_path):
+    def test_kfold_k_rejected_before_corpus_is_read(self, tmp_path):
         corpus = tmp_path / "bad.jsonl"
         corpus.write_bytes(b"not json at all\n")
-        result = invoke(runner, ["kfold", "--corpus", str(corpus), "--k", "1", "--out", str(tmp_path / "out")])
+        result = run_cli(["kfold", "--corpus", str(corpus), "--k", "1", "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert "--k" in result.output
         assert "invalid JSON" not in result.output
 
     @pytest.mark.parametrize("folds", ["0", "2"])
-    def test_pipeline_too_small_corpus_leaves_no_run_directory(self, runner, tmp_path, folds):
+    def test_pipeline_too_small_corpus_leaves_no_run_directory(self, tmp_path, folds):
         corpus = write_corpus(tmp_path / "one.jsonl", toy_corpus(1))
         out = tmp_path / "p1"
-        result = invoke(
-            runner,
+        result = run_cli(
             ["pipeline", "--corpus", str(corpus), "--direction", "tg2fa", "--folds", folds, "--out", str(out)],
         )
         assert result.exit_code == 2, result.output
@@ -574,7 +621,7 @@ class TestFlagValidation:
         assert "split: " in result.output
         assert not out.exists()
 
-    def test_pipeline_failed_stage_removes_only_a_run_directory_it_created(self, runner, tmp_path, monkeypatch):
+    def test_pipeline_failed_stage_removes_only_a_run_directory_it_created(self, tmp_path, monkeypatch):
         # Without its fa2tg table row, U+0671 (alef wasla) is an inventory
         # gap, so the translit stage fails after the split and the first artifacts.
         default_table = translit.default_mapping_table
@@ -589,7 +636,7 @@ class TestFlagValidation:
         corpus = write_corpus(tmp_path / "gap.jsonl", pairs)
         out = tmp_path / "run"
         argv = ["pipeline", "--corpus", str(corpus), "--direction", "fa2tg", "--folds", "2", "--out", str(out)]
-        result = invoke(runner, argv)
+        result = run_cli(argv)
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit)
         assert "translit: " in result.output and "(U+0671)" in result.output
@@ -598,15 +645,15 @@ class TestFlagValidation:
 
         out.mkdir()
         (out / "keep.txt").write_text("mine\n", encoding="utf-8")
-        result = invoke(runner, argv)
+        result = run_cli(argv)
         assert result.exit_code == 3, result.output
         assert (out / "keep.txt").read_text(encoding="utf-8") == "mine\n"
 
     @pytest.mark.parametrize("ratios", ["0.5,0.5,0.5", "0.8,0.3,-0.1", "0.5,0.5", "a,b,c"])
-    def test_split_ratios_rejected_before_work(self, runner, corpus_file, tmp_path, ratios):
+    def test_split_ratios_rejected_before_work(self, corpus_file, tmp_path, ratios):
         out = tmp_path / "out"
-        result = invoke(
-            runner, ["split", "--corpus", str(corpus_file), "--out", str(out), "--ratios", ratios]
+        result = run_cli(
+            ["split", "--corpus", str(corpus_file), "--out", str(out), "--ratios", ratios]
         )
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
@@ -654,11 +701,11 @@ class TestReportErrors:
              "n-pairs-zero", "cer-negative", "acc-over-100", "chrf-negative", "ncer-overflow",
              "chrf-pp-overflow", "minus-infinity"],
     )
-    def test_malformed_row_is_parse_error(self, runner, tmp_path, bad_line, reason):
+    def test_malformed_row_is_parse_error(self, tmp_path, bad_line, reason):
         path = tmp_path / "s.scores.jsonl"
         lines = [json.dumps({"meta": self.GOOD_META}), json.dumps(self.GOOD_ROW), "", bad_line]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        result = invoke(runner, ["report", "--scores", str(path)])
+        result = run_cli(["report", "--scores", str(path)])
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"{path}: line 4: {reason}" in result.output
@@ -681,32 +728,32 @@ class TestReportErrors:
         ids=["no-version", "no-seed", "no-config-hash", "no-inputs", "version-number", "seed-string",
              "seed-bool", "config-hash-list", "inputs-list", "inputs-number"],
     )
-    def test_incomplete_meta_is_parse_error(self, runner, tmp_path, key, value, reason):
+    def test_incomplete_meta_is_parse_error(self, tmp_path, key, value, reason):
         meta = {k: v for k, v in self.GOOD_META.items() if k != key}
         if value is not _DROP:
             meta[key] = value
         path = tmp_path / "s.scores.jsonl"
         path.write_text(json.dumps(self.GOOD_ROW) + "\n" + json.dumps({"meta": meta}) + "\n", encoding="utf-8")
-        result = invoke(runner, ["report", "--scores", str(path)])
+        result = run_cli(["report", "--scores", str(path)])
         assert result.exit_code == 3, result.output
         assert f"{path}: line 2: {reason}" in result.output
         assert "Traceback" not in result.output
 
-    def test_complete_meta_is_printed(self, runner, tmp_path):
+    def test_complete_meta_is_printed(self, tmp_path):
         path = tmp_path / "s.scores.jsonl"
         path.write_text(json.dumps({"meta": self.GOOD_META}) + "\n" + json.dumps(self.GOOD_ROW) + "\n", encoding="utf-8")
-        result = invoke(runner, ["report", "--scores", str(path)])
+        result = run_cli(["report", "--scores", str(path)])
         assert result.exit_code == 0, result.output
         assert "# tgfa 0  seed=None  config=abababababababab" in result.output
         assert "# input c.jsonl sha256=cdcdcdcdcdcdcdcd" in result.output
 
     @pytest.mark.parametrize("second", ["b/s.scores.jsonl", "a/s.scores.jsonl"], ids=["same-system", "same-file"])
-    def test_duplicate_system_name_rejected(self, runner, tmp_path, second):
+    def test_duplicate_system_name_rejected(self, tmp_path, second):
         for d in ("a", "b"):
             (tmp_path / d).mkdir()
             (tmp_path / d / "s.scores.jsonl").write_text(json.dumps(self.GOOD_ROW) + "\n", encoding="utf-8")
         first = tmp_path / "a" / "s.scores.jsonl"
-        result = invoke(runner, ["report", "--scores", str(first), "--scores", str(tmp_path / second)])
+        result = run_cli(["report", "--scores", str(first), "--scores", str(tmp_path / second)])
         assert result.exit_code == 2, result.output
         assert f"system name 's' is given by both {first} and {tmp_path / second}" in result.output
 
@@ -934,7 +981,7 @@ class TestMalformedInputsGuard:
     """
 
     @pytest.mark.parametrize("name,data,argv,code,message", BAD_FILES)
-    def test_bad_file(self, runner, tmp_path, name, data, argv, code, message):
+    def test_bad_file(self, tmp_path, name, data, argv, code, message):
         path = tmp_path / name
         path.write_bytes(data)
         hyp = tmp_path / "hyp.txt"
@@ -944,7 +991,7 @@ class TestMalformedInputsGuard:
         table.write_text(_GAP_TABLE, encoding="utf-8")
         out = tmp_path / "out"
         fill = {"path": str(path), "hyp": str(hyp), "corpus": str(corpus), "out": str(out), "table": str(table)}
-        result = invoke(runner, [arg.format(**fill) for arg in argv], input="бғд\n")
+        result = run_cli([arg.format(**fill) for arg in argv], input="бғд\n")
         assert code in (2, 3, 4)
         assert result.exit_code == code, result.output
         assert isinstance(result.exception, SystemExit), result.exception
@@ -969,19 +1016,19 @@ class TestMalformedInputsGuard:
             assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("row", ["lm-long-integer", "scores-long-integer"])
-    def test_long_integer_message_gives_no_python_advice(self, runner, tmp_path, row):
+    def test_long_integer_message_gives_no_python_advice(self, tmp_path, row):
         [(name, data, argv, _, _)] = [p.values for p in BAD_FILES if p.id == row]
         path = tmp_path / name
         path.write_bytes(data)
-        result = invoke(runner, [arg.format(path=path) for arg in argv], input="бғд\n")
+        result = run_cli([arg.format(path=path) for arg in argv], input="бғд\n")
         assert result.exit_code == 3, result.output
         assert "value has 5000 digits)" in result.output
         assert "set_int_max_str_digits" not in result.output
 
-    def test_stdin_inventory_gap(self, runner, tmp_path):
+    def test_stdin_inventory_gap(self, tmp_path):
         table = tmp_path / "gap.tsv"
         table.write_text(_GAP_TABLE, encoding="utf-8")
-        result = invoke(runner, ["translit", "--direction", "fa2tg", "--table", str(table)], input="از\nٱب\n")
+        result = run_cli(["translit", "--direction", "fa2tg", "--table", str(table)], input="از\nٱب\n")
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert "<stdin>: line 2: no mapping entry for 'ٱ' (U+0671)" in result.output
@@ -994,14 +1041,14 @@ class TestMalformedInputsGuard:
         ],
         ids=["tokenize-marker-collision", "ambiguity-stats-no-tokens"],
     )
-    def test_stdin_named(self, runner, argv, stdin, code, message):
-        result = invoke(runner, argv, input=stdin)
+    def test_stdin_named(self, argv, stdin, code, message):
+        result = run_cli(argv, input=stdin)
         assert result.exit_code == code, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert message in result.output
 
-    def test_stdin_not_utf8(self, runner):
-        result = invoke(runner, [*_TRANSLIT], input=b"\xff\xd0\n")
+    def test_stdin_not_utf8(self):
+        result = run_cli([*_TRANSLIT], input=b"\xff\xd0\n")
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert "<stdin>: line 1: not valid UTF-8 (byte 0xFF)" in result.output
