@@ -16,6 +16,12 @@ TGFA_<COMMAND>_<FLAG> (e.g. TGFA_PIPELINE_SEED for `tgfa pipeline --seed`,
 TGFA_TRANSLIT_INPUT for `tgfa translit -i/--input`). A variable's value
 becomes an argument placed before the command line's own, so it passes
 the same checks and the flag, when given, wins.
+
+A command imports only the tgfa modules it runs: corpus, metrics and
+tokenizer are imported inside the commands and helpers that use them,
+so `translit` and `normalize` load none of them, nor `logging`. Every
+command loads translit, because the option table reads its Direction,
+DIRECTIONS, DEFAULT_BEAM and DEFAULT_LM_ORDER when this module loads.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import shutil
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Sequence
 
 # SHA-256 from CPython's built-in module, resolved once: hashlib always
 # loads OpenSSL's libcrypto, several MB resident in every command.
@@ -42,12 +48,13 @@ except ImportError:
 
 from . import __version__
 from .errors import ConfigError, LengthMismatch, MarkerCollision, ParseError, TgfaError, UnknownDataset
-from .metrics import EvalPair, GroupScores, MetricReport, score_corpus
 from .script import FARSI_LETTERS, NormMode, Script, TAJIK_LETTERS, load_char_table, normalize_text
 from .script import parse_json_object, read_lines
-from .tokenizer import detokenize, format_token_line, parse_token_line, tokenize
-from . import corpus as corpus_mod
 from . import translit as translit_mod
+
+if TYPE_CHECKING:
+    from .corpus import ParallelPair, SplitSpec
+    from .metrics import EvalPair, GroupScores, MetricReport
 
 METRIC_COLUMNS = ("chrf", "chrf_pp", "cer", "ncer", "acc", "acc_no_ws")
 METRIC_LABELS = {
@@ -134,6 +141,7 @@ def _direction(name: str) -> translit_mod.Direction:
 
 
 def _ratios(value: str) -> tuple[float, ...]:
+    from . import corpus as corpus_mod
     try:
         ratios = tuple(float(x) for x in value.split(","))
         corpus_mod.check_ratios(ratios)
@@ -233,7 +241,8 @@ def _meta_lines(meta: dict) -> list[str]:
     return lines
 
 
-def _group_label(pair: corpus_mod.ParallelPair) -> str:
+def _group_label(pair: ParallelPair) -> str:
+    from . import corpus as corpus_mod
     try:
         return corpus_mod.domain_of(pair)
     except UnknownDataset:
@@ -248,6 +257,7 @@ def _eval_pairs(
     refs: Sequence[str], hyps_raw: Sequence[str], groups: Sequence[str], target: Script
 ) -> list[EvalPair]:
     """Pair eval-normalized references with hypotheses, normalizing the latter."""
+    from .metrics import EvalPair
     hyps = _eval_texts(hyps_raw, target)
     return [EvalPair(hypothesis=hyp, reference=ref, group=group) for ref, hyp, group in zip(refs, hyps, groups)]
 
@@ -333,6 +343,7 @@ def normalize_cmd(script, mode, char_table, input_, output):
 @_command("tokenize", _INPUT, _OUTPUT)
 def tokenize_cmd(input_, output):
     """Insert contextual markers into normalized text."""
+    from .tokenizer import format_token_line, tokenize
     lines = []
     for lineno, line in enumerate(read_lines(input_), start=1):
         try:
@@ -345,12 +356,14 @@ def tokenize_cmd(input_, output):
 @_command("detokenize", _INPUT, _OUTPUT)
 def detokenize_cmd(input_, output):
     """Strip contextual markers from token lines."""
+    from .tokenizer import detokenize, parse_token_line
     _write_lines(output, (detokenize(parse_token_line(line)) for line in read_lines(input_)))
 
 
 @_command("stats", _CORPUS, _opt("--per", choices=["dataset", "domain"], default="dataset"), _FORMAT, _OUTPUT)
 def stats(corpus, per, format_, output):
     """Pair counts and average token/character lengths."""
+    from . import corpus as corpus_mod
     pairs = corpus_mod.load(corpus)
     with _stage(corpus):
         table = corpus_mod.stats(pairs, per=per)
@@ -376,6 +389,7 @@ def stats(corpus, per, format_, output):
 )
 def split(corpus, seed, ratios, out):
     """Stratified train/dev/test holdout split; writes the three subsets."""
+    from . import corpus as corpus_mod
     pairs = corpus_mod.load(corpus)
     with _stage(corpus):
         spec = corpus_mod.split_holdout(pairs, ratios, seed)
@@ -393,6 +407,7 @@ def split(corpus, seed, ratios, out):
           _SEED, _OUT_DIR)
 def kfold(corpus, k, seed, out):
     """Stratified k-fold cross-validation index sets."""
+    from . import corpus as corpus_mod
     pairs = corpus_mod.load(corpus)
     with _stage(corpus):
         folds = corpus_mod.kfold(pairs, k=k, seed=seed)
@@ -414,6 +429,7 @@ def kfold(corpus, k, seed, out):
 )
 def filter_names(corpus, map_path, count_based, out):
     """Keep pairs whose unambiguous consonants correspond one-to-one."""
+    from . import corpus as corpus_mod
     pairs = corpus_mod.load(corpus)
     cmap = corpus_mod.load_consonant_map(map_path) if map_path else None
     kept, rejected = corpus_mod.paranames_filter(pairs, cmap, order_sensitive=not count_based)
@@ -430,6 +446,7 @@ def filter_names(corpus, map_path, count_based, out):
 @_command("build-dict", _CORPUS, _DIRECTION, _OUT_FILE)
 def build_dict(corpus, direction, out):
     """Build the word-level lookup from positionally aligned pairs."""
+    from . import corpus as corpus_mod
     pairs = corpus_mod.load(corpus)
     d = translit_mod.build_dictionary(pairs, direction)
     translit_mod.save_dictionary(d, out)
@@ -440,6 +457,7 @@ def build_dict(corpus, direction, out):
           _opt("--smoothing", choices=translit_mod.SMOOTHINGS, default="witten_bell"), _OUT_FILE)
 def train_lm_cmd(corpus, direction, lm_order, smoothing, out):
     """Train the character n-gram model on the target side of a corpus."""
+    from . import corpus as corpus_mod
     pairs = corpus_mod.load(corpus)
     with _stage(corpus):
         lm = translit_mod.train_lm([direction.target_text(p) for p in pairs], order=lm_order, smoothing=smoothing)
@@ -524,6 +542,8 @@ def _load_hyp_lines(hyp_path: str, n_expected: int) -> list[str]:
 )
 def score(corpus, hyps, direction, sentence_chrf, format_, out):
     """Score hypothesis files against a reference corpus."""
+    from . import corpus as corpus_mod
+    from .metrics import score_corpus
     sources: dict[str, str] = {}
     for hyp_path in hyps:
         _claim_system(sources, Path(hyp_path).stem, hyp_path)
@@ -568,6 +588,8 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
     from them by subtracting its held-out pairs (dev and test), which
     equals training on its training pairs, byte for byte once saved.
     """
+    from . import corpus as corpus_mod
+    from .metrics import score_corpus
     with _stage("load"):
         pairs = corpus_mod.load(corpus)
     table = translit_mod.default_mapping_table(direction.name)
@@ -580,7 +602,7 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
               "beam": beam, "lm_order": lm_order, "folds": folds}
     meta = _meta(config, [corpus], seed=seed)
 
-    def run_block(block_dir: Path, spec: corpus_mod.SplitSpec) -> list[str]:
+    def run_block(block_dir: Path, spec: SplitSpec) -> list[str]:
         """Decode ``spec.test`` with the whole corpus's models less the held-out pairs.
 
         A function of its own, so that one block's models and LM memo
@@ -668,6 +690,7 @@ _METRIC_RANGES = {m: (math.inf, "a finite number >= 0") if m in ("cer", "ncer") 
 )
 def report(scores, output):
     """Render one or more structured score files as a side-by-side table."""
+    from .metrics import GroupScores, MetricReport
     systems: dict[str, MetricReport] = {}
     sources: dict[str, str] = {}
     metas = []
@@ -770,6 +793,28 @@ def _env_args(command: str, parser: argparse.ArgumentParser, argv: Sequence[str]
     return args
 
 
+def _unknown_args(parser: argparse.ArgumentParser, argv: Sequence[str]) -> list[str]:
+    """The arguments in ``argv`` that ``parser`` does not know; [] if another usage error comes first.
+
+    argparse checks required options before it lists unknown arguments, so
+    ``tgfa report --out x`` would name the missing --scores, not --out. This
+    parse requires no option and prints nothing: any other error is left to
+    the full parse, which reports it as before.
+    """
+    required = [action for action in parser._actions if action.required]
+    for action in required:
+        action.required = False
+    parser.exit_on_error = False
+    try:
+        return parser.parse_known_args(argv)[1]
+    except argparse.ArgumentError:
+        return []
+    finally:
+        parser.exit_on_error = True
+        for action in required:
+            action.required = True
+
+
 def main(argv: Sequence[str] | None = None) -> NoReturn:
     """Run one command line; always ends in SystemExit.
 
@@ -782,6 +827,9 @@ def main(argv: Sequence[str] | None = None) -> NoReturn:
     at = next((i for i, arg in enumerate(argv) if not arg.startswith("-")), None)
     if at is not None and argv[at] in COMMANDS and not {"-h", "--help"} & set(argv):
         argv[at + 1 : at + 1] = _env_args(argv[at], commands[argv[at]], argv[at + 1 :])
+        unknown = _unknown_args(commands[argv[at]], argv[at + 1 :])
+        if unknown:
+            parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     kwargs = vars(parser.parse_args(argv))
     func, _ = COMMANDS[kwargs.pop("command")]
     try:

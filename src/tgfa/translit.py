@@ -21,12 +21,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import ArtifactError, ConfigError, EmptyCorpus, ParseError, UnknownChar, WrongState
-from .corpus import ParallelPair
 from .script import FARSI_LETTERS, Script, TAJIK_LETTERS, ZWNJ, parse_code_point, parse_json_object
 from .script import data_lines, read_utf8, table_lines
+
+if TYPE_CHECKING:
+    from .corpus import ParallelPair
 
 __all__ = [
     "Direction",
@@ -174,10 +176,27 @@ def default_mapping_table(name: str) -> MappingTable:
     return load_mapping_table(data_lines(f"map_{name}.tsv"), direction)
 
 
+class _Bucket(dict):
+    """One context's counts, ``{symbol: count}``, and ``total``, their sum.
+
+    The total is set where the bucket is made (``_bucket``), and stays
+    right because no code changes a bucket in place once it is made.
+    """
+
+    __slots__ = ("total",)
+
+
+def _bucket(pairs: Iterable[tuple[str, int]] | Mapping[str, int]) -> _Bucket:
+    """A new bucket of the (symbol, count) ``pairs``, with its total."""
+    bucket = _Bucket(pairs)
+    bucket.total = sum(bucket.values())
+    return bucket
+
+
 # One level of LM counts: each k-character context's bucket, {symbol: count}.
-_Level = dict[str, dict[str, int]]
+_Level = dict[str, _Bucket]
 # The one dict of each distinct bucket, keyed by its (symbol, count) pairs.
-_Pool = dict[tuple[tuple[str, int], ...], dict[str, int]]
+_Pool = dict[tuple[tuple[str, int], ...], _Bucket]
 
 
 class CharNGramLM:
@@ -209,10 +228,11 @@ class CharNGramLM:
 
     The counts have ``lm.json``'s shape: level k maps each k-character
     context to its bucket, ``{symbol: count}``; a context's total is its
-    bucket's sum and its number of types its bucket's size. Equal buckets
-    are one dict, shared by every context that has them, in a trained
-    model and in a loaded one alike, so no code may change a bucket in
-    place: ``without`` copies each bucket it subtracts from. The counts
+    bucket's ``total``, their sum, and its number of types its bucket's
+    size. Equal buckets are one dict, shared by every context that has
+    them, in a trained model and in a loaded one alike. So no code may
+    change a bucket in place, which would also leave its total stale:
+    ``without`` copies each bucket it subtracts from. The counts
     are kept in canonical order: each level's contexts in
     increasing order, and each bucket's symbols in increasing order.
     Training inserts each order's n-grams sorted, ``without`` only
@@ -308,7 +328,7 @@ class CharNGramLM:
         """
         if self.smoothing == "none":
             bucket = self._levels[self.order - 1].get(ctx)
-            return bucket.get(sym, 0) / sum(bucket.values()) if bucket else 0.0
+            return bucket.get(sym, 0) / bucket.total if bucket else 0.0
         # Uniform base distribution over the extended alphabet.
         p = self._base
         n = len(ctx)
@@ -317,7 +337,7 @@ class CharNGramLM:
             bucket = level.get(c)
             if bucket is not None:
                 types = len(bucket)
-                p = (bucket.get(sym, 0) + types * p) / (sum(bucket.values()) + types)
+                p = (bucket.get(sym, 0) + types * p) / (bucket.total + types)
         return p
 
     def logp(self, symbol: str, context: Sequence[str] | str = ()) -> float:
@@ -373,7 +393,7 @@ class CharNGramLM:
                     del bucket[sym]
             for ctx, bucket in touched.items():
                 if bucket:
-                    level[ctx] = bucket
+                    level[ctx] = _bucket(bucket)
                 else:
                     del level[ctx]
         return CharNGramLM(self.order, self.smoothing)._set_trained(levels)
@@ -405,7 +425,8 @@ class CharNGramLM:
         Each context of level k > 0 less its last character must be a
         context of level k - 1, as in every trained model. The model
         keeps the decoded buckets, less any empty one; ``load_lm`` decodes
-        equal buckets as one dict.
+        equal buckets as one dict, with its total. A plain dict is copied
+        into a bucket with its total.
         """
         order = _field(payload, "order", lambda v: type(v) is int, "an integer", path)
         if order < 1:
@@ -440,7 +461,8 @@ class CharNGramLM:
                 "characters counted in context '', in increasing order",
                 path=path,
             )
-        levels = [{ctx: bucket for ctx, bucket in level if bucket} for level in counts]
+        levels = [{ctx: bucket if type(bucket) is _Bucket else _bucket(bucket) for ctx, bucket in level if bucket}
+                  for level in counts]
         # Minimized states rely on this: training counts the prefix of every context it counts.
         for k in range(1, order):
             shorter = levels[k - 1]
@@ -476,7 +498,7 @@ def _is_level(entries, k: int, alphabet: frozenset[str], path: str | None, check
         if not (type(entry) is list and len(entry) == 2):
             return False
         ctx, bucket = entry
-        if not (type(ctx) is str and len(ctx) == k and type(bucket) is dict):
+        if not (type(ctx) is str and len(ctx) == k and type(bucket) in (dict, _Bucket)):
             return False
         if last_ctx is not None and ctx <= last_ctx:
             return False
@@ -529,16 +551,16 @@ def _count_grams(texts: Sequence[str], k: int) -> Counter[str]:
     return grams
 
 
-def _shared_bucket(buckets: _Pool, pairs: tuple[tuple[str, int], ...]) -> dict[str, int]:
-    """The dict of the (symbol, count) ``pairs``: the one in ``buckets``, else a new one put there."""
+def _shared_bucket(buckets: _Pool, pairs: tuple[tuple[str, int], ...]) -> _Bucket:
+    """The bucket of the (symbol, count) ``pairs``: the one in ``buckets``, else a new one put there."""
     bucket = buckets.get(pairs)
     if bucket is None:
-        bucket = buckets[pairs] = dict(pairs)
+        bucket = buckets[pairs] = _bucket(pairs)
     return bucket
 
 
 def _bucket_hook():
-    """A ``pairs_hook`` for ``parse_json_object`` that decodes equal all-integer objects as one dict."""
+    """A ``pairs_hook`` for ``parse_json_object`` that decodes equal all-integer objects as one bucket."""
     buckets: _Pool = {}
 
     def hook(pairs: list[tuple[str, object]]) -> dict:

@@ -481,13 +481,22 @@ class TestSurface:
             # No flag may be abbreviated.
             (["translit", "--direction", "tg2fa", "--bea", "3"], "--bea"),
             (["tokenize", "--output", "-", "--out", "x"], "--out"),
+            # An unknown flag is named before a missing required option (--scores).
+            (["report", "--out", "x"], "--out"),
         ],
-        ids=["tokenize", "translit", "abbreviated", "prefix-of-another"],
+        ids=["tokenize", "translit", "abbreviated", "prefix-of-another", "before-missing-required"],
     )
     def test_unknown_flag_is_a_usage_error_naming_it(self, argv, flag):
         result = run_cli(argv, input="бғд\n")
         assert result.exit_code == 2, result.output
         assert _names(flag, result.output), result.output
+
+    def test_bad_value_beside_an_unknown_flag_is_reported_with_the_command_usage(self, tmp_path):
+        # The bad value is named first, and the usage line still shows the required options as required.
+        result = run_cli(["split", "--ratios", "0.5,0.6", "--no-such-flag", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("usage: tgfa split [-h] --corpus CORPUS"), result.output
+        assert _names("--ratios", result.output) and not _names("--no-such-flag", result.output), result.output
 
 
 # Each option that names a file which must exist, as (command, long flag).
@@ -1152,3 +1161,82 @@ class TestDigests:
     def test_config_hash_matches_hashlib(self, config):
         blob = json.dumps(config, sort_keys=True, ensure_ascii=False).encode("utf-8")
         assert _config_hash(config) == hashlib.sha256(blob).hexdigest()
+
+
+# The modules every command loads: the CLI itself and what its option
+# table reads when it loads (Direction, DIRECTIONS and the decoder
+# defaults live in translit.py, whose scripts come from tgfa/data).
+_CORE = {"tgfa", "tgfa.cli", "tgfa.data", "tgfa.errors", "tgfa.script", "tgfa.translit"}
+_CORPUS = {"tgfa.corpus"}
+_METRICS = {"tgfa.metrics", "tgfa._kernels"}
+# Each command's arguments on a small fixture, and the tgfa modules it
+# loads: {corpus}, {text}, {lm}, {dict}, {hyp} and {scores} are the
+# fixture's files, {out} a path under the test's own directory.
+LOADS = {
+    "normalize": (["normalize", "--script", "tajik", "-i", "{text}"], _CORE),
+    "tokenize": (["tokenize", "-i", "{text}"], _CORE | {"tgfa.tokenizer"}),
+    "detokenize": (["detokenize", "-i", "{text}"], _CORE | {"tgfa.tokenizer"}),
+    "stats": (["stats", "--corpus", "{corpus}"], _CORE | _CORPUS),
+    "split": (["split", "--corpus", "{corpus}", "--out", "{out}"], _CORE | _CORPUS),
+    "kfold": (["kfold", "--corpus", "{corpus}", "--k", "2", "--out", "{out}"], _CORE | _CORPUS),
+    "filter-names": (["filter-names", "--corpus", "{corpus}", "--out", "{out}"], _CORE | _CORPUS),
+    "build-dict": (["build-dict", "--corpus", "{corpus}", "--direction", "tg2fa", "--out", "{out}"],
+                   _CORE | _CORPUS),
+    "train-lm": (["train-lm", "--corpus", "{corpus}", "--direction", "tg2fa", "--lm-order", "3", "--out", "{out}"],
+                 _CORE | _CORPUS),
+    "translit": (["translit", "--direction", "tg2fa", "--dict", "{dict}", "--lm", "{lm}", "--ambiguity-stats",
+                  "-i", "{text}"], _CORE),
+    "score": (["score", "--corpus", "{corpus}", "--hyp", "{hyp}", "--direction", "tg2fa", "--out", "{out}"],
+              _CORE | _CORPUS | _METRICS),
+    "pipeline": (["pipeline", "--corpus", "{corpus}", "--direction", "tg2fa", "--folds", "2", "--lm-order", "3",
+                  "--out", "{out}"], _CORE | _CORPUS | _METRICS),
+    "report": (["report", "--scores", "{scores}"], _CORE | _METRICS),
+}
+
+# The child runs one command through tgfa.cli.main, then writes the tgfa
+# modules it loaded and whether it loaded logging to stderr's last line.
+_LOADS_CHILD = """
+import json, sys
+from tgfa.cli import main
+
+try:
+    main(sys.argv[1:])
+finally:
+    tgfa = sorted(name for name in sys.modules if name == "tgfa" or name.startswith("tgfa."))
+    print(json.dumps({"tgfa": tgfa, "logging": "logging" in sys.modules}), file=sys.stderr)
+"""
+
+
+class TestLoadedModules:
+    """Each command imports only the tgfa modules it runs."""
+
+    def test_every_command_has_a_row(self):
+        assert set(LOADS) == set(COMMANDS)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_loads_only_its_modules(self, tmp_path, command):
+        from tgfa.translit import build_dictionary, save_dictionary, save_lm
+
+        pairs = toy_corpus(20)
+        files = {"corpus": write_corpus(tmp_path / "corpus.jsonl", pairs), "out": tmp_path / "out",
+                 "text": tmp_path / "in.txt", "hyp": tmp_path / "hyp.txt", "lm": tmp_path / "lm.json",
+                 "dict": tmp_path / "dict.json", "scores": tmp_path / "s.scores.jsonl"}
+        files["text"].write_text("".join(p.tg + "\n" for p in pairs[:5]), encoding="utf-8")
+        files["hyp"].write_text("".join(p.fa + "\n" for p in pairs), encoding="utf-8")
+        direction = translit.DIRECTIONS["tg2fa"]
+        save_lm(train_lm([direction.target_text(p) for p in pairs], order=3), files["lm"])
+        save_dictionary(build_dictionary(pairs, direction), files["dict"])
+        files["scores"].write_text("".join(json.dumps(r) + "\n" for r in _SCORE_ROWS), encoding="utf-8")
+        argv, expected = LOADS[command]
+        package_root = str(Path(tgfa.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", _LOADS_CHILD, *(arg.format(**files) for arg in argv)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = json.loads(result.stderr.splitlines()[-1])
+        assert loaded["tgfa"] == sorted(expected)
+        if "tgfa.corpus" not in expected:
+            # logging comes only with corpus.py, which logs skipped lines.
+            assert not loaded["logging"]

@@ -205,6 +205,19 @@ class TestCharNGramLM:
         for sym, ctx in [("а", ()), ("б", ("а",)), ("г", ("а", "б", "в"))]:
             assert again.prob(sym, ctx) == pytest.approx(lm.prob(sym, ctx), abs=1e-15)
 
+    @pytest.mark.parametrize("smoothing", SMOOTHINGS)
+    def test_payload_of_plain_dicts_loads_to_the_same_model(self, tmp_path, smoothing):
+        # json.loads gives plain dicts, which from_payload copies into buckets with their totals.
+        lm = train_lm(["абвг", "вгаб"], order=3, smoothing=smoothing)
+        path = tmp_path / "lm.json"
+        save_lm(lm, path)
+        plain = CharNGramLM.from_payload(json.loads(path.read_text(encoding="utf-8")))
+        assert [bucket.total for level in plain._levels for bucket in level.values()] == [
+            sum(bucket.values()) for level in lm._levels for bucket in level.values()
+        ]
+        for sym, ctx in [("а", ()), ("б", ("а",)), ("г", ("а", "б", "в")), ("\x03", "вгаб")]:
+            assert plain.logp(sym, ctx) == lm.logp(sym, ctx)
+
     def test_version_mismatch_fails_loudly(self, tmp_path):
         lm = train_lm(["ab"], order=1)
         payload = lm.to_payload()
@@ -461,6 +474,10 @@ class TestSharedBuckets:
         derived.to_payload()
         lm.to_payload()
         assert _bytes(save_lm, lm, out / "after.json") == saved
+        # Each bucket carries its total, in the source, derived and loaded models alike.
+        for model in (lm, derived, load_lm(out / "after.json")):
+            for bucket in self._buckets(model):
+                assert bucket.total == sum(bucket.values())
         oracle = CharLMOracle(texts, order, smoothing)
         for text in queries:
             for i, sym in enumerate(text + EOS):
