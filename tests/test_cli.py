@@ -1102,6 +1102,13 @@ print("_hashlib" in sys.modules)
 """
 
 
+def _run_child(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this tgfa, with ``args`` as its ``sys.argv[1:]``."""
+    package_root = str(Path(tgfa.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
 class TestDigests:
     """Run digests come from CPython's built-in SHA-256 and equal hashlib's."""
 
@@ -1122,12 +1129,7 @@ class TestDigests:
             ["translit", "--direction", "tg2fa", "--lm", str(tmp_path / "lm.json"),
              "-i", str(src), "-o", str(tmp_path / "out.txt")],
         ]
-        package_root = str(Path(tgfa.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run(
-            [sys.executable, "-c", _NO_OPENSSL_CHILD, *("\t".join(argv) for argv in commands)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        result = _run_child(_NO_OPENSSL_CHILD, *("\t".join(argv) for argv in commands))
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "False"
         assert (tmp_path / "out.txt").read_text(encoding="utf-8").count("\n") == 5
@@ -1215,8 +1217,6 @@ class TestLoadedModules:
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_command_loads_only_its_modules(self, tmp_path, command):
-        from tgfa.translit import build_dictionary, save_dictionary, save_lm
-
         pairs = toy_corpus(20)
         files = {"corpus": write_corpus(tmp_path / "corpus.jsonl", pairs), "out": tmp_path / "out",
                  "text": tmp_path / "in.txt", "hyp": tmp_path / "hyp.txt", "lm": tmp_path / "lm.json",
@@ -1224,16 +1224,11 @@ class TestLoadedModules:
         files["text"].write_text("".join(p.tg + "\n" for p in pairs[:5]), encoding="utf-8")
         files["hyp"].write_text("".join(p.fa + "\n" for p in pairs), encoding="utf-8")
         direction = translit.DIRECTIONS["tg2fa"]
-        save_lm(train_lm([direction.target_text(p) for p in pairs], order=3), files["lm"])
-        save_dictionary(build_dictionary(pairs, direction), files["dict"])
+        translit.save_lm(train_lm([direction.target_text(p) for p in pairs], order=3), files["lm"])
+        translit.save_dictionary(translit.build_dictionary(pairs, direction), files["dict"])
         files["scores"].write_text("".join(json.dumps(r) + "\n" for r in _SCORE_ROWS), encoding="utf-8")
         argv, expected = LOADS[command]
-        package_root = str(Path(tgfa.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run(
-            [sys.executable, "-c", _LOADS_CHILD, *(arg.format(**files) for arg in argv)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        result = _run_child(_LOADS_CHILD, *(arg.format(**files) for arg in argv))
         assert result.returncode == 0, result.stderr
         loaded = json.loads(result.stderr.splitlines()[-1])
         assert loaded["tgfa"] == sorted(expected)
