@@ -13,9 +13,10 @@ COMMANDS: each command's function and the arguments of each of its
 options' add_argument call. Every flag can also be set through an
 environment variable named after the command and the long flag,
 TGFA_<COMMAND>_<FLAG> (e.g. TGFA_PIPELINE_SEED for `tgfa pipeline --seed`,
-TGFA_TRANSLIT_INPUT for `tgfa translit -i/--input`). A variable's value
+TGFA_TRANSLIT_INPUT for `tgfa translit -i/--input`). A variable counts
+only when the command line does not give its flag; its value then
 becomes an argument placed before the command line's own, so it passes
-the same checks and the flag, when given, wins.
+the same checks as the flag's.
 
 A command imports only the tgfa modules it runs: corpus, metrics and
 tokenizer are imported inside the commands and helpers that use them,
@@ -768,15 +769,17 @@ def env_var(command: str, long_flag: str) -> str:
 def _env_args(command: str, parser: argparse.ArgumentParser, argv: Sequence[str]) -> list[str]:
     """The arguments that set variables give ``command``, to be placed before its own ``argv``.
 
-    An empty variable is unset. A repeatable option's variable counts only
-    when ``argv`` does not give the flag, and is split on whitespace. A
-    store_true flag's variable is a boolean word; any other is a usage error.
+    An empty variable is unset, and so is the variable of a flag that
+    ``argv`` gives. A repeatable option's variable is split on whitespace.
+    A store_true flag's variable is a boolean word; any other is a usage
+    error.
     """
+    given = {arg.split("=", 1)[0] for arg in argv}
     args = []
     for flags, kwargs in COMMANDS[command][1]:
         long = flags[-1]
         value = os.environ.get(env_var(command, long))
-        if not value:
+        if not value or given.intersection(flags):
             continue
         action = kwargs.get("action")
         if action == "store_true":
@@ -786,8 +789,7 @@ def _env_args(command: str, parser: argparse.ArgumentParser, argv: Sequence[str]
             elif word not in ("0", "false", "f", "no", "n", "off"):
                 parser.error(f"argument {'/'.join(flags)}: {value!r} is not a valid boolean")
         elif action == "append":
-            if not any(arg.split("=", 1)[0] in flags for arg in argv):
-                args += [f"{long}={v}" for v in value.split()]
+            args += [f"{long}={v}" for v in value.split()]
         else:
             args.append(f"{long}={value}")
     return args

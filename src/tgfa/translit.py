@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ArtifactError, ConfigError, EmptyCorpus, ParseError, UnknownChar, WrongState
 from .script import FARSI_LETTERS, Script, TAJIK_LETTERS, ZWNJ, parse_code_point, parse_json_object
@@ -176,27 +176,10 @@ def default_mapping_table(name: str) -> MappingTable:
     return load_mapping_table(data_lines(f"map_{name}.tsv"), direction)
 
 
-class _Bucket(dict):
-    """One context's counts, ``{symbol: count}``, and ``total``, their sum.
-
-    The total is set where the bucket is made (``_bucket``), and stays
-    right because no code changes a bucket in place once it is made.
-    """
-
-    __slots__ = ("total",)
-
-
-def _bucket(pairs: Iterable[tuple[str, int]] | Mapping[str, int]) -> _Bucket:
-    """A new bucket of the (symbol, count) ``pairs``, with its total."""
-    bucket = _Bucket(pairs)
-    bucket.total = sum(bucket.values())
-    return bucket
-
-
-# One level of LM counts: each k-character context's bucket, {symbol: count}.
-_Level = dict[str, _Bucket]
-# The one dict of each distinct bucket, keyed by its (symbol, count) pairs.
-_Pool = dict[tuple[tuple[str, int], ...], _Bucket]
+# One level of LM counts: each k-character context's bucket, a plain dict {symbol: count}.
+_Level = dict[str, dict[str, int]]
+# The one plain dict of each distinct bucket, keyed by its (symbol, count) pairs.
+_Pool = dict[tuple[tuple[str, int], ...], dict[str, int]]
 
 
 class CharNGramLM:
@@ -227,14 +210,17 @@ class CharNGramLM:
     afresh.
 
     The counts have ``lm.json``'s shape: level k maps each k-character
-    context to its bucket, ``{symbol: count}``; a context's total is its
-    bucket's ``total``, their sum, and its number of types its bucket's
-    size. Equal buckets are one dict, shared by every context that has
-    them, in a trained model and in a loaded one alike. So no code may
-    change a bucket in place, which would also leave its total stale:
-    ``without`` copies each bucket it subtracts from. The counts
-    are kept in canonical order: each level's contexts in
-    increasing order, and each bucket's symbols in increasing order.
+    context to its bucket, a plain dict ``{symbol: count}``, exactly the
+    file's. A context's number of types is its bucket's size and its
+    total the bucket's sum, which the first query that reads the bucket
+    sums into ``_totals``, keyed by the bucket's id; the levels keep every
+    bucket alive as long as the model, so no id there is reused. Equal
+    buckets are one dict, shared by every context that has them, in a
+    trained model and in a loaded one alike. So no code may change a
+    bucket in place, which would also leave its total stale: ``without``
+    copies each bucket it subtracts from. The counts are kept in
+    canonical order: each level's contexts in increasing order, and each
+    bucket's symbols in increasing order.
     Training inserts each order's n-grams sorted, ``without`` only
     deletes, which keeps the order of what remains, and a loaded file is
     checked to be in that order. So ``to_payload`` and ``save_lm`` emit
@@ -248,38 +234,41 @@ class CharNGramLM:
             raise ConfigError(f"unknown smoothing {smoothing!r}")
         self.order = order
         self.smoothing = smoothing
-        self._set_counts((), [{} for _ in range(order)])
+        self._set_counts([{} for _ in range(order)])
 
-    def _set_counts(self, alphabet: Iterable[str], levels: list[_Level]) -> None:
-        """Install the alphabet, plus the end sentinel and the unknown bucket, and the counts.
+    def _set_counts(self, levels: list[_Level]) -> None:
+        """Install the counts, and as the alphabet the characters of level 0's ``""`` bucket.
 
         ``levels[k]`` maps each k-character context to its non-empty bucket.
+        The alphabet also holds the end sentinel and the unknown bucket.
         """
-        self._vocab = {EOS, UNK}.union(alphabet)
+        self._vocab = frozenset({EOS, UNK}.union(levels[0].get("", ())))
         # Characters that stand for themselves in a context; others become UNK.
-        self._known = frozenset(self._vocab | {BOS})
+        self._known = self._vocab | {BOS}
         self._base = 1.0 / len(self._vocab)
         self._levels = levels
         # One str per state, which every memo value naming it shares.
         self._states: dict[str, str] = {}
         self._memo: dict[str, tuple[float, str]] = {}
+        # Each bucket's total, keyed by its id, from the first query that reads it.
+        self._totals: dict[int, int] = {}
         # The state of the empty text.
         self.start = self._minimize(BOS * (self.order - 1))
 
     def _set_trained(self, levels: list[_Level]) -> "CharNGramLM":
-        """Install trained counts, with the characters the unigram level counts as the alphabet.
+        """Install trained counts.
 
         EmptyCorpus if nothing is counted: every non-empty training text
         counts an end sentinel at the unigram level.
         """
         if not levels[0]:
             raise EmptyCorpus("no non-empty training texts")
-        self._set_counts(levels[0][""], levels)
+        self._set_counts(levels)
         return self
 
     @property
     def vocab(self) -> frozenset[str]:
-        return frozenset(self._vocab)
+        return self._vocab
 
     def symbols(self, text: str) -> str:
         """``text`` as the model reads it: each character outside the alphabet becomes UNK.
@@ -326,9 +315,14 @@ class CharNGramLM:
         Witten-Bell reads the levels up to the context's length; without
         smoothing only the top level is read, so a shorter context gives 0.
         """
+        # A bucket's total is never 0, so a missing one is summed and kept.
+        totals = self._totals
         if self.smoothing == "none":
             bucket = self._levels[self.order - 1].get(ctx)
-            return bucket.get(sym, 0) / bucket.total if bucket else 0.0
+            if not bucket:
+                return 0.0
+            total = totals.get(id(bucket)) or totals.setdefault(id(bucket), sum(bucket.values()))
+            return bucket.get(sym, 0) / total
         # Uniform base distribution over the extended alphabet.
         p = self._base
         n = len(ctx)
@@ -336,8 +330,9 @@ class CharNGramLM:
             c = ctx[n - k :]
             bucket = level.get(c)
             if bucket is not None:
+                total = totals.get(id(bucket)) or totals.setdefault(id(bucket), sum(bucket.values()))
                 types = len(bucket)
-                p = (bucket.get(sym, 0) + types * p) / (bucket.total + types)
+                p = (bucket.get(sym, 0) + types * p) / (total + types)
         return p
 
     def logp(self, symbol: str, context: Sequence[str] | str = ()) -> float:
@@ -393,7 +388,7 @@ class CharNGramLM:
                     del bucket[sym]
             for ctx, bucket in touched.items():
                 if bucket:
-                    level[ctx] = _bucket(bucket)
+                    level[ctx] = bucket
                 else:
                     del level[ctx]
         return CharNGramLM(self.order, self.smoothing)._set_trained(levels)
@@ -424,9 +419,9 @@ class CharNGramLM:
         ``""`` bucket, sorted, so every distribution sums to 1 over it.
         Each context of level k > 0 less its last character must be a
         context of level k - 1, as in every trained model. The model
-        keeps the decoded buckets, less any empty one; ``load_lm`` decodes
-        equal buckets as one dict, with its total. A plain dict is copied
-        into a bucket with its total.
+        keeps the payload's own bucket dicts, less any empty one, and does
+        not copy them, so no caller may change one in place afterwards;
+        ``load_lm`` decodes equal buckets as one dict.
         """
         order = _field(payload, "order", lambda v: type(v) is int, "an integer", path)
         if order < 1:
@@ -461,8 +456,7 @@ class CharNGramLM:
                 "characters counted in context '', in increasing order",
                 path=path,
             )
-        levels = [{ctx: bucket if type(bucket) is _Bucket else _bucket(bucket) for ctx, bucket in level if bucket}
-                  for level in counts]
+        levels = [{ctx: bucket for ctx, bucket in level if bucket} for level in counts]
         # Minimized states rely on this: training counts the prefix of every context it counts.
         for k in range(1, order):
             shorter = levels[k - 1]
@@ -473,7 +467,7 @@ class CharNGramLM:
                         path=path,
                     )
         lm = cls(order=order, smoothing=smoothing)
-        lm._set_counts(alphabet, levels)
+        lm._set_counts(levels)
         return lm
 
 
@@ -498,7 +492,7 @@ def _is_level(entries, k: int, alphabet: frozenset[str], path: str | None, check
         if not (type(entry) is list and len(entry) == 2):
             return False
         ctx, bucket = entry
-        if not (type(ctx) is str and len(ctx) == k and type(bucket) in (dict, _Bucket)):
+        if not (type(ctx) is str and len(ctx) == k and type(bucket) is dict):
             return False
         if last_ctx is not None and ctx <= last_ctx:
             return False
@@ -551,16 +545,16 @@ def _count_grams(texts: Sequence[str], k: int) -> Counter[str]:
     return grams
 
 
-def _shared_bucket(buckets: _Pool, pairs: tuple[tuple[str, int], ...]) -> _Bucket:
-    """The bucket of the (symbol, count) ``pairs``: the one in ``buckets``, else a new one put there."""
+def _shared_bucket(buckets: _Pool, pairs: tuple[tuple[str, int], ...]) -> dict[str, int]:
+    """The dict of the (symbol, count) ``pairs``: the one in ``buckets``, else a new one put there."""
     bucket = buckets.get(pairs)
     if bucket is None:
-        bucket = buckets[pairs] = _bucket(pairs)
+        bucket = buckets[pairs] = dict(pairs)
     return bucket
 
 
 def _bucket_hook():
-    """A ``pairs_hook`` for ``parse_json_object`` that decodes equal all-integer objects as one bucket."""
+    """A ``pairs_hook`` for ``parse_json_object`` that decodes equal all-integer objects as one dict."""
     buckets: _Pool = {}
 
     def hook(pairs: list[tuple[str, object]]) -> dict:

@@ -546,6 +546,21 @@ class TestEnvironment:
         assert result.exit_code == 0, result.output
         assert result.output == "بغد\n"
 
+    @pytest.mark.parametrize(
+        "argv,env",
+        [
+            pytest.param(["translit", "--direction", "tg2fa", "--beam", "4"], {"TGFA_TRANSLIT_BEAM": "0"},
+                         id="out-of-range-variable"),
+            pytest.param(["translit", "--direction", "tg2fa", "--ambiguity-stats"],
+                         {"TGFA_TRANSLIT_AMBIGUITY_STATS": "maybe"}, id="non-boolean-variable"),
+        ],
+    )
+    def test_variable_of_a_given_flag_is_not_read(self, argv, env):
+        alone = run_cli(argv, input="бғд\n")
+        result = run_cli(argv, input="бғд\n", env=env)
+        assert result.exit_code == alone.exit_code == 0, result.output
+        assert result.output == alone.output
+
     def test_repeatable_variable_split_on_whitespace_unless_the_flag_is_given(self, corpus_file, tmp_path):
         hyps = [tmp_path / f"{name}.txt" for name in ("one", "two", "three")]
         for hyp in hyps:

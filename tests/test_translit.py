@@ -207,14 +207,11 @@ class TestCharNGramLM:
 
     @pytest.mark.parametrize("smoothing", SMOOTHINGS)
     def test_payload_of_plain_dicts_loads_to_the_same_model(self, tmp_path, smoothing):
-        # json.loads gives plain dicts, which from_payload copies into buckets with their totals.
+        # json.loads gives one dict per bucket, equal buckets unshared; from_payload keeps them.
         lm = train_lm(["абвг", "вгаб"], order=3, smoothing=smoothing)
         path = tmp_path / "lm.json"
         save_lm(lm, path)
         plain = CharNGramLM.from_payload(json.loads(path.read_text(encoding="utf-8")))
-        assert [bucket.total for level in plain._levels for bucket in level.values()] == [
-            sum(bucket.values()) for level in lm._levels for bucket in level.values()
-        ]
         for sym, ctx in [("а", ()), ("б", ("а",)), ("г", ("а", "б", "в")), ("\x03", "вгаб")]:
             assert plain.logp(sym, ctx) == lm.logp(sym, ctx)
 
@@ -474,15 +471,20 @@ class TestSharedBuckets:
         derived.to_payload()
         lm.to_payload()
         assert _bytes(save_lm, lm, out / "after.json") == saved
-        # Each bucket carries its total, in the source, derived and loaded models alike.
-        for model in (lm, derived, load_lm(out / "after.json")):
-            for bucket in self._buckets(model):
-                assert bucket.total == sum(bucket.values())
+        # Every bucket is a plain dict: trained, derived, loaded, and given as json.loads's dicts.
+        plain = CharNGramLM.from_payload(json.loads((out / "after.json").read_text(encoding="utf-8")))
+        for model in (lm, derived, load_lm(out / "after.json"), plain):
+            assert all(type(bucket) is dict for bucket in self._buckets(model))
         oracle = CharLMOracle(texts, order, smoothing)
         for text in queries:
             for i, sym in enumerate(text + EOS):
                 p = oracle.prob(sym, tuple(text[:i]))
                 assert lm.logp(sym, text[:i]) == (math.log(p) if p > 0.0 else float("-inf"))
+        # The queries summed each bucket they read into _totals, under the id of a bucket of the model.
+        for model in (lm, derived):
+            buckets = {id(bucket): bucket for bucket in self._buckets(model)}
+            assert set(model._totals) <= set(buckets)
+            assert all(total == sum(buckets[i].values()) for i, total in model._totals.items())
 
 
 def oracle_lm_json(texts, order: int, smoothing: str = "witten_bell") -> str:
