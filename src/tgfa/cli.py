@@ -18,11 +18,10 @@ only when the command line does not give its flag; its value then
 becomes an argument placed before the command line's own, so it passes
 the same checks as the flag's.
 
-A command imports only the tgfa modules it runs: corpus, metrics and
-tokenizer are imported inside the commands and helpers that use them,
-so `translit` and `normalize` load none of them, nor `logging`. Every
-command loads translit, because the option table reads its Direction,
-DIRECTIONS, DEFAULT_BEAM and DEFAULT_LM_ORDER when this module loads.
+A command imports only the tgfa modules it runs: corpus, metrics,
+tokenizer and translit are imported inside the commands and helpers
+that use them, so `normalize` loads none of them, nor `logging`. The
+option table reads the directions and the decoder defaults from script.
 """
 
 from __future__ import annotations
@@ -49,9 +48,8 @@ except ImportError:
 
 from . import __version__
 from .errors import ConfigError, LengthMismatch, MarkerCollision, ParseError, TgfaError, UnknownDataset
-from .script import FARSI_LETTERS, NormMode, Script, TAJIK_LETTERS, load_char_table, normalize_text
-from .script import parse_json_object, read_lines
-from . import translit as translit_mod
+from .script import DEFAULT_BEAM, DEFAULT_LM_ORDER, DIRECTIONS, FARSI_LETTERS, SMOOTHINGS, TAJIK_LETTERS
+from .script import Direction, NormMode, Script, load_char_table, normalize_text, parse_json_object, read_lines
 
 if TYPE_CHECKING:
     from .corpus import ParallelPair, SplitSpec
@@ -111,9 +109,12 @@ def _int_range(low: int, high: int | None = None) -> Callable[[str], int]:
 
 
 def _file_path(value: str) -> str:
-    """An argument type: a path that is not a directory."""
-    if Path(value).is_dir():
+    """An argument type: a path that is not a directory, in a directory that exists."""
+    path = Path(value)
+    if path.is_dir():
         raise argparse.ArgumentTypeError(f"file {value!r} is a directory")
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"file {value!r} is not in an existing directory")
     return value
 
 
@@ -133,10 +134,10 @@ def _dir_path(value: str) -> str:
     return value
 
 
-def _direction(name: str) -> translit_mod.Direction:
+def _direction(name: str) -> Direction:
     """An argument type: the Direction named ``name``, converted once."""
     try:
-        return translit_mod.Direction.of(name)
+        return Direction.of(name)
     except ConfigError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
 
@@ -160,15 +161,15 @@ def _fold_count(value: str) -> int:
 
 _CORPUS = _opt("--corpus", type=_existing_file, required=True)
 _DIRECTION = _opt("--direction", type=_direction, required=True,
-                  metavar="{" + ",".join(translit_mod.DIRECTIONS) + "}")
+                  metavar="{" + ",".join(DIRECTIONS) + "}")
 _SEED = _opt("--seed", type=int, default=0)
-_BEAM = _opt("--beam", type=_int_range(1), default=translit_mod.DEFAULT_BEAM, help="Beam width, at least 1.")
+_BEAM = _opt("--beam", type=_int_range(1), default=DEFAULT_BEAM, help="Beam width, at least 1.")
 # Each order pads every text with that many begin sentinels, so a model grows with the square of its order.
-_LM_ORDER = _opt("--lm-order", type=_int_range(1, 10), default=translit_mod.DEFAULT_LM_ORDER,
+_LM_ORDER = _opt("--lm-order", type=_int_range(1, 10), default=DEFAULT_LM_ORDER,
                  help="Character n-gram order, 1 to 10.")
 _FORMAT = _opt("--format", dest="format_", choices=["table", "jsonl"], default="table")
 _INPUT = _opt("-i", "--input", dest="input_", metavar="INPUT", default="-", help="Input file, - for stdin.")
-_OUTPUT = _opt("-o", "--output", default="-", help="Output file, - for stdout.")
+_OUTPUT = _opt("-o", "--output", type=_file_path, default="-", help="Output file, - for stdout.")
 _OUT_DIR = _opt("--out", type=_dir_path, required=True)
 _OUT_FILE = _opt("--out", type=_file_path, required=True)
 
@@ -448,6 +449,7 @@ def filter_names(corpus, map_path, count_based, out):
 def build_dict(corpus, direction, out):
     """Build the word-level lookup from positionally aligned pairs."""
     from . import corpus as corpus_mod
+    from . import translit as translit_mod
     pairs = corpus_mod.load(corpus)
     d = translit_mod.build_dictionary(pairs, direction)
     translit_mod.save_dictionary(d, out)
@@ -455,13 +457,14 @@ def build_dict(corpus, direction, out):
 
 
 @_command("train-lm", _CORPUS, _DIRECTION, _LM_ORDER,
-          _opt("--smoothing", choices=translit_mod.SMOOTHINGS, default="witten_bell"), _OUT_FILE)
+          _opt("--smoothing", choices=SMOOTHINGS, default="witten_bell"), _OUT_FILE)
 def train_lm_cmd(corpus, direction, lm_order, smoothing, out):
     """Train the character n-gram model on the target side of a corpus."""
     from . import corpus as corpus_mod
+    from . import translit as translit_mod
     pairs = corpus_mod.load(corpus)
     with _stage(corpus):
-        lm = translit_mod.train_lm([direction.target_text(p) for p in pairs], order=lm_order, smoothing=smoothing)
+        lm = translit_mod.train_lm([p.text(direction.target) for p in pairs], order=lm_order, smoothing=smoothing)
     translit_mod.save_lm(lm, out)
     print(f"order-{lm_order} model over {len(lm.vocab)} symbols")
 
@@ -482,6 +485,7 @@ def train_lm_cmd(corpus, direction, lm_order, smoothing, out):
 def translit_cmd(direction, table_path, dict_path, lm_path, beam, assume_normalized,
                  ambiguity_stats, input_, output):
     """Transliterate text line by line with the lattice baseline."""
+    from . import translit as translit_mod
     if table_path:
         table = translit_mod.load_mapping_table(table_path, direction)
     else:
@@ -549,7 +553,7 @@ def score(corpus, hyps, direction, sentence_chrf, format_, out):
     for hyp_path in hyps:
         _claim_system(sources, Path(hyp_path).stem, hyp_path)
     pairs = corpus_mod.load(corpus)
-    refs = _eval_texts((direction.reference(p) for p in pairs), direction.target)
+    refs = _eval_texts((p.text(direction.target, train=False) for p in pairs), direction.target)
     groups = [_group_label(p) for p in pairs]
     config = {"command": "score", "direction": direction.name, "corpus": str(corpus),
               "hyp": [str(h) for h in hyps], "sentence_chrf": sentence_chrf}
@@ -590,6 +594,7 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
     equals training on its training pairs, byte for byte once saved.
     """
     from . import corpus as corpus_mod
+    from . import translit as translit_mod
     from .metrics import score_corpus
     with _stage("load"):
         pairs = corpus_mod.load(corpus)
@@ -618,9 +623,9 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
             dictionary = whole_dict.without(held_out)
         translit_mod.save_dictionary(dictionary, block_dir / "dict.json")
         with _stage("train-lm"):
-            lm = whole_lm.without(direction.target_text(p) for p in held_out)
+            lm = whole_lm.without(p.text(direction.target) for p in held_out)
         translit_mod.save_lm(lm, block_dir / "lm.json")
-        sources = [direction.source_text(p) for p in test_pairs]
+        sources = [p.text(direction.source) for p in test_pairs]
         source_path = str(block_dir / "test.src.txt")
         _write_lines(source_path, sources)
         with _stage("translit"):
@@ -645,14 +650,14 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
         with _stage("build-dict"):
             whole_dict = translit_mod.build_dictionary(pairs, direction)
         with _stage("train-lm"):
-            whole_lm = translit_mod.train_lm([direction.target_text(p) for p in pairs], order=lm_order)
+            whole_lm = translit_mod.train_lm([p.text(direction.target) for p in pairs], order=lm_order)
 
         scored_indices: list[int] = []
         scored_hyps: list[str] = []
         for block_dir, spec in zip(block_dirs, specs):
             scored_hyps.extend(run_block(block_dir, spec))
             scored_indices.extend(spec.test)
-        refs_raw = [direction.reference(pairs[i]) for i in scored_indices]
+        refs_raw = [pairs[i].text(direction.target, train=False) for i in scored_indices]
         groups = [_group_label(pairs[i]) for i in scored_indices]
         eval_pairs = _eval_pairs(_eval_texts(refs_raw, direction.target), scored_hyps, groups, direction.target)
         _write_lines(str(out_dir / "test.ref.txt"), refs_raw)
@@ -821,7 +826,9 @@ def main(argv: Sequence[str] | None = None) -> NoReturn:
     """Run one command line; always ends in SystemExit.
 
     The code is 0 on success, 2 for a usage error and a TgfaError's own
-    code (2, 3 or 4) after printing ``Error: <message>`` to stderr.
+    code (2, 3 or 4) after printing ``Error: <message>`` to stderr. A
+    file that cannot be written or made is ``Error: <file>: <reason>``,
+    code 2.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = _parser()
@@ -843,6 +850,9 @@ def main(argv: Sequence[str] | None = None) -> NoReturn:
         # The reader closed stdout (`tgfa ... | head`): point it at devnull so the exit flush is quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
+    except OSError as e:
+        print(f"Error: {e.filename}: {e.strerror}" if e.filename else f"Error: {e}", file=sys.stderr)
+        sys.exit(2)
     sys.exit(0)
 
 

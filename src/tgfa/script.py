@@ -22,6 +22,10 @@ hyphen's neighbours in the raw text, so in train mode a pre-pass
 first drops every hyphen-class character without a letter on both
 sides; it runs only on texts that hold one.
 
+``Direction`` names a direction's two scripts. It and the decoder's
+defaults live here, so the command-line option table reads them
+without loading the transliterator.
+
 Every input file is read here: ``read_lines`` decodes UTF-8 and splits
 lines only at LF, CRLF or CR; ``parse_json_object`` decodes every JSON
 value, refusing ``NaN``, ``Infinity``, over-long integers and deep
@@ -40,14 +44,19 @@ import unicodedata
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 
 __all__ = [
     "Script",
     "CharClass",
     "NormMode",
+    "Direction",
+    "DIRECTIONS",
+    "SMOOTHINGS",
+    "DEFAULT_LM_ORDER",
+    "DEFAULT_BEAM",
     "ZWNJ",
     "TAJIK_LETTERS",
     "FARSI_LETTERS",
@@ -88,6 +97,31 @@ class CharClass(Enum):
 class NormMode(Enum):
     TRAIN = "train"
     EVAL = "eval"
+
+
+class Direction(NamedTuple):
+    """A transliteration direction: its name and its source and target scripts."""
+
+    name: str
+    source: Script
+    target: Script
+
+    @classmethod
+    def of(cls, name: str) -> "Direction":
+        """The direction called ``name``; ConfigError if there is none."""
+        try:
+            return DIRECTIONS[name]
+        except KeyError:
+            raise ConfigError(f"direction must be one of {tuple(DIRECTIONS)}, got {name!r}") from None
+
+
+DIRECTIONS = {
+    d.name: d
+    for d in (Direction("tg2fa", Script.TAJIK, Script.FARSI), Direction("fa2tg", Script.FARSI, Script.TAJIK))
+}
+SMOOTHINGS = ("witten_bell", "none")
+DEFAULT_LM_ORDER = 5
+DEFAULT_BEAM = 16
 
 
 _LETTER_CLASSES = (CharClass.PERSO_ARABIC_LETTER, CharClass.TAJIK_LETTER)

@@ -10,7 +10,8 @@ correspondences: unambiguous consonants map one-to-one, the homophonous
 Arabic-origin letter groups map many-to-one into Tajik and one-to-many
 out of it, and short Tajik vowels may map to the empty string (unwritten
 in Perso-Arabic). They are a provisional starting point, editable as
-plain TSV, not a vetted linguistic resource.
+plain TSV, not a vetted linguistic resource. A ``Direction`` and the
+decoder's defaults come from ``script``.
 """
 
 from __future__ import annotations
@@ -24,15 +25,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ArtifactError, ConfigError, EmptyCorpus, ParseError, UnknownChar, WrongState
-from .script import FARSI_LETTERS, Script, TAJIK_LETTERS, ZWNJ, parse_code_point, parse_json_object
-from .script import data_lines, read_utf8, table_lines
+from .script import DEFAULT_BEAM, DEFAULT_LM_ORDER, DIRECTIONS, FARSI_LETTERS, SMOOTHINGS, TAJIK_LETTERS, ZWNJ
+from .script import Direction, Script, data_lines, parse_code_point, parse_json_object, read_utf8, table_lines
 
 if TYPE_CHECKING:
     from .corpus import ParallelPair
 
 __all__ = [
-    "Direction",
-    "DIRECTIONS",
     "EMPTY_MARK",
     "MappingTable",
     "load_mapping_table",
@@ -66,49 +65,6 @@ LM_FORMAT_VERSION = 2
 # The most contexts that save_lm encodes in one call.
 _SAVE_BLOCK = 128
 DICT_FORMAT_VERSION = 1
-SMOOTHINGS = ("witten_bell", "none")
-
-DEFAULT_LM_ORDER = 5
-DEFAULT_BEAM = 16
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A transliteration direction: its name and its source and target scripts.
-
-    The accessors read a pair's sides through ``ParallelPair.text``, so
-    no caller picks ``fa`` or ``tg`` itself.
-    """
-
-    name: str
-    source: Script
-    target: Script
-
-    @classmethod
-    def of(cls, name: str) -> "Direction":
-        """The direction called ``name``; ConfigError if there is none."""
-        try:
-            return DIRECTIONS[name]
-        except KeyError:
-            raise ConfigError(f"direction must be one of {tuple(DIRECTIONS)}, got {name!r}") from None
-
-    def source_text(self, pair: ParallelPair) -> str:
-        """The pair's train-normalized source side."""
-        return pair.text(self.source)
-
-    def target_text(self, pair: ParallelPair) -> str:
-        """The pair's train-normalized target side."""
-        return pair.text(self.target)
-
-    def reference(self, pair: ParallelPair) -> str:
-        """The pair's raw target side, the reference a hypothesis is scored against."""
-        return pair.text(self.target, train=False)
-
-
-DIRECTIONS = {
-    d.name: d
-    for d in (Direction("tg2fa", Script.TAJIK, Script.FARSI), Direction("fa2tg", Script.FARSI, Script.TAJIK))
-}
 
 # The characters a mapping candidate may hold, by target script.
 _CANDIDATE_CHARS = {Script.FARSI: FARSI_LETTERS | {ZWNJ}, Script.TAJIK: TAJIK_LETTERS}
@@ -178,8 +134,8 @@ def default_mapping_table(name: str) -> MappingTable:
 
 # One level of LM counts: each k-character context's bucket, a plain dict {symbol: count}.
 _Level = dict[str, dict[str, int]]
-# The one plain dict of each distinct bucket, keyed by its (symbol, count) pairs.
-_Pool = dict[tuple[tuple[str, int], ...], dict[str, int]]
+# The one plain dict of each distinct bucket, keyed by the hash of its (symbol, count) pairs.
+_Pool = dict[int, dict[str, int]]
 
 
 class CharNGramLM:
@@ -546,10 +502,17 @@ def _count_grams(texts: Sequence[str], k: int) -> Counter[str]:
 
 
 def _shared_bucket(buckets: _Pool, pairs: tuple[tuple[str, int], ...]) -> dict[str, int]:
-    """The dict of the (symbol, count) ``pairs``: the one in ``buckets``, else a new one put there."""
-    bucket = buckets.get(pairs)
+    """The dict of the (symbol, count) ``pairs``: the equal one in ``buckets``, else a new one.
+
+    The pool is keyed by ``hash(pairs)`` and keeps no copy of them; a
+    bucket whose hash another bucket holds there stays unshared.
+    """
+    key = hash(pairs)
+    bucket = buckets.get(key)
     if bucket is None:
-        bucket = buckets[pairs] = dict(pairs)
+        bucket = buckets[key] = dict(pairs)
+    elif tuple(bucket.items()) != pairs:
+        bucket = dict(pairs)
     return bucket
 
 
@@ -727,7 +690,7 @@ def _count_votes(pairs: Sequence[ParallelPair], d: Direction) -> tuple[dict[str,
     votes: dict[str, Counter[str]] = {}
     skipped = 0
     for pair in pairs:
-        src_tokens, tgt_tokens = d.source_text(pair).split(), d.target_text(pair).split()
+        src_tokens, tgt_tokens = pair.text(d.source).split(), pair.text(d.target).split()
         if len(src_tokens) != len(tgt_tokens):
             skipped += 1
             continue

@@ -24,6 +24,7 @@ class CliResult:
     exit_code: int
     output: str  # stdout and stderr together, in the order they were written
     exception: SystemExit
+    stdin_read: bool  # whether the command read any of its stdin
 
 
 def run_cli(args, input: str | bytes = b"", env: dict[str, str] | None = None) -> CliResult:
@@ -42,7 +43,7 @@ def run_cli(args, input: str | bytes = b"", env: dict[str, str] | None = None) -
             main(list(args))
         except SystemExit as e:
             code = e.code if isinstance(e.code, int) else (0 if e.code is None else 1)
-            return CliResult(code, out.getvalue(), e)
+            return CliResult(code, out.getvalue(), e, stdin.buffer.tell() > 0)
     raise AssertionError(f"main({list(args)}) returned instead of raising SystemExit")
 
 

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tgfa
-from tgfa.cli import COMMANDS, _config_hash, _direction, _existing_file, _sha256, env_var, main
+from tgfa.cli import COMMANDS, _config_hash, _direction, _existing_file, _file_path, _sha256, env_var, main
 from tgfa.corpus import ParallelPair
 from tgfa.errors import ParseError
 from tgfa.script import parse_json_object
@@ -576,6 +576,10 @@ class TestEnvironment:
         assert f"# input {hyps[2]} " in given.output and str(hyps[0]) not in given.output
 
 
+# Each option that names a file to write, as (command, long flag): every -o, and every --out that is a file.
+OUTPUT_FILES = [(command, flags[-1]) for command, (_, options) in COMMANDS.items()
+                for flags, kwargs in options if "-o" in flags or kwargs.get("type") is _file_path]
+
 # Flag values out of range; --lm-order is at most 10.
 OUT_OF_RANGE = [
     ("pipeline", "--beam", "0"),
@@ -672,6 +676,42 @@ class TestFlagValidation:
         result = run_cli(argv)
         assert result.exit_code == 3, result.output
         assert (out / "keep.txt").read_text(encoding="utf-8") == "mine\n"
+
+    @pytest.mark.parametrize("parent", ["missing", "exists.txt"])
+    @pytest.mark.parametrize("via", ["flag", "variable"])
+    @pytest.mark.parametrize("command,flag", OUTPUT_FILES, ids=[f"{c}-{f}" for c, f in OUTPUT_FILES])
+    def test_output_outside_an_existing_directory_rejected_before_work(self, tmp_path, command, flag, via, parent):
+        existing = tmp_path / "exists.txt"
+        existing.write_text("x\n", encoding="utf-8")
+        target = str(tmp_path / parent / "out.txt")
+        argv = [command, *_required_args(command, flag, existing, tmp_path / "out")]
+        argv += [flag, target] if via == "flag" else []
+        env = {env_var(command, flag): target} if via == "variable" else {}
+        result = run_cli(argv, input="бғд\n", env=env)
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert _names(flag, result.output) and "is not in an existing directory" in result.output, result.output
+        assert [p.name for p in tmp_path.iterdir()] == ["exists.txt"]
+        assert not result.stdin_read
+
+    def test_split_into_a_directory_where_a_subset_file_goes(self, corpus_file, tmp_path):
+        out = tmp_path / "sp"
+        (out / "train.jsonl").mkdir(parents=True)
+        result = run_cli(["split", "--corpus", str(corpus_file), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert f"Error: {out / 'train.jsonl'}: Is a directory" in result.output, result.output
+
+    def test_pipeline_into_a_run_directory_where_a_fold_directory_is_a_file(self, corpus_file, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "fold01").write_text("mine\n", encoding="utf-8")
+        argv = ["pipeline", "--corpus", str(corpus_file), "--direction", "tg2fa", "--folds", "2", "--out", str(out)]
+        result = run_cli(argv)
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert f"Error: {out / 'fold01'}: File exists" in result.output, result.output
+        assert (out / "fold01").read_text(encoding="utf-8") == "mine\n"
 
     @pytest.mark.parametrize("ratios", ["0.5,0.5,0.5", "0.8,0.3,-0.1", "0.5,0.5", "a,b,c"])
     def test_split_ratios_rejected_before_work(self, corpus_file, tmp_path, ratios):
@@ -1182,10 +1222,11 @@ class TestDigests:
 
 # The modules every command loads: the CLI itself and what its option
 # table reads when it loads (Direction, DIRECTIONS and the decoder
-# defaults live in translit.py, whose scripts come from tgfa/data).
-_CORE = {"tgfa", "tgfa.cli", "tgfa.data", "tgfa.errors", "tgfa.script", "tgfa.translit"}
+# defaults live in script.py, whose scripts come from tgfa/data).
+_CORE = {"tgfa", "tgfa.cli", "tgfa.data", "tgfa.errors", "tgfa.script"}
 _CORPUS = {"tgfa.corpus"}
 _METRICS = {"tgfa.metrics", "tgfa._kernels"}
+_TRANSLIT_MOD = {"tgfa.translit"}
 # Each command's arguments on a small fixture, and the tgfa modules it
 # loads: {corpus}, {text}, {lm}, {dict}, {hyp} and {scores} are the
 # fixture's files, {out} a path under the test's own directory.
@@ -1198,20 +1239,21 @@ LOADS = {
     "kfold": (["kfold", "--corpus", "{corpus}", "--k", "2", "--out", "{out}"], _CORE | _CORPUS),
     "filter-names": (["filter-names", "--corpus", "{corpus}", "--out", "{out}"], _CORE | _CORPUS),
     "build-dict": (["build-dict", "--corpus", "{corpus}", "--direction", "tg2fa", "--out", "{out}"],
-                   _CORE | _CORPUS),
+                   _CORE | _CORPUS | _TRANSLIT_MOD),
     "train-lm": (["train-lm", "--corpus", "{corpus}", "--direction", "tg2fa", "--lm-order", "3", "--out", "{out}"],
-                 _CORE | _CORPUS),
+                 _CORE | _CORPUS | _TRANSLIT_MOD),
     "translit": (["translit", "--direction", "tg2fa", "--dict", "{dict}", "--lm", "{lm}", "--ambiguity-stats",
-                  "-i", "{text}"], _CORE),
+                  "-i", "{text}"], _CORE | _TRANSLIT_MOD),
     "score": (["score", "--corpus", "{corpus}", "--hyp", "{hyp}", "--direction", "tg2fa", "--out", "{out}"],
               _CORE | _CORPUS | _METRICS),
     "pipeline": (["pipeline", "--corpus", "{corpus}", "--direction", "tg2fa", "--folds", "2", "--lm-order", "3",
-                  "--out", "{out}"], _CORE | _CORPUS | _METRICS),
+                  "--out", "{out}"], _CORE | _CORPUS | _METRICS | _TRANSLIT_MOD),
     "report": (["report", "--scores", "{scores}"], _CORE | _METRICS),
 }
 
 # The child runs one command through tgfa.cli.main, then writes the tgfa
-# modules it loaded and whether it loaded logging to stderr's last line.
+# modules it loaded and whether it loaded logging and dataclasses to
+# stderr's last line.
 _LOADS_CHILD = """
 import json, sys
 from tgfa.cli import main
@@ -1220,7 +1262,8 @@ try:
     main(sys.argv[1:])
 finally:
     tgfa = sorted(name for name in sys.modules if name == "tgfa" or name.startswith("tgfa."))
-    print(json.dumps({"tgfa": tgfa, "logging": "logging" in sys.modules}), file=sys.stderr)
+    print(json.dumps({"tgfa": tgfa, "logging": "logging" in sys.modules,
+                      "dataclasses": "dataclasses" in sys.modules}), file=sys.stderr)
 """
 
 
@@ -1239,7 +1282,7 @@ class TestLoadedModules:
         files["text"].write_text("".join(p.tg + "\n" for p in pairs[:5]), encoding="utf-8")
         files["hyp"].write_text("".join(p.fa + "\n" for p in pairs), encoding="utf-8")
         direction = translit.DIRECTIONS["tg2fa"]
-        translit.save_lm(train_lm([direction.target_text(p) for p in pairs], order=3), files["lm"])
+        translit.save_lm(train_lm([p.text(direction.target) for p in pairs], order=3), files["lm"])
         translit.save_dictionary(translit.build_dictionary(pairs, direction), files["dict"])
         files["scores"].write_text("".join(json.dumps(r) + "\n" for r in _SCORE_ROWS), encoding="utf-8")
         argv, expected = LOADS[command]
@@ -1250,3 +1293,6 @@ class TestLoadedModules:
         if "tgfa.corpus" not in expected:
             # logging comes only with corpus.py, which logs skipped lines.
             assert not loaded["logging"]
+        if not expected & (_CORPUS | _METRICS | _TRANSLIT_MOD):
+            # dataclasses comes only with the modules that define dataclasses.
+            assert not loaded["dataclasses"]

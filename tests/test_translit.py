@@ -93,9 +93,9 @@ class TestDirection:
         d = DIRECTIONS[name]
         assert Direction.of(name) is d
         assert (d.name, d.source, d.target) == (name, source, target)
-        assert d.source_text(self.PAIR) == source_text
-        assert d.target_text(self.PAIR) == target_text
-        assert d.reference(self.PAIR) == reference
+        assert self.PAIR.text(d.source) == source_text
+        assert self.PAIR.text(d.target) == target_text
+        assert self.PAIR.text(d.target, train=False) == reference
 
     def test_names_and_unknown_name(self):
         assert list(DIRECTIONS) == ["tg2fa", "fa2tg"]
@@ -457,6 +457,17 @@ class TestSharedBuckets:
             distinct = {tuple(bucket.items()) for bucket in buckets}
             assert len({id(bucket) for bucket in buckets}) == len(distinct) < len(buckets)
 
+    def test_a_bucket_whose_hash_the_pool_holds_for_another_stays_unshared(self):
+        pairs = (("а", 2), ("б", 1))
+        for other in ({"в": 5}, {"б": 1, "а": 2}):
+            # The same items in another order are another bucket: a loaded one is checked for order.
+            pool = {hash(pairs): other}
+            bucket = translit._shared_bucket(pool, pairs)
+            assert bucket == dict(pairs) and list(bucket) == ["а", "б"]
+            assert bucket is not other and pool == {hash(pairs): other}
+        pool = {}
+        assert translit._shared_bucket(pool, pairs) is translit._shared_bucket(pool, tuple(list(pairs)))
+
     @settings(max_examples=150, deadline=None)
     @given(state_chain_cases())
     def test_deriving_and_decoding_leave_the_source_model_unchanged(self, tmp_path_factory, case):
@@ -721,7 +732,7 @@ class TestFoldDerivation:
         pairs, k, order, d, seed = case
         out = tmp_path_factory.mktemp("fold")
         whole_dict = build_dictionary(pairs, d)
-        targets = [d.target_text(p) for p in pairs]
+        targets = [p.text(d.target) for p in pairs]
         whole_lm = train_lm(targets, order=order) if any(targets) else None
         specs = kfold(pairs, k=k, seed=seed)
         if len(pairs) >= 10:
@@ -734,8 +745,8 @@ class TestFoldDerivation:
             )
             if whole_lm is None:
                 continue
-            train_targets = [d.target_text(p) for p in train]
-            test_targets = [d.target_text(p) for p in held_out]
+            train_targets = [p.text(d.target) for p in train]
+            test_targets = [p.text(d.target) for p in held_out]
             if not any(train_targets):
                 with pytest.raises(EmptyCorpus):
                     whole_lm.without(test_targets)
