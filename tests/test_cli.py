@@ -363,6 +363,46 @@ class TestPipelineAndReport:
         overall = next(r for r in rows if r.get("group") == "Overall")
         assert overall["n_pairs"] == 30  # every pair tested exactly once
 
+    @pytest.mark.parametrize("folds", ["0", "3"])
+    @pytest.mark.parametrize("direction", ["tg2fa", "fa2tg"])
+    def test_pipeline_equals_its_stages(self, tmp_path, direction, folds):
+        """Each block's models and hypotheses are what the stage commands make of its own files."""
+        pairs = toy_corpus(20, dataset="Masnavi") + toy_corpus(20, seed=8, dataset="Places")
+        corpus = write_corpus(tmp_path / "c.jsonl", pairs)
+        run = tmp_path / "run"
+        argv = ["pipeline", "--corpus", str(corpus), "--direction", direction, "--folds", folds, "--out", str(run)]
+        result = run_cli(argv)
+        assert result.exit_code == 0, result.output
+        blocks = [run] if folds == "0" else [run / f"fold{i:02d}" for i in range(int(folds))]
+        for block in blocks:
+            stage = tmp_path / "stages" / block.name
+            stage.mkdir(parents=True)
+            train = ["--corpus", str(block / "train.jsonl"), "--direction", direction]
+            for argv in (
+                ["build-dict", *train, "--out", str(stage / "dict.json")],
+                ["train-lm", *train, "--out", str(stage / "lm.json")],
+                ["translit", "--direction", direction, "--dict", str(stage / "dict.json"),
+                 "--lm", str(stage / "lm.json"), "--assume-normalized",
+                 "-i", str(block / "test.src.txt"), "-o", str(stage / "test.hyp.txt")],
+            ):
+                stage_result = run_cli(argv)
+                assert stage_result.exit_code == 0, stage_result.output
+            for name in ("dict.json", "lm.json", "test.hyp.txt"):
+                assert (stage / name).read_bytes() == (block / name).read_bytes(), f"{block.name}/{name}"
+
+        # Scoring the blocks' test sets, joined in block order, gives the run's report rows.
+        joined, hyp = tmp_path / "test.jsonl", tmp_path / "hyp.txt"
+        joined.write_bytes(b"".join((block / "test.jsonl").read_bytes() for block in blocks))
+        hyp.write_bytes(b"".join((block / "test.hyp.txt").read_bytes() for block in blocks))
+        scored = run_cli(["score", "--corpus", str(joined), "--hyp", str(hyp), "--direction", direction])
+        assert scored.exit_code == 0, scored.output
+
+        def rows(text: str) -> list[str]:
+            return [line for line in text.splitlines() if not line.startswith("#")]
+
+        assert rows(scored.output) == rows((run / "report.txt").read_text(encoding="utf-8"))
+        assert len(rows(scored.output)) == 4  # header, two domains, Overall
+
     def test_pipeline_normalizes_each_text_once(self, tmp_path, monkeypatch):
         from tgfa import script
 
