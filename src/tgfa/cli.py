@@ -3,10 +3,12 @@
 Each stage of the experiment pipeline is independently invocable
 (normalize, tokenize, split, build-dict, train-lm, translit, score, ...)
 and `pipeline` chains them end to end. Commands never mutate their
-inputs; artifacts go only under the configured output directory, and
-every emitted report embeds the tool version, seed, a config hash and
-the input file digests, so a rerun with the same seed and config is
-byte-identical.
+inputs. Artifacts go only to `-o`/`--output` or `--out`, each file
+written whole by `script.write_utf8`; an `--out` directory must be
+empty or absent, and is built aside and renamed into place, so a run
+leaves all of it or none (`_run_directory`). Every emitted report
+embeds the tool version, seed, a config hash and the input file digests,
+so a rerun with the same seed and config is byte-identical.
 
 The parser is the standard library's argparse, built from one table,
 COMMANDS: each command's function and the arguments of each of its
@@ -50,6 +52,7 @@ from . import __version__
 from .errors import ConfigError, LengthMismatch, MarkerCollision, ParseError, TgfaError, UnknownDataset
 from .script import DEFAULT_BEAM, DEFAULT_LM_ORDER, DIRECTIONS, FARSI_LETTERS, SMOOTHINGS, TAJIK_LETTERS
 from .script import Direction, NormMode, Script, load_char_table, normalize_text, parse_json_object, read_lines
+from .script import write_utf8
 
 if TYPE_CHECKING:
     from .corpus import ParallelPair, SplitSpec
@@ -128,9 +131,12 @@ def _existing_file(value: str) -> str:
 
 
 def _dir_path(value: str) -> str:
-    """An argument type: a path that is not a file."""
-    if Path(value).is_file():
+    """An argument type: a path that is neither a file nor a directory holding anything."""
+    path = Path(value)
+    if path.is_file():
         raise argparse.ArgumentTypeError(f"directory {value!r} is a file")
+    if path.is_dir() and any(path.iterdir()):
+        raise argparse.ArgumentTypeError(f"directory {value!r} is not empty")
     return value
 
 
@@ -185,27 +191,29 @@ def _stage(name: str):
 
 
 @contextmanager
-def _run_directory(path: Path):
-    """Create ``path`` for a run's artifacts; if this run created it and then fails, remove it."""
-    created = not path.exists()
-    path.mkdir(parents=True, exist_ok=True)
+def _run_directory(out: str):
+    """Yield a fresh sibling of ``out`` to write a run's files in; rename it onto ``out`` at the end.
+
+    On any exception, KeyboardInterrupt included, the sibling is removed
+    and ``out``, absent or empty, is left as it was.
+    """
+    path = Path(out)
+    work = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    work.mkdir(parents=True)
     try:
-        yield
+        yield work
+        os.replace(work, path)
     except BaseException:
-        if created:
-            shutil.rmtree(path, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
         raise
 
 
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    write_utf8(path, ["".join(line + "\n" for line in lines)])
 
 
-def _write_lines(path: str, lines: Iterable[str]) -> None:
-    _write_text(path, "".join(line + "\n" for line in lines))
+def _write_json(path: Path, value) -> None:
+    write_utf8(path, [json.dumps(value, sort_keys=True, ensure_ascii=False) + "\n"])
 
 
 def _sha256(path: str | Path) -> str:
@@ -395,13 +403,12 @@ def split(corpus, seed, ratios, out):
     pairs = corpus_mod.load(corpus)
     with _stage(corpus):
         spec = corpus_mod.split_holdout(pairs, ratios, seed)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"seed": seed, "ratios": list(ratios), "train": list(spec.train), "dev": list(spec.dev),
                "test": list(spec.test)}
-    (out_dir / "split.json").write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
-    for name, indices in (("train", spec.train), ("dev", spec.dev), ("test", spec.test)):
-        corpus_mod.save([pairs[i] for i in indices], out_dir / f"{name}.jsonl")
+    with _run_directory(out) as out_dir:
+        _write_json(out_dir / "split.json", payload)
+        for name, indices in (("train", spec.train), ("dev", spec.dev), ("test", spec.test)):
+            corpus_mod.save([pairs[i] for i in indices], out_dir / f"{name}.jsonl")
     print(f"split {len(pairs)} pairs -> train={len(spec.train)} dev={len(spec.dev)} test={len(spec.test)}")
 
 
@@ -413,12 +420,9 @@ def kfold(corpus, k, seed, out):
     pairs = corpus_mod.load(corpus)
     with _stage(corpus):
         folds = corpus_mod.kfold(pairs, k=k, seed=seed)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = [{"fold": i, "train": list(f.train), "test": list(f.test)} for i, f in enumerate(folds)]
-    (out_dir / "folds.json").write_text(
-        json.dumps({"seed": seed, "k": k, "folds": payload}, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with _run_directory(out) as out_dir:
+        _write_json(out_dir / "folds.json", {"seed": seed, "k": k, "folds": payload})
     print(f"wrote {k} folds over {len(pairs)} pairs")
 
 
@@ -435,13 +439,10 @@ def filter_names(corpus, map_path, count_based, out):
     pairs = corpus_mod.load(corpus)
     cmap = corpus_mod.load_consonant_map(map_path) if map_path else None
     kept, rejected = corpus_mod.paranames_filter(pairs, cmap, order_sensitive=not count_based)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    corpus_mod.save(kept, out_dir / "kept.jsonl")
-    with (out_dir / "rejected.jsonl").open("w", encoding="utf-8", newline="\n") as fh:
-        for pair, cls in rejected:
-            row = {"fa": pair.fa, "tg": pair.tg, "dataset": pair.dataset, "violating_class": cls}
-            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+    rows = ({"fa": pair.fa, "tg": pair.tg, "dataset": pair.dataset, "violating_class": cls} for pair, cls in rejected)
+    with _run_directory(out) as out_dir:
+        corpus_mod.save(kept, out_dir / "kept.jsonl")
+        _write_lines(out_dir / "rejected.jsonl", (json.dumps(row, sort_keys=True, ensure_ascii=False) for row in rows))
     print(f"kept {len(kept)}, rejected {len(rejected)} of {len(pairs)} pairs")
 
 
@@ -571,11 +572,10 @@ def score(corpus, hyps, direction, sentence_chrf, format_, out):
         for name, report in systems.items():
             sys.stdout.write(_report_jsonl(name, report, meta))
     if out:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.txt").write_text(table_text, encoding="utf-8")
-        for name, report in systems.items():
-            (out_dir / f"{name}.scores.jsonl").write_text(_report_jsonl(name, report, meta), encoding="utf-8")
+        with _run_directory(out) as out_dir:
+            write_utf8(out_dir / "report.txt", [table_text])
+            for name, report in systems.items():
+                write_utf8(out_dir / f"{name}.scores.jsonl", [_report_jsonl(name, report, meta)])
 
 
 @_command(
@@ -587,8 +587,8 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
     """Run split, training, transliteration and scoring in one go.
 
     The split comes first, so a corpus too small for it leaves no run
-    directory; if a later stage fails, a run directory this run created
-    is removed again. The dictionary and the LM are built once on the
+    directory; nor does a later stage that fails, as ``_run_directory``
+    builds it aside. The dictionary and the LM are built once on the
     whole corpus. Each block's, the holdout's or a fold's, are derived
     from them by subtracting its held-out pairs (dev and test), which
     equals training on its training pairs, byte for byte once saved.
@@ -608,13 +608,15 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
               "beam": beam, "lm_order": lm_order, "folds": folds}
     meta = _meta(config, [corpus], seed=seed)
 
-    def run_block(block_dir: Path, spec: SplitSpec) -> list[str]:
+    def run_block(name: str, spec: SplitSpec) -> list[str]:
         """Decode ``spec.test`` with the whole corpus's models less the held-out pairs.
 
         A function of its own, so that one block's models and LM memo
-        are freed before the next block's are derived.
+        are freed before the next block's are derived. ``name`` is the
+        block's directory in the run, "" for the holdout.
         """
-        block_dir.mkdir(parents=True, exist_ok=True)
+        block_dir = work / name
+        block_dir.mkdir(exist_ok=True)
         test_pairs = [pairs[i] for i in spec.test]
         held_out = [pairs[i] for i in spec.dev] + test_pairs
         corpus_mod.save([pairs[i] for i in spec.train], block_dir / "train.jsonl")
@@ -626,27 +628,23 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
             lm = whole_lm.without(p.text(direction.target) for p in held_out)
         translit_mod.save_lm(lm, block_dir / "lm.json")
         sources = [p.text(direction.source) for p in test_pairs]
-        source_path = str(block_dir / "test.src.txt")
-        _write_lines(source_path, sources)
+        _write_lines(block_dir / "test.src.txt", sources)
         with _stage("translit"):
-            hyp_lines = translit_mod.transliterate_lines(sources, table, dictionary, lm, beam, where=source_path)
-        _write_lines(str(block_dir / "test.hyp.txt"), hyp_lines)
+            where = str(Path(out, name, "test.src.txt"))
+            hyp_lines = translit_mod.transliterate_lines(sources, table, dictionary, lm, beam, where=where)
+        _write_lines(block_dir / "test.hyp.txt", hyp_lines)
         return hyp_lines
 
-    out_dir = Path(out)
-    with _run_directory(out_dir):
-        (out_dir / "config.json").write_text(
-            json.dumps({"config": config, "meta": meta}, sort_keys=True, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
+    with _run_directory(out) as work:
+        _write_json(work / "config.json", {"config": config, "meta": meta})
         if folds == 0:
             spec = specs[0]
             payload = {"seed": seed, "train": list(spec.train), "dev": list(spec.dev), "test": list(spec.test)}
-            (out_dir / "split.json").write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
-            corpus_mod.save([pairs[i] for i in spec.dev], out_dir / "dev.jsonl")
-            block_dirs = [out_dir]
+            _write_json(work / "split.json", payload)
+            corpus_mod.save([pairs[i] for i in spec.dev], work / "dev.jsonl")
+            blocks = [""]
         else:
-            block_dirs = [out_dir / f"fold{i:02d}" for i in range(folds)]
+            blocks = [f"fold{i:02d}" for i in range(folds)]
         with _stage("build-dict"):
             whole_dict = translit_mod.build_dictionary(pairs, direction)
         with _stage("train-lm"):
@@ -654,21 +652,19 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
 
         scored_indices: list[int] = []
         scored_hyps: list[str] = []
-        for block_dir, spec in zip(block_dirs, specs):
-            scored_hyps.extend(run_block(block_dir, spec))
+        for name, spec in zip(blocks, specs):
+            scored_hyps.extend(run_block(name, spec))
             scored_indices.extend(spec.test)
         refs_raw = [pairs[i].text(direction.target, train=False) for i in scored_indices]
         groups = [_group_label(pairs[i]) for i in scored_indices]
         eval_pairs = _eval_pairs(_eval_texts(refs_raw, direction.target), scored_hyps, groups, direction.target)
-        _write_lines(str(out_dir / "test.ref.txt"), refs_raw)
+        _write_lines(work / "test.ref.txt", refs_raw)
         with _stage("score"):
             report = score_corpus(eval_pairs)
-        name = f"baseline-{direction.name}"
-        table_text = _report_table({name: report}, meta)
-        (out_dir / "report.txt").write_text(table_text, encoding="utf-8")
-        (out_dir / "report.jsonl").write_text(
-            _report_jsonl(name, report, meta), encoding="utf-8"
-        )
+        system = f"baseline-{direction.name}"
+        table_text = _report_table({system: report}, meta)
+        write_utf8(work / "report.txt", [table_text])
+        write_utf8(work / "report.jsonl", [_report_jsonl(system, report, meta)])
     sys.stdout.write(table_text)
 
 
@@ -744,7 +740,7 @@ def report(scores, output):
         _claim_system(sources, name, path)
         systems[name] = MetricReport(groups=groups, overall=overall)
     merged_meta = metas[0] if metas else None
-    _write_text(output, _report_table(systems, merged_meta))
+    write_utf8(output, [_report_table(systems, merged_meta)])
 
 
 def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

@@ -18,7 +18,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import floor
+from math import floor, isfinite
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -30,7 +30,7 @@ from .errors import (
     TooSmall,
     UnknownDataset,
 )
-from .script import NormMode, Script, data_lines, normalize_text, parse_json_object, read_lines, table_lines
+from .script import NormMode, Script, data_lines, normalize_text, parse_json_object, read_lines, table_lines, write_utf8
 
 __all__ = [
     "DOMAINS",
@@ -198,9 +198,8 @@ def load(path: str | Path) -> list[ParallelPair]:
 
 
 def save(pairs: Iterable[ParallelPair], path: str | Path) -> None:
-    """Write pairs as JSONL, one ``jsonl_line`` each."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(p.jsonl_line for p in pairs)
+    """Write pairs as JSONL, one ``jsonl_line`` each, with ``write_utf8``."""
+    write_utf8(Path(path), (p.jsonl_line for p in pairs))
 
 
 def domain_of(pair: ParallelPair) -> str:
@@ -272,8 +271,8 @@ def _allocate(n: int, ratios: Sequence[float]) -> list[int]:
 
 
 def check_ratios(ratios: Sequence[float]) -> None:
-    """Raise ConfigError unless ``ratios`` are three non-negative values summing to 1."""
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) < 0:
+    """Raise ConfigError unless ``ratios`` are three finite non-negative values summing to 1."""
+    if len(ratios) != 3 or not all(map(isfinite, ratios)) or abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) < 0:
         raise ConfigError("ratios must be three non-negative values summing to 1")
 
 

@@ -30,7 +30,8 @@ Every input file is read here: ``read_lines`` decodes UTF-8 and splits
 lines only at LF, CRLF or CR; ``parse_json_object`` decodes every JSON
 value, refusing ``NaN``, ``Infinity``, over-long integers and deep
 nesting; ``data_lines`` reads a packaged data file; the TSV readers
-share ``table_lines`` and ``parse_code_point``.
+share ``table_lines`` and ``parse_code_point``. Every output file is
+written here too, whole, by ``write_utf8``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import functools
 import io
 import json
+import os
 import re
 import sys
 import unicodedata
@@ -67,6 +69,7 @@ __all__ = [
     "load_char_table",
     "decode_utf8",
     "read_utf8",
+    "write_utf8",
     "split_lines",
     "read_lines",
     "parse_json_object",
@@ -276,6 +279,29 @@ def decode_utf8(data: bytes, where: str) -> str:
 def read_utf8(path: str | Path) -> str:
     """The text of a UTF-8 file; a byte that is not UTF-8 raises ParseError naming the file and line."""
     return decode_utf8(Path(path).read_bytes(), str(path))
+
+
+def write_utf8(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` as UTF-8 with LF line ends to ``path``, or to stdout for the string ``"-"``.
+
+    A new or regular file is replaced whole by a sibling ``.<name>.<pid>.tmp``, so a failed write
+    leaves the old file and no temporary one. A symlink or a device is written in place.
+    """
+    if path == "-":
+        sys.stdout.writelines(chunks)
+        return
+    path = Path(path)
+    whole = not path.is_symlink() and (path.is_file() or not path.exists())
+    target = path.with_name(f".{path.name}.{os.getpid()}.tmp") if whole else path
+    try:
+        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        if whole:
+            os.replace(target, path)
+    except BaseException:
+        if whole:
+            target.unlink(missing_ok=True)
+        raise
 
 
 def split_lines(text: str) -> Iterator[str]:

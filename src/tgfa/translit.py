@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .errors import ArtifactError, ConfigError, EmptyCorpus, ParseError, UnknownChar, WrongState
 from .script import DEFAULT_BEAM, DEFAULT_LM_ORDER, DIRECTIONS, FARSI_LETTERS, SMOOTHINGS, TAJIK_LETTERS, ZWNJ
 from .script import Direction, Script, data_lines, parse_code_point, parse_json_object, read_utf8, table_lines
+from .script import write_utf8
 
 if TYPE_CHECKING:
     from .corpus import ParallelPair
@@ -576,26 +577,29 @@ def save_lm(lm: CharNGramLM, path: str | Path) -> None:
     """Write ``lm.json``: the bytes of ``json.dumps(lm.to_payload(), ensure_ascii=False)``.
 
     The levels are read as stored, already in canonical order, and
-    encoded in blocks of at most ``_SAVE_BLOCK`` contexts, so the write
-    holds one block's text at a time, never the whole file's.
+    encoded in blocks of at most ``_SAVE_BLOCK`` contexts, each a chunk
+    for ``write_utf8``, so the write holds one block's text at a time,
+    never the whole file's.
     """
     encode = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f'{{"alphabet": {encode(sorted(lm._vocab))}, "counts": [')
+
+    def chunks():
+        yield f'{{"alphabet": {encode(sorted(lm._vocab))}, "counts": ['
         for k, level in enumerate(lm._levels):
-            fh.write(", [" if k else "[")
+            yield ", [" if k else "["
             entries = iter(level.items())
             sep = ""
             while block := list(islice(entries, _SAVE_BLOCK)):
                 # A block of [context, bucket] pairs, without its brackets.
-                fh.write(sep)
-                fh.write(encode(block)[1:-1])
+                yield sep + encode(block)[1:-1]
                 sep = ", "
-            fh.write("]")
-        fh.write(
+            yield "]"
+        yield (
             f'], "magic": {encode(LM_MAGIC)}, "order": {lm.order}, '
             f'"smoothing": {encode(lm.smoothing)}, "version": {LM_FORMAT_VERSION}}}'
         )
+
+    write_utf8(Path(path), chunks())
 
 
 def _read_artifact(
@@ -725,11 +729,9 @@ def save_dictionary(d: TranslitDict, path: str | Path) -> None:
         "version": DICT_FORMAT_VERSION,
         "direction": d.direction.name,
         "skipped_pairs": d.skipped_pairs,
-        "entries": dict(sorted(d.entries.items())),
+        "entries": d.entries,
     }
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True), encoding="utf-8"
-    )
+    write_utf8(Path(path), [json.dumps(payload, ensure_ascii=False, sort_keys=True)])
 
 
 def load_dictionary(path: str | Path) -> TranslitDict:

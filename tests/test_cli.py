@@ -708,13 +708,18 @@ class TestFlagValidation:
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit)
         assert "translit: " in result.output and "(U+0671)" in result.output
-        assert "test.src.txt: line " in result.output
+        assert f"{out / 'fold01' / 'test.src.txt'}: line " in result.output  # named as in the finished run
         assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gap.jsonl"]  # no temporary sibling either
 
+        # A run directory that holds anything is refused before any work.
         out.mkdir()
         (out / "keep.txt").write_text("mine\n", encoding="utf-8")
         result = run_cli(argv)
-        assert result.exit_code == 3, result.output
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert _names("--out", result.output) and "is not empty" in result.output, result.output
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
         assert (out / "keep.txt").read_text(encoding="utf-8") == "mine\n"
 
     @pytest.mark.parametrize("parent", ["missing", "exists.txt"])
@@ -740,7 +745,9 @@ class TestFlagValidation:
         result = run_cli(["split", "--corpus", str(corpus_file), "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert "Traceback" not in result.output
-        assert f"Error: {out / 'train.jsonl'}: Is a directory" in result.output, result.output
+        assert _names("--out", result.output) and "is not empty" in result.output, result.output
+        assert [p.name for p in out.iterdir()] == ["train.jsonl"]
+        assert not any((out / "train.jsonl").iterdir())
 
     def test_pipeline_into_a_run_directory_where_a_fold_directory_is_a_file(self, corpus_file, tmp_path):
         out = tmp_path / "run"
@@ -750,14 +757,94 @@ class TestFlagValidation:
         result = run_cli(argv)
         assert result.exit_code == 2, result.output
         assert "Traceback" not in result.output
-        assert f"Error: {out / 'fold01'}: File exists" in result.output, result.output
+        assert _names("--out", result.output) and "is not empty" in result.output, result.output
+        assert [p.name for p in out.iterdir()] == ["fold01"]
         assert (out / "fold01").read_text(encoding="utf-8") == "mine\n"
 
-    @pytest.mark.parametrize("ratios", ["0.5,0.5,0.5", "0.8,0.3,-0.1", "0.5,0.5", "a,b,c"])
-    def test_split_ratios_rejected_before_work(self, corpus_file, tmp_path, ratios):
+    def test_pipeline_into_an_earlier_run_is_refused_and_leaves_it_unchanged(self, corpus_file, tmp_path):
+        out = tmp_path / "run"
+        argv = ["pipeline", "--corpus", str(corpus_file), "--direction", "tg2fa", "--out", str(out)]
+        assert run_cli([*argv, "--folds", "3"]).exit_code == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        result = run_cli([*argv, "--folds", "2"])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert _names("--out", result.output) and "is not empty" in result.output, result.output
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "run"]
+
+    def test_split_that_cannot_write_a_subset_leaves_no_output(self, corpus_file, tmp_path, monkeypatch):
+        from tgfa import corpus as corpus_mod
+
+        save = corpus_mod.save
+
+        def save_but_train(pairs, path):
+            if Path(path).name == "train.jsonl":
+                raise IsADirectoryError(21, "Is a directory", str(path))
+            save(pairs, path)
+
+        monkeypatch.setattr(corpus_mod, "save", save_but_train)
+        out = tmp_path / "sp"
+        result = run_cli(["split", "--corpus", str(corpus_file), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert "train.jsonl: Is a directory" in result.output, result.output
+        assert not (out / "split.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+    def test_pipeline_interrupted_in_a_fold_leaves_no_temporary_directory(self, corpus_file, tmp_path, monkeypatch):
+        save_lm = translit.save_lm
+        calls = []
+
+        def interrupted_second(lm, path):
+            calls.append(path)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            save_lm(lm, path)
+
+        monkeypatch.setattr(translit, "save_lm", interrupted_second)
+        out = tmp_path / "run"
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["pipeline", "--corpus", str(corpus_file), "--direction", "tg2fa", "--folds", "2",
+                     "--out", str(out)])
+        assert len(calls) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+    def test_train_lm_interrupted_keeps_the_old_model(self, corpus_file, tmp_path, monkeypatch):
+        out = tmp_path / "lm.json"
+        out.write_bytes(b"old model\n")
+
+        def interrupted(iterable, n):
+            raise KeyboardInterrupt
+
+        # The first chunk is written; the first block of contexts never comes.
+        monkeypatch.setattr(translit, "islice", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["train-lm", "--corpus", str(corpus_file), "--direction", "tg2fa", "--out", str(out)])
+        assert out.read_bytes() == b"old model\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "lm.json"]
+
+    def test_translit_to_dev_null(self):
+        result = run_cli(["translit", "--direction", "tg2fa", "-o", os.devnull], input="бғд\n")
+        assert result.exit_code == 0, result.output
+        assert result.output == ""
+
+    @pytest.mark.parametrize(
+        "ratios,via",
+        [
+            *(pytest.param(r, "flag", id=r) for r in ["0.5,0.5,0.5", "0.8,0.3,-0.1", "0.5,0.5", "a,b,c"]),
+            # Non-finite shares, first and last, as the flag and as TGFA_SPLIT_RATIOS.
+            *(pytest.param(r, via, id=f"{r}-{via}")
+              for value in ("nan", "inf", "-inf") for r in (f"{value},0.5,0.5", f"0.5,0.5,{value}")
+              for via in ("flag", "variable")),
+        ],
+    )
+    def test_split_ratios_rejected_before_work(self, corpus_file, tmp_path, ratios, via):
         out = tmp_path / "out"
+        argv = ["split", "--corpus", str(corpus_file), "--out", str(out)]
         result = run_cli(
-            ["split", "--corpus", str(corpus_file), "--out", str(out), "--ratios", ratios]
+            [*argv, "--ratios", ratios] if via == "flag" else argv,
+            env={env_var("split", "--ratios"): ratios} if via == "variable" else {},
         )
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)

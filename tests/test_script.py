@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import os
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from tgfa.script import (
     parse_code_point,
     strip_whitespace,
     table_lines,
+    write_utf8,
 )
 
 from conftest import tajik_char_table
@@ -355,3 +357,118 @@ class TestOneReader:
             ("data_lines", "resources.files"),
             ("split_lines", "io.StringIO"),
         ]
+
+
+class TestWriteUtf8:
+    def test_replaces_a_file_whole_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old and longer\n")
+        write_utf8(path, iter(["а\n", "", "b\n"]))
+        assert path.read_bytes() == "а\nb\n".encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old\n")
+
+        def chunks():
+            yield "new\n"
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            write_utf8(path, chunks())
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_dash_string_is_stdout_and_a_dash_path_a_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_utf8("-", ["to stdout\n"])
+        write_utf8(Path("-"), ["to a file\n"])
+        assert capsys.readouterr().out == "to stdout\n"
+        assert (tmp_path / "-").read_text(encoding="utf-8") == "to a file\n"
+
+    def test_symlink_and_device_written_in_place(self, tmp_path):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_bytes(b"old\n")
+        link.symlink_to(target)
+        write_utf8(link, ["new\n"])
+        assert link.is_symlink() and target.read_bytes() == b"new\n"
+        write_utf8(os.devnull, ["gone\n"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+
+# Calls that write or move a file: ``open`` with a mode that writes (the
+# builtin's mode is its second argument, a path's its first; ``os.open``
+# takes flags, and its one use points stdout at the null device),
+# ``write_text``, ``write_bytes``, ``os.replace`` and ``os.rename``.
+_WRITE_MODE = set("wax+")
+_MOVES = {("os", "replace"), ("os", "rename")}
+
+
+class _WriterUses(ast.NodeVisitor):
+    """(enclosing function, callee) of each call in a module that writes or moves a file."""
+
+    def __init__(self):
+        self.scope: list[str] = []
+        self.found: list[tuple[str, str]] = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        module = func.value.id if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) else None
+        at = 1 if isinstance(func, ast.Name) else 0
+        modes = node.args[at : at + 1] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+        # A mode that is not a string literal may write.
+        writes = name == "open" and module != "os" and any(
+            not (isinstance(m, ast.Constant) and isinstance(m.value, str)) or _WRITE_MODE & set(m.value) for m in modes
+        )
+        if writes or name in ("write_text", "write_bytes") or (module, name) in _MOVES:
+            self.found.append((".".join(self.scope) or "<module>", ast.unparse(func)))
+        self.generic_visit(node)
+
+
+class TestOneWriter:
+    """Files are written, and replaced, only in script.py; cli.py renames a finished run directory."""
+
+    @staticmethod
+    def _uses(path: Path) -> list[tuple[str, str]]:
+        visitor = _WriterUses()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        return visitor.found
+
+    def test_no_other_module_writes_a_file(self):
+        package = Path(tgfa.__file__).parent
+        allowed = {("cli.py", "_run_directory", "os.replace")}
+        found = [f"{path.name}: {name} in {scope}" for path in sorted(package.glob("*.py")) if path.name != "script.py"
+                 for scope, name in self._uses(path) if (path.name, scope, name) not in allowed]
+        assert not found, "write files through script.write_utf8: " + ", ".join(found)
+
+    def test_run_directory_is_renamed_in_one_place(self):
+        assert self._uses(Path(tgfa.__file__).parent / "cli.py") == [("_run_directory", "os.replace")]
+
+    def test_script_writes_in_one_place(self):
+        assert sorted(self._uses(Path(tgfa.__file__).parent / "script.py")) == [
+            ("write_utf8", "open"),
+            ("write_utf8", "os.replace"),
+        ]
+
+    @pytest.mark.parametrize(
+        "source",
+        ['open(p, "w")', 'open(p, mode="a")', "open(p, m)", 'p.open("x")', 'p.open(mode="r+")',
+         'p.write_text("")', 'p.write_bytes(b"")', "os.replace(a, b)", "os.rename(a, b)"],
+    )
+    def test_guard_sees_each_kind_of_write(self, source):
+        visitor = _WriterUses()
+        visitor.visit(ast.parse(f"def f():\n    {source}\n"))
+        assert [scope for scope, _ in visitor.found] == ["f"]
+
+    @pytest.mark.parametrize("source", ["open(p)", 'open(p, "rb")', "p.open()", "os.open(p, os.O_WRONLY)"])
+    def test_guard_passes_reads_and_os_open(self, source):
+        visitor = _WriterUses()
+        visitor.visit(ast.parse(source))
+        assert visitor.found == []
