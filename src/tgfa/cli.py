@@ -137,6 +137,8 @@ def _dir_path(value: str) -> str:
         raise argparse.ArgumentTypeError(f"directory {value!r} is a file")
     if path.is_dir() and any(path.iterdir()):
         raise argparse.ArgumentTypeError(f"directory {value!r} is not empty")
+    if not path.name:  # "." or "/": no sibling to build it in
+        raise argparse.ArgumentTypeError(f"directory {value!r} has no name")
     return value
 
 
@@ -629,8 +631,8 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
         translit_mod.save_lm(lm, block_dir / "lm.json")
         sources = [p.text(direction.source) for p in test_pairs]
         _write_lines(block_dir / "test.src.txt", sources)
+        where = str(Path(out, name, "test.src.txt"))  # as the finished run names it
         with _stage("translit"):
-            where = str(Path(out, name, "test.src.txt"))
             hyp_lines = translit_mod.transliterate_lines(sources, table, dictionary, lm, beam, where=where)
         _write_lines(block_dir / "test.hyp.txt", hyp_lines)
         return hyp_lines

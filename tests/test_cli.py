@@ -773,6 +773,17 @@ class TestFlagValidation:
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "run"]
 
+    def test_nameless_run_directory_rejected_before_work(self, corpus_file, tmp_path, monkeypatch):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        monkeypatch.chdir(empty)
+        result = run_cli(["kfold", "--corpus", str(corpus_file), "--out", "."])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert _names("--out", result.output) and "has no name" in result.output, result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "empty"]
+        assert not any(empty.iterdir())
+
     def test_split_that_cannot_write_a_subset_leaves_no_output(self, corpus_file, tmp_path, monkeypatch):
         from tgfa import corpus as corpus_mod
 
