@@ -282,17 +282,17 @@ def read_utf8(path: str | Path) -> str:
 
 
 def write_utf8(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write ``chunks`` as UTF-8 with LF line ends to ``path``, or to stdout for the string ``"-"``.
+    """Write ``chunks`` as UTF-8 with LF line ends to ``path``, or to stdout for the str (not Path) ``"-"``.
 
-    A new or regular file is replaced whole by a sibling ``.<name>.<pid>.tmp``, so a failed write
-    leaves the old file and no temporary one. A symlink or a device is written in place.
+    A new or regular file is replaced whole by a short sibling, ``.tgfa.<pid>.tmp``, so a failed
+    write leaves the old file and no temporary one. A symlink or a device is written in place.
     """
     if path == "-":
         sys.stdout.writelines(chunks)
         return
     path = Path(path)
     whole = not path.is_symlink() and (path.is_file() or not path.exists())
-    target = path.with_name(f".{path.name}.{os.getpid()}.tmp") if whole else path
+    target = path.with_name(f".tgfa.{os.getpid()}.tmp") if whole else path
     try:
         with open(target, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)

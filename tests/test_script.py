@@ -367,6 +367,11 @@ class TestWriteUtf8:
         assert path.read_bytes() == "а\nb\n".encode()
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    def test_longest_file_name(self, tmp_path):
+        path = tmp_path / ("а" * 127)  # 254 bytes, one short of the usual limit
+        write_utf8(path, ["x\n"])
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_failed_write_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "out.txt"
         path.write_bytes(b"old\n")
