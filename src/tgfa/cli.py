@@ -36,6 +36,7 @@ import shutil
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from stat import S_ISDIR
 from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Sequence
 
 # SHA-256 from CPython's built-in module, resolved once: hashlib always
@@ -52,11 +53,11 @@ from . import __version__
 from .errors import ConfigError, LengthMismatch, MarkerCollision, ParseError, TgfaError, UnknownDataset
 from .script import DEFAULT_BEAM, DEFAULT_LM_ORDER, DIRECTIONS, FARSI_LETTERS, SMOOTHINGS, TAJIK_LETTERS
 from .script import Direction, NormMode, Script, load_char_table, normalize_text, parse_json_object, read_lines
-from .script import write_utf8
+from .script import temporary_sibling, write_utf8
 
 if TYPE_CHECKING:
     from .corpus import ParallelPair, SplitSpec
-    from .metrics import EvalPair, GroupScores, MetricReport
+    from .metrics import GroupScores, MetricReport
 
 METRIC_COLUMNS = ("chrf", "chrf_pp", "cer", "ncer", "acc", "acc_no_ws")
 METRIC_LABELS = {
@@ -111,33 +112,49 @@ def _int_range(low: int, high: int | None = None) -> Callable[[str], int]:
     return in_range
 
 
+def _is_dir(what: str, value: str) -> bool | None:
+    """Whether the path ``value`` is a directory; None if nothing is there, or a file is on the way.
+
+    ``""`` is ``"."``. Any other failure, such as a name too long, is a usage error naming ``what``
+    and the path.
+    """
+    try:
+        return S_ISDIR(Path(value).stat().st_mode)
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    except OSError as e:
+        raise argparse.ArgumentTypeError(f"{what} {value!r}: {e.strerror}") from None
+
+
 def _file_path(value: str) -> str:
     """An argument type: a path that is not a directory, in a directory that exists."""
-    path = Path(value)
-    if path.is_dir():
+    if _is_dir("file", value):
         raise argparse.ArgumentTypeError(f"file {value!r} is a directory")
-    if not path.parent.is_dir():
+    if not _is_dir("file", str(Path(value).parent)):
         raise argparse.ArgumentTypeError(f"file {value!r} is not in an existing directory")
     return value
 
 
 def _existing_file(value: str) -> str:
     """An argument type: a file that exists and can be read."""
-    if not Path(value).exists():
+    is_dir = _is_dir("file", value)
+    if is_dir is None:
         raise argparse.ArgumentTypeError(f"file {value!r} does not exist")
-    if not os.access(_file_path(value), os.R_OK):
+    if is_dir:
+        raise argparse.ArgumentTypeError(f"file {value!r} is a directory")
+    if not os.access(value, os.R_OK):
         raise argparse.ArgumentTypeError(f"file {value!r} is not readable")
     return value
 
 
 def _dir_path(value: str) -> str:
     """An argument type: a path that is neither a file nor a directory holding anything."""
-    path = Path(value)
-    if path.is_file():
+    is_dir = _is_dir("directory", value)
+    if is_dir is False:
         raise argparse.ArgumentTypeError(f"directory {value!r} is a file")
-    if path.is_dir() and any(path.iterdir()):
+    if is_dir and any(Path(value).iterdir()):
         raise argparse.ArgumentTypeError(f"directory {value!r} is not empty")
-    if not path.name:  # "." or "/": no sibling to build it in
+    if not Path(value).name:  # "." or "/": no sibling to build it in
         raise argparse.ArgumentTypeError(f"directory {value!r} has no name")
     return value
 
@@ -200,7 +217,7 @@ def _run_directory(out: str):
     and ``out``, absent or empty, is left as it was.
     """
     path = Path(out)
-    work = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    work = temporary_sibling(path, "dir")
     work.mkdir(parents=True)
     try:
         yield work
@@ -261,17 +278,21 @@ def _group_label(pair: ParallelPair) -> str:
         return pair.dataset or "all"
 
 
-def _eval_texts(texts: Iterable[str], target: Script) -> list[str]:
-    return [normalize_text(text, target, NormMode.EVAL) for text in texts]
+def _score_systems(pairs: Sequence[ParallelPair], hyps_by_system: dict[str, Sequence[str]], target: Script,
+                   sentence_chrf: bool = False) -> dict[str, MetricReport]:
+    """Each system's report: its hypotheses, one per pair, against the pairs' raw ``target`` sides.
 
-
-def _eval_pairs(
-    refs: Sequence[str], hyps_raw: Sequence[str], groups: Sequence[str], target: Script
-) -> list[EvalPair]:
-    """Pair eval-normalized references with hypotheses, normalizing the latter."""
-    from .metrics import EvalPair
-    hyps = _eval_texts(hyps_raw, target)
-    return [EvalPair(hypothesis=hyp, reference=ref, group=group) for ref, hyp, group in zip(refs, hyps, groups)]
+    Both sides are eval-normalized, and each pair is grouped by ``_group_label``.
+    """
+    from .metrics import EvalPair, score_corpus
+    refs = [normalize_text(p.text(target, train=False), target, NormMode.EVAL) for p in pairs]
+    groups = [_group_label(p) for p in pairs]
+    systems = {}
+    for name, hyps in hyps_by_system.items():
+        eval_pairs = [EvalPair(hypothesis=normalize_text(hyp, target, NormMode.EVAL), reference=ref, group=group)
+                      for hyp, ref, group in zip(hyps, refs, groups)]
+        systems[name] = score_corpus(eval_pairs, sentence_chrf)
+    return systems
 
 
 def _fmt_cell(value: float) -> str:
@@ -551,22 +572,16 @@ def _load_hyp_lines(hyp_path: str, n_expected: int) -> list[str]:
 def score(corpus, hyps, direction, sentence_chrf, format_, out):
     """Score hypothesis files against a reference corpus."""
     from . import corpus as corpus_mod
-    from .metrics import score_corpus
     sources: dict[str, str] = {}
     for hyp_path in hyps:
         _claim_system(sources, Path(hyp_path).stem, hyp_path)
     pairs = corpus_mod.load(corpus)
-    refs = _eval_texts((p.text(direction.target, train=False) for p in pairs), direction.target)
-    groups = [_group_label(p) for p in pairs]
     config = {"command": "score", "direction": direction.name, "corpus": str(corpus),
               "hyp": [str(h) for h in hyps], "sentence_chrf": sentence_chrf}
     meta = _meta(config, [corpus, *hyps], seed=None)
-    systems: dict[str, MetricReport] = {}
-    for name, hyp_path in sources.items():
-        hyp_lines = _load_hyp_lines(hyp_path, len(pairs))
-        eval_pairs = _eval_pairs(refs, hyp_lines, groups, direction.target)
-        with _stage(corpus):
-            systems[name] = score_corpus(eval_pairs, sentence_chrf)
+    hyps_by_system = {name: _load_hyp_lines(hyp_path, len(pairs)) for name, hyp_path in sources.items()}
+    with _stage(corpus):
+        systems = _score_systems(pairs, hyps_by_system, direction.target, sentence_chrf)
     table_text = _report_table(systems, meta)
     if format_ == "table":
         sys.stdout.write(table_text)
@@ -597,7 +612,6 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
     """
     from . import corpus as corpus_mod
     from . import translit as translit_mod
-    from .metrics import score_corpus
     with _stage("load"):
         pairs = corpus_mod.load(corpus)
     table = translit_mod.default_mapping_table(direction.name)
@@ -652,18 +666,15 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
         with _stage("train-lm"):
             whole_lm = translit_mod.train_lm([p.text(direction.target) for p in pairs], order=lm_order)
 
-        scored_indices: list[int] = []
+        scored: list[ParallelPair] = []
         scored_hyps: list[str] = []
         for name, spec in zip(blocks, specs):
             scored_hyps.extend(run_block(name, spec))
-            scored_indices.extend(spec.test)
-        refs_raw = [pairs[i].text(direction.target, train=False) for i in scored_indices]
-        groups = [_group_label(pairs[i]) for i in scored_indices]
-        eval_pairs = _eval_pairs(_eval_texts(refs_raw, direction.target), scored_hyps, groups, direction.target)
-        _write_lines(work / "test.ref.txt", refs_raw)
-        with _stage("score"):
-            report = score_corpus(eval_pairs)
+            scored.extend(pairs[i] for i in spec.test)
+        _write_lines(work / "test.ref.txt", (p.text(direction.target, train=False) for p in scored))
         system = f"baseline-{direction.name}"
+        with _stage("score"):
+            report = _score_systems(scored, {system: scored_hyps}, direction.target)[system]
         table_text = _report_table({system: report}, meta)
         write_utf8(work / "report.txt", [table_text])
         write_utf8(work / "report.jsonl", [_report_jsonl(system, report, meta)])

@@ -69,6 +69,7 @@ __all__ = [
     "load_char_table",
     "decode_utf8",
     "read_utf8",
+    "temporary_sibling",
     "write_utf8",
     "split_lines",
     "read_lines",
@@ -281,18 +282,26 @@ def read_utf8(path: str | Path) -> str:
     return decode_utf8(Path(path).read_bytes(), str(path))
 
 
+def temporary_sibling(path: Path, suffix: str) -> Path:
+    """``.tgfa.<pid>.<suffix>`` beside ``path``, to build it under: as long whatever ``path``'s name.
+
+    ``write_utf8`` builds a file as ``tmp``, and a run directory is built as ``dir``.
+    """
+    return path.with_name(f".tgfa.{os.getpid()}.{suffix}")
+
+
 def write_utf8(path: str | Path, chunks: Iterable[str]) -> None:
     """Write ``chunks`` as UTF-8 with LF line ends to ``path``, or to stdout for the str (not Path) ``"-"``.
 
-    A new or regular file is replaced whole by a short sibling, ``.tgfa.<pid>.tmp``, so a failed
-    write leaves the old file and no temporary one. A symlink or a device is written in place.
+    A new or regular file is replaced whole by its ``temporary_sibling``, so a failed write
+    leaves the old file and no temporary one. A symlink or a device is written in place.
     """
     if path == "-":
         sys.stdout.writelines(chunks)
         return
     path = Path(path)
     whole = not path.is_symlink() and (path.is_file() or not path.exists())
-    target = path.with_name(f".tgfa.{os.getpid()}.tmp") if whole else path
+    target = temporary_sibling(path, "tmp") if whole else path
     try:
         with open(target, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)

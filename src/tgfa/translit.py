@@ -180,25 +180,24 @@ class CharNGramLM:
     bucket's symbols in increasing order.
     Training inserts each order's n-grams sorted, ``without`` only
     deletes, which keeps the order of what remains, and a loaded file is
-    checked to be in that order. So ``to_payload`` and ``save_lm`` emit
-    the counts as stored, without sorting.
+    checked to be in that order. So ``save_lm`` emits the counts as
+    stored, without sorting.
     """
 
-    def __init__(self, order: int, smoothing: str = "witten_bell"):
+    def __init__(self, order: int, smoothing: str = "witten_bell", levels: list[_Level] | None = None):
+        """The model of ``levels``, the one way a model gets its counts; without them, of none.
+
+        ``levels[k]`` maps each k-character context to its non-empty bucket, and the model keeps them.
+        """
         if order < 1:
             raise ConfigError("order must be >= 1")
         if smoothing not in SMOOTHINGS:
             raise ConfigError(f"unknown smoothing {smoothing!r}")
+        if levels is None:
+            levels = [{} for _ in range(order)]
         self.order = order
         self.smoothing = smoothing
-        self._set_counts([{} for _ in range(order)])
-
-    def _set_counts(self, levels: list[_Level]) -> None:
-        """Install the counts, and as the alphabet the characters of level 0's ``""`` bucket.
-
-        ``levels[k]`` maps each k-character context to its non-empty bucket.
-        The alphabet also holds the end sentinel and the unknown bucket.
-        """
+        # The alphabet: the end sentinel, the unknown bucket and the characters of level 0's "" bucket.
         self._vocab = frozenset({EOS, UNK}.union(levels[0].get("", ())))
         # Characters that stand for themselves in a context; others become UNK.
         self._known = self._vocab | {BOS}
@@ -211,17 +210,6 @@ class CharNGramLM:
         self._totals: dict[int, int] = {}
         # The state of the empty text.
         self.start = self._minimize(BOS * (self.order - 1))
-
-    def _set_trained(self, levels: list[_Level]) -> "CharNGramLM":
-        """Install trained counts.
-
-        EmptyCorpus if nothing is counted: every non-empty training text
-        counts an end sentinel at the unigram level.
-        """
-        if not levels[0]:
-            raise EmptyCorpus("no non-empty training texts")
-        self._set_counts(levels)
-        return self
 
     @property
     def vocab(self) -> frozenset[str]:
@@ -348,22 +336,7 @@ class CharNGramLM:
                     level[ctx] = bucket
                 else:
                     del level[ctx]
-        return CharNGramLM(self.order, self.smoothing)._set_trained(levels)
-
-    def to_payload(self) -> dict:
-        """The version-2 payload, keys in sorted order.
-
-        Its buckets are the model's own, shared wherever they are equal;
-        neither the caller nor the model may change one in place.
-        """
-        return {
-            "alphabet": sorted(self._vocab),
-            "counts": [[[ctx, bucket] for ctx, bucket in level.items()] for level in self._levels],
-            "magic": LM_MAGIC,
-            "order": self.order,
-            "smoothing": self.smoothing,
-            "version": LM_FORMAT_VERSION,
-        }
+        return _trained(self.order, self.smoothing, levels)
 
     @classmethod
     def from_payload(cls, payload: dict, path: str | None = None) -> "CharNGramLM":
@@ -423,9 +396,7 @@ class CharNGramLM:
                         f"field 'counts' has level {k} context {ctx!r} but not its prefix in level {k - 1}",
                         path=path,
                     )
-        lm = cls(order=order, smoothing=smoothing)
-        lm._set_counts(levels)
-        return lm
+        return cls(order, smoothing, levels)
 
 
 def _log(p: float) -> float:
@@ -566,20 +537,26 @@ def train_lm(
     once on the whole corpus and take each subset's model with
     ``CharNGramLM.without``. EmptyCorpus if no text is non-empty.
     """
-    lm = CharNGramLM(order=order, smoothing=smoothing)
     texts = list(texts)
     symbols: dict[str, str] = {}
     buckets: _Pool = {}
-    return lm._set_trained([_sorted_level(_count_grams(texts, k), symbols, buckets) for k in range(order)])
+    return _trained(order, smoothing, [_sorted_level(_count_grams(texts, k), symbols, buckets) for k in range(order)])
+
+
+def _trained(order: int, smoothing: str, levels: list[_Level]) -> CharNGramLM:
+    """The model of trained counts; EmptyCorpus if level 0, where each non-empty text counts, is empty."""
+    lm = CharNGramLM(order, smoothing, levels)
+    if not levels[0]:
+        raise EmptyCorpus("no non-empty training texts")
+    return lm
 
 
 def save_lm(lm: CharNGramLM, path: str | Path) -> None:
-    """Write ``lm.json``: the bytes of ``json.dumps(lm.to_payload(), ensure_ascii=False)``.
+    """Write ``lm.json``: the version-2 payload, keys sorted, as ``json.dumps(..., ensure_ascii=False)`` writes it.
 
-    The levels are read as stored, already in canonical order, and
-    encoded in blocks of at most ``_SAVE_BLOCK`` contexts, each a chunk
-    for ``write_utf8``, so the write holds one block's text at a time,
-    never the whole file's.
+    ``counts`` holds each level as [context, bucket] pairs, read as stored, already in canonical
+    order, and encoded in blocks of at most ``_SAVE_BLOCK`` contexts, each a chunk for
+    ``write_utf8``, so the write holds one block's text at a time, never the whole file's.
     """
     encode = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
 

@@ -5,12 +5,14 @@ oracle is the textbook full-matrix DP, the F-score oracle enumerates
 n-gram multisets explicitly with plain dicts, and the decoder oracle
 ranks every lattice path by full-sequence rescoring. The character LM
 oracle keeps contexts as tuples of symbols and re-sums each context's
-counts on every query.
+counts on every query; ``lm.json``'s oracle encodes its counts with one
+``json.dumps``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 
 
 def levenshtein_dp(a: str, b: str) -> int:
@@ -148,6 +150,24 @@ class CharLMOracle:
             total, types = sum(bucket.values()), len(bucket)
             p = (bucket.get(sym, 0) + types * p) / (total + types)
         return p
+
+
+def oracle_lm_json(texts, order: int, smoothing: str = "witten_bell") -> str:
+    """The expected ``lm.json`` text, built from the tuple oracle's counts.
+
+    Format version 2: keys sorted, each level's contexts joined into
+    strings and sorted, each bucket's symbols sorted.
+    """
+    oracle = CharLMOracle(texts, order, smoothing)
+    counts = [
+        [["".join(ctx), dict(sorted(bucket.items()))] for ctx, bucket in sorted(level.items())]
+        for level in oracle.counts
+    ]
+    payload = {
+        "alphabet": sorted(oracle.vocab), "counts": counts, "magic": "tgfa-charlm",
+        "order": order, "smoothing": smoothing, "version": 2,
+    }
+    return json.dumps(payload, ensure_ascii=False)
 
 
 def exhaustive_rank(slots, lm) -> list[str]:

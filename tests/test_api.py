@@ -8,6 +8,7 @@ import ast
 import importlib
 import sys
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -58,15 +59,35 @@ def _references(path: Path, strings: bool) -> set[str]:
     return used
 
 
-def test_every_public_name_is_used():
-    """No public name is dead: the package, the benchmark or the test oracles use each one."""
+def _used() -> set[str]:
+    """Every name the package, the benchmark or the test oracles use."""
     used = set()
     for path in SRC.glob("*.py"):
         used |= _references(path, strings=False)
     for path in [*(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "oracles.py"]:
         used |= _references(path, strings=True)
+    return used
+
+
+def test_every_public_name_is_used():
+    """No public name is dead: the package, the benchmark or the test oracles use each one."""
+    used = _used()
     dead = [f"{name}.{attr}" for name, exported in _exports().items() for attr in exported if attr not in used]
     assert not dead, "public names nothing uses: " + ", ".join(dead)
+
+
+def test_every_public_method_is_used():
+    """Nor is a public method, property or classmethod that a class in an ``__all__`` defines."""
+    used, dead = _used(), []
+    for name, exported in _exports().items():
+        module = importlib.import_module(name)
+        for cls in (getattr(module, attr) for attr in exported):
+            if not isinstance(cls, type):
+                continue
+            dead += [f"{name}.{cls.__name__}.{attr}" for attr, value in vars(cls).items()
+                     if not attr.startswith("_") and attr not in used
+                     and isinstance(value, (FunctionType, property, classmethod, staticmethod))]
+    assert not dead, "public methods nothing uses: " + ", ".join(dead)
 
 
 # CPython 3.12's built-in SHA-2 module, which older sys.stdlib_module_names do not list.

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tgfa
-from tgfa.cli import COMMANDS, _config_hash, _direction, _existing_file, _file_path, _sha256, env_var, main
+from tgfa.cli import COMMANDS, _config_hash, _dir_path, _direction, _existing_file, _file_path, _sha256, env_var, main
 from tgfa.corpus import ParallelPair
 from tgfa.errors import ParseError
 from tgfa.script import parse_json_object
@@ -25,6 +25,7 @@ from tgfa import translit
 from tgfa.translit import MappingTable, train_lm
 
 from conftest import run_cli, tajik_char_table, toy_corpus
+from oracles import oracle_lm_json
 
 
 def write_corpus(path: Path, pairs):
@@ -225,7 +226,7 @@ class TestModelCommands:
     def test_translit_lm_with_letters_outside_the_target_script_loads(self, tmp_path):
         # Only a model holding no letter of the target script is refused.
         lm_path = tmp_path / "lm.json"
-        lm_path.write_text(json.dumps(train_lm(["باد", "ab"], order=2).to_payload()), encoding="utf-8")
+        lm_path.write_text(oracle_lm_json(["باد", "ab"], 2), encoding="utf-8")
         result = run_cli(["translit", "--direction", "tg2fa", "--lm", str(lm_path)], input="бод\n")
         assert result.exit_code == 0, result.output
         assert len(result.output.splitlines()) == 1
@@ -620,6 +621,17 @@ class TestEnvironment:
 OUTPUT_FILES = [(command, flags[-1]) for command, (_, options) in COMMANDS.items()
                 for flags, kwargs in options if "-o" in flags or kwargs.get("type") is _file_path]
 
+# Each option that names a path, as (command, long flag): a file to read or write, or a run directory.
+PATH_FLAGS = [(command, flags[-1]) for command, (_, options) in COMMANDS.items()
+              for flags, kwargs in options if kwargs.get("type") in (_existing_file, _file_path, _dir_path)]
+
+# Each option whose value is checked and is not a path, as (command, long flag): numbers, ranges and choices.
+BOUNDED = [(command, flags[-1]) for command, (_, options) in COMMANDS.items() for flags, kwargs in options
+           if "choices" in kwargs or kwargs.get("type") not in (None, _existing_file, _file_path, _dir_path)]
+
+# Values that no such option takes, by row id: out of every choice, beyond int's digit limit, not finite.
+BAD_VALUES = {"word": "x", "5000-digits": "9" * 5000, "nan": "nan", "inf": "inf", "-inf": "-inf"}
+
 # Flag values out of range; --lm-order is at most 10.
 OUT_OF_RANGE = [
     ("pipeline", "--beam", "0"),
@@ -667,6 +679,67 @@ class TestFlagValidation:
         assert "Traceback" not in result.output
         assert flag in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flag,value,via",
+        [
+            *(pytest.param(c, f, value, via, id=f"{c}-{f}-{label}-{via}") for c, f in BOUNDED
+              for label, value in BAD_VALUES.items() for via in ("flag", "variable")),
+            # An empty variable counts as unset, so the empty value is given as the flag only.
+            *(pytest.param(c, f, "", "flag", id=f"{c}-{f}-empty-flag") for c, f in BOUNDED),
+        ],
+    )
+    def test_bad_value_rejected_before_work(self, tmp_path, command, flag, value, via):
+        existing, out = tmp_path / "exists.txt", tmp_path / "out"
+        existing.write_text("x\n", encoding="utf-8")
+        argv = [command, *_required_args(command, flag, existing, out)]
+        argv += [f"{flag}={value}"] if via == "flag" else []
+        env = {env_var(command, flag): value} if via == "variable" else {}
+        result = run_cli(argv, input="бғд\n", env=env)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert _names(flag, result.output), result.output
+        assert not result.stdin_read
+        assert [p.name for p in tmp_path.iterdir()] == ["exists.txt"]
+
+    def test_out_of_range_has_every_bounded_integer(self):
+        """Each option that takes an integer between bounds has an out-of-range row."""
+        bounded = {(command, flags[-1]) for command, (_, options) in COMMANDS.items() for flags, kwargs in options
+                   if kwargs.get("type") not in (None, int) and kwargs["type"].__qualname__.startswith(
+                       ("_int_range.", "_fold_count"))}
+        assert bounded == {(command, flag) for command, flag, _ in OUT_OF_RANGE}
+
+    @pytest.mark.parametrize(
+        "name,via",
+        # The empty path is ".", a directory; an empty variable counts as unset, so it is given as the flag only.
+        [("k" * 256, "flag"), ("k" * 256, "variable"), ("", "flag")],
+        ids=["too-long-flag", "too-long-variable", "empty-flag"],
+    )
+    @pytest.mark.parametrize("command,flag", PATH_FLAGS, ids=[f"{c}-{f}" for c, f in PATH_FLAGS])
+    def test_path_that_names_no_usable_file_rejected_before_work(self, tmp_path, command, flag, name, via):
+        existing, out = tmp_path / "exists.txt", tmp_path / "out"
+        existing.write_text("x\n", encoding="utf-8")
+        target = str(tmp_path / name) if name else ""
+        argv = [command, *_required_args(command, flag, existing, out)]
+        argv += [flag, target] if via == "flag" else []
+        env = {env_var(command, flag): target} if via == "variable" else {}
+        result = run_cli(argv, input="бғд\n", env=env)
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert _names(flag, result.output), result.output
+        assert not name or "File name too long" in result.output, result.output
+        assert [p.name for p in tmp_path.iterdir()] == ["exists.txt"]
+        assert not result.stdin_read
+
+    @pytest.mark.parametrize("length", [245, 255])
+    def test_run_directory_with_a_long_name(self, corpus_file, tmp_path, length):
+        # The directory is built aside under a name whose length does not depend on its own.
+        out = tmp_path / ("k" * length)
+        result = run_cli(["kfold", "--corpus", str(corpus_file), "--k", "2", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert [p.name for p in out.iterdir()] == ["folds.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["corpus.jsonl", out.name])
 
     def test_kfold_k_rejected_before_corpus_is_read(self, tmp_path):
         corpus = tmp_path / "bad.jsonl"
@@ -1117,7 +1190,7 @@ def _packaged(name: str) -> bytes:
 
 
 _TOY = toy_corpus(4)
-_TOY_LM = train_lm([p.tg_train for p in _TOY], order=2).to_payload()
+_TOY_LM = oracle_lm_json([p.tg_train for p in _TOY], 2)
 _SCORE_ROWS = [{"meta": TestReportErrors.GOOD_META}, {**TestReportErrors.GOOD_ROW, "group": "poetry"},
                TestReportErrors.GOOD_ROW]
 # One valid file of each kind, and the command that reads it: {path} is
@@ -1125,7 +1198,7 @@ _SCORE_ROWS = [{"meta": TestReportErrors.GOOD_META}, {**TestReportErrors.GOOD_RO
 _VALID_FILES = {
     "corpus.jsonl": ("".join(p.jsonl_line for p in _TOY).encode(), ["stats", "--corpus", "{path}"]),
     "corpus.tsv": ("".join(f"{p.fa}\t{p.tg}\t{p.dataset}\n" for p in _TOY).encode(), ["stats", "--corpus", "{path}"]),
-    "lm.json": (json.dumps(_TOY_LM, ensure_ascii=False).encode(),
+    "lm.json": (_TOY_LM.encode(),
                 ["translit", "--direction", "fa2tg", "--lm", "{path}", "-i", "{input}", "-o", "{output}"]),
     "dict.json": (json.dumps({**_DICT_FA2TG, "direction": "tg2fa", "entries": {"бғд": "بغد"}}).encode(),
                   [*_TRANSLIT, "--dict", "{path}", "-i", "{input}", "-o", "{output}"]),
