@@ -213,12 +213,21 @@ def _stage(name: str):
 def _run_directory(out: str):
     """Yield a fresh sibling of ``out`` to write a run's files in; rename it onto ``out`` at the end.
 
-    On any exception, KeyboardInterrupt included, the sibling is removed
-    and ``out``, absent or empty, is left as it was.
+    The sibling is ``.tgfa.<pid>.dir`` or, where one by that name is left
+    (an earlier process with this pid was killed), ``.tgfa.<pid>.<k>.dir``
+    for the least free k below 10; one that exists is never touched. On
+    any exception, KeyboardInterrupt included, the sibling is removed and
+    ``out``, absent or empty, is left as it was.
     """
     path = Path(out)
-    work = temporary_sibling(path, "dir")
-    work.mkdir(parents=True)
+    for k in range(10):
+        work = temporary_sibling(path, f"{k}.dir" if k else "dir")
+        try:
+            work.mkdir(parents=True)
+            break
+        except FileExistsError:
+            if k == 9:
+                raise
     try:
         yield work
         os.replace(work, path)

@@ -22,10 +22,14 @@ scoring pass. Every edit distance comes from the bit-parallel kernel in
 `tgfa._kernels`.
 
 Each order's n-gram totals are its side's length minus n - 1 (never
-below 0), so n-grams are counted only to find matches, and only where
-the two sides differ. An exact pair takes every count from its lengths
-and builds no n-gram table; so does the character half of a pair that
-differs only in whitespace.
+below 0), so n-grams are counted only to find matches. An exact pair
+takes every count from its lengths and builds no n-gram table; so does
+the character half of a pair that differs only in whitespace. Otherwise
+the character orders find the pair's greedy common runs once: a run
+gives both sides the same n-grams, and min(m + a, m + b) = m + min(a, b),
+so each window wholly inside a run is a match and only the windows that
+cross or lie outside the runs are counted. The counts are exact whatever
+runs the search finds. The word orders count every window.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 from ._kernels import levenshtein as edit_distance
@@ -95,9 +100,87 @@ class MetricReport:
     overall: GroupScores
 
 
-def _ngrams(seq: str | tuple[str, ...], n: int, total: int) -> Counter:
-    """The ``total`` n-grams of order ``n`` of a string or a tuple of words, counted."""
-    return Counter(seq if n == 1 else (seq[i : i + n] for i in range(total)))
+# A position's reach is how many symbols of its common run start there, capped at 255:
+# _DESCENT[-k:] is the reach of a run of k <= 255 symbols.
+_DESCENT = bytes(range(255, 0, -1))
+_ANCHOR = 3  # symbols that must agree to resync after a mismatch
+_MAX_SKIP = 4  # symbols either side may skip to resync
+_NO_SKIP = 2 * _MAX_SKIP + 1  # more than any resync skips
+_MAX_MISSES = 6  # failed resyncs in a row before the run search gives up
+
+
+def _run_length(hyp: str, i: int, ref: str, j: int) -> int:
+    """The largest k with ``hyp[i:i+k] == ref[j:j+k]``, found by galloping; ``hyp[i] == ref[j]``."""
+    good, size = 1, 2
+    limit = min(len(hyp) - i, len(ref) - j)
+    while size <= limit and hyp[i : i + size] == ref[j : j + size]:
+        good, size = size, 2 * size
+    bad = min(size, limit + 1)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if hyp[i : i + mid] == ref[j : j + mid]:
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
+def _reaches(hyp: str, ref: str) -> tuple[bytes, bytes]:
+    """Each side's reach byte string over the two sides' greedy common runs.
+
+    The runs are disjoint and in order, each ``hyp[i:i+k] == ref[j:j+k]``.
+    After a mismatch the search resyncs where 3 symbols agree again, each
+    side skipping at most 4 (a substitution, deletion or insertion, or a
+    few close together), the least skipped first; failing that, both
+    sides step on, and after 6 such failures in a row it stops. Outside
+    the runs every reach is 0.
+    """
+    hyp_len, ref_len = len(hyp), len(ref)
+    hyp_parts, ref_parts = [], []
+    i = j = hyp_end = ref_end = misses = 0
+    while i < hyp_len and j < ref_len and misses < _MAX_MISSES:
+        if hyp[i] == ref[j]:
+            k = _run_length(hyp, i, ref, j)
+            reach = _DESCENT[-k:] if k <= 255 else b"\xff" * (k - 255) + _DESCENT
+            hyp_parts += bytes(i - hyp_end), reach
+            ref_parts += bytes(j - ref_end), reach
+            i = hyp_end = i + k
+            j = ref_end = j + k
+            if k >= _ANCHOR:
+                misses = 0
+            continue
+        # Resync at the least skip di + dj after which _ANCHOR symbols agree, else step both by 1.
+        skip, skip_i, skip_j = _NO_SKIP, 1, 1
+        for di in range(min(_MAX_SKIP + 1, hyp_len - i)):
+            if di >= skip:
+                break
+            dj = ref.find(hyp[i + di : i + di + _ANCHOR], j, j + _MAX_SKIP + _ANCHOR) - j
+            if 0 <= dj and di + dj < skip:
+                skip, skip_i, skip_j = di + dj, di, dj
+        misses += skip == _NO_SKIP
+        i, j = i + skip_i, j + skip_j
+    hyp_parts.append(bytes(hyp_len - hyp_end))
+    ref_parts.append(bytes(ref_len - ref_end))
+    return b"".join(hyp_parts), b"".join(ref_parts)
+
+
+def _leftover(seq: str | tuple[str, ...], n: int, total: int, select: bytes) -> list:
+    """The n-grams of order ``n`` of ``seq`` that start where ``select`` holds a 1."""
+    if n == 1:
+        return list(compress(seq, select))
+    return [seq[p : p + n] for p in compress(range(total), select)]
+
+
+def _overlap(hyp_grams: list, ref_grams: list) -> int:
+    """Σ_g min(hyp count, ref count) over two lists of n-grams."""
+    hyp_set = set(hyp_grams)
+    if len(hyp_set) == len(hyp_grams):  # each count is 0 or 1
+        return len(hyp_set.intersection(ref_grams))
+    ref_count = Counter(ref_grams).get
+    # min(c, ref_count(g, 0)) per n-gram, without a builtin call per item.
+    return sum(
+        [c if c <= ref_count(g, 0) else ref_count(g, 0) for g, c in Counter(hyp_grams).items()]
+    )
 
 
 def _order_stats(
@@ -106,24 +189,29 @@ def _order_stats(
     """(matched, hyp_total, ref_total) for each order 1..``max_n`` of two sequences.
 
     The sides are both strings (character n-grams) or both tuples of
-    words (word n-grams). Totals are ``max(0, len - n + 1)``; equal sides
-    match in full, so n-grams are counted only where the sides differ.
+    words (word n-grams). Totals are ``max(0, len - n + 1)``. Each common
+    run of the two sides gives both the same n-grams, and
+    min(m + a, m + b) = m + min(a, b), so a window wholly inside a run
+    matches and only the others are counted; equal sides match in full.
     """
-    same = hyp == ref
+    if hyp == ref:
+        totals = [max(0, len(hyp) - n + 1) for n in range(1, max_n + 1)]
+        return [(total, total, total) for total in totals]
+    if isinstance(hyp, str):
+        hyp_reach, ref_reach = _reaches(hyp, ref)
+    else:
+        # Word tuples take no run search: over chrF++'s two orders of a line's
+        # words it cost more than the counting it saved.
+        hyp_reach, ref_reach = bytes(len(hyp)), bytes(len(ref))
     stats = []
     for n in range(1, max_n + 1):
         hyp_total = max(0, len(hyp) - n + 1)
         ref_total = max(0, len(ref) - n + 1)
-        if same:
-            matched = hyp_total
-        else:
-            hyp_counts = _ngrams(hyp, n, hyp_total)
-            ref_count = _ngrams(ref, n, ref_total).get
-            # min(c, ref_count(g, 0)) per n-gram, without a builtin call per item.
-            matched = sum(
-                [c if c <= ref_count(g, 0) else ref_count(g, 0) for g, c in hyp_counts.items()]
-            )
-        stats.append((matched, hyp_total, ref_total))
+        # Maps a reach below n, where a window of order n is not wholly inside a run, to 1.
+        below = (b"\x01" * n)[:256].ljust(256, b"\x00")
+        hyp_left = _leftover(hyp, n, hyp_total, hyp_reach.translate(below))
+        ref_left = _leftover(ref, n, ref_total, ref_reach.translate(below))
+        stats.append((hyp_total - len(hyp_left) + _overlap(hyp_left, ref_left), hyp_total, ref_total))
     return stats
 
 

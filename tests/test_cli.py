@@ -741,6 +741,26 @@ class TestFlagValidation:
         assert [p.name for p in out.iterdir()] == ["folds.json"]
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["corpus.jsonl", out.name])
 
+    @pytest.mark.parametrize("left", [1, 2])
+    @pytest.mark.parametrize("command", ["kfold", "pipeline"])
+    def test_run_directory_beside_ones_left_by_a_killed_process(self, corpus_file, tmp_path, command, left):
+        # Killed processes with this pid left run directories, each with a file in it.
+        stale = [tmp_path / f".tgfa.{os.getpid()}.{suffix}" for suffix in ["dir", "1.dir"][:left]]
+        for directory in stale:
+            directory.mkdir()
+            (directory / "partial.txt").write_text("left\n", encoding="utf-8")
+        out = tmp_path / "run"
+        argv = {"kfold": ["kfold", "--corpus", str(corpus_file), "--k", "2", "--out", str(out)],
+                "pipeline": ["pipeline", "--corpus", str(corpus_file), "--direction", "tg2fa", "--folds", "2",
+                             "--out", str(out)]}
+        result = run_cli(argv[command])
+        assert result.exit_code == 0, result.output
+        assert (out / ("folds.json" if command == "kfold" else "fold01/test.hyp.txt")).is_file()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["corpus.jsonl", "run", *(d.name for d in stale)])
+        for directory in stale:
+            assert [p.name for p in directory.iterdir()] == ["partial.txt"]
+            assert (directory / "partial.txt").read_text(encoding="utf-8") == "left\n"
+
     def test_kfold_k_rejected_before_corpus_is_read(self, tmp_path):
         corpus = tmp_path / "bad.jsonl"
         corpus.write_bytes(b"not json at all\n")

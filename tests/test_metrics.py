@@ -48,6 +48,42 @@ def mixed_pairs(draw):
     return pairs
 
 
+@st.composite
+def edited_copies(draw):
+    """A reference over 2 or 3 letters and spaces, and a copy with random substitutions, deletions and insertions."""
+    letters = draw(st.sampled_from(["ab", "abc"]))
+    ref = draw(st.text(alphabet=letters + " ", max_size=60))
+    hyp = list(ref)
+    for _ in range(draw(st.integers(0, 8))):
+        at = draw(st.integers(0, len(hyp)))
+        op = draw(st.sampled_from(["substitute", "delete", "insert"]))
+        letter = draw(st.sampled_from(letters + " "))
+        if op == "insert":
+            hyp.insert(at, letter)
+        elif at < len(hyp):
+            hyp[at : at + 1] = [letter] if op == "substitute" else []
+    return "".join(hyp), ref
+
+
+def edited_corpus(n: int, seed: int, alphabet: str = "ab c", max_len: int = 300):
+    """Pairs of a random reference and a copy of it with about one edit in ten."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(n):
+        ref = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
+        hyp = []
+        for c in ref:
+            op = rng.randrange(30)  # 0 deletes c, 1 inserts after it, 2 substitutes it
+            if op == 1:
+                hyp += [c, rng.choice(alphabet)]
+            elif op == 2:
+                hyp.append(rng.choice(alphabet))
+            elif op:
+                hyp.append(c)
+        pairs.append(EvalPair(" ".join("".join(hyp).split()), " ".join(ref.split())))
+    return pairs
+
+
 def random_pairs(n: int, seed: int, alphabet: str = "abcdefghijkl", max_len: int = 20):
     rng = random.Random(seed)
     pairs = []
@@ -167,6 +203,58 @@ class TestNgramF:
         assert scores.chrf == pytest.approx(sentence_f_direct(hyp, ref, 6, 0, 2.0), abs=1e-9)
         assert scores.chrf_pp == pytest.approx(sentence_f_direct(hyp, ref, 6, 2, 2.0), abs=1e-9)
         assert 0.0 <= scores.chrf <= 100.0 and 0.0 <= scores.chrf_pp <= 100.0
+
+
+def stats(hyp: str, ref: str):
+    return _stats("".join(hyp.split()), "".join(ref.split()), hyp, ref, 6, 2)
+
+
+class TestCommonRuns:
+    """Counting only the n-grams outside a pair's common runs matches the direct definition."""
+
+    @given(edited_copies())
+    @settings(max_examples=400)
+    def test_edited_copy_matches_oracle(self, pair):
+        hyp, ref = pair
+        assert stats(hyp, ref) == ngram_stats_direct(hyp, ref, 6, 2)
+        assert stats(ref, hyp) == ngram_stats_direct(ref, hyp, 6, 2)
+
+    @pytest.mark.parametrize(
+        "hyp,ref",
+        [
+            # Common runs longer than the 255 a reach byte holds.
+            ("ab" * 200 + "x" + "ab" * 150, "ab" * 200 + "ab" * 150),
+            ("c" + "abc" * 120, "abc" * 120),
+            ("a" * 600, "a" * 300 + "b" + "a" * 299),
+            # One side empty.
+            ("", "abab aba"),
+            ("abab aba", ""),
+            # A proper prefix or suffix of the reference.
+            ("abcab", "abcabcab"),
+            ("cabcab", "abcabcab"),
+            ("ab ab", "ab ab ab"),
+            ("ab ab", "ab ab ba"),
+            # Repeated words and word bigrams.
+            ("a b a b a b", "a b a b b a b"),
+            ("aa ab aa ab aa", "aa ab ab aa ab aa aa"),
+            ("x y x y", "y x y x y"),
+        ],
+    )
+    def test_fixed_rows_match_oracle(self, hyp, ref):
+        assert stats(hyp, ref) == ngram_stats_direct(hyp, ref, 6, 2)
+
+    @pytest.mark.parametrize("sentence_level", [False, True])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_score_corpus_on_edited_copies_matches_oracles(self, seed, sentence_level):
+        pairs = edited_corpus(40, seed)
+        tuples = [(p.hypothesis, p.reference) for p in pairs]
+        overall = score_corpus(pairs, sentence_level).overall
+        if sentence_level:
+            want = [sum(sentence_f_direct(h, r, 6, w, 2.0) for h, r in tuples) / len(tuples) for w in (0, 2)]
+        else:
+            want = [corpus_f_direct(tuples, 6, w, 2.0) for w in (0, 2)]
+        assert overall.chrf == pytest.approx(want[0], abs=1e-9)
+        assert overall.chrf_pp == pytest.approx(want[1], abs=1e-9)
 
 
 class TestCorpusChrf:
