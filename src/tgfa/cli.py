@@ -57,8 +57,11 @@ from .script import temporary_sibling, write_utf8
 
 if TYPE_CHECKING:
     from .corpus import ParallelPair, SplitSpec
-    from .metrics import GroupScores, MetricReport
 
+# A system's score rows, the form of every score table and file: one
+# dict per group, then one for "Overall", each holding "system",
+# "group", "n_pairs" and the METRIC_COLUMNS.
+ScoreRows = list[dict]
 METRIC_COLUMNS = ("chrf", "chrf_pp", "cer", "ncer", "acc", "acc_no_ws")
 METRIC_LABELS = {
     "chrf": "chrF",
@@ -288,8 +291,8 @@ def _group_label(pair: ParallelPair) -> str:
 
 
 def _score_systems(pairs: Sequence[ParallelPair], hyps_by_system: dict[str, Sequence[str]], target: Script,
-                   sentence_chrf: bool = False) -> dict[str, MetricReport]:
-    """Each system's report: its hypotheses, one per pair, against the pairs' raw ``target`` sides.
+                   sentence_chrf: bool = False) -> dict[str, ScoreRows]:
+    """Each system's score rows: its hypotheses, one per pair, against the pairs' raw ``target`` sides.
 
     Both sides are eval-normalized, and each pair is grouped by ``_group_label``.
     """
@@ -300,73 +303,53 @@ def _score_systems(pairs: Sequence[ParallelPair], hyps_by_system: dict[str, Sequ
     for name, hyps in hyps_by_system.items():
         eval_pairs = [EvalPair(hypothesis=normalize_text(hyp, target, NormMode.EVAL), reference=ref, group=group)
                       for hyp, ref, group in zip(hyps, refs, groups)]
-        systems[name] = score_corpus(eval_pairs, sentence_chrf)
+        report = score_corpus(eval_pairs, sentence_chrf)
+        # vars() of a GroupScores is n_pairs and the METRIC_COLUMNS.
+        systems[name] = [{"system": name, "group": group, **vars(scores)}
+                         for group, scores in [*report.groups.items(), ("Overall", report.overall)]]
     return systems
 
 
-def _fmt_cell(value: float) -> str:
-    return f"{value:.2f}"
-
-
-def _report_table(systems: dict[str, MetricReport], meta: dict | None = None) -> str:
+def _report_table(systems: dict[str, ScoreRows], meta: dict | None = None) -> str:
     """Aligned text table: rows = groups + Overall, columns = metrics x systems.
 
-    With several systems the best value per group and metric is marked
-    with a trailing ``*``.
+    Groups come in the order the systems first give them, Overall last;
+    a system without a group shows ``-``. With several systems the best
+    value per group and metric is marked with a trailing ``*``.
     """
-    names = list(systems)
-    multi = len(names) > 1
-    group_labels: list[str] = []
-    for rep in systems.values():
-        for g in rep.groups:
-            if g not in group_labels:
-                group_labels.append(g)
-    group_labels.append("Overall")
+    multi = len(systems) > 1
+    by_group: dict[str, dict[str, dict]] = {}  # group -> system -> row
+    for name, rows in systems.items():
+        for row in rows:
+            by_group.setdefault(row["group"], {})[name] = row
+    by_group["Overall"] = by_group.pop("Overall")
 
-    def scores_of(name: str, group: str) -> GroupScores | None:
-        rep = systems[name]
-        return rep.overall if group == "Overall" else rep.groups.get(group)
+    header = ["Group", "N"] + [METRIC_LABELS[m] + (f"[{name}]" if multi else "")
+                               for m in METRIC_COLUMNS for name in systems]
+    table = [header]
+    for group, rows in by_group.items():
+        cells = [group, str(next(iter(rows.values()))["n_pairs"])]
+        for metric in METRIC_COLUMNS:
+            values = [row[metric] for row in rows.values()]
+            best = min(values) if metric in LOWER_IS_BETTER else max(values)
+            for name in systems:
+                row = rows.get(name)
+                if row is None:
+                    cells.append("-")
+                else:
+                    cells.append(f"{row[metric]:.2f}" + ("*" if multi and row[metric] == best else ""))
+        table.append(cells)
 
-    columns = []
-    for metric in METRIC_COLUMNS:
-        for name in names:
-            label = METRIC_LABELS[metric] + (f"[{name}]" if multi else "")
-            columns.append((metric, name, label))
-
-    rows = []
-    for group in group_labels:
-        n_pairs = next(s.n_pairs for s in (scores_of(n, group) for n in names) if s is not None)
-        row = [group, str(n_pairs)]
-        for metric, name, _ in columns:
-            scores = scores_of(name, group)
-            if scores is None:
-                row.append("-")
-                continue
-            value = getattr(scores, metric)
-            cell = _fmt_cell(value)
-            if multi:
-                values = [getattr(s, metric) for s in (scores_of(n, group) for n in names) if s is not None]
-                best = min(values) if metric in LOWER_IS_BETTER else max(values)
-                if value == best:
-                    cell += "*"
-            row.append(cell)
-        rows.append(row)
-
-    header = ["Group", "N"] + [label for _, _, label in columns]
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
+    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
     out = _meta_lines(meta) if meta is not None else []
-    for row in [header, *rows]:
+    for row in table:
         out.append("  ".join(c.ljust(widths[i]) if i == 0 else c.rjust(widths[i]) for i, c in enumerate(row)))
     return "\n".join(out) + "\n"
 
 
-def _report_jsonl(name: str, report: MetricReport, meta: dict) -> str:
-    lines = [json.dumps({"meta": meta}, sort_keys=True, ensure_ascii=False)]
-    for group, scores in list(report.groups.items()) + [("Overall", report.overall)]:
-        row = {"system": name, "group": group, "n_pairs": scores.n_pairs}
-        row.update({m: getattr(scores, m) for m in METRIC_COLUMNS})
-        lines.append(json.dumps(row, sort_keys=True, ensure_ascii=False))
-    return "\n".join(lines) + "\n"
+def _report_jsonl(rows: ScoreRows, meta: dict) -> str:
+    """A score file: the meta line, then one line per row."""
+    return "".join(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n" for row in [{"meta": meta}, *rows])
 
 
 @_command(
@@ -595,13 +578,13 @@ def score(corpus, hyps, direction, sentence_chrf, format_, out):
     if format_ == "table":
         sys.stdout.write(table_text)
     else:
-        for name, report in systems.items():
-            sys.stdout.write(_report_jsonl(name, report, meta))
+        for rows in systems.values():
+            sys.stdout.write(_report_jsonl(rows, meta))
     if out:
         with _run_directory(out) as out_dir:
             write_utf8(out_dir / "report.txt", [table_text])
-            for name, report in systems.items():
-                write_utf8(out_dir / f"{name}.scores.jsonl", [_report_jsonl(name, report, meta)])
+            for name, rows in systems.items():
+                write_utf8(out_dir / f"{name}.scores.jsonl", [_report_jsonl(rows, meta)])
 
 
 @_command(
@@ -683,14 +666,21 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
         _write_lines(work / "test.ref.txt", (p.text(direction.target, train=False) for p in scored))
         system = f"baseline-{direction.name}"
         with _stage("score"):
-            report = _score_systems(scored, {system: scored_hyps}, direction.target)[system]
-        table_text = _report_table({system: report}, meta)
+            systems = _score_systems(scored, {system: scored_hyps}, direction.target)
+        table_text = _report_table(systems, meta)
         write_utf8(work / "report.txt", [table_text])
-        write_utf8(work / "report.jsonl", [_report_jsonl(system, report, meta)])
+        write_utf8(work / "report.jsonl", [_report_jsonl(systems[system], meta)])
     sys.stdout.write(table_text)
 
 
-# The meta fields that report prints (see _meta_lines): name, check, what it must be.
+def _number_upto(high: float) -> Callable[[object], bool]:
+    return lambda v: type(v) in (int, float) and math.isfinite(v) and 0 <= v <= high
+
+
+# The fields report checks, as (name, check, what it must be): those of a
+# score file's meta object, which report prints (see _meta_lines), and
+# those of its rows. CER and NCER are error rates, unbounded above; the
+# other metrics are percentages.
 _META_FIELDS = (
     ("version", lambda v: type(v) is str, "a string"),
     ("seed", lambda v: v is None or type(v) is int, "an integer or null"),
@@ -701,9 +691,22 @@ _META_FIELDS = (
         "an object of string to string",
     ),
 )
-# Metric bounds in a report row: CER and NCER are error rates, unbounded above; the rest are percentages.
-_METRIC_RANGES = {m: (math.inf, "a finite number >= 0") if m in ("cer", "ncer") else (100, "a number in [0, 100]")
-                  for m in METRIC_COLUMNS}
+_ROW_FIELDS = (
+    ("system", lambda v: type(v) is str, "a string"),
+    ("group", lambda v: type(v) is str, "a string"),
+    ("n_pairs", lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    *((m, _number_upto(math.inf), "a finite number >= 0") if m in ("cer", "ncer")
+      else (m, _number_upto(100), "a number in [0, 100]") for m in METRIC_COLUMNS),
+)
+
+
+def _check_fields(obj: dict, fields: tuple, prefix: str, path: str, lineno: int) -> None:
+    """ParseError naming ``path``, ``lineno`` and the field ``prefix + name`` of the first field missing or bad."""
+    for key, ok, what in fields:
+        if key not in obj:
+            raise ParseError(f"missing field '{prefix}{key}'", line=lineno, path=path)
+        if not ok(obj[key]):
+            raise ParseError(f"field '{prefix}{key}' is not {what}", line=lineno, path=path)
 
 
 @_command(
@@ -714,14 +717,12 @@ _METRIC_RANGES = {m: (math.inf, "a finite number >= 0") if m in ("cer", "ncer") 
 )
 def report(scores, output):
     """Render one or more structured score files as a side-by-side table."""
-    from .metrics import GroupScores, MetricReport
-    systems: dict[str, MetricReport] = {}
+    systems: dict[str, ScoreRows] = {}
     sources: dict[str, str] = {}
     metas = []
     for path in scores:
-        groups: dict[str, GroupScores] = {}
-        overall: GroupScores | None = None
-        name = Path(path).stem.removesuffix(".scores")
+        name = None
+        rows: dict[str, dict] = {}  # group -> row
         for lineno, line in enumerate(read_lines(path), start=1):
             if not line.strip():
                 continue
@@ -729,40 +730,23 @@ def report(scores, output):
             if "meta" in r:
                 if not isinstance(r["meta"], dict):
                     raise ParseError("field 'meta' is not an object", line=lineno, path=path)
-                for key, ok, what in _META_FIELDS:
-                    if key not in r["meta"]:
-                        raise ParseError(f"missing field 'meta.{key}'", line=lineno, path=path)
-                    if not ok(r["meta"][key]):
-                        raise ParseError(f"field 'meta.{key}' is not {what}", line=lineno, path=path)
+                _check_fields(r["meta"], _META_FIELDS, "meta.", path, lineno)
                 metas.append(r["meta"])
                 continue
-            for key in ("group", "n_pairs", *METRIC_COLUMNS):
-                if key not in r:
-                    raise ParseError(f"missing field {key!r}", line=lineno, path=path)
-            for key in ("system", "group"):
-                if not isinstance(r.get(key, ""), str):
-                    raise ParseError(f"field {key!r} is not a string", line=lineno, path=path)
-            if type(r["n_pairs"]) is not int or r["n_pairs"] < 1:
-                raise ParseError("field 'n_pairs' is not an integer >= 1", line=lineno, path=path)
-            for key in METRIC_COLUMNS:
-                value, (high, what) = r[key], _METRIC_RANGES[key]
-                if type(value) not in (int, float) or not (math.isfinite(value) and 0 <= value <= high):
-                    raise ParseError(f"field {key!r} is not {what}", line=lineno, path=path)
-            name = r.get("system", name)
-            scores_row = GroupScores(
-                n_pairs=r["n_pairs"],
-                **{m: r[m] for m in METRIC_COLUMNS},
-            )
-            if r["group"] == "Overall":
-                overall = scores_row
-            else:
-                groups[r["group"]] = scores_row
-        if overall is None:
+            # A row that names no system is of the system named before it, else of the file's stem.
+            r.setdefault("system", Path(path).stem.removesuffix(".scores") if name is None else name)
+            _check_fields(r, _ROW_FIELDS, "", path, lineno)
+            if name is not None and r["system"] != name:
+                raise ParseError(f"rows name two systems, {name!r} and {r['system']!r}", line=lineno, path=path)
+            if r["group"] in rows:
+                raise ParseError(f"a second row for group {r['group']!r}", line=lineno, path=path)
+            name = r["system"]
+            rows[r["group"]] = r
+        if "Overall" not in rows:
             raise ParseError("no Overall row found", path=path)
         _claim_system(sources, name, path)
-        systems[name] = MetricReport(groups=groups, overall=overall)
-    merged_meta = metas[0] if metas else None
-    write_utf8(output, [_report_table(systems, merged_meta)])
+        systems[name] = list(rows.values())
+    write_utf8(output, [_report_table(systems, metas[0] if metas else None)])
 
 
 def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

@@ -110,19 +110,11 @@ _MAX_MISSES = 6  # failed resyncs in a row before the run search gives up
 
 
 def _run_length(hyp: str, i: int, ref: str, j: int) -> int:
-    """The largest k with ``hyp[i:i+k] == ref[j:j+k]``, found by galloping; ``hyp[i] == ref[j]``."""
-    good, size = 1, 2
-    limit = min(len(hyp) - i, len(ref) - j)
-    while size <= limit and hyp[i : i + size] == ref[j : j + size]:
-        good, size = size, 2 * size
-    bad = min(size, limit + 1)
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        if hyp[i : i + mid] == ref[j : j + mid]:
-            good = mid
-        else:
-            bad = mid
-    return good
+    """The largest k with ``hyp[i:i+k] == ref[j:j+k]``; ``hyp[i] == ref[j]``."""
+    k, limit = 1, min(len(hyp) - i, len(ref) - j)
+    while k < limit and hyp[i + k] == ref[j + k]:
+        k += 1
+    return k
 
 
 def _reaches(hyp: str, ref: str) -> tuple[bytes, bytes]:

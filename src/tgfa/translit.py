@@ -717,11 +717,13 @@ def load_dictionary(path: str | Path) -> TranslitDict:
     payload = _read_artifact(path, "dictionary", DICT_MAGIC, DICT_FORMAT_VERSION, "build-dict")
     names = tuple(DIRECTIONS)
     name = _field(payload, "direction", lambda v: v in names, f"one of {names}", where)
+    # A token is what str.split() makes of a line: non-empty, without whitespace.
     entries = _field(
         payload,
         "entries",
-        lambda v: type(v) is dict and all(type(t) is str for t in v.values()),
-        "an object of source token to target token",
+        lambda v: type(v) is dict
+        and all(type(t) is str and s.split() == [s] and t.split() == [t] for s, t in v.items()),
+        "an object of source token to target token, each non-empty and without whitespace",
         where,
     )
     skipped = payload.get("skipped_pairs", 0)

@@ -446,6 +446,74 @@ class TestPipelineAndReport:
         assert "Blog\u2028Two" in result.output
         assert result.output == (out / "report.txt").read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "names", [("first", "neither", "second"), ("first", "second", "neither")], ids=["path-order", "other-order"]
+    )
+    def test_report_prints_three_system_score_table_unchanged(self, corpus_file, tmp_path, names):
+        """report over each score file of one `score --out` run prints its report.txt, best-value marks included.
+
+        The one difference: a score file's meta holds the inputs sorted by
+        path, and score's table lists them in argument order.
+        """
+        refs = TestScore()._refs(corpus_file)
+        half = len(refs) // 2
+        hyps = {
+            "first": refs[:half] + ["خطا"] * (len(refs) - half),
+            "second": ["خطا"] * half + refs[half:],
+            "neither": ["خطا"] * len(refs),
+        }
+        argv = ["score", "--corpus", str(corpus_file), "--direction", "tg2fa", "--out", str(tmp_path / "scores")]
+        for name in names:
+            (tmp_path / f"{name}.txt").write_text("".join(line + "\n" for line in hyps[name]), encoding="utf-8")
+            argv += ["--hyp", str(tmp_path / f"{name}.txt")]
+        assert run_cli(argv).exit_code == 0
+        scores = [arg for name in names for arg in ("--scores", str(tmp_path / "scores" / f"{name}.scores.jsonl"))]
+        result = run_cli(["report", *scores])
+        assert result.exit_code == 0, result.output
+        table = (tmp_path / "scores" / "report.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert sum(line.count("*") for line in table) > 6 * 5  # one mark per group and metric, and some ties
+        inputs = [line for line in table if line.startswith("# input ")]
+        assert result.output == "".join([table[0], *sorted(inputs), *table[1 + len(inputs) :]])
+
+    def test_report_merges_files_of_different_groups(self, tmp_path):
+        """A group one file lacks shows ``-`` for its system, and N comes from the first file that has it."""
+        corpora = {
+            "one": toy_corpus(3, dataset="Masnavi") + toy_corpus(2, seed=8, dataset="Places"),
+            "two": toy_corpus(4, seed=9, dataset="Dr Blog") + toy_corpus(1, seed=10, dataset="Places")
+            + toy_corpus(1, seed=11, dataset="Dr Blog"),
+        }
+        for name, pairs in corpora.items():
+            corpus = write_corpus(tmp_path / f"{name}.jsonl", pairs)
+            (tmp_path / f"{name}.txt").write_text("".join(p.fa + "\n" for p in pairs), encoding="utf-8")
+            scored = run_cli(["score", "--corpus", str(corpus), "--hyp", str(tmp_path / f"{name}.txt"),
+                              "--direction", "tg2fa", "--out", str(tmp_path / name)])
+            assert scored.exit_code == 0, scored.output
+        result = run_cli(["report", "--scores", str(tmp_path / "one" / "one.scores.jsonl"),
+                          "--scores", str(tmp_path / "two" / "two.scores.jsonl")])
+        assert result.exit_code == 0, result.output
+        meta = [line for line in (tmp_path / "one" / "report.txt").read_text(encoding="utf-8").splitlines()
+                if line.startswith("#")]
+        assert result.output.splitlines() == meta + [
+            "Group    N  chrF[one]  chrF[two]  chrF++[one]  chrF++[two]  CER[one]  CER[two]  NCER[one]  NCER[two]"
+            "  Acc%[one]  Acc%[two]  Acc%NoWS[one]  Acc%NoWS[two]",
+            "poetry   3    100.00*          -      100.00*            -     0.00*         -      0.00*          -"
+            "    100.00*          -        100.00*              -",
+            "names    2    100.00*    100.00*      100.00*      100.00*     0.00*     0.00*      0.00*      0.00*"
+            "    100.00*    100.00*        100.00*        100.00*",
+            "prose    5          -    100.00*            -      100.00*         -     0.00*          -      0.00*"
+            "          -    100.00*              -        100.00*",
+            "Overall  5    100.00*    100.00*      100.00*      100.00*     0.00*     0.00*      0.00*      0.00*"
+            "    100.00*    100.00*        100.00*        100.00*",
+        ]
+        # One system: no marks, and no system name in the header.
+        single = run_cli(["report", "--scores", str(tmp_path / "one" / "one.scores.jsonl")])
+        assert single.output.splitlines() == meta + [
+            "Group    N    chrF  chrF++   CER  NCER    Acc%  Acc%NoWS",
+            "poetry   3  100.00  100.00  0.00  0.00  100.00    100.00",
+            "names    2  100.00  100.00  0.00  0.00  100.00    100.00",
+            "Overall  5  100.00  100.00  0.00  0.00  100.00    100.00",
+        ]
+
     def test_report_merges_systems(self, corpus_file, tmp_path):
         refs = TestScore()._refs(corpus_file)
         hyp = tmp_path / "sys1.txt"
@@ -1007,6 +1075,25 @@ class TestReportErrors:
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize(
+        "rows,reason",
+        [
+            ((("poetry", "A"), ("prose", "B"), ("Overall", "A")), "line 3: rows name two systems, 'A' and 'B'"),
+            ((("poetry", "s"), ("poetry", "s"), ("Overall", "s")), "line 3: a second row for group 'poetry'"),
+            ((("poetry", "s"), ("Overall", "s"), ("Overall", "s")), "line 4: a second row for group 'Overall'"),
+        ],
+        ids=["two-systems", "repeated-group", "repeated-overall"],
+    )
+    def test_rows_that_cannot_merge_are_parse_errors(self, tmp_path, rows, reason):
+        """A file holds one system's rows, one per group: report refuses, not merges, any other."""
+        path = tmp_path / "s.scores.jsonl"
+        lines = [{"meta": self.GOOD_META}, *({**self.GOOD_ROW, "group": g, "system": name} for g, name in rows)]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        result = run_cli(["report", "--scores", str(path)])
+        assert result.exit_code == 3, result.output
+        assert f"{path}: {reason}" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
         "key,value,reason",
         [
             ("version", _DROP, "missing field 'meta.version'"),
@@ -1067,6 +1154,14 @@ _LM_TAJIK = {**_LM_V2, "alphabet": ["\x01", "\x03", "б"], "counts": [[["", {"\x
 _DICT_FA2TG = {"magic": "tgfa-dict", "version": 1, "direction": "fa2tg", "skipped_pairs": 0,
                "entries": {"از": "аз"}}
 _NO_DIRECTION = {k: v for k, v in _DICT_FA2TG.items() if k != "direction"}
+# Entries that would make translit write other than one token per token.
+_UNALIGNED_ENTRIES = {
+    "empty-target": {"аз": "", "ин": "a b", "ба": "xyz"},
+    "target-with-space": {"бғд": "بغ د"},
+    "target-with-u2028": {"бғд": "بغ\u2028د"},
+    "empty-source": {"": "بغد"},
+    "source-with-tab": {"бғ\tд": "بغد"},
+}
 # Deeper than any JSON decoder recurses.
 _NESTED = b"[" * 50_000
 # A fa2tg table without a row for U+0671 (ٱ), which makes it an inventory gap.
@@ -1116,6 +1211,10 @@ BAD_FILES = [
     pytest.param("dict.json", json.dumps(_DICT_FA2TG).encode(), [*_TRANSLIT, "--dict", "{path}"],
                  2, "{path}: dictionary direction is fa2tg, but --direction is tg2fa",
                  id="dict-wrong-direction"),
+    *(pytest.param("dict.json", json.dumps({**_DICT_FA2TG, "direction": "tg2fa", "entries": entries}).encode(),
+                   [*_TRANSLIT, "--dict", "{path}"], 3, "{path}: field 'entries' must be an object of source token "
+                   "to target token, each non-empty and without whitespace", id=f"dict-{name}")
+      for name, entries in _UNALIGNED_ENTRIES.items()),
     pytest.param("map.tsv", b"no tab\n", [*_TRANSLIT, "--table", "{path}"],
                  3, "{path}: line 1: expected source_char<TAB>candidates", id="table-bad-line"),
     pytest.param("chars.tsv", b"no tab\n", ["normalize", "--script", "tajik", "--char-table", "{path}"],
@@ -1479,7 +1578,7 @@ LOADS = {
               _CORE | _CORPUS | _METRICS),
     "pipeline": (["pipeline", "--corpus", "{corpus}", "--direction", "tg2fa", "--folds", "2", "--lm-order", "3",
                   "--out", "{out}"], _CORE | _CORPUS | _METRICS | _TRANSLIT_MOD),
-    "report": (["report", "--scores", "{scores}"], _CORE | _METRICS),
+    "report": (["report", "--scores", "{scores}"], _CORE),
 }
 
 # The child runs one command through tgfa.cli.main, then writes the tgfa
