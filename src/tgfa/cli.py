@@ -58,9 +58,9 @@ from .script import temporary_sibling, write_utf8
 if TYPE_CHECKING:
     from .corpus import ParallelPair, SplitSpec
 
-# A system's score rows, the form of every score table and file: one
-# dict per group, then one for "Overall", each holding "system",
-# "group", "n_pairs" and the METRIC_COLUMNS.
+# A system's score rows, the form of every score table and file: the
+# rows of metrics.score_corpus, one per group and then "Overall", each
+# holding "group", "n_pairs" and the METRIC_COLUMNS, with "system" added.
 ScoreRows = list[dict]
 METRIC_COLUMNS = ("chrf", "chrf_pp", "cer", "ncer", "acc", "acc_no_ws")
 METRIC_LABELS = {
@@ -303,18 +303,16 @@ def _score_systems(pairs: Sequence[ParallelPair], hyps_by_system: dict[str, Sequ
     for name, hyps in hyps_by_system.items():
         eval_pairs = [EvalPair(hypothesis=normalize_text(hyp, target, NormMode.EVAL), reference=ref, group=group)
                       for hyp, ref, group in zip(hyps, refs, groups)]
-        report = score_corpus(eval_pairs, sentence_chrf)
-        # vars() of a GroupScores is n_pairs and the METRIC_COLUMNS.
-        systems[name] = [{"system": name, "group": group, **vars(scores)}
-                         for group, scores in [*report.groups.items(), ("Overall", report.overall)]]
+        systems[name] = [{"system": name, **row} for row in score_corpus(eval_pairs, sentence_chrf)]
     return systems
 
 
-def _report_table(systems: dict[str, ScoreRows], meta: dict | None = None) -> str:
+def _report_table(systems: dict[str, ScoreRows], metas: Sequence[dict]) -> str:
     """Aligned text table: rows = groups + Overall, columns = metrics x systems.
 
-    Groups come in the order the systems first give them, Overall last;
-    a system without a group shows ``-``. With several systems the best
+    The header lines of each distinct meta come first, in order. Groups
+    come in the order the systems first give them, Overall last; a
+    system without a group shows ``-``. With several systems the best
     value per group and metric is marked with a trailing ``*``.
     """
     multi = len(systems) > 1
@@ -341,7 +339,7 @@ def _report_table(systems: dict[str, ScoreRows], meta: dict | None = None) -> st
         table.append(cells)
 
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    out = _meta_lines(meta) if meta is not None else []
+    out = [line for i, meta in enumerate(metas) if meta not in metas[:i] for line in _meta_lines(meta)]
     for row in table:
         out.append("  ".join(c.ljust(widths[i]) if i == 0 else c.rjust(widths[i]) for i, c in enumerate(row)))
     return "\n".join(out) + "\n"
@@ -391,18 +389,13 @@ def stats(corpus, per, format_, output):
     from . import corpus as corpus_mod
     pairs = corpus_mod.load(corpus)
     with _stage(corpus):
-        table = corpus_mod.stats(pairs, per=per)
+        rows = corpus_mod.stats(pairs, per=per)
     if format_ == "jsonl":
-        lines = [json.dumps({"label": label, **vars(s)}, sort_keys=True, ensure_ascii=False)
-                 for label, s in table.items()]
+        lines = [json.dumps(row, sort_keys=True, ensure_ascii=False) for row in rows]
     else:
-        header = f"{'Label':<20}  {'Pairs':>8}  {'FaTok':>7}  {'FaChr':>8}  {'TgTok':>7}  {'TgChr':>8}"
-        lines = [header]
-        for label, s in table.items():
-            lines.append(
-                f"{label:<20}  {s.n_pairs:>8}  {s.fa_avg_tokens:>7.2f}  "
-                f"{s.fa_avg_chars:>8.2f}  {s.tg_avg_tokens:>7.2f}  {s.tg_avg_chars:>8.2f}"
-            )
+        lines = [f"{'Label':<20}  {'Pairs':>8}  {'FaTok':>7}  {'FaChr':>8}  {'TgTok':>7}  {'TgChr':>8}"]
+        lines += [f"{r['label']:<20}  {r['n_pairs']:>8}  {r['fa_avg_tokens']:>7.2f}  {r['fa_avg_chars']:>8.2f}  "
+                  f"{r['tg_avg_tokens']:>7.2f}  {r['tg_avg_chars']:>8.2f}" for r in rows]
     _write_lines(output, lines)
 
 
@@ -574,7 +567,7 @@ def score(corpus, hyps, direction, sentence_chrf, format_, out):
     hyps_by_system = {name: _load_hyp_lines(hyp_path, len(pairs)) for name, hyp_path in sources.items()}
     with _stage(corpus):
         systems = _score_systems(pairs, hyps_by_system, direction.target, sentence_chrf)
-    table_text = _report_table(systems, meta)
+    table_text = _report_table(systems, [meta])
     if format_ == "table":
         sys.stdout.write(table_text)
     else:
@@ -667,7 +660,7 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
         system = f"baseline-{direction.name}"
         with _stage("score"):
             systems = _score_systems(scored, {system: scored_hyps}, direction.target)
-        table_text = _report_table(systems, meta)
+        table_text = _report_table(systems, [meta])
         write_utf8(work / "report.txt", [table_text])
         write_utf8(work / "report.jsonl", [_report_jsonl(systems[system], meta)])
     sys.stdout.write(table_text)
@@ -746,7 +739,7 @@ def report(scores, output):
             raise ParseError("no Overall row found", path=path)
         _claim_system(sources, name, path)
         systems[name] = list(rows.values())
-    write_utf8(output, [_report_table(systems, metas[0] if metas else None)])
+    write_utf8(output, [_report_table(systems, metas)])
 
 
 def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

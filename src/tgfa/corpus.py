@@ -36,7 +36,6 @@ __all__ = [
     "DOMAINS",
     "DATASET_DOMAINS",
     "ParallelPair",
-    "DatasetStats",
     "SplitSpec",
     "load",
     "read_pairs",
@@ -106,15 +105,6 @@ class ParallelPair:
         """The side written in ``script``: train-normalized, or raw if not ``train``."""
         fa, tg = (self.fa_train, self.tg_train) if train else (self.fa, self.tg)
         return fa if script is Script.FARSI else tg
-
-
-@dataclass(frozen=True)
-class DatasetStats:
-    n_pairs: int
-    fa_avg_tokens: float
-    fa_avg_chars: float
-    tg_avg_tokens: float
-    tg_avg_chars: float
 
 
 @dataclass(frozen=True)
@@ -211,13 +201,13 @@ def domain_of(pair: ParallelPair) -> str:
     raise UnknownDataset(f"dataset {pair.dataset!r} has no registered domain")
 
 
-def stats(
-    pairs: Sequence[ParallelPair], per: str = "dataset"
-) -> dict[str, DatasetStats]:
-    """Pair counts and average token/char lengths over train-normalized text.
+def stats(pairs: Sequence[ParallelPair], per: str = "dataset") -> list[dict]:
+    """Pair counts and average token/char lengths over train-normalized text, one row per label.
 
-    Character averages count all scalars of the normalized sequence,
-    including internal spaces.
+    The rows, in label order, are those ``stats --format jsonl`` prints:
+    ``label``, ``n_pairs``, ``fa_avg_tokens``, ``fa_avg_chars``,
+    ``tg_avg_tokens`` and ``tg_avg_chars``. Character averages count all
+    scalars of the normalized sequence, including internal spaces.
     """
     if not pairs:
         raise EmptyCorpus("no pairs")
@@ -232,16 +222,17 @@ def stats(
         row[2] += len(p.fa_train)
         row[3] += len(p.tg_train.split())
         row[4] += len(p.tg_train)
-    return {
-        label: DatasetStats(
-            n_pairs=n,
-            fa_avg_tokens=ft / n,
-            fa_avg_chars=fc / n,
-            tg_avg_tokens=tt / n,
-            tg_avg_chars=tc / n,
-        )
+    return [
+        {
+            "label": label,
+            "n_pairs": n,
+            "fa_avg_tokens": ft / n,
+            "fa_avg_chars": fc / n,
+            "tg_avg_tokens": tt / n,
+            "tg_avg_chars": tc / n,
+        }
         for label, (n, ft, fc, tt, tc) in sorted(acc.items())
-    }
+    ]
 
 
 def _by_dataset(pairs: Sequence[ParallelPair]) -> dict[str, list[int]]:

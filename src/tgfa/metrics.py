@@ -15,11 +15,11 @@ Conventions that matter for comparability:
 
 `score_corpus` is the one scorer. It scores each pair once (one edit
 distance, one chrF++ count vector whose first six orders are chrF's)
-and builds every group and the pooled overall from those values. The
-single-metric functions (`chrf`, `chrf_pp`, `cer_mean`, `ncer_mean`)
-each read one field of its overall scores, so each costs a full
-scoring pass. Every edit distance comes from the bit-parallel kernel in
-`tgfa._kernels`.
+and builds every group's row and the pooled Overall row from those
+values. The single-metric functions (`chrf`, `chrf_pp`, `cer_mean`,
+`ncer_mean`) each read one field of its Overall row, so each costs a
+full scoring pass. Every edit distance comes from the bit-parallel
+kernel in `tgfa._kernels`.
 
 Each order's n-gram totals are its side's length minus n - 1 (never
 below 0), so n-grams are counted only to find matches. An exact pair
@@ -41,13 +41,12 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from ._kernels import levenshtein as edit_distance
-from .errors import EmptyCorpus, WrongState
+from .corpus import DOMAINS
+from .errors import ConfigError, EmptyCorpus, WrongState
 from .script import ZWNJ, strip_whitespace
 
 __all__ = [
     "EvalPair",
-    "GroupScores",
-    "MetricReport",
     "edit_distance",
     "cer_mean",
     "ncer_mean",
@@ -79,25 +78,6 @@ class EvalPair:
             if bad:
                 shown = ", ".join(f"U+{ord(c):04X}" for c in sorted(bad))
                 raise WrongState(f"{side} is not eval-normalized (contains {shown})")
-
-
-@dataclass(frozen=True)
-class GroupScores:
-    n_pairs: int
-    chrf: float
-    chrf_pp: float
-    cer: float
-    ncer: float
-    acc: float
-    acc_no_ws: float
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Per-group and overall aggregates; overall pools all pairs."""
-
-    groups: dict[str, GroupScores]
-    overall: GroupScores
 
 
 # A position's reach is how many symbols of its common run start there, capped at 255:
@@ -247,43 +227,46 @@ def _f_from_stats(stats: Sequence[tuple[int, int, int]], beta: float) -> float:
 # perfbench/tracer.py binds these four by name; they can go once its metrics.chrf and metrics.cer rows do.
 def chrf(pairs: Sequence[EvalPair], sentence_level: bool = False) -> float:
     """Corpus chrF: character n-grams up to order 6, beta = 2."""
-    return score_corpus(pairs, sentence_level).overall.chrf
+    return score_corpus(pairs, sentence_level)[-1]["chrf"]
 
 
 def chrf_pp(pairs: Sequence[EvalPair], sentence_level: bool = False) -> float:
     """Corpus chrF++: chrF plus word unigrams and bigrams."""
-    return score_corpus(pairs, sentence_level).overall.chrf_pp
+    return score_corpus(pairs, sentence_level)[-1]["chrf_pp"]
 
 
 def cer_mean(pairs: Sequence[EvalPair]) -> float:
     """Mean raw edit distance over all pairs."""
-    return score_corpus(pairs).overall.cer
+    return score_corpus(pairs)[-1]["cer"]
 
 
 def ncer_mean(pairs: Sequence[EvalPair]) -> float:
     """Mean of edit distance divided by max(1, reference length)."""
-    return score_corpus(pairs).overall.ncer
+    return score_corpus(pairs)[-1]["ncer"]
 
 
-_GROUP_ORDER = {"poetry": 0, "prose": 1, "names": 2, "dictionary": 3}
+_GROUP_ORDER = {domain: i for i, domain in enumerate(DOMAINS)}
 
 
 def _ordered_groups(labels: Iterable[str]) -> list[str]:
     return sorted(set(labels), key=lambda g: (_GROUP_ORDER.get(g, len(_GROUP_ORDER)), g))
 
 
-def score_corpus(
-    pairs: Sequence[EvalPair], sentence_level_chrf: bool = False
-) -> MetricReport:
-    """All six metrics per group label and pooled overall.
+def score_corpus(pairs: Sequence[EvalPair], sentence_level_chrf: bool = False) -> list[dict]:
+    """The rows of a score file: one per group label, domains first, then the pooled ``Overall``.
 
+    Each row holds ``group``, ``n_pairs`` and the six metrics ``chrf``,
+    ``chrf_pp``, ``cer``, ``ncer``, ``acc`` and ``acc_no_ws``. A pair
+    labelled ``Overall`` raises ConfigError, before any pair is scored.
     Each pair is scored once: one edit distance and one chrF++ count
-    vector (chrF is its first six orders). Groups and Overall are sums
-    of those per-pair values, taken in input order, so a group's scores
-    equal those of its pairs scored alone.
+    vector (chrF is its first six orders). Every row sums those per-pair
+    values in input order, so a group's row equals that of its pairs
+    scored alone.
     """
     if not pairs:
         raise EmptyCorpus("no pairs to score")
+    if any(p.group == "Overall" for p in pairs):
+        raise ConfigError("group label 'Overall' is reserved for the pooled row")
     dists = [edit_distance(p.hypothesis, p.reference) for p in pairs]
     stripped = [(strip_whitespace(p.hypothesis), strip_whitespace(p.reference)) for p in pairs]
     stats = [
@@ -297,7 +280,7 @@ def score_corpus(
     exact = [p.hypothesis == p.reference for p in pairs]
     exact_no_ws = [hc == rc for hc, rc in stripped]
 
-    def scores(idx: Sequence[int]) -> GroupScores:
+    def row(group: str, idx: Sequence[int]) -> dict:
         n = len(idx)
         if sentence_level_chrf:
             chrf_value = sum(sent_chrf[i] for i in idx) / n
@@ -307,18 +290,20 @@ def score_corpus(
             totals = [tuple(map(sum, zip(*order))) for order in zip(*(stats[i] for i in idx))]
             chrf_value = _f_from_stats(totals[:CHRF_CHAR_ORDER], CHRF_BETA)
             chrf_pp_value = _f_from_stats(totals, CHRF_BETA)
-        return GroupScores(
-            n_pairs=n,
-            chrf=chrf_value,
-            chrf_pp=chrf_pp_value,
-            cer=sum(dists[i] for i in idx) / n,
-            ncer=sum(rates[i] for i in idx) / n,
-            acc=100.0 * sum(exact[i] for i in idx) / n,
-            acc_no_ws=100.0 * sum(exact_no_ws[i] for i in idx) / n,
-        )
+        return {
+            "group": group,
+            "n_pairs": n,
+            "chrf": chrf_value,
+            "chrf_pp": chrf_pp_value,
+            "cer": sum(dists[i] for i in idx) / n,
+            "ncer": sum(rates[i] for i in idx) / n,
+            "acc": 100.0 * sum(exact[i] for i in idx) / n,
+            "acc_no_ws": 100.0 * sum(exact_no_ws[i] for i in idx) / n,
+        }
 
     by_group: dict[str, list[int]] = {}
     for i, p in enumerate(pairs):
         by_group.setdefault(p.group, []).append(i)
-    groups = {label: scores(by_group[label]) for label in _ordered_groups(by_group)}
-    return MetricReport(groups=groups, overall=scores(range(len(pairs))))
+    return [row(label, by_group[label]) for label in _ordered_groups(by_group)] + [
+        row("Overall", range(len(pairs)))
+    ]

@@ -84,16 +84,16 @@ def test_c1_metric_identity_suite():
         text = " ".join(words)
         pairs.append(EvalPair(text, text, group="dictionary"))
     started = time.perf_counter()
-    report = score_corpus(pairs)
+    rows = score_corpus(pairs)
     elapsed = time.perf_counter() - started
-    for scores in [report.overall, *report.groups.values()]:
-        assert scores.chrf == 100.0
-        assert scores.chrf_pp == 100.0
-        assert scores.cer == 0.0
-        assert scores.ncer == 0.0
-        assert scores.acc == 100.0
-        assert scores.acc_no_ws == 100.0
-    assert f"{report.overall.chrf:.2f}" == "100.00"
+    for scores in rows:
+        assert scores["chrf"] == 100.0
+        assert scores["chrf_pp"] == 100.0
+        assert scores["cer"] == 0.0
+        assert scores["ncer"] == 0.0
+        assert scores["acc"] == 100.0
+        assert scores["acc_no_ws"] == 100.0
+    assert f"{rows[-1]['chrf']:.2f}" == "100.00"
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
     _report(1, "PASS", f"identity corpus of 1000 pairs scored perfectly in {elapsed:.3f}s")
 
@@ -142,15 +142,15 @@ def test_c3_tokenizer_round_trip():
 def test_c4_published_dataset_statistics():
     dictionary_path = _published_file(4, "dictionary.jsonl")
     places_path = _published_file(4, "places.jsonl")
-    dict_stats = stats(load(dictionary_path))["Dictionary"]
-    assert dict_stats.n_pairs == 49758
-    assert dict_stats.tg_avg_tokens == pytest.approx(1.00, abs=0.005)
-    assert dict_stats.fa_avg_tokens == pytest.approx(1.38, abs=0.01)
-    places_stats = stats(load(places_path))["Places"]
-    assert places_stats.n_pairs == 11179
+    [dict_stats] = [row for row in stats(load(dictionary_path)) if row["label"] == "Dictionary"]
+    assert dict_stats["n_pairs"] == 49758
+    assert dict_stats["tg_avg_tokens"] == pytest.approx(1.00, abs=0.005)
+    assert dict_stats["fa_avg_tokens"] == pytest.approx(1.38, abs=0.01)
+    [places_stats] = [row for row in stats(load(places_path)) if row["label"] == "Places"]
+    assert places_stats["n_pairs"] == 11179
     detail = (
-        f"chars with spaces: tg {dict_stats.tg_avg_chars:.2f} (published 7.63), "
-        f"fa {dict_stats.fa_avg_chars:.2f} (published 6.70)"
+        f"chars with spaces: tg {dict_stats['tg_avg_chars']:.2f} (published 7.63), "
+        f"fa {dict_stats['fa_avg_chars']:.2f} (published 6.70)"
     )
     _report(4, "PASS", detail)
 
@@ -188,10 +188,10 @@ def test_c6_published_model_scores(direction, chrf_pp_expected, ncer_expected):
         )
         for h, r in zip(hyps, refs)
     ]
-    report = score_corpus(eval_pairs)
-    assert report.overall.chrf_pp == pytest.approx(chrf_pp_expected, abs=0.10)
-    assert report.overall.ncer == pytest.approx(ncer_expected, abs=0.005)
-    _report(6, "PASS", f"{direction}: chrF++ {report.overall.chrf_pp:.2f}, NCER {report.overall.ncer:.3f}")
+    overall = score_corpus(eval_pairs)[-1]
+    assert overall["chrf_pp"] == pytest.approx(chrf_pp_expected, abs=0.10)
+    assert overall["ncer"] == pytest.approx(ncer_expected, abs=0.005)
+    _report(6, "PASS", f"{direction}: chrF++ {overall['chrf_pp']:.2f}, NCER {overall['ncer']:.3f}")
 
 
 # --- criterion 7: the baseline transliterator -------------------------------

@@ -1,6 +1,6 @@
 """The package's surface: each module's ``__all__`` is its public API, with names that
-resolve, none of them private, each of them used; and nothing is imported from outside
-the standard library."""
+resolve, none of them private, each of them used; each private module-level name is used
+too; and nothing is imported from outside the standard library."""
 
 from __future__ import annotations
 
@@ -88,6 +88,47 @@ def test_every_public_method_is_used():
                      if not attr.startswith("_") and attr not in used
                      and isinstance(value, (FunctionType, property, classmethod, staticmethod))]
     assert not dead, "public methods nothing uses: " + ", ".join(dead)
+
+
+def _bound_names(stmt: ast.stmt) -> list[str]:
+    """The names a statement of a module's body binds by ``def``, ``class`` or assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+    return []
+
+
+def test_every_private_name_is_used():
+    """Each private name a module's body binds is used in the package outside the statements that bind it.
+
+    A use is a loaded name, an attribute or an imported name, as in
+    ``_references``; a function that only calls itself is not used.
+    """
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    bindings: dict[str, list[ast.stmt]] = {}
+    for tree in trees:
+        for stmt in tree.body:
+            for name in _bound_names(stmt):
+                if name.startswith("_") and not name.startswith("__"):
+                    bindings.setdefault(name, []).append(stmt)
+    inside = {name: {id(node) for stmt in stmts for node in ast.walk(stmt)} for name, stmts in bindings.items()}
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            used.update(name for name in names if name in inside and id(node) not in inside[name])
+    assert bindings, "no private module-level name found"
+    dead = sorted(set(bindings) - used)
+    assert not dead, "private names nothing else uses: " + ", ".join(dead)
 
 
 # CPython 3.12's built-in SHA-2 module, which older sys.stdlib_module_names do not list.

@@ -491,9 +491,10 @@ class TestPipelineAndReport:
         result = run_cli(["report", "--scores", str(tmp_path / "one" / "one.scores.jsonl"),
                           "--scores", str(tmp_path / "two" / "two.scores.jsonl")])
         assert result.exit_code == 0, result.output
-        meta = [line for line in (tmp_path / "one" / "report.txt").read_text(encoding="utf-8").splitlines()
-                if line.startswith("#")]
-        assert result.output.splitlines() == meta + [
+        meta, meta_two = ([line for line in (tmp_path / name / "report.txt").read_text(encoding="utf-8").splitlines()
+                           if line.startswith("#")] for name in corpora)
+        # Each run's header lines, in file order.
+        assert result.output.splitlines() == meta + meta_two + [
             "Group    N  chrF[one]  chrF[two]  chrF++[one]  chrF++[two]  CER[one]  CER[two]  NCER[one]  NCER[two]"
             "  Acc%[one]  Acc%[two]  Acc%NoWS[one]  Acc%NoWS[two]",
             "poetry   3    100.00*          -      100.00*            -     0.00*         -      0.00*          -"
@@ -1178,6 +1179,14 @@ BAD_FILES = [
     pytest.param("bad.tsv", _GOOD_TSV * 3 + b"\xc0\xaf\ta\n",
                  ["pipeline", "--corpus", "{path}", "--direction", "tg2fa", "--out", "{out}"],
                  3, "{path}: line 4: not valid UTF-8 (byte 0xC0)", id="pipeline-not-utf8"),
+    # A dataset with no registered domain is its own group, here one named as the pooled row.
+    pytest.param("overall.jsonl", ParallelPair(fa="از", tg="аз", dataset="Overall").jsonl_line.encode(),
+                 [*_SCORE, "--out", "{out}"],
+                 2, "{path}: group label 'Overall' is reserved for the pooled row", id="score-overall-group"),
+    pytest.param("overall.jsonl",
+                 "".join(p.jsonl_line for p in toy_corpus(6, dataset="Overall") + toy_corpus(6, 8, "Places")).encode(),
+                 ["pipeline", "--corpus", "{path}", "--direction", "tg2fa", "--folds", "2", "--out", "{out}"],
+                 2, "score: group label 'Overall' is reserved for the pooled row", id="pipeline-overall-group"),
     pytest.param("s.scores.jsonl",
                  json.dumps({**TestReportErrors.GOOD_ROW, "group": "poetry"}).encode(),
                  ["report", "--scores", "{path}"],

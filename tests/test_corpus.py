@@ -25,7 +25,7 @@ from tgfa.corpus import (
     stats,
 )
 
-from conftest import toy_corpus
+from conftest import run_cli, toy_corpus
 from oracles import consonant_projection
 
 
@@ -143,21 +143,25 @@ class TestLoad:
             ]
 
 
+def _stats_by_label(pairs, per: str = "dataset") -> dict[str, dict]:
+    return {row["label"]: row for row in stats(pairs, per=per)}
+
+
 class TestStats:
     def test_single_pair_token_counts(self):
         pairs = [ParallelPair(fa="از این", tg="аз ин", dataset="Dictionary")]
-        s = stats(pairs)["Dictionary"]
-        assert s.n_pairs == 1
-        assert s.fa_avg_tokens == 2.0
-        assert s.tg_avg_tokens == 2.0
+        s = _stats_by_label(pairs)["Dictionary"]
+        assert s["n_pairs"] == 1
+        assert s["fa_avg_tokens"] == 2.0
+        assert s["tg_avg_tokens"] == 2.0
         # Character averages include the internal space.
-        assert s.tg_avg_chars == len("аз ин")
+        assert s["tg_avg_chars"] == len("аз ин")
 
     def test_normalization_applied_before_counting(self):
         pairs = [ParallelPair(fa="از!", tg="Аз — ин", dataset="Dictionary")]
-        s = stats(pairs)["Dictionary"]
-        assert s.tg_avg_tokens == 2.0
-        assert s.tg_avg_chars == len("аз ин")
+        s = _stats_by_label(pairs)["Dictionary"]
+        assert s["tg_avg_tokens"] == 2.0
+        assert s["tg_avg_chars"] == len("аз ин")
 
     def test_per_domain(self):
         pairs = [
@@ -165,18 +169,30 @@ class TestStats:
             ParallelPair(fa="از", tg="аз", dataset="Shahnameh"),
             ParallelPair(fa="از", tg="аз", dataset="Dictionary"),
         ]
-        table = stats(pairs, per="domain")
-        assert table["poetry"].n_pairs == 2
-        assert table["dictionary"].n_pairs == 1
+        table = _stats_by_label(pairs, per="domain")
+        assert table["poetry"]["n_pairs"] == 2
+        assert table["dictionary"]["n_pairs"] == 1
 
     def test_linearity_under_merge(self):
         a, b = toy_corpus(30, seed=1), toy_corpus(40, seed=2)
-        sa = stats(a)["Dictionary"]
-        sb = stats(b)["Dictionary"]
-        merged = stats(a + b)["Dictionary"]
-        assert merged.n_pairs == sa.n_pairs + sb.n_pairs
-        want = (sa.fa_avg_tokens * 30 + sb.fa_avg_tokens * 40) / 70
-        assert merged.fa_avg_tokens == pytest.approx(want)
+        sa = _stats_by_label(a)["Dictionary"]
+        sb = _stats_by_label(b)["Dictionary"]
+        merged = _stats_by_label(a + b)["Dictionary"]
+        assert merged["n_pairs"] == sa["n_pairs"] + sb["n_pairs"]
+        want = (sa["fa_avg_tokens"] * 30 + sb["fa_avg_tokens"] * 40) / 70
+        assert merged["fa_avg_tokens"] == pytest.approx(want)
+
+    @pytest.mark.parametrize("per", ["dataset", "domain"])
+    def test_rows_are_the_jsonl_lines(self, tmp_path, per):
+        pairs = toy_corpus(5) + toy_corpus(3, seed=2, dataset="Masnavi")
+        path = tmp_path / "corpus.jsonl"
+        save(pairs, path)
+        result = run_cli(["stats", "--corpus", str(path), "--per", per, "--format", "jsonl"])
+        assert result.exit_code == 0, result.output
+        rows = stats(pairs, per=per)
+        assert [json.loads(line) for line in result.output.splitlines()] == rows
+        for row in rows:
+            assert set(row) == {"label", "n_pairs", "fa_avg_tokens", "fa_avg_chars", "tg_avg_tokens", "tg_avg_chars"}
 
     def test_empty(self):
         with pytest.raises(EmptyCorpus):

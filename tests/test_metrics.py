@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tgfa.errors import EmptyCorpus, WrongState
+from tgfa.errors import ConfigError, EmptyCorpus, WrongState
 from tgfa.metrics import (
     EvalPair,
-    GroupScores,
     cer_mean,
     chrf,
     chrf_pp,
@@ -19,6 +18,7 @@ from tgfa.metrics import (
     _stats,
 )
 
+from tgfa.cli import METRIC_COLUMNS
 from oracles import (
     corpus_f_direct,
     levenshtein_dp,
@@ -164,35 +164,35 @@ class TestCer:
             ncer_mean([])
 
 
-def sentence_scores(hyp: str, ref: str) -> GroupScores:
+def sentence_scores(hyp: str, ref: str) -> dict:
     """One pair scored alone at sentence level: chrF is orders (6, 0), chrF++ orders (6, 2)."""
-    return score_corpus([EvalPair(hyp, ref)], sentence_level_chrf=True).overall
+    return score_corpus([EvalPair(hyp, ref)], sentence_level_chrf=True)[-1]
 
 
 class TestNgramF:
     def test_identity_is_100(self):
         for x in ("a", "abc", "аз ин ҷо"):
-            assert sentence_scores(x, x).chrf_pp == 100.0
+            assert sentence_scores(x, x)["chrf_pp"] == 100.0
 
     def test_disjoint_is_0(self):
-        assert sentence_scores("aaaa", "bbbb").chrf == 0.0
+        assert sentence_scores("aaaa", "bbbb")["chrf"] == 0.0
 
     def test_derived_value(self):
         # Frozen from the direct-definition oracle: char 1-grams overlap
         # 3/4, 2-grams 2/3, 3-grams 1/2, 4-grams 0/1; P == R == 23/48.
         expected = sentence_f_direct("abcd", "abce", 6, 0, 2.0)
         assert expected == pytest.approx(2300 / 48, abs=1e-12)
-        assert sentence_scores("abcd", "abce").chrf == pytest.approx(expected, abs=1e-12)
+        assert sentence_scores("abcd", "abce")["chrf"] == pytest.approx(expected, abs=1e-12)
 
     def test_empty_edges(self):
         for hyp, ref, want in (("", "", 100.0), ("a", "", 0.0), ("", "a", 0.0)):
             scores = sentence_scores(hyp, ref)
-            assert scores.chrf == sentence_f_direct(hyp, ref, 6, 0, 2.0) == want
-            assert scores.chrf_pp == sentence_f_direct(hyp, ref, 6, 2, 2.0) == want
+            assert scores["chrf"] == sentence_f_direct(hyp, ref, 6, 0, 2.0) == want
+            assert scores["chrf_pp"] == sentence_f_direct(hyp, ref, 6, 2, 2.0) == want
 
     def test_short_reference_skips_high_orders(self):
         # Reference has no 2-grams, so only order 1 is active.
-        assert sentence_scores("ab", "a").chrf == pytest.approx(
+        assert sentence_scores("ab", "a")["chrf"] == pytest.approx(
             sentence_f_direct("ab", "a", 6, 0, 2.0), abs=1e-12
         )
 
@@ -200,9 +200,9 @@ class TestNgramF:
     @settings(max_examples=300)
     def test_matches_oracle(self, hyp, ref):
         scores = sentence_scores(hyp, ref)
-        assert scores.chrf == pytest.approx(sentence_f_direct(hyp, ref, 6, 0, 2.0), abs=1e-9)
-        assert scores.chrf_pp == pytest.approx(sentence_f_direct(hyp, ref, 6, 2, 2.0), abs=1e-9)
-        assert 0.0 <= scores.chrf <= 100.0 and 0.0 <= scores.chrf_pp <= 100.0
+        assert scores["chrf"] == pytest.approx(sentence_f_direct(hyp, ref, 6, 0, 2.0), abs=1e-9)
+        assert scores["chrf_pp"] == pytest.approx(sentence_f_direct(hyp, ref, 6, 2, 2.0), abs=1e-9)
+        assert 0.0 <= scores["chrf"] <= 100.0 and 0.0 <= scores["chrf_pp"] <= 100.0
 
 
 def stats(hyp: str, ref: str):
@@ -248,13 +248,13 @@ class TestCommonRuns:
     def test_score_corpus_on_edited_copies_matches_oracles(self, seed, sentence_level):
         pairs = edited_corpus(40, seed)
         tuples = [(p.hypothesis, p.reference) for p in pairs]
-        overall = score_corpus(pairs, sentence_level).overall
+        overall = score_corpus(pairs, sentence_level)[-1]
         if sentence_level:
             want = [sum(sentence_f_direct(h, r, 6, w, 2.0) for h, r in tuples) / len(tuples) for w in (0, 2)]
         else:
             want = [corpus_f_direct(tuples, 6, w, 2.0) for w in (0, 2)]
-        assert overall.chrf == pytest.approx(want[0], abs=1e-9)
-        assert overall.chrf_pp == pytest.approx(want[1], abs=1e-9)
+        assert overall["chrf"] == pytest.approx(want[0], abs=1e-9)
+        assert overall["chrf_pp"] == pytest.approx(want[1], abs=1e-9)
 
 
 class TestCorpusChrf:
@@ -298,12 +298,12 @@ class TestCorpusChrf:
 
 class TestSeqAcc:
     def test_all_identical(self):
-        assert score_corpus([EvalPair("аз", "аз")] * 3).overall.acc == 100.0
+        assert score_corpus([EvalPair("аз", "аз")] * 3)[-1]["acc"] == 100.0
 
     def test_whitespace_variants(self):
-        overall = score_corpus([EvalPair("а б", "аб")]).overall
-        assert overall.acc_no_ws == 100.0
-        assert overall.acc == 0.0
+        overall = score_corpus([EvalPair("а б", "аб")])[-1]
+        assert overall["acc_no_ws"] == 100.0
+        assert overall["acc"] == 0.0
 
     def test_counting(self):
         pairs = [
@@ -312,13 +312,13 @@ class TestSeqAcc:
             EvalPair("c", "x"),
             EvalPair("d", "x"),
         ]
-        assert score_corpus(pairs).overall.acc == 25.0
+        assert score_corpus(pairs)[-1]["acc"] == 25.0
 
     @given(st.lists(st.tuples(_short, _short), min_size=1, max_size=30))
     @settings(max_examples=200)
     def test_strip_ws_never_lowers_accuracy(self, raw):
-        overall = score_corpus([EvalPair(h, r) for h, r in raw]).overall
-        assert overall.acc_no_ws >= overall.acc
+        overall = score_corpus([EvalPair(h, r) for h, r in raw])[-1]
+        assert overall["acc_no_ws"] >= overall["acc"]
 
 
 class TestEvalPair:
@@ -345,16 +345,25 @@ class TestEvalPair:
             EvalPair("аз", "а" + mark + "з")
 
 
+def _rows_by_group(rows: list[dict]) -> dict[str, dict]:
+    return {row["group"]: row for row in rows}
+
+
+def _row(group: str, n_pairs: int, *metrics: float) -> dict:
+    """A score row from its values in METRIC_COLUMNS order."""
+    return {"group": group, "n_pairs": n_pairs, **dict(zip(METRIC_COLUMNS, metrics, strict=True))}
+
+
 class TestScoreCorpus:
     def test_perfect_single_group(self):
         pairs = [EvalPair("аз ин", "аз ин", "poetry")] * 5
-        report = score_corpus(pairs)
-        scores = report.groups["poetry"]
-        assert scores == report.overall
-        assert (scores.chrf, scores.chrf_pp) == (100.0, 100.0)
-        assert (scores.cer, scores.ncer) == (0.0, 0.0)
-        assert (scores.acc, scores.acc_no_ws) == (100.0, 100.0)
-        assert scores.n_pairs == 5
+        scores, overall = score_corpus(pairs)
+        assert scores["group"] == "poetry"
+        assert {**scores, "group": "Overall"} == overall
+        assert (scores["chrf"], scores["chrf_pp"]) == (100.0, 100.0)
+        assert (scores["cer"], scores["ncer"]) == (0.0, 0.0)
+        assert (scores["acc"], scores["acc_no_ws"]) == (100.0, 100.0)
+        assert scores["n_pairs"] == 5
 
     def test_overall_pools_groups(self):
         pairs = [
@@ -362,13 +371,11 @@ class TestScoreCorpus:
             EvalPair("вг", "вг", "poetry"),
             EvalPair("де", "же", "prose"),
         ]
-        report = score_corpus(pairs)
-        assert report.overall.n_pairs == sum(
-            g.n_pairs for g in report.groups.values()
-        )
+        *groups, overall = score_corpus(pairs)
+        assert overall["n_pairs"] == sum(g["n_pairs"] for g in groups)
         # Pooled overall equals scoring the concatenated pair list directly.
-        assert report.overall.chrf == chrf(pairs)
-        assert report.overall.cer == cer_mean(pairs)
+        assert overall["chrf"] == chrf(pairs)
+        assert overall["cer"] == cer_mean(pairs)
 
     def test_group_order_follows_domains(self):
         pairs = [
@@ -377,16 +384,33 @@ class TestScoreCorpus:
             EvalPair("c", "c", "poetry"),
             EvalPair("d", "d", "alpha"),
         ]
-        assert list(score_corpus(pairs).groups) == ["poetry", "dictionary", "alpha", "zeta"]
+        assert [row["group"] for row in score_corpus(pairs)] == ["poetry", "dictionary", "alpha", "zeta", "Overall"]
+
+    @pytest.mark.parametrize("sentence_level", [False, True])
+    def test_rows_hold_the_score_file_fields(self, sentence_level):
+        pairs = [EvalPair("аб", "аб", "poetry"), EvalPair("в", "г", "x"), EvalPair("де", "де")]
+        for row in score_corpus(pairs, sentence_level):
+            assert set(row) == {"group", "n_pairs", *METRIC_COLUMNS}
+
+    @pytest.mark.parametrize("groups", [["Overall"], ["poetry", "Overall"]])
+    def test_group_named_overall_is_refused(self, groups, monkeypatch):
+        import tgfa.metrics
+
+        def no_scoring(*args):
+            raise AssertionError("a pair was scored")
+
+        monkeypatch.setattr(tgfa.metrics, "edit_distance", no_scoring)
+        with pytest.raises(ConfigError, match="'Overall'"):
+            score_corpus([EvalPair("аб", "аб", g) for g in groups])
 
     def test_matches_single_metric_oracles(self):
         pairs = random_pairs(60, seed=31)
-        report = score_corpus(pairs)
+        overall = score_corpus(pairs)[-1]
         tuples = [(p.hypothesis, p.reference) for p in pairs]
-        assert report.overall.chrf == pytest.approx(
+        assert overall["chrf"] == pytest.approx(
             corpus_f_direct(tuples, 6, 0, 2.0), abs=1e-9
         )
-        assert report.overall.cer == sum(
+        assert overall["cer"] == sum(
             levenshtein_dp(h, r) for h, r in tuples
         ) / len(tuples)
 
@@ -398,11 +422,11 @@ class TestScoreCorpus:
             EvalPair(p.hypothesis, p.reference, labels[i % 3])
             for i, p in enumerate(random_pairs(90, seed=41, alphabet="abc де ف"))
         ]
-        report = score_corpus(pairs, sentence_level)
-        assert list(report.groups) == list(labels)
+        rows = _rows_by_group(score_corpus(pairs, sentence_level))
+        assert list(rows) == [*labels, "Overall"]
         members = {g: [p for p in pairs if p.group == g] for g in labels}
-        for group_pairs, got in [(members[g], report.groups[g]) for g in labels] + [
-            (pairs, report.overall)
+        for group_pairs, got in [(members[g], rows[g]) for g in labels] + [
+            (pairs, rows["Overall"])
         ]:
             n = len(group_pairs)
             tuples = [(p.hypothesis, p.reference) for p in group_pairs]
@@ -413,52 +437,54 @@ class TestScoreCorpus:
             else:
                 want_chrf = corpus_f_direct(tuples, 6, 0, 2.0)
                 want_chrf_pp = corpus_f_direct(tuples, 6, 2, 2.0)
-            assert got.n_pairs == n
-            assert got.chrf == pytest.approx(want_chrf, abs=1e-9)
-            assert got.chrf_pp == pytest.approx(want_chrf_pp, abs=1e-9)
-            assert got.cer == pytest.approx(sum(dists) / n, abs=1e-9)
-            assert got.ncer == pytest.approx(
+            assert got["n_pairs"] == n
+            assert got["chrf"] == pytest.approx(want_chrf, abs=1e-9)
+            assert got["chrf_pp"] == pytest.approx(want_chrf_pp, abs=1e-9)
+            assert got["cer"] == pytest.approx(sum(dists) / n, abs=1e-9)
+            assert got["ncer"] == pytest.approx(
                 sum(d / max(1, len(r)) for d, (_, r) in zip(dists, tuples)) / n, abs=1e-9
             )
-            assert got.acc == pytest.approx(100.0 * sum(h == r for h, r in tuples) / n, abs=1e-9)
-            assert got.acc_no_ws == pytest.approx(
+            assert got["acc"] == pytest.approx(100.0 * sum(h == r for h, r in tuples) / n, abs=1e-9)
+            assert got["acc_no_ws"] == pytest.approx(
                 100.0 * sum("".join(h.split()) == "".join(r.split()) for h, r in tuples) / n,
                 abs=1e-9,
             )
             # Each group scores exactly as its pairs scored alone.
-            assert got == GroupScores(
-                n_pairs=n,
-                chrf=chrf(group_pairs, sentence_level),
-                chrf_pp=chrf_pp(group_pairs, sentence_level),
-                cer=cer_mean(group_pairs),
-                ncer=ncer_mean(group_pairs),
-                acc=score_corpus(group_pairs).overall.acc,
-                acc_no_ws=score_corpus(group_pairs).overall.acc_no_ws,
+            alone = score_corpus(group_pairs)[-1]
+            assert got == _row(
+                got["group"],
+                n,
+                chrf(group_pairs, sentence_level),
+                chrf_pp(group_pairs, sentence_level),
+                cer_mean(group_pairs),
+                ncer_mean(group_pairs),
+                alone["acc"],
+                alone["acc_no_ws"],
             )
 
     # Exact scores of the 90-pair, three-group input above. Reports print
     # these floats, so any change to the scoring arithmetic shows here.
     PINNED = {
-        False: {
-            "poetry": GroupScores(30, 31.87148310731019, 27.153690328184055, 9.0,
-                                  1.7746929612641686, 13.333333333333334, 13.333333333333334),
-            "prose": GroupScores(30, 49.084357169842555, 49.185628333228706, 6.4,
-                                 2.0541914664283083, 40.0, 40.0),
-            "names": GroupScores(30, 50.72040584118479, 48.3976843478024, 5.666666666666667,
-                                 1.4689055023923445, 36.666666666666664, 36.666666666666664),
-            "Overall": GroupScores(90, 42.54773357869831, 40.08500652549934, 7.022222222222222,
-                                   1.7659299766949406, 30.0, 30.0),
-        },
-        True: {
-            "poetry": GroupScores(30, 23.52354993980107, 20.88073830200772, 9.0,
-                                  1.7746929612641686, 13.333333333333334, 13.333333333333334),
-            "prose": GroupScores(30, 48.590052438314096, 46.812546286417366, 6.4,
-                                 2.0541914664283083, 40.0, 40.0),
-            "names": GroupScores(30, 46.959209901298735, 43.73676740500242, 5.666666666666667,
-                                 1.4689055023923445, 36.666666666666664, 36.666666666666664),
-            "Overall": GroupScores(90, 39.690937426471315, 37.14335066447584, 7.022222222222222,
-                                   1.7659299766949406, 30.0, 30.0),
-        },
+        False: [
+            _row("poetry", 30, 31.87148310731019, 27.153690328184055, 9.0,
+                 1.7746929612641686, 13.333333333333334, 13.333333333333334),
+            _row("prose", 30, 49.084357169842555, 49.185628333228706, 6.4,
+                 2.0541914664283083, 40.0, 40.0),
+            _row("names", 30, 50.72040584118479, 48.3976843478024, 5.666666666666667,
+                 1.4689055023923445, 36.666666666666664, 36.666666666666664),
+            _row("Overall", 90, 42.54773357869831, 40.08500652549934, 7.022222222222222,
+                 1.7659299766949406, 30.0, 30.0),
+        ],
+        True: [
+            _row("poetry", 30, 23.52354993980107, 20.88073830200772, 9.0,
+                 1.7746929612641686, 13.333333333333334, 13.333333333333334),
+            _row("prose", 30, 48.590052438314096, 46.812546286417366, 6.4,
+                 2.0541914664283083, 40.0, 40.0),
+            _row("names", 30, 46.959209901298735, 43.73676740500242, 5.666666666666667,
+                 1.4689055023923445, 36.666666666666664, 36.666666666666664),
+            _row("Overall", 90, 39.690937426471315, 37.14335066447584, 7.022222222222222,
+                 1.7659299766949406, 30.0, 30.0),
+        ],
     }
 
     @pytest.mark.parametrize("sentence_level", [False, True])
@@ -468,21 +494,20 @@ class TestScoreCorpus:
             EvalPair(p.hypothesis, p.reference, labels[i % 3])
             for i, p in enumerate(random_pairs(90, seed=41, alphabet="abc де ف"))
         ]
-        report = score_corpus(pairs, sentence_level)
-        assert {**report.groups, "Overall": report.overall} == self.PINNED[sentence_level]
+        assert score_corpus(pairs, sentence_level) == self.PINNED[sentence_level]
 
     @given(mixed_pairs(), st.booleans())
     @settings(max_examples=200)
     def test_exact_and_whitespace_pairs_match_oracles(self, pairs, sentence_level):
         tuples = [(p.hypothesis, p.reference) for p in pairs]
-        overall = score_corpus(pairs, sentence_level).overall
+        overall = score_corpus(pairs, sentence_level)[-1]
         if sentence_level:
             want = [sum(sentence_f_direct(h, r, 6, w, 2.0) for h, r in tuples) / len(tuples) for w in (0, 2)]
         else:
             want = [corpus_f_direct(tuples, 6, w, 2.0) for w in (0, 2)]
-        assert overall.chrf == pytest.approx(want[0], abs=1e-9)
-        assert overall.chrf_pp == pytest.approx(want[1], abs=1e-9)
-        assert overall.acc_no_ws == pytest.approx(
+        assert overall["chrf"] == pytest.approx(want[0], abs=1e-9)
+        assert overall["chrf_pp"] == pytest.approx(want[1], abs=1e-9)
+        assert overall["acc_no_ws"] == pytest.approx(
             100.0 * sum("".join(h.split()) == "".join(r.split()) for h, r in tuples) / len(tuples),
             abs=1e-9,
         )
@@ -496,5 +521,5 @@ class TestScoreCorpus:
 
     def test_cer_zero_iff_acc_100(self):
         for seed in range(5):
-            report = score_corpus(random_pairs(40, seed=seed))
-            assert (report.overall.cer == 0.0) == (report.overall.acc == 100.0)
+            overall = score_corpus(random_pairs(40, seed=seed))[-1]
+            assert (overall["cer"] == 0.0) == (overall["acc"] == 100.0)
