@@ -22,8 +22,10 @@ the same checks as the flag's.
 
 A command imports only the tgfa modules it runs: corpus, metrics,
 tokenizer and translit are imported inside the commands and helpers
-that use them, so `normalize` loads none of them, nor `logging`. The
-option table reads the directions and the decoder defaults from script.
+that use them, so `normalize` loads none of them. No module loads
+`logging`, `dataclasses` or `importlib.resources`, which would cost
+more start-up than the lines they serve. The option table reads the
+directions and the decoder defaults from script.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from .errors import ConfigError, LengthMismatch, MarkerCollision, ParseError, TgfaError, UnknownDataset
+from .errors import ConfigError, LengthMismatch, MarkerCollision, ParseError, TgfaError
 from .script import DEFAULT_BEAM, DEFAULT_LM_ORDER, DIRECTIONS, FARSI_LETTERS, SMOOTHINGS, TAJIK_LETTERS
 from .script import Direction, NormMode, Script, load_char_table, normalize_text, parse_json_object, read_lines
 from .script import temporary_sibling, write_utf8
@@ -282,23 +284,16 @@ def _meta_lines(meta: dict) -> list[str]:
     return lines
 
 
-def _group_label(pair: ParallelPair) -> str:
-    from . import corpus as corpus_mod
-    try:
-        return corpus_mod.domain_of(pair)
-    except UnknownDataset:
-        return pair.dataset or "all"
-
-
 def _score_systems(pairs: Sequence[ParallelPair], hyps_by_system: dict[str, Sequence[str]], target: Script,
                    sentence_chrf: bool = False) -> dict[str, ScoreRows]:
     """Each system's score rows: its hypotheses, one per pair, against the pairs' raw ``target`` sides.
 
-    Both sides are eval-normalized, and each pair is grouped by ``_group_label``.
+    Both sides are eval-normalized, and each pair is grouped by ``corpus.group_of``.
     """
+    from .corpus import group_of
     from .metrics import EvalPair, score_corpus
+    groups = [group_of(p) for p in pairs]
     refs = [normalize_text(p.text(target, train=False), target, NormMode.EVAL) for p in pairs]
-    groups = [_group_label(p) for p in pairs]
     systems = {}
     for name, hyps in hyps_by_system.items():
         eval_pairs = [EvalPair(hypothesis=normalize_text(hyp, target, NormMode.EVAL), reference=ref, group=group)
@@ -599,6 +594,9 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
     from . import translit as translit_mod
     with _stage("load"):
         pairs = corpus_mod.load(corpus)
+    with _stage(corpus):
+        for p in pairs:
+            corpus_mod.group_of(p)  # refuses a group label that merges two groups, before any work
     table = translit_mod.default_mapping_table(direction.name)
     with _stage("split"), _stage(corpus):
         if folds == 0:

@@ -13,14 +13,13 @@ File formats (all UTF-8, LF):
 from __future__ import annotations
 
 import json
-import logging
 import random
+import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import floor, isfinite
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadMap,
@@ -40,6 +39,7 @@ __all__ = [
     "load",
     "read_pairs",
     "domain_of",
+    "group_of",
     "save",
     "stats",
     "check_ratios",
@@ -49,8 +49,6 @@ __all__ = [
     "load_consonant_map",
     "paranames_filter",
 ]
-
-log = logging.getLogger(__name__)
 
 DOMAINS = ("poetry", "prose", "names", "dictionary")
 
@@ -69,9 +67,15 @@ DATASET_DOMAINS: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class ParallelPair:
-    """Aligned raw Farsi/Tajik texts with dataset and domain tags.
+class _RawPair(NamedTuple):
+    fa: str
+    tg: str
+    dataset: str
+    domain: str | None
+
+
+class ParallelPair(_RawPair):
+    """Aligned raw Farsi/Tajik texts with dataset and domain tags; frozen.
 
     ``fa_train`` and ``tg_train`` are the sides train-normalized, computed
     once when the pair is made; every stage reads them rather than
@@ -80,18 +84,18 @@ class ParallelPair:
     made from them on first use and kept.
     """
 
-    fa: str
-    tg: str
-    dataset: str = ""
-    domain: str | None = None
-    fa_train: str = field(init=False, compare=False, repr=False)
-    tg_train: str = field(init=False, compare=False, repr=False)
+    def __new__(cls, fa: str, tg: str, dataset: str = "", domain: str | None = None):
+        if domain is not None and domain not in DOMAINS:
+            raise ValueError(f"unknown domain {domain!r}")
+        pair = tuple.__new__(cls, (fa, tg, dataset, domain))
+        vars(pair).update(fa_train=normalize_text(fa, Script.FARSI, NormMode.TRAIN),
+                          tg_train=normalize_text(tg, Script.TAJIK, NormMode.TRAIN))
+        return pair
 
-    def __post_init__(self):
-        if self.domain is not None and self.domain not in DOMAINS:
-            raise ValueError(f"unknown domain {self.domain!r}")
-        object.__setattr__(self, "fa_train", normalize_text(self.fa, Script.FARSI, NormMode.TRAIN))
-        object.__setattr__(self, "tg_train", normalize_text(self.tg, Script.TAJIK, NormMode.TRAIN))
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def jsonl_line(self) -> str:
@@ -107,8 +111,7 @@ class ParallelPair:
         return fa if script is Script.FARSI else tg
 
 
-@dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(NamedTuple):
     """Disjoint train/dev/test index sets covering a corpus."""
 
     train: tuple[int, ...]
@@ -178,12 +181,12 @@ def read_pairs(path: str | Path) -> tuple[list[ParallelPair], list[str]]:
 
 
 def load(path: str | Path) -> list[ParallelPair]:
-    """Load a JSONL or TSV corpus, logging skipped lines."""
+    """Load a JSONL or TSV corpus; write each skipped line's diagnostic, then their count, to stderr."""
     pairs, skipped = read_pairs(path)
     for msg in skipped:
-        log.warning("%s: %s", path, msg)
+        sys.stderr.write(f"{path}: {msg}\n")
     if skipped:
-        log.warning("%s: skipped %d line(s)", path, len(skipped))
+        sys.stderr.write(f"{path}: skipped {len(skipped)} line(s)\n")
     return pairs
 
 
@@ -199,6 +202,23 @@ def domain_of(pair: ParallelPair) -> str:
     if pair.domain is not None:
         return pair.domain
     raise UnknownDataset(f"dataset {pair.dataset!r} has no registered domain")
+
+
+def group_of(pair: ParallelPair) -> str:
+    """A pair's score group: its domain, else its dataset, else ``all``.
+
+    ConfigError if a pair with no domain has an unregistered dataset
+    named like a domain or ``all``: the two groups would be pooled.
+    """
+    try:
+        return domain_of(pair)
+    except UnknownDataset:
+        label = pair.dataset or "all"
+    if pair.dataset in (*DOMAINS, "all"):
+        whom = "the pairs that have no dataset" if label == "all" else f"the {label!r} domain"
+        raise ConfigError(f"dataset {label!r} has no registered domain, so its group {label!r} "
+                          f"would pool it with {whom}")
+    return label
 
 
 def stats(pairs: Sequence[ParallelPair], per: str = "dataset") -> list[dict]:

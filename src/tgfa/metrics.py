@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ._kernels import levenshtein as edit_distance
 from .corpus import DOMAINS
@@ -64,20 +63,24 @@ CHRF_BETA = 2.0
 _FORBIDDEN = frozenset("@_-") | {ZWNJ}
 
 
-@dataclass(frozen=True)
-class EvalPair:
-    """One scored pair: detokenized hypothesis vs. reference, both eval-normalized."""
-
+class _EvalFields(NamedTuple):
     hypothesis: str
     reference: str
-    group: str = ""
+    group: str
 
-    def __post_init__(self):
-        for side, text in (("hypothesis", self.hypothesis), ("reference", self.reference)):
+
+class EvalPair(_EvalFields):
+    """One scored pair: detokenized hypothesis vs. reference, both eval-normalized."""
+
+    __slots__ = ()
+
+    def __new__(cls, hypothesis: str, reference: str, group: str = ""):
+        for side, text in (("hypothesis", hypothesis), ("reference", reference)):
             bad = {c for c in set(text) if c in _FORBIDDEN or unicodedata.combining(c)}
             if bad:
                 shown = ", ".join(f"U+{ord(c):04X}" for c in sorted(bad))
                 raise WrongState(f"{side} is not eval-normalized (contains {shown})")
+        return tuple.__new__(cls, (hypothesis, reference, group))
 
 
 # A position's reach is how many symbols of its common run start there, capped at 255:

@@ -44,7 +44,6 @@ import re
 import sys
 import unicodedata
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -386,8 +385,8 @@ def parse_code_point(field: str, line: int | None = None, path: str | None = Non
 
 
 def data_lines(name: str) -> Iterator[str]:
-    """The ``split_lines`` of the packaged data file ``tgfa/data/<name>``."""
-    return split_lines(resources.files("tgfa.data").joinpath(name).read_text("utf-8"))
+    """The ``read_lines`` of the packaged data file ``tgfa/data/<name>``, found beside this module."""
+    return read_lines(Path(__file__).parent / "data" / name)
 
 
 def _sources(name: str) -> frozenset[str]:

@@ -19,10 +19,9 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ArtifactError, ConfigError, EmptyCorpus, ParseError, UnknownChar, WrongState
 from .script import DEFAULT_BEAM, DEFAULT_LM_ORDER, DIRECTIONS, FARSI_LETTERS, SMOOTHINGS, TAJIK_LETTERS, ZWNJ
@@ -71,8 +70,7 @@ DICT_FORMAT_VERSION = 1
 _CANDIDATE_CHARS = {Script.FARSI: FARSI_LETTERS | {ZWNJ}, Script.TAJIK: TAJIK_LETTERS}
 
 
-@dataclass(frozen=True)
-class MappingTable:
+class MappingTable(NamedTuple):
     """Per-character candidate expansion table for one direction."""
 
     direction: Direction
@@ -614,19 +612,34 @@ def load_lm(path: str | Path) -> CharNGramLM:
     return CharNGramLM.from_payload(payload, path=str(path))
 
 
-@dataclass
 class TranslitDict:
     """Word-level lookup built from positionally aligned training pairs.
 
     ``votes`` holds, for each source token, how often each target was
     aligned to it; the entries are chosen from it. A loaded dictionary
-    has none, since ``dict.json`` keeps only the entries.
+    has none, since ``dict.json`` keeps only the entries. Equality and
+    ``repr`` see the other fields; a dictionary is not hashable.
     """
 
-    direction: Direction
-    entries: dict[str, str] = field(default_factory=dict)
-    skipped_pairs: int = 0
-    votes: dict[str, Counter[str]] | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("direction", "entries", "skipped_pairs", "votes")
+    __hash__ = None
+
+    def __init__(self, direction: Direction, entries: dict[str, str] | None = None, skipped_pairs: int = 0,
+                 votes: dict[str, Counter[str]] | None = None) -> None:
+        self.direction = direction
+        self.entries = {} if entries is None else entries
+        self.skipped_pairs = skipped_pairs
+        self.votes = votes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.direction, self.entries, self.skipped_pairs) == (
+            other.direction, other.entries, other.skipped_pairs)
+
+    def __repr__(self) -> str:
+        return (f"TranslitDict(direction={self.direction!r}, entries={self.entries!r}, "
+                f"skipped_pairs={self.skipped_pairs!r})")
 
     def without(self, pairs: Sequence[ParallelPair]) -> "TranslitDict":
         """The dictionary of the pairs this one was built from, less ``pairs``.
@@ -732,8 +745,7 @@ def load_dictionary(path: str | Path) -> TranslitDict:
     return TranslitDict(DIRECTIONS[name], entries=dict(entries), skipped_pairs=skipped)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(NamedTuple):
     """Positional candidate lists for one source token."""
 
     word: str

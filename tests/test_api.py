@@ -152,3 +152,109 @@ def test_no_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
         assert tomllib.load(fh)["project"]["dependencies"] == []
+
+
+def _records():
+    """One record of each record class, with the values of its compared fields in order."""
+    from tgfa.corpus import ParallelPair, SplitSpec
+    from tgfa.metrics import EvalPair
+    from tgfa.script import DIRECTIONS
+    from tgfa.translit import Lattice, MappingTable, TranslitDict
+
+    d = DIRECTIONS["tg2fa"]
+    return [
+        pytest.param(ParallelPair, ("از", "аз", "Places", "names"), id="ParallelPair"),
+        pytest.param(SplitSpec, ((0, 2), (1,), (3,)), id="SplitSpec"),
+        pytest.param(EvalPair, ("کتاب", "کتب", "prose"), id="EvalPair"),
+        pytest.param(MappingTable, (d, {"а": ("ا", "")}), id="MappingTable"),
+        pytest.param(TranslitDict, (d, {"аз": "از"}, 2), id="TranslitDict"),
+        pytest.param(Lattice, ("аб", (("ا", ""), ("ب",))), id="Lattice"),
+    ]
+
+
+# Fields each class compares, repr shows and hashes, in order.
+_RECORD_FIELDS = {
+    "ParallelPair": ("fa", "tg", "dataset", "domain"),
+    "SplitSpec": ("train", "dev", "test"),
+    "EvalPair": ("hypothesis", "reference", "group"),
+    "MappingTable": ("direction", "entries"),
+    "TranslitDict": ("direction", "entries", "skipped_pairs"),
+    "Lattice": ("word", "slots"),
+}
+# A different value for each field, of the same type.
+_OTHER_VALUE = {str: "ک", tuple: (9,), dict: {}, int: 7}
+
+
+class TestRecords:
+    """The records keep their equality, hashing, ``repr`` and immutability whatever defines them."""
+
+    @pytest.mark.parametrize("cls,values", _records())
+    def test_repr_names_the_compared_fields(self, cls, values):
+        fields = _RECORD_FIELDS[cls.__name__]
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
+        assert repr(cls(*values)) == f"{cls.__name__}({shown})"
+        assert repr(cls(**dict(zip(fields, values)))) == repr(cls(*values))
+
+    @pytest.mark.parametrize("cls,values", _records())
+    def test_equality_and_hash_over_the_compared_fields(self, cls, values):
+        a, b = cls(*values), cls(*values)
+        assert a == b and not a != b
+        hashable = cls.__name__ not in ("MappingTable", "TranslitDict")
+        if hashable:
+            assert hash(a) == hash(b) == hash(values)
+        else:
+            with pytest.raises(TypeError):
+                hash(a)
+        for i, value in enumerate(values):
+            if type(value) not in _OTHER_VALUE:
+                continue
+            changed = list(values)
+            changed[i] = _OTHER_VALUE[type(value)]
+            if cls.__name__ == "ParallelPair" and i == 3:
+                changed[i] = "poetry"
+            assert a != cls(*changed), _RECORD_FIELDS[cls.__name__][i]
+
+    # TranslitDict is the one record that is not frozen.
+    @pytest.mark.parametrize("cls,values", [p for p in _records() if p.id != "TranslitDict"])
+    def test_frozen_records_refuse_assignment(self, cls, values):
+        record = cls(*values)
+        names = [*_RECORD_FIELDS[cls.__name__], "other"]
+        if cls.__name__ == "ParallelPair":
+            names += ["fa_train", "tg_train", "jsonl_line"]
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name, None))
+        assert tuple(getattr(record, name) for name in _RECORD_FIELDS[cls.__name__]) == values
+
+    def test_parallel_pair_derived_fields_are_not_compared(self):
+        from tgfa.corpus import ParallelPair
+
+        a = ParallelPair("از!", "Аз")
+        assert (a.fa_train, a.tg_train, a.dataset, a.domain) == ("از", "аз", "", None)
+        assert a == ParallelPair("از!", "Аз", "") and a != ParallelPair("از", "аз")
+        assert a.jsonl_line == '{"dataset": "", "fa": "از!", "tg": "Аз"}\n'
+        with pytest.raises(ValueError, match=r"^unknown domain 'verse'$"):
+            ParallelPair("از", "аз", domain="verse")
+
+    def test_translit_dict_ignores_votes(self):
+        from collections import Counter
+
+        from tgfa.script import DIRECTIONS
+        from tgfa.translit import TranslitDict
+
+        d = DIRECTIONS["fa2tg"]
+        empty = TranslitDict(d)
+        assert (empty.entries, empty.skipped_pairs, empty.votes) == ({}, 0, None)
+        assert empty.entries is not TranslitDict(d).entries
+        voted = TranslitDict(d, {"از": "аз"}, 1, {"از": Counter({"аз": 3})})
+        assert voted == TranslitDict(d, {"از": "аз"}, 1)
+        assert "votes" not in repr(voted)
+
+    def test_eval_pair_refuses_text_that_is_not_eval_normalized(self):
+        from tgfa.errors import WrongState
+        from tgfa.metrics import EvalPair
+
+        with pytest.raises(WrongState, match=r"^reference is not eval-normalized \(contains U\+002D, U\+200C\)$"):
+            EvalPair(hypothesis="کتاب", reference="ک‌ت-اب")
+        with pytest.raises(WrongState, match=r"^hypothesis is not eval-normalized \(contains U\+0650\)$"):
+            EvalPair("کِتاب", "کتاب", "names")

@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tgfa
@@ -121,6 +121,22 @@ class TestCorpusCommands:
         )
         rows = [json.loads(line) for line in result.output.splitlines()]
         assert {r["label"] for r in rows} == {"poetry", "prose", "names", "dictionary"}
+
+    @pytest.mark.parametrize("argv", [["stats"], ["train-lm", "--direction", "tg2fa", "--lm-order", "2",
+                                                  "--out", "{out}"]])
+    def test_skipped_lines_reach_stderr_as_is(self, tmp_path, argv):
+        """Each skipped line, then the count, one bare line each on stderr; run in a fresh interpreter."""
+        path = tmp_path / "c.jsonl"
+        rows = [{"fa": "از", "tg": "аз"}, {"fa": "از", "tg": "?!..."}, {}, {"fa": "«»", "tg": "1"},
+                {"fa": "این", "tg": "ин"}]
+        path.write_text("".join((json.dumps(r, ensure_ascii=False) if r else "") + "\n" for r in rows),
+                        encoding="utf-8")
+        argv = [argv[0], "--corpus", str(path), *(a.format(out=tmp_path / "lm.json") for a in argv[1:])]
+        result = _run_child("import sys\nfrom tgfa.cli import main\nmain(sys.argv[1:])\n", *argv)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == (f"{path}: line 2: tg side empty after normalization\n"
+                                 f"{path}: line 4: fa/tg side empty after normalization\n"
+                                 f"{path}: skipped 2 line(s)\n")
 
     def test_split_writes_artifacts(self, corpus_file, tmp_path):
         out = tmp_path / "split"
@@ -273,6 +289,26 @@ class TestScore:
         assert overall["cer"] == 0.0
         meta = rows[0]["meta"]
         assert meta["version"] and meta["config_hash"] and meta["inputs"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["Shahnameh", "Places", "Dictionary", "Mine", "", "names", "all"]),
+                              st.sampled_from([None, "poetry", "prose", "names", "dictionary"])),
+                    min_size=1, max_size=6))
+    def test_groups_are_the_stats_domains(self, tmp_path_factory, tags):
+        """On a corpus that ``stats --per domain`` accepts, ``score`` groups its pairs by the same labels."""
+        work = tmp_path_factory.mktemp("groups")
+        pairs = [ParallelPair(fa="از", tg="аз", dataset=dataset, domain=domain) for dataset, domain in tags]
+        corpus = write_corpus(work / "corpus.jsonl", pairs)
+        hyp = work / "hyp.txt"
+        hyp.write_text("از\n" * len(pairs), encoding="utf-8")
+        stats = run_cli(["stats", "--corpus", str(corpus), "--per", "domain", "--format", "jsonl"])
+        assume(stats.exit_code == 0)
+        scores = run_cli(["score", "--corpus", str(corpus), "--hyp", str(hyp), "--direction", "tg2fa",
+                          "--format", "jsonl"])
+        assert scores.exit_code == 0, scores.output
+        rows = [json.loads(line) for line in scores.output.splitlines()]
+        groups = {r["group"]: r["n_pairs"] for r in rows if "group" in r and r["group"] != "Overall"}
+        assert groups == {r["label"]: r["n_pairs"] for r in map(json.loads, stats.output.splitlines())}
 
     def test_length_mismatch_exit_code(self, corpus_file, tmp_path):
         hyp = tmp_path / "hyp.txt"
@@ -1187,6 +1223,25 @@ BAD_FILES = [
                  "".join(p.jsonl_line for p in toy_corpus(6, dataset="Overall") + toy_corpus(6, 8, "Places")).encode(),
                  ["pipeline", "--corpus", "{path}", "--direction", "tg2fa", "--folds", "2", "--out", "{out}"],
                  2, "score: group label 'Overall' is reserved for the pooled row", id="pipeline-overall-group"),
+    # Nor may it take the label of a domain, or that of the pairs with no dataset.
+    pytest.param("names.jsonl", ParallelPair(fa="از", tg="аз", dataset="names").jsonl_line.encode(),
+                 [*_SCORE, "--out", "{out}"], 2,
+                 "{path}: dataset 'names' has no registered domain, so its group 'names' would pool it with the "
+                 "'names' domain", id="score-names-group"),
+    pytest.param("all.jsonl", ParallelPair(fa="از", tg="аз", dataset="all").jsonl_line.encode(),
+                 [*_SCORE, "--out", "{out}"], 2,
+                 "{path}: dataset 'all' has no registered domain, so its group 'all' would pool it with the "
+                 "pairs that have no dataset", id="score-all-group"),
+    pytest.param("names.jsonl",
+                 "".join(p.jsonl_line for p in toy_corpus(6, dataset="names") + toy_corpus(6, 8, "Places")).encode(),
+                 ["pipeline", "--corpus", "{path}", "--direction", "tg2fa", "--folds", "2", "--out", "{out}"], 2,
+                 "{path}: dataset 'names' has no registered domain, so its group 'names' would pool it with the "
+                 "'names' domain", id="pipeline-names-group"),
+    pytest.param("all.jsonl",
+                 "".join(p.jsonl_line for p in toy_corpus(6, dataset="all") + toy_corpus(6, 8, "")).encode(),
+                 ["pipeline", "--corpus", "{path}", "--direction", "tg2fa", "--out", "{out}"], 2,
+                 "{path}: dataset 'all' has no registered domain, so its group 'all' would pool it with the "
+                 "pairs that have no dataset", id="pipeline-all-group"),
     pytest.param("s.scores.jsonl",
                  json.dumps({**TestReportErrors.GOOD_ROW, "group": "poetry"}).encode(),
                  ["report", "--scores", "{path}"],
@@ -1496,11 +1551,15 @@ print("_hashlib" in sys.modules)
 """
 
 
-def _run_child(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports this tgfa, with ``args`` as its ``sys.argv[1:]``."""
+def _run_child(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this tgfa, with ``args`` as its ``sys.argv[1:]``.
+
+    ``flags`` go to the interpreter, before ``-c``.
+    """
     package_root = str(Path(tgfa.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *flags, "-c", code, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 class TestDigests:
@@ -1561,8 +1620,8 @@ class TestDigests:
 
 # The modules every command loads: the CLI itself and what its option
 # table reads when it loads (Direction, DIRECTIONS and the decoder
-# defaults live in script.py, whose scripts come from tgfa/data).
-_CORE = {"tgfa", "tgfa.cli", "tgfa.data", "tgfa.errors", "tgfa.script"}
+# defaults live in script.py, which reads its scripts from tgfa/data).
+_CORE = {"tgfa", "tgfa.cli", "tgfa.errors", "tgfa.script"}
 _CORPUS = {"tgfa.corpus"}
 _METRICS = {"tgfa.metrics", "tgfa._kernels"}
 _TRANSLIT_MOD = {"tgfa.translit"}
@@ -1590,10 +1649,13 @@ LOADS = {
     "report": (["report", "--scores", "{scores}"], _CORE),
 }
 
+# Standard-library modules no command loads: each costs more start-up
+# than the one line it would serve.
+_UNLOADED = ("logging", "dataclasses", "inspect", "importlib.resources")
 # The child runs one command through tgfa.cli.main, then writes the tgfa
-# modules it loaded and whether it loaded logging and dataclasses to
-# stderr's last line.
-_LOADS_CHILD = """
+# modules it loaded and which of _UNLOADED it loaded to stderr's last
+# line. It runs under -S, since a site's .pth file may import modules.
+_LOADS_CHILD = f"""
 import json, sys
 from tgfa.cli import main
 
@@ -1601,8 +1663,8 @@ try:
     main(sys.argv[1:])
 finally:
     tgfa = sorted(name for name in sys.modules if name == "tgfa" or name.startswith("tgfa."))
-    print(json.dumps({"tgfa": tgfa, "logging": "logging" in sys.modules,
-                      "dataclasses": "dataclasses" in sys.modules}), file=sys.stderr)
+    print(json.dumps({{"tgfa": tgfa, "stdlib": [name for name in {_UNLOADED!r} if name in sys.modules]}}),
+          file=sys.stderr)
 """
 
 
@@ -1625,13 +1687,8 @@ class TestLoadedModules:
         translit.save_dictionary(translit.build_dictionary(pairs, direction), files["dict"])
         files["scores"].write_text("".join(json.dumps(r) + "\n" for r in _SCORE_ROWS), encoding="utf-8")
         argv, expected = LOADS[command]
-        result = _run_child(_LOADS_CHILD, *(arg.format(**files) for arg in argv))
+        result = _run_child(_LOADS_CHILD, *(arg.format(**files) for arg in argv), flags=("-S",))
         assert result.returncode == 0, result.stderr
         loaded = json.loads(result.stderr.splitlines()[-1])
         assert loaded["tgfa"] == sorted(expected)
-        if "tgfa.corpus" not in expected:
-            # logging comes only with corpus.py, which logs skipped lines.
-            assert not loaded["logging"]
-        if not expected & (_CORPUS | _METRICS | _TRANSLIT_MOD):
-            # dataclasses comes only with the modules that define dataclasses.
-            assert not loaded["dataclasses"]
+        assert loaded["stdlib"] == []

@@ -13,7 +13,7 @@ import tgfa
 UNTYPED_ALLOWED = {
     ("corpus.py", "_parse_jsonl_line"),
     ("corpus.py", "_parse_tsv_line"),
-    ("corpus.py", "ParallelPair.__post_init__"),
+    ("corpus.py", "ParallelPair.__new__"),
 }
 
 

@@ -354,7 +354,6 @@ class TestOneReader:
         uses = self._uses(Path(tgfa.__file__).parent / "script.py")
         assert sorted(uses) == [
             ("<module>", "json.JSONDecoder"),
-            ("data_lines", "resources.files"),
             ("split_lines", "io.StringIO"),
         ]
 
