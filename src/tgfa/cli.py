@@ -31,6 +31,7 @@ directions and the decoder defaults from script.
 from __future__ import annotations
 
 import argparse
+import builtins
 import json
 import math
 import os
@@ -51,7 +52,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from . import __version__
+from . import __version__, errors
 from .errors import ConfigError, LengthMismatch, MarkerCollision, ParseError, TgfaError
 from .script import DEFAULT_BEAM, DEFAULT_LM_ORDER, DIRECTIONS, FARSI_LETTERS, SMOOTHINGS, TAJIK_LETTERS
 from .script import Direction, NormMode, Script, load_char_table, normalize_text, parse_json_object, read_lines
@@ -575,6 +576,127 @@ def score(corpus, hyps, direction, sentence_chrf, format_, out):
                 write_utf8(out_dir / f"{name}.scores.jsonl", [_report_jsonl(rows, meta)])
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _run_share(run_block: Callable[[int], list[str]], share: range,
+               caught: type[BaseException]) -> tuple[list[list[str]], BaseException | None]:
+    """Run the blocks of ``share`` in order, up to the first that raises ``caught``.
+
+    Returns the hypothesis lines of each block that finished, and that error or None.
+    """
+    done = []
+    for i in share:
+        try:
+            done.append(run_block(i))
+        except caught as e:
+            return done, e
+    return done, None
+
+
+def _error_record(e: BaseException) -> dict:
+    """What a worker sends of its error: its class, args and attributes."""
+    attrs = dict(vars(e))
+    if isinstance(e, OSError):  # its file names are no args; one set to None would print as None
+        attrs.update((key, getattr(e, key)) for key in ("filename", "filename2") if getattr(e, key) is not None)
+    return {"class": type(e).__name__, "args": list(e.args), "attrs": attrs}
+
+
+def _rebuilt_error(record: dict) -> BaseException:
+    """The error an ``_error_record`` describes: a toolkit or built-in exception of its class.
+
+    It is built without ``__init__``, since a TgfaError's args already
+    hold its whole message; an OSError's ``__new__`` sets its errno and
+    strerror. A class of neither kind becomes a RuntimeError naming it.
+    """
+    name = record["class"]
+    cls = getattr(errors, name) if name in errors.__all__ else getattr(builtins, name, None)
+    if cls is None:
+        return RuntimeError(f"{name}{tuple(record['args'])!r}")
+    e = cls.__new__(cls, *record["args"])
+    for key, value in record["attrs"].items():
+        setattr(e, key, value)
+    return e
+
+
+def _run_blocks(run_block: Callable[[int], list[str]], n_blocks: int) -> list[str]:
+    """The hypothesis lines of ``run_block(i)`` for each i below ``n_blocks``, joined in block order.
+
+    The blocks are dealt round robin over W = min(n_blocks, usable CPUs)
+    processes: W - 1 forked workers, and this process, which runs share 0
+    itself. Without ``os.fork``, or with one block or one CPU, W is 1 and
+    every block runs here. The blocks write their own files, so the run
+    does not depend on W. (The command starts no thread, so forking is
+    safe; a spawned worker would pay the interpreter's start-up again.)
+
+    A worker writes nothing to stdout or stderr. Through its pipe it sends
+    one JSON object, its blocks' lines or its first error, and it leaves
+    through ``os._exit``. If blocks fail, the error of the lowest-numbered
+    one is raised, the one a serial run would meet first. On any way out,
+    interrupts included, each worker still running is killed and every
+    worker is reaped, so none writes into a run directory being removed.
+    """
+    workers = min(n_blocks, _usable_cpus()) if hasattr(os, "fork") else 1
+    shares = [range(w, n_blocks, workers) for w in range(workers)]
+    hyps: dict[int, list[str]] = {}
+    failed: dict[int, BaseException] = {}  # block -> its error
+    children: list[tuple[int, int, range]] = []  # (pid, read end of its pipe, its share)
+    running: set[int] = set()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # a worker: it catches everything, as nothing but its pipe may report it
+                code = 1
+                try:
+                    done, error = _run_share(run_block, share, BaseException)
+                    outcome = {"hyps": done, "error": None if error is None else _error_record(error)}
+                    data = json.dumps(outcome, default=str).encode("ascii")
+                    while data:
+                        data = data[os.write(write_end, data):]
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            children.append((pid, read_end, share))
+            running.add(pid)
+        done, error = _run_share(run_block, shares[0], Exception)
+        hyps.update(zip(shares[0], done))
+        if error is not None:
+            failed[shares[0][len(done)]] = error
+        for pid, read_end, share in children:
+            with open(read_end, "rb", closefd=False) as fh:
+                data = fh.read()
+            _, status = os.waitpid(pid, 0)
+            running.discard(pid)
+            if os.waitstatus_to_exitcode(status) != 0:
+                failed[share[0]] = TgfaError(f"worker process {pid} ended with status "
+                                             f"{os.waitstatus_to_exitcode(status)} before it sent its blocks")
+                continue
+            outcome = parse_json_object(data.decode("ascii"))
+            hyps.update(zip(share, outcome["hyps"]))
+            if outcome["error"] is not None:
+                failed[share[len(outcome["hyps"])]] = _rebuilt_error(outcome["error"])
+    finally:
+        for pid, read_end, _ in children:
+            os.close(read_end)
+            if pid in running:
+                from signal import SIGKILL
+
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    if failed:
+        raise failed[min(failed)]
+    return [line for i in range(n_blocks) for line in hyps[i]]
+
+
 @_command(
     "pipeline", _CORPUS, _DIRECTION, _SEED, _BEAM, _LM_ORDER,
     _opt("--folds", type=_fold_count, default=0, help="0 = 80/10/10 holdout; k >= 2 = k-fold cross-validation."),
@@ -589,6 +711,8 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
     whole corpus. Each block's, the holdout's or a fold's, are derived
     from them by subtracting its held-out pairs (dev and test), which
     equals training on its training pairs, byte for byte once saved.
+    The blocks run in one process per usable CPU; no output depends on
+    how many.
     """
     from . import corpus as corpus_mod
     from . import translit as translit_mod
@@ -596,7 +720,7 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
         pairs = corpus_mod.load(corpus)
     with _stage(corpus):
         for p in pairs:
-            corpus_mod.group_of(p)  # refuses a group label that merges two groups, before any work
+            corpus_mod.group_of(p)  # refuses a group label that merges two groups, or "Overall", before any work
     table = translit_mod.default_mapping_table(direction.name)
     with _stage("split"), _stage(corpus):
         if folds == 0:
@@ -649,11 +773,8 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
         with _stage("train-lm"):
             whole_lm = translit_mod.train_lm([p.text(direction.target) for p in pairs], order=lm_order)
 
-        scored: list[ParallelPair] = []
-        scored_hyps: list[str] = []
-        for name, spec in zip(blocks, specs):
-            scored_hyps.extend(run_block(name, spec))
-            scored.extend(pairs[i] for i in spec.test)
+        scored_hyps = _run_blocks(lambda i: run_block(blocks[i], specs[i]), len(blocks))
+        scored = [pairs[i] for spec in specs for i in spec.test]
         _write_lines(work / "test.ref.txt", (p.text(direction.target, train=False) for p in scored))
         system = f"baseline-{direction.name}"
         with _stage("score"):

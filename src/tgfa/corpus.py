@@ -208,12 +208,15 @@ def group_of(pair: ParallelPair) -> str:
     """A pair's score group: its domain, else its dataset, else ``all``.
 
     ConfigError if a pair with no domain has an unregistered dataset
-    named like a domain or ``all``: the two groups would be pooled.
+    named like a domain or ``all``: the two groups would be pooled. So
+    is one named ``Overall``, the label of the pooled row.
     """
     try:
         return domain_of(pair)
     except UnknownDataset:
         label = pair.dataset or "all"
+    if label == "Overall":
+        raise ConfigError("group label 'Overall' is reserved for the pooled row")
     if pair.dataset in (*DOMAINS, "all"):
         whom = "the pairs that have no dataset" if label == "all" else f"the {label!r} domain"
         raise ConfigError(f"dataset {label!r} has no registered domain, so its group {label!r} "

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 import tgfa
 from tgfa.cli import COMMANDS, _config_hash, _dir_path, _direction, _existing_file, _file_path, _sha256, env_var, main
 from tgfa.corpus import ParallelPair
-from tgfa.errors import ParseError
+from tgfa.errors import ParseError, UnknownChar
 from tgfa.script import parse_json_object
-from tgfa import translit
+from tgfa import cli, translit
 from tgfa.translit import MappingTable, train_lm
 
 from conftest import run_cli, tajik_char_table, toy_corpus
@@ -443,6 +443,7 @@ class TestPipelineAndReport:
     def test_pipeline_normalizes_each_text_once(self, tmp_path, monkeypatch):
         from tgfa import script
 
+        _set_workers(monkeypatch, 1)  # the calls are counted in this process, so every block runs here
         n_pairs = 30
         corpus = write_corpus(tmp_path / "c.jsonl", toy_corpus(n_pairs))
         calls: Counter = Counter()
@@ -590,6 +591,172 @@ SURFACE = {
 def _names(word: str, text: str) -> bool:
     """Whether ``text`` holds ``word`` as a whole flag or command name: ``--out`` is not in ``--output``."""
     return re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", text) is not None
+
+
+def _tree(directory: Path) -> dict[str, bytes]:
+    """Every file under ``directory``, by its relative path."""
+    return {p.relative_to(directory).as_posix(): p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _set_workers(monkeypatch, n: int) -> None:
+    """Make ``pipeline`` see ``n`` usable CPUs, so it runs its blocks in up to ``n`` processes."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
+
+
+def _fail_in_blocks(monkeypatch, blocks, raise_) -> None:
+    """Make ``save_lm`` call ``raise_(path)`` instead of writing the LM of each block directory in ``blocks``."""
+    save_lm = translit.save_lm
+
+    def failing(lm, path):
+        if Path(path).parent.name in blocks:
+            raise_(path)
+        save_lm(lm, path)
+
+    monkeypatch.setattr(translit, "save_lm", failing)
+
+
+class TestPipelineWorkers:
+    """``pipeline`` runs its blocks in one process per usable CPU; nothing it writes or reports depends on how many."""
+
+    @pytest.mark.parametrize("folds", ["0", "2", "3", "10"])
+    def test_worker_counts_give_the_same_run(self, tmp_path, monkeypatch, folds):
+        pairs = toy_corpus(24, dataset="Masnavi") + toy_corpus(24, seed=8, dataset="Places")
+        corpus = write_corpus(tmp_path / "c.jsonl", pairs)
+        fork, forks = os.fork, []
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        runs = {}
+        for n in (1, 2, 3):
+            _set_workers(monkeypatch, n)
+            forks.clear()
+            out = tmp_path / f"run{n}"
+            argv = ["pipeline", "--corpus", str(corpus), "--direction", "tg2fa", "--folds", folds, "--out", str(out)]
+            result = run_cli(argv)
+            assert result.exit_code == 0, result.output
+            _assert_no_child_left()
+            assert len(forks) == min(n, max(1, int(folds))) - 1
+            runs[n] = (result.output, _tree(out))
+        assert runs[2] == runs[1]
+        assert runs[3] == runs[1]
+
+    @pytest.mark.parametrize("error", [
+        UnknownChar("x", "wx", 1, 0, line=3, path="in.txt"),
+        FileNotFoundError(2, "No such file or directory", "a/b"),
+        OSError(18, "Invalid cross-device link", "a", None, "b"),
+        PermissionError(13, "Permission denied"),
+        KeyboardInterrupt(),
+    ], ids=lambda e: type(e).__name__)
+    def test_error_crosses_the_pipe_whole(self, error):
+        record = parse_json_object(json.dumps(cli._error_record(error), default=str))
+        rebuilt = cli._rebuilt_error(record)
+        assert type(rebuilt) is type(error)
+        assert (str(rebuilt), rebuilt.args, vars(rebuilt)) == (str(error), error.args, vars(error))
+        if isinstance(error, OSError):
+            fields = ("errno", "strerror", "filename", "filename2")
+            assert [getattr(rebuilt, f) for f in fields] == [getattr(error, f) for f in fields]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("gaps", [(1,), (1, 2), (0, 1)], ids=lambda gaps: "-".join(f"fold{f:02d}" for f in gaps))
+    def test_inventory_gap_fails_as_in_one_process(self, tmp_path, monkeypatch, workers, gaps):
+        # Without its fa2tg table row, U+0671 (alef wasla) is an inventory
+        # gap; it opens the first test pair of each fold in ``gaps``.
+        from tgfa.corpus import kfold
+
+        default_table = translit.default_mapping_table
+
+        def table_without_wasla(name):
+            table = default_table(name)
+            return MappingTable(table.direction, {c: v for c, v in table.entries.items() if c != "\u0671"})
+
+        monkeypatch.setattr(translit, "default_mapping_table", table_without_wasla)
+        pairs = toy_corpus(30)
+        for fold in gaps:
+            i = kfold(pairs, k=3)[fold].test[0]
+            pairs[i] = ParallelPair(fa="\u0671" + pairs[i].fa, tg=pairs[i].tg, dataset=pairs[i].dataset)
+        corpus = write_corpus(tmp_path / "gap.jsonl", pairs)
+        out = tmp_path / "run"
+        argv = ["pipeline", "--corpus", str(corpus), "--direction", "fa2tg", "--folds", "3", "--out", str(out)]
+        results = []
+        for n in (1, workers):
+            _set_workers(monkeypatch, n)
+            results.append(run_cli(argv))
+            _assert_no_child_left()
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["gap.jsonl"]  # no run directory, nor a sibling
+        one, many = results
+        assert one.exit_code == many.exit_code == 3, many.output
+        assert isinstance(many.exception, SystemExit) and "Traceback" not in many.output
+        # The first failing block, as a serial run meets it.
+        assert f"translit: {out / f'fold{gaps[0]:02d}' / 'test.src.txt'}: line " in one.output
+        assert many.output == one.output
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_unwritable_file_fails_as_in_one_process(self, corpus_file, tmp_path, monkeypatch, workers):
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        _fail_in_blocks(monkeypatch, {"fold01"}, refuse)
+        argv = ["pipeline", "--corpus", str(corpus_file), "--direction", "tg2fa", "--folds", "3",
+                "--out", str(tmp_path / "run")]
+        results = []
+        for n in (1, workers):
+            _set_workers(monkeypatch, n)
+            results.append(run_cli(argv))
+            _assert_no_child_left()
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+        one, many = results
+        assert one.exit_code == many.exit_code == 2, many.output
+        assert isinstance(many.exception, SystemExit) and "Traceback" not in many.output
+        assert "fold01/lm.json: Permission denied" in one.output
+        assert many.output == one.output
+
+    def test_worker_that_dies_is_an_error(self, corpus_file, tmp_path, monkeypatch):
+        _set_workers(monkeypatch, 2)
+        _fail_in_blocks(monkeypatch, {"fold01"}, lambda path: os._exit(5))
+        result = run_cli(["pipeline", "--corpus", str(corpus_file), "--direction", "tg2fa", "--folds", "2",
+                          "--out", str(tmp_path / "run")])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit) and "Traceback" not in result.output
+        assert re.search(r"^Error: worker process \d+ ended with status 5 before it sent its blocks$", result.output,
+                         re.MULTILINE), result.output
+        _assert_no_child_left()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+    @pytest.mark.parametrize("share", ["parent", "worker"])
+    def test_interrupt_in_either_share_leaves_no_temporary_directory_and_no_worker(
+            self, corpus_file, tmp_path, monkeypatch, share):
+        # Blocks fold00 and fold01: the first is this process's, the second a worker's.
+        import time
+
+        _set_workers(monkeypatch, 2)
+        interrupted, other = ("fold00", "fold01") if share == "parent" else ("fold01", "fold00")
+
+        def interrupt(path):
+            raise KeyboardInterrupt
+
+        def stall(path):
+            time.sleep(60)
+
+        _fail_in_blocks(monkeypatch, {interrupted}, interrupt)
+        if share == "parent":  # the worker is still running when the interrupt comes, and must be killed
+            _fail_in_blocks(monkeypatch, {other}, stall)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["pipeline", "--corpus", str(corpus_file), "--direction", "tg2fa", "--folds", "2",
+                     "--out", str(tmp_path / "run")])
+        assert time.monotonic() - start < 30
+        _assert_no_child_left()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
 
 class TestSurface:
@@ -1002,6 +1169,7 @@ class TestFlagValidation:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
     def test_pipeline_interrupted_in_a_fold_leaves_no_temporary_directory(self, corpus_file, tmp_path, monkeypatch):
+        _set_workers(monkeypatch, 1)  # the calls are counted in this process, so every block runs here
         save_lm = translit.save_lm
         calls = []
 
@@ -1222,7 +1390,7 @@ BAD_FILES = [
     pytest.param("overall.jsonl",
                  "".join(p.jsonl_line for p in toy_corpus(6, dataset="Overall") + toy_corpus(6, 8, "Places")).encode(),
                  ["pipeline", "--corpus", "{path}", "--direction", "tg2fa", "--folds", "2", "--out", "{out}"],
-                 2, "score: group label 'Overall' is reserved for the pooled row", id="pipeline-overall-group"),
+                 2, "{path}: group label 'Overall' is reserved for the pooled row", id="pipeline-overall-group"),
     # Nor may it take the label of a domain, or that of the pairs with no dataset.
     pytest.param("names.jsonl", ParallelPair(fa="از", tg="аз", dataset="names").jsonl_line.encode(),
                  [*_SCORE, "--out", "{out}"], 2,
@@ -1651,7 +1819,9 @@ LOADS = {
 
 # Standard-library modules no command loads: each costs more start-up
 # than the one line it would serve.
-_UNLOADED = ("logging", "dataclasses", "inspect", "importlib.resources")
+_UNLOADED = ("logging", "dataclasses", "inspect", "importlib.resources",
+             # and none the pipeline's workers need: they are forked and talk through pipes
+             "multiprocessing", "concurrent.futures", "pickle", "subprocess", "threading")
 # The child runs one command through tgfa.cli.main, then writes the tgfa
 # modules it loaded and which of _UNLOADED it loaded to stderr's last
 # line. It runs under -S, since a site's .pth file may import modules.
