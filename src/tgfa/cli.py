@@ -31,7 +31,6 @@ directions and the decoder defaults from script.
 from __future__ import annotations
 
 import argparse
-import builtins
 import json
 import math
 import os
@@ -52,8 +51,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from . import __version__, errors
-from .errors import ConfigError, LengthMismatch, MarkerCollision, ParseError, TgfaError
+from . import __version__
+from .errors import ConfigError, LengthMismatch, MarkerCollision, ParseError, TgfaError, TooSmall
 from .script import DEFAULT_BEAM, DEFAULT_LM_ORDER, DIRECTIONS, FARSI_LETTERS, SMOOTHINGS, TAJIK_LETTERS
 from .script import Direction, NormMode, Script, load_char_table, normalize_text, parse_json_object, read_lines
 from .script import temporary_sibling, write_utf8
@@ -584,117 +583,60 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_share(run_block: Callable[[int], list[str]], share: range,
-               caught: type[BaseException]) -> tuple[list[list[str]], BaseException | None]:
-    """Run the blocks of ``share`` in order, up to the first that raises ``caught``.
+def _run_blocks(run_block: Callable[[int], None], done: Callable[[int], bool], n_blocks: int) -> None:
+    """Run ``run_block(i)`` for each i below ``n_blocks``: a parallel pass, then a serial one.
 
-    Returns the hypothesis lines of each block that finished, and that error or None.
-    """
-    done = []
-    for i in share:
-        try:
-            done.append(run_block(i))
-        except caught as e:
-            return done, e
-    return done, None
+    The parallel pass deals the blocks round robin over W = min(n_blocks,
+    usable CPUs) processes: W - 1 forked workers, and this process, which
+    runs share 0 itself. Without ``os.fork``, or with one block or one
+    CPU, W is 1 and there is no parallel pass. (The command starts no
+    thread, so forking is safe; a spawned worker would pay the
+    interpreter's start-up again.) A process leaves its share at its
+    first failing block; a worker writes nothing to stdout or stderr and
+    leaves through ``os._exit(0)``, so a worker that ends with another
+    status died, a TgfaError. On any way out, interrupts included, each
+    worker still running is killed and every worker is reaped, so none
+    writes into a run directory being removed.
 
-
-def _error_record(e: BaseException) -> dict:
-    """What a worker sends of its error: its class, args and attributes."""
-    attrs = dict(vars(e))
-    if isinstance(e, OSError):  # its file names are no args; one set to None would print as None
-        attrs.update((key, getattr(e, key)) for key in ("filename", "filename2") if getattr(e, key) is not None)
-    return {"class": type(e).__name__, "args": list(e.args), "attrs": attrs}
-
-
-def _rebuilt_error(record: dict) -> BaseException:
-    """The error an ``_error_record`` describes: a toolkit or built-in exception of its class.
-
-    It is built without ``__init__``, since a TgfaError's args already
-    hold its whole message; an OSError's ``__new__`` sets its errno and
-    strerror. A class of neither kind becomes a RuntimeError naming it.
-    """
-    name = record["class"]
-    cls = getattr(errors, name) if name in errors.__all__ else getattr(builtins, name, None)
-    if cls is None:
-        return RuntimeError(f"{name}{tuple(record['args'])!r}")
-    e = cls.__new__(cls, *record["args"])
-    for key, value in record["attrs"].items():
-        setattr(e, key, value)
-    return e
-
-
-def _run_blocks(run_block: Callable[[int], list[str]], n_blocks: int) -> list[str]:
-    """The hypothesis lines of ``run_block(i)`` for each i below ``n_blocks``, joined in block order.
-
-    The blocks are dealt round robin over W = min(n_blocks, usable CPUs)
-    processes: W - 1 forked workers, and this process, which runs share 0
-    itself. Without ``os.fork``, or with one block or one CPU, W is 1 and
-    every block runs here. The blocks write their own files, so the run
-    does not depend on W. (The command starts no thread, so forking is
-    safe; a spawned worker would pay the interpreter's start-up again.)
-
-    A worker writes nothing to stdout or stderr. Through its pipe it sends
-    one JSON object, its blocks' lines or its first error, and it leaves
-    through ``os._exit``. If blocks fail, the error of the lowest-numbered
-    one is raised, the one a serial run would meet first. On any way out,
-    interrupts included, each worker still running is killed and every
-    worker is reaped, so none writes into a run directory being removed.
+    The serial pass then runs here, in block order, each block that is
+    not ``done``: so the lowest-numbered failing block raises its own
+    error, as it would in a run without workers.
     """
     workers = min(n_blocks, _usable_cpus()) if hasattr(os, "fork") else 1
-    shares = [range(w, n_blocks, workers) for w in range(workers)]
-    hyps: dict[int, list[str]] = {}
-    failed: dict[int, BaseException] = {}  # block -> its error
-    children: list[tuple[int, int, range]] = []  # (pid, read end of its pipe, its share)
-    running: set[int] = set()
-    sys.stdout.flush()
-    sys.stderr.flush()
-    try:
-        for share in shares[1:]:
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # a worker: it catches everything, as nothing but its pipe may report it
-                code = 1
-                try:
-                    done, error = _run_share(run_block, share, BaseException)
-                    outcome = {"hyps": done, "error": None if error is None else _error_record(error)}
-                    data = json.dumps(outcome, default=str).encode("ascii")
-                    while data:
-                        data = data[os.write(write_end, data):]
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write_end)
-            children.append((pid, read_end, share))
-            running.add(pid)
-        done, error = _run_share(run_block, shares[0], Exception)
-        hyps.update(zip(shares[0], done))
-        if error is not None:
-            failed[shares[0][len(done)]] = error
-        for pid, read_end, share in children:
-            with open(read_end, "rb", closefd=False) as fh:
-                data = fh.read()
-            _, status = os.waitpid(pid, 0)
-            running.discard(pid)
-            if os.waitstatus_to_exitcode(status) != 0:
-                failed[share[0]] = TgfaError(f"worker process {pid} ended with status "
-                                             f"{os.waitstatus_to_exitcode(status)} before it sent its blocks")
-                continue
-            outcome = parse_json_object(data.decode("ascii"))
-            hyps.update(zip(share, outcome["hyps"]))
-            if outcome["error"] is not None:
-                failed[share[len(outcome["hyps"])]] = _rebuilt_error(outcome["error"])
-    finally:
-        for pid, read_end, _ in children:
-            os.close(read_end)
-            if pid in running:
+    if workers > 1:
+        running: list[int] = []
+        sys.stdout.flush()
+        sys.stderr.flush()
+        try:
+            for w in range(1, workers):
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        for i in range(w, n_blocks, workers):
+                            run_block(i)
+                    finally:  # whatever a block raised: the serial pass runs it again
+                        os._exit(0)
+                running.append(pid)
+            try:
+                for i in range(0, n_blocks, workers):
+                    run_block(i)
+            except Exception:  # left undone for the serial pass; an interrupt propagates at once
+                pass
+            while running:
+                _, status = os.waitpid(running[0], 0)
+                pid = running.pop(0)
+                if status:
+                    raise TgfaError(f"worker process {pid} ended with status {os.waitstatus_to_exitcode(status)} "
+                                    "before it finished its share")
+        finally:
+            for pid in running:
                 from signal import SIGKILL
 
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
-    if failed:
-        raise failed[min(failed)]
-    return [line for i in range(n_blocks) for line in hyps[i]]
+    for i in range(n_blocks):
+        if not done(i):
+            run_block(i)
 
 
 @_command(
@@ -705,14 +647,18 @@ def _run_blocks(run_block: Callable[[int], list[str]], n_blocks: int) -> list[st
 def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
     """Run split, training, transliteration and scoring in one go.
 
-    The split comes first, so a corpus too small for it leaves no run
-    directory; nor does a later stage that fails, as ``_run_directory``
-    builds it aside. The dictionary and the LM are built once on the
-    whole corpus. Each block's, the holdout's or a fold's, are derived
-    from them by subtracting its held-out pairs (dev and test), which
-    equals training on its training pairs, byte for byte once saved.
-    The blocks run in one process per usable CPU; no output depends on
-    how many.
+    The split comes first, so a corpus too small for it, or a holdout
+    split with no test pair, leaves no run directory; nor does a later
+    stage that fails, as ``_run_directory`` builds it aside. The
+    dictionary and the LM are built once on the whole corpus. Each
+    block's, the holdout's or a fold's, are derived from them by
+    subtracting its held-out pairs (dev and test), which equals training
+    on its training pairs, byte for byte once saved. The blocks run in a
+    parallel pass, one process per usable CPU, each writing its files;
+    then a serial pass in this process runs again every block that has
+    no ``test.hyp.txt``, so a failing block raises its own error, the
+    lowest-numbered first. The hypotheses are read back from the run
+    directory; no output depends on how many processes ran.
     """
     from . import corpus as corpus_mod
     from . import translit as translit_mod
@@ -725,13 +671,15 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
     with _stage("split"), _stage(corpus):
         if folds == 0:
             specs = [corpus_mod.split_holdout(pairs, seed=seed)]
+            if not specs[0].test:
+                raise TooSmall(f"the 80/10/10 split of {len(pairs)} pairs leaves no test pair")
         else:
             specs = corpus_mod.kfold(pairs, k=folds, seed=seed)
     config = {"command": "pipeline", "direction": direction.name, "corpus": str(corpus), "seed": seed,
               "beam": beam, "lm_order": lm_order, "folds": folds}
     meta = _meta(config, [corpus], seed=seed)
 
-    def run_block(name: str, spec: SplitSpec) -> list[str]:
+    def run_block(name: str, spec: SplitSpec) -> None:
         """Decode ``spec.test`` with the whole corpus's models less the held-out pairs.
 
         A function of its own, so that one block's models and LM memo
@@ -755,8 +703,7 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
         where = str(Path(out, name, "test.src.txt"))  # as the finished run names it
         with _stage("translit"):
             hyp_lines = translit_mod.transliterate_lines(sources, table, dictionary, lm, beam, where=where)
-        _write_lines(block_dir / "test.hyp.txt", hyp_lines)
-        return hyp_lines
+        _write_lines(block_dir / "test.hyp.txt", hyp_lines)  # last, and whole: the block is done
 
     with _run_directory(out) as work:
         _write_json(work / "config.json", {"config": config, "meta": meta})
@@ -773,7 +720,9 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
         with _stage("train-lm"):
             whole_lm = translit_mod.train_lm([p.text(direction.target) for p in pairs], order=lm_order)
 
-        scored_hyps = _run_blocks(lambda i: run_block(blocks[i], specs[i]), len(blocks))
+        hyp_files = [work / name / "test.hyp.txt" for name in blocks]
+        _run_blocks(lambda i: run_block(blocks[i], specs[i]), lambda i: hyp_files[i].exists(), len(blocks))
+        scored_hyps = [line for path in hyp_files for line in read_lines(path)]  # exact: no hypothesis holds a CR or LF
         scored = [pairs[i] for spec in specs for i in spec.test]
         _write_lines(work / "test.ref.txt", (p.text(direction.target, train=False) for p in scored))
         system = f"baseline-{direction.name}"

@@ -230,7 +230,9 @@ def stats(pairs: Sequence[ParallelPair], per: str = "dataset") -> list[dict]:
     The rows, in label order, are those ``stats --format jsonl`` prints:
     ``label``, ``n_pairs``, ``fa_avg_tokens``, ``fa_avg_chars``,
     ``tg_avg_tokens`` and ``tg_avg_chars``. Character averages count all
-    scalars of the normalized sequence, including internal spaces.
+    scalars of the normalized sequence, including internal spaces. Per
+    dataset, pairs with none are labelled ``all``, as ``group_of`` does;
+    ConfigError if a dataset is also named ``all``.
     """
     if not pairs:
         raise EmptyCorpus("no pairs")
@@ -245,6 +247,10 @@ def stats(pairs: Sequence[ParallelPair], per: str = "dataset") -> list[dict]:
         row[2] += len(p.fa_train)
         row[3] += len(p.tg_train.split())
         row[4] += len(p.tg_train)
+    if per == "dataset" and "" in acc:
+        if "all" in acc:
+            raise ConfigError("dataset 'all' would be pooled with the pairs that have no dataset, labelled 'all'")
+        acc["all"] = acc.pop("")
     return [
         {
             "label": label,

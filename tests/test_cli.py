@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import tgfa
 from tgfa.cli import COMMANDS, _config_hash, _dir_path, _direction, _existing_file, _file_path, _sha256, env_var, main
 from tgfa.corpus import ParallelPair
-from tgfa.errors import ParseError, UnknownChar
+from tgfa.errors import ParseError
 from tgfa.script import parse_json_object
 from tgfa import cli, translit
 from tgfa.translit import MappingTable, train_lm
@@ -650,22 +650,6 @@ class TestPipelineWorkers:
         assert runs[2] == runs[1]
         assert runs[3] == runs[1]
 
-    @pytest.mark.parametrize("error", [
-        UnknownChar("x", "wx", 1, 0, line=3, path="in.txt"),
-        FileNotFoundError(2, "No such file or directory", "a/b"),
-        OSError(18, "Invalid cross-device link", "a", None, "b"),
-        PermissionError(13, "Permission denied"),
-        KeyboardInterrupt(),
-    ], ids=lambda e: type(e).__name__)
-    def test_error_crosses_the_pipe_whole(self, error):
-        record = parse_json_object(json.dumps(cli._error_record(error), default=str))
-        rebuilt = cli._rebuilt_error(record)
-        assert type(rebuilt) is type(error)
-        assert (str(rebuilt), rebuilt.args, vars(rebuilt)) == (str(error), error.args, vars(error))
-        if isinstance(error, OSError):
-            fields = ("errno", "strerror", "filename", "filename2")
-            assert [getattr(rebuilt, f) for f in fields] == [getattr(error, f) for f in fields]
-
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("gaps", [(1,), (1, 2), (0, 1)], ids=lambda gaps: "-".join(f"fold{f:02d}" for f in gaps))
     def test_inventory_gap_fails_as_in_one_process(self, tmp_path, monkeypatch, workers, gaps):
@@ -727,8 +711,44 @@ class TestPipelineWorkers:
                           "--out", str(tmp_path / "run")])
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit) and "Traceback" not in result.output
-        assert re.search(r"^Error: worker process \d+ ended with status 5 before it sent its blocks$", result.output,
+        assert re.search(r"^Error: worker process \d+ ended with status 5 before it finished its share$", result.output,
                          re.MULTILINE), result.output
+        _assert_no_child_left()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+    def test_block_that_fails_only_in_a_worker_is_run_again(self, corpus_file, tmp_path, monkeypatch):
+        # A fault of the worker's process, not of its block: the serial pass runs the block again, and it passes.
+        parent = os.getpid()
+
+        def refuse_in_a_worker(path):
+            if os.getpid() != parent:
+                raise PermissionError(13, "Permission denied", str(path))
+
+        _fail_in_blocks(monkeypatch, {"fold01"}, refuse_in_a_worker)
+        runs = []
+        for n in (1, 2):
+            _set_workers(monkeypatch, n)
+            out = tmp_path / f"run{n}"
+            result = run_cli(["pipeline", "--corpus", str(corpus_file), "--direction", "tg2fa", "--folds", "2",
+                              "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            _assert_no_child_left()
+            runs.append((result.output, _tree(out)))
+        assert runs[1] == runs[0]
+
+    def test_error_of_a_worker_block_reaches_the_caller_as_its_class(self, corpus_file, tmp_path, monkeypatch):
+        class Fault(Exception):
+            pass
+
+        def fault(path):
+            raise Fault(str(path))
+
+        _set_workers(monkeypatch, 2)
+        _fail_in_blocks(monkeypatch, {"fold01"}, fault)
+        out = tmp_path / "run"
+        with pytest.raises(Fault, match=r"/fold01/lm\.json$"):
+            run_cli(["pipeline", "--corpus", str(corpus_file), "--direction", "tg2fa", "--folds", "2",
+                     "--out", str(out)])
         _assert_no_child_left()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
@@ -1410,6 +1430,16 @@ BAD_FILES = [
                  ["pipeline", "--corpus", "{path}", "--direction", "tg2fa", "--out", "{out}"], 2,
                  "{path}: dataset 'all' has no registered domain, so its group 'all' would pool it with the "
                  "pairs that have no dataset", id="pipeline-all-group"),
+    pytest.param("all.jsonl",
+                 "".join(p.jsonl_line for p in toy_corpus(2, dataset="all") + toy_corpus(2, 8, "")).encode(),
+                 ["stats", "--corpus", "{path}"], 2,
+                 "{path}: dataset 'all' would be pooled with the pairs that have no dataset, labelled 'all'",
+                 id="stats-all-dataset"),
+    # Twelve singleton datasets: the stratified 80/10/10 split puts each pair in train.
+    pytest.param("singletons.jsonl",
+                 "".join(ParallelPair(p.fa, p.tg, f"D{i}").jsonl_line for i, p in enumerate(toy_corpus(12))).encode(),
+                 ["pipeline", "--corpus", "{path}", "--direction", "tg2fa", "--out", "{out}"], 2,
+                 "split: {path}: the 80/10/10 split of 12 pairs leaves no test pair", id="pipeline-no-test-pair"),
     pytest.param("s.scores.jsonl",
                  json.dumps({**TestReportErrors.GOOD_ROW, "group": "poetry"}).encode(),
                  ["report", "--scores", "{path}"],

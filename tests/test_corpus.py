@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tgfa.errors import BadMap, EmptyCorpus, ParseError, TooSmall, UnknownDataset
+from tgfa.errors import BadMap, ConfigError, EmptyCorpus, ParseError, TooSmall, UnknownDataset
 from tgfa.script import ZWNJ, NormMode, Script, normalize_text
 from tgfa.corpus import (
     DATASET_DOMAINS,
@@ -197,6 +197,16 @@ class TestStats:
     def test_empty(self):
         with pytest.raises(EmptyCorpus):
             stats([])
+
+    def test_pairs_without_a_dataset_are_labelled_all(self):
+        # As score groups them; a dataset named "all" alone keeps its label.
+        bare = toy_corpus(3, dataset="")
+        assert [row["label"] for row in stats(bare + toy_corpus(2, dataset="Masnavi"))] == ["Masnavi", "all"]
+        assert [row["n_pairs"] for row in stats(toy_corpus(2, dataset="all"))] == [2]
+
+    def test_dataset_named_all_beside_pairs_without_one_is_refused(self):
+        with pytest.raises(ConfigError, match="dataset 'all' would be pooled with the pairs that have no dataset"):
+            stats(toy_corpus(2, dataset="all") + toy_corpus(3, dataset=""))
 
 
 class TestSplitHoldout:
