@@ -58,7 +58,7 @@ from .script import Direction, NormMode, Script, load_char_table, normalize_text
 from .script import temporary_sibling, write_utf8
 
 if TYPE_CHECKING:
-    from .corpus import ParallelPair, SplitSpec
+    from .corpus import ParallelPair
 
 # A system's score rows, the form of every score table and file: the
 # rows of metrics.score_corpus, one per group and then "Overall", each
@@ -583,10 +583,10 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_blocks(run_block: Callable[[int], None], done: Callable[[int], bool], n_blocks: int) -> None:
-    """Run ``run_block(i)`` for each i below ``n_blocks``: a parallel pass, then a serial one.
+def _run_blocks(run_block: Callable[[int], None], outputs: Sequence[Path]) -> None:
+    """Run ``run_block(i)`` for each block i, whose last file is ``outputs[i]``: a parallel pass, then a serial one.
 
-    The parallel pass deals the blocks round robin over W = min(n_blocks,
+    The parallel pass deals the blocks round robin over W = min(blocks,
     usable CPUs) processes: W - 1 forked workers, and this process, which
     runs share 0 itself. Without ``os.fork``, or with one block or one
     CPU, W is 1 and there is no parallel pass. (The command starts no
@@ -598,10 +598,11 @@ def _run_blocks(run_block: Callable[[int], None], done: Callable[[int], bool], n
     worker still running is killed and every worker is reaped, so none
     writes into a run directory being removed.
 
-    The serial pass then runs here, in block order, each block that is
-    not ``done``: so the lowest-numbered failing block raises its own
-    error, as it would in a run without workers.
+    The serial pass then runs here, in block order, each block whose
+    last file does not exist: so the lowest-numbered failing block raises
+    its own error, as it would in a run without workers.
     """
+    n_blocks = len(outputs)
     workers = min(n_blocks, _usable_cpus()) if hasattr(os, "fork") else 1
     if workers > 1:
         running: list[int] = []
@@ -634,8 +635,8 @@ def _run_blocks(run_block: Callable[[int], None], done: Callable[[int], bool], n
 
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
-    for i in range(n_blocks):
-        if not done(i):
+    for i, output in enumerate(outputs):
+        if not output.exists():
             run_block(i)
 
 
@@ -650,15 +651,12 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
     The split comes first, so a corpus too small for it, or a holdout
     split with no test pair, leaves no run directory; nor does a later
     stage that fails, as ``_run_directory`` builds it aside. The
-    dictionary and the LM are built once on the whole corpus. Each
-    block's, the holdout's or a fold's, are derived from them by
-    subtracting its held-out pairs (dev and test), which equals training
-    on its training pairs, byte for byte once saved. The blocks run in a
-    parallel pass, one process per usable CPU, each writing its files;
-    then a serial pass in this process runs again every block that has
-    no ``test.hyp.txt``, so a failing block raises its own error, the
-    lowest-numbered first. The hypotheses are read back from the run
-    directory; no output depends on how many processes ran.
+    dictionary and the LM are built once on the whole corpus, and
+    ``translit.decode_block`` derives and decodes each block, the
+    holdout's or a fold's; this command only writes the block's files.
+    The blocks run through ``_run_blocks``, one process per usable CPU,
+    and the hypotheses are read back from the blocks' ``test.hyp.txt``,
+    so no output depends on how many processes ran.
     """
     from . import corpus as corpus_mod
     from . import translit as translit_mod
@@ -678,56 +676,40 @@ def pipeline(corpus, direction, seed, beam, lm_order, folds, out):
     config = {"command": "pipeline", "direction": direction.name, "corpus": str(corpus), "seed": seed,
               "beam": beam, "lm_order": lm_order, "folds": folds}
     meta = _meta(config, [corpus], seed=seed)
-
-    def run_block(name: str, spec: SplitSpec) -> None:
-        """Decode ``spec.test`` with the whole corpus's models less the held-out pairs.
-
-        A function of its own, so that one block's models and LM memo
-        are freed before the next block's are derived. ``name`` is the
-        block's directory in the run, "" for the holdout.
-        """
-        block_dir = work / name
-        block_dir.mkdir(exist_ok=True)
-        test_pairs = [pairs[i] for i in spec.test]
-        held_out = [pairs[i] for i in spec.dev] + test_pairs
-        corpus_mod.save([pairs[i] for i in spec.train], block_dir / "train.jsonl")
-        corpus_mod.save(test_pairs, block_dir / "test.jsonl")
-        with _stage("build-dict"):
-            dictionary = whole_dict.without(held_out)
-        translit_mod.save_dictionary(dictionary, block_dir / "dict.json")
-        with _stage("train-lm"):
-            lm = whole_lm.without(p.text(direction.target) for p in held_out)
-        translit_mod.save_lm(lm, block_dir / "lm.json")
-        sources = [p.text(direction.source) for p in test_pairs]
-        _write_lines(block_dir / "test.src.txt", sources)
-        where = str(Path(out, name, "test.src.txt"))  # as the finished run names it
-        with _stage("translit"):
-            hyp_lines = translit_mod.transliterate_lines(sources, table, dictionary, lm, beam, where=where)
-        _write_lines(block_dir / "test.hyp.txt", hyp_lines)  # last, and whole: the block is done
+    blocks = [""] if folds == 0 else [f"fold{i:02d}" for i in range(folds)]  # directories in the run
+    whole_dict = translit_mod.build_dictionary(pairs, direction)
+    whole_lm = translit_mod.train_lm([p.text(direction.target) for p in pairs], order=lm_order)
 
     with _run_directory(out) as work:
+        def run_block(i: int) -> None:
+            """Write block i's six files, ``test.hyp.txt`` last and whole: the block is done.
+
+            Its models and LM memo are freed when it returns, before the next block's are derived.
+            """
+            name, spec = blocks[i], specs[i]
+            with _stage("translit"):  # the sources are named as in the finished run
+                dictionary, lm, sources, hyps = translit_mod.decode_block(
+                    pairs, spec, whole_dict, whole_lm, table, beam, where=str(Path(out, name, "test.src.txt")))
+            block_dir = work / name
+            block_dir.mkdir(exist_ok=True)
+            corpus_mod.save([pairs[j] for j in spec.train], block_dir / "train.jsonl")
+            corpus_mod.save([pairs[j] for j in spec.test], block_dir / "test.jsonl")
+            translit_mod.save_dictionary(dictionary, block_dir / "dict.json")
+            translit_mod.save_lm(lm, block_dir / "lm.json")
+            _write_lines(block_dir / "test.src.txt", sources)
+            _write_lines(block_dir / "test.hyp.txt", hyps)
+
         _write_json(work / "config.json", {"config": config, "meta": meta})
         if folds == 0:
-            spec = specs[0]
-            payload = {"seed": seed, "train": list(spec.train), "dev": list(spec.dev), "test": list(spec.test)}
-            _write_json(work / "split.json", payload)
-            corpus_mod.save([pairs[i] for i in spec.dev], work / "dev.jsonl")
-            blocks = [""]
-        else:
-            blocks = [f"fold{i:02d}" for i in range(folds)]
-        with _stage("build-dict"):
-            whole_dict = translit_mod.build_dictionary(pairs, direction)
-        with _stage("train-lm"):
-            whole_lm = translit_mod.train_lm([p.text(direction.target) for p in pairs], order=lm_order)
-
+            _write_json(work / "split.json", {"seed": seed, **specs[0]._asdict()})
+            corpus_mod.save([pairs[i] for i in specs[0].dev], work / "dev.jsonl")
         hyp_files = [work / name / "test.hyp.txt" for name in blocks]
-        _run_blocks(lambda i: run_block(blocks[i], specs[i]), lambda i: hyp_files[i].exists(), len(blocks))
+        _run_blocks(run_block, hyp_files)
         scored_hyps = [line for path in hyp_files for line in read_lines(path)]  # exact: no hypothesis holds a CR or LF
         scored = [pairs[i] for spec in specs for i in spec.test]
         _write_lines(work / "test.ref.txt", (p.text(direction.target, train=False) for p in scored))
         system = f"baseline-{direction.name}"
-        with _stage("score"):
-            systems = _score_systems(scored, {system: scored_hyps}, direction.target)
+        systems = _score_systems(scored, {system: scored_hyps}, direction.target)
         table_text = _report_table(systems, [meta])
         write_utf8(work / "report.txt", [table_text])
         write_utf8(work / "report.jsonl", [_report_jsonl(systems[system], meta)])

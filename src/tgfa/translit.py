@@ -29,7 +29,7 @@ from .script import Direction, Script, data_lines, parse_code_point, parse_json_
 from .script import write_utf8
 
 if TYPE_CHECKING:
-    from .corpus import ParallelPair
+    from .corpus import ParallelPair, SplitSpec
 
 __all__ = [
     "EMPTY_MARK",
@@ -48,6 +48,7 @@ __all__ = [
     "expand_lattice",
     "beam_decode",
     "transliterate_lines",
+    "decode_block",
     "avg_alternatives",
 ]
 
@@ -848,6 +849,22 @@ def transliterate_lines(
             done[token] = hit
         out.append(" ".join(done[t] for t in tokens))
     return out
+
+
+def decode_block(pairs: Sequence[ParallelPair], spec: SplitSpec, whole_dict: TranslitDict, whole_lm: CharNGramLM,
+                 table: MappingTable, beam: int = DEFAULT_BEAM,
+                 where: str | None = None) -> tuple[TranslitDict, CharNGramLM, list[str], list[str]]:
+    """A block's dictionary, LM, test sources and hypotheses, in ``table``'s direction.
+
+    The models are those of ``spec.train``: ``whole_dict`` and ``whole_lm``, built on all of ``pairs``,
+    less the held-out pairs (dev and test). ``where`` names the sources, as in ``transliterate_lines``.
+    """
+    d = table.direction
+    held_out = [pairs[i] for i in spec.dev + spec.test]
+    dictionary = whole_dict.without(held_out)
+    lm = whole_lm.without(p.text(d.target) for p in held_out)
+    sources = [pairs[i].text(d.source) for i in spec.test]
+    return dictionary, lm, sources, transliterate_lines(sources, table, dictionary, lm, beam, where=where)
 
 
 def avg_alternatives(texts: Iterable[str], table: MappingTable) -> float:
