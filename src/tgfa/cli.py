@@ -37,6 +37,7 @@ import os
 import shutil
 import sys
 from contextlib import contextmanager
+from itertools import takewhile
 from pathlib import Path
 from stat import S_ISDIR
 from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Sequence
@@ -222,22 +223,33 @@ def _run_directory(out: str):
     (an earlier process with this pid was killed), ``.tgfa.<pid>.<k>.dir``
     for the least free k below 10; one that exists is never touched. On
     any exception, KeyboardInterrupt included, the sibling is removed and
-    ``out``, absent or empty, is left as it was.
+    ``out``, absent or empty, is left as it was; so is each missing
+    parent of ``out`` that this call made, removed deepest first while
+    it is empty.
     """
     path = Path(out)
-    for k in range(10):
-        work = temporary_sibling(path, f"{k}.dir" if k else "dir")
-        try:
-            work.mkdir(parents=True)
-            break
-        except FileExistsError:
-            if k == 9:
-                raise
+    made = list(takewhile(lambda parent: not parent.exists(), path.parents))  # deepest first
     try:
-        yield work
-        os.replace(work, path)
+        for k in range(10):
+            work = temporary_sibling(path, f"{k}.dir" if k else "dir")
+            try:
+                work.mkdir(parents=True)
+                break
+            except FileExistsError:
+                if k == 9:
+                    raise
+        try:
+            yield work
+            os.replace(work, path)
+        except BaseException:
+            shutil.rmtree(work, ignore_errors=True)
+            raise
     except BaseException:
-        shutil.rmtree(work, ignore_errors=True)
+        for parent in made:
+            try:
+                parent.rmdir()
+            except OSError:  # not empty: in use elsewhere, and so are those above it
+                break
         raise
 
 
@@ -591,12 +603,14 @@ def _run_blocks(run_block: Callable[[int], None], outputs: Sequence[Path]) -> No
     runs share 0 itself. Without ``os.fork``, or with one block or one
     CPU, W is 1 and there is no parallel pass. (The command starts no
     thread, so forking is safe; a spawned worker would pay the
-    interpreter's start-up again.) A process leaves its share at its
-    first failing block; a worker writes nothing to stdout or stderr and
-    leaves through ``os._exit(0)``, so a worker that ends with another
-    status died, a TgfaError. On any way out, interrupts included, each
-    worker still running is killed and every worker is reaped, so none
-    writes into a run directory being removed.
+    interpreter's start-up again.) A fork that the system refuses ends
+    the forking, and the shares left unforked go to the serial pass. A
+    process leaves its share at its first failing block; a worker writes
+    nothing to stdout or stderr and leaves through ``os._exit(0)``, so a
+    worker that ends with another status died, a TgfaError. On any way
+    out, interrupts included, each worker still running is killed and
+    every worker is reaped, so none writes into a run directory being
+    removed.
 
     The serial pass then runs here, in block order, each block whose
     last file does not exist: so the lowest-numbered failing block raises
@@ -610,7 +624,10 @@ def _run_blocks(run_block: Callable[[int], None], outputs: Sequence[Path]) -> No
         sys.stderr.flush()
         try:
             for w in range(1, workers):
-                pid = os.fork()
+                try:
+                    pid = os.fork()
+                except OSError:  # refused (EAGAIN, ENOMEM): the serial pass runs the shares left unforked
+                    break
                 if pid == 0:
                     try:
                         for i in range(w, n_blocks, workers):

@@ -752,6 +752,34 @@ class TestPipelineWorkers:
         _assert_no_child_left()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
+    @pytest.mark.parametrize("folds", ["3", "10"])
+    def test_refused_fork_leaves_its_shares_to_the_serial_pass(self, tmp_path, monkeypatch, folds):
+        import errno
+
+        pairs = toy_corpus(24, dataset="Masnavi") + toy_corpus(24, seed=8, dataset="Places")
+        corpus = write_corpus(tmp_path / "c.jsonl", pairs)
+        fork, calls = os.fork, []
+
+        def refusing_second():
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", refusing_second)
+        runs = {}
+        for n in (1, 3):
+            _set_workers(monkeypatch, n)
+            calls.clear()
+            out = tmp_path / f"run{n}"
+            argv = ["pipeline", "--corpus", str(corpus), "--direction", "tg2fa", "--folds", folds, "--out", str(out)]
+            result = run_cli(argv)
+            assert result.exit_code == 0, result.output
+            _assert_no_child_left()
+            assert len(calls) == (0 if n == 1 else 2)
+            runs[n] = (result.output, _tree(out))
+        assert runs[3] == runs[1]
+
     @pytest.mark.parametrize("share", ["parent", "worker"])
     def test_interrupt_in_either_share_leaves_no_temporary_directory_and_no_worker(
             self, corpus_file, tmp_path, monkeypatch, share):
@@ -1206,6 +1234,62 @@ class TestFlagValidation:
                      "--out", str(out)])
         assert len(calls) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+    @pytest.mark.parametrize("existing", ["", "a"])
+    @pytest.mark.parametrize("command", ["pipeline", "split"])
+    def test_failed_run_removes_the_parents_it_made(self, corpus_file, tmp_path, monkeypatch, command, existing):
+        # An interrupted pipeline, and a split that cannot write train.jsonl, into a/b/run.
+        from tgfa import corpus as corpus_mod
+
+        save = corpus_mod.save
+
+        def interrupted(lm, path):
+            raise KeyboardInterrupt
+
+        def save_but_train(pairs, path):
+            if Path(path).name == "train.jsonl":
+                raise IsADirectoryError(21, "Is a directory", str(path))
+            save(pairs, path)
+
+        if existing:
+            (tmp_path / existing).mkdir()
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        out = tmp_path / "a" / "b" / "run"
+        argv = {"pipeline": ["pipeline", "--corpus", str(corpus_file), "--direction", "tg2fa", "--folds", "2",
+                             "--out", str(out)],
+                "split": ["split", "--corpus", str(corpus_file), "--out", str(out)]}[command]
+        if command == "pipeline":
+            monkeypatch.setattr(translit, "save_lm", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                run_cli(argv)
+            _assert_no_child_left()
+        else:
+            monkeypatch.setattr(corpus_mod, "save", save_but_train)
+            result = run_cli(argv)
+            assert result.exit_code == 2 and "train.jsonl: Is a directory" in result.output, result.output
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+
+        # The same run that succeeds makes the parents and leaves them.
+        monkeypatch.undo()
+        result = run_cli(argv)
+        assert result.exit_code == 0, result.output
+        assert [p.name for p in (tmp_path / "a").iterdir()] == ["b"]
+        assert [p.name for p in (tmp_path / "a" / "b").iterdir()] == ["run"]
+
+    def test_failed_run_keeps_a_parent_that_another_process_filled(self, corpus_file, tmp_path, monkeypatch):
+        out = tmp_path / "a" / "b" / "run"
+
+        def fill_and_interrupt(lm, path):
+            (tmp_path / "a" / "theirs.txt").write_text("theirs\n", encoding="utf-8")
+            raise KeyboardInterrupt
+
+        _set_workers(monkeypatch, 1)
+        monkeypatch.setattr(translit, "save_lm", fill_and_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["pipeline", "--corpus", str(corpus_file), "--direction", "tg2fa", "--folds", "2",
+                     "--out", str(out)])
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "a", "a/theirs.txt", "corpus.jsonl"]
 
     def test_train_lm_interrupted_keeps_the_old_model(self, corpus_file, tmp_path, monkeypatch):
         out = tmp_path / "lm.json"

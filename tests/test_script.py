@@ -476,3 +476,30 @@ class TestOneWriter:
         visitor = _WriterUses()
         visitor.visit(ast.parse(source))
         assert visitor.found == []
+
+
+class _WithoutCalls(_WriterUses):
+    """The enclosing function of each ``.without(...)`` call: a model derived by subtraction."""
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "without":
+            self.found.append(".".join(self.scope) or "<module>")
+        self.generic_visit(node)
+
+
+class TestOneDerivation:
+    """A block's models are derived from the whole corpus's in one place, ``translit.decode_block``."""
+
+    def test_only_decode_block_calls_without(self):
+        found = []
+        for path in sorted(Path(tgfa.__file__).parent.glob("*.py")):
+            visitor = _WithoutCalls()
+            visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+            found += [f"{path.name}: {scope}" for scope in visitor.found]
+        assert sorted(found) == ["translit.py: decode_block", "translit.py: decode_block"]
+
+    @pytest.mark.parametrize("source", ["d.without(p)", "f(x).without(p)", "g(d.without)(p).without(q)"])
+    def test_guard_sees_each_call(self, source):
+        visitor = _WithoutCalls()
+        visitor.visit(ast.parse(f"def f():\n    {source}\n"))
+        assert visitor.found == ["f"] * source.count(".without(")

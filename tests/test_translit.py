@@ -18,7 +18,7 @@ from tgfa.errors import (
     WrongState,
 )
 from tgfa import translit
-from tgfa.corpus import ParallelPair, kfold, split_holdout
+from tgfa.corpus import ParallelPair, SplitSpec, kfold, split_holdout
 from tgfa.script import FARSI_LETTERS, Script, TAJIK_LETTERS, ZWNJ
 from tgfa.translit import (
     BOS,
@@ -33,6 +33,7 @@ from tgfa.translit import (
     avg_alternatives,
     beam_decode,
     build_dictionary,
+    decode_block,
     default_mapping_table,
     expand_lattice,
     load_dictionary,
@@ -44,7 +45,7 @@ from tgfa.translit import (
     transliterate_lines,
 )
 
-from conftest import TAJIK_SAMPLE, random_words
+from conftest import TAJIK_SAMPLE, random_words, toy_corpus
 from oracles import CharLMOracle, exhaustive_rank, oracle_lm_json
 
 
@@ -978,3 +979,39 @@ class TestTransliterateLines:
         transliterate_lines(self.lines, self.table, self.dictionary, self.lm)
         oov = {tok for line in self.lines for tok in line.split()} - {"китоб"}
         assert sorted(decoded) == sorted(oov)
+
+
+class TestDecodeBlock:
+    """A block's models are those of its training pairs, and its hypotheses theirs on its test sources."""
+
+    @pytest.mark.parametrize("split", ["holdout", "kfold"])
+    @pytest.mark.parametrize("d", [TG2FA, FA2TG], ids=lambda d: d.name)
+    def test_equals_training_and_decoding_on_the_block(self, tmp_path, d, split):
+        pairs = toy_corpus(20, dataset="Masnavi") + toy_corpus(20, seed=8, dataset="Places")
+        table = default_mapping_table(d.name)
+        whole_dict = build_dictionary(pairs, d)
+        whole_lm = train_lm([p.text(d.target) for p in pairs], order=3)
+        specs = [split_holdout(pairs, seed=3)] if split == "holdout" else kfold(pairs, k=3, seed=3)
+        for spec in specs:
+            dictionary, lm, sources, hyps = decode_block(pairs, spec, whole_dict, whole_lm, table, beam=4)
+            train = [pairs[i] for i in spec.train]
+            trained_dict = build_dictionary(train, d)
+            trained_lm = train_lm([p.text(d.target) for p in train], order=3)
+            assert _bytes(save_dictionary, dictionary, tmp_path / "block.dict.json") == _bytes(
+                save_dictionary, trained_dict, tmp_path / "dict.json")
+            assert _bytes(save_lm, lm, tmp_path / "block.lm.json") == _bytes(save_lm, trained_lm, tmp_path / "lm.json")
+            assert sources == [pairs[i].text(d.source) for i in spec.test]
+            assert hyps == transliterate_lines(sources, table, trained_dict, trained_lm, beam=4)
+            assert any(tok not in trained_dict.entries for line in sources for tok in line.split())  # some decoded
+
+    def test_inventory_gap_names_where_and_the_line(self):
+        # Without its fa2tg table row, U+0671 (alef wasla) is an inventory gap; it opens the second test pair.
+        default = default_mapping_table("fa2tg")
+        table = MappingTable(default.direction, {c: v for c, v in default.entries.items() if c != "\u0671"})
+        pairs = toy_corpus(12)
+        pairs[11] = ParallelPair(fa="\u0671" + pairs[11].fa, tg=pairs[11].tg, dataset=pairs[11].dataset)
+        whole_lm = train_lm([p.text(FA2TG.target) for p in pairs], order=3)
+        spec = SplitSpec(train=tuple(range(10)), dev=(), test=(10, 11))
+        with pytest.raises(UnknownChar, match=r"^fold01/test\.src\.txt: line 2: ") as caught:
+            decode_block(pairs, spec, build_dictionary(pairs, FA2TG), whole_lm, table, where="fold01/test.src.txt")
+        assert caught.value.line == 2
