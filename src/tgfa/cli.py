@@ -225,9 +225,13 @@ def _run_directory(out: str):
     any exception, KeyboardInterrupt included, the sibling is removed and
     ``out``, absent or empty, is left as it was; so is each missing
     parent of ``out`` that this call made, removed deepest first while
-    it is empty.
+    it is empty. An ``out`` with a ``..`` part is built under its parent's
+    real path, so that ``missing/../kept/run`` neither makes ``missing``
+    nor counts ``kept`` as made.
     """
     path = Path(out)
+    if ".." in path.parts:
+        path = Path(os.path.realpath(path.parent), path.name)
     made = list(takewhile(lambda parent: not parent.exists(), path.parents))  # deepest first
     try:
         for k in range(10):

@@ -1235,10 +1235,12 @@ class TestFlagValidation:
         assert len(calls) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
-    @pytest.mark.parametrize("existing", ["", "a"])
+    @pytest.mark.parametrize("existing, out, made", [("", "a/b/run", ["a", "a/b"]), ("a", "a/b/run", ["a/b"]),
+                                                     ("keep", "x/../keep/run", [])])
     @pytest.mark.parametrize("command", ["pipeline", "split"])
-    def test_failed_run_removes_the_parents_it_made(self, corpus_file, tmp_path, monkeypatch, command, existing):
-        # An interrupted pipeline, and a split that cannot write train.jsonl, into a/b/run.
+    def test_failed_run_removes_the_parents_it_made(self, corpus_file, tmp_path, monkeypatch, command, existing,
+                                                    out, made):
+        # An interrupted pipeline, and a split that cannot write train.jsonl, into out.
         from tgfa import corpus as corpus_mod
 
         save = corpus_mod.save
@@ -1254,7 +1256,8 @@ class TestFlagValidation:
         if existing:
             (tmp_path / existing).mkdir()
         before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
-        out = tmp_path / "a" / "b" / "run"
+        run = Path(os.path.normpath(tmp_path / out))
+        out = tmp_path / out
         argv = {"pipeline": ["pipeline", "--corpus", str(corpus_file), "--direction", "tg2fa", "--folds", "2",
                              "--out", str(out)],
                 "split": ["split", "--corpus", str(corpus_file), "--out", str(out)]}[command]
@@ -1273,8 +1276,9 @@ class TestFlagValidation:
         monkeypatch.undo()
         result = run_cli(argv)
         assert result.exit_code == 0, result.output
-        assert [p.name for p in (tmp_path / "a").iterdir()] == ["b"]
-        assert [p.name for p in (tmp_path / "a" / "b").iterdir()] == ["run"]
+        assert run.is_dir()
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if not p.is_relative_to(run)) == \
+            sorted({*before, *map(Path, made)})
 
     def test_failed_run_keeps_a_parent_that_another_process_filled(self, corpus_file, tmp_path, monkeypatch):
         out = tmp_path / "a" / "b" / "run"
