@@ -158,8 +158,11 @@ def _dir_path(value: str) -> str:
     is_dir = _is_dir("directory", value)
     if is_dir is False:
         raise argparse.ArgumentTypeError(f"directory {value!r} is a file")
-    if is_dir and any(Path(value).iterdir()):
-        raise argparse.ArgumentTypeError(f"directory {value!r} is not empty")
+    try:
+        if is_dir and any(Path(value).iterdir()):
+            raise argparse.ArgumentTypeError(f"directory {value!r} is not empty")
+    except OSError as e:  # it cannot be listed
+        raise argparse.ArgumentTypeError(f"directory {value!r}: {e.strerror}") from None
     if not Path(value).name:  # "." or "/": no sibling to build it in
         raise argparse.ArgumentTypeError(f"directory {value!r} has no name")
     return value

@@ -13,13 +13,14 @@ Conventions that matter for comparability:
   reference n-gram), then combined with beta = 2. A sentence-averaged
   variant is available for sensitivity checks.
 
-`score_corpus` is the one scorer. It scores each pair once (one edit
-distance, one chrF++ count vector whose first six orders are chrF's)
-and builds every group's row and the pooled Overall row from those
-values. The single-metric functions (`chrf`, `chrf_pp`, `cer_mean`,
-`ncer_mean`) each read one field of its Overall row, so each costs a
-full scoring pass. Every edit distance comes from the bit-parallel
-kernel in `tgfa._kernels`.
+`score_corpus` is the one scorer. It scores each pair once into a
+record: the edit distance, that distance over max(1, len(reference)),
+the chrF++ count vector (its first six orders are chrF's) and the two
+exactness flags. Every group's row and the pooled Overall row sum their
+records field by field in input order. The single-metric functions
+(`chrf`, `chrf_pp`, `cer_mean`, `ncer_mean`) each read one field of its
+Overall row, so each costs a full scoring pass. Every edit distance
+comes from the bit-parallel kernel in `tgfa._kernels`.
 
 Each order's n-gram totals are its side's length minus n - 1 (never
 below 0), so n-grams are counted only to find matches. An exact pair
@@ -37,7 +38,7 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from itertools import compress
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from ._kernels import levenshtein as edit_distance
 from .corpus import DOMAINS
@@ -190,20 +191,6 @@ def _order_stats(
     return stats
 
 
-def _stats(
-    hyp_chars: str, ref_chars: str, hyp: str, ref: str, max_char_n: int, max_word_n: int
-) -> list[tuple[int, int, int]]:
-    """Per-order (matched, hyp_total, ref_total) n-gram counts for one pair.
-
-    ``hyp_chars`` and ``ref_chars`` are ``hyp`` and ``ref`` with their
-    whitespace removed: character n-grams come from them, word n-grams
-    from ``hyp`` and ``ref``.
-    """
-    return _order_stats(hyp_chars, ref_chars, max_char_n) + _order_stats(
-        tuple(hyp.split()), tuple(ref.split()), max_word_n
-    )
-
-
 def _f_from_stats(stats: Sequence[tuple[int, int, int]], beta: float) -> float:
     """Averaged-F over active orders, scaled to [0, 100].
 
@@ -251,8 +238,18 @@ def ncer_mean(pairs: Sequence[EvalPair]) -> float:
 _GROUP_ORDER = {domain: i for i, domain in enumerate(DOMAINS)}
 
 
-def _ordered_groups(labels: Iterable[str]) -> list[str]:
-    return sorted(set(labels), key=lambda g: (_GROUP_ORDER.get(g, len(_GROUP_ORDER)), g))
+def _pair_record(p: EvalPair) -> tuple:
+    """(distance, distance / max(1, len(reference)), chrF++ counts, exact, exact_no_ws) for one pair.
+
+    The counts are (matched, hyp_total, ref_total) per order: six character
+    orders over the whitespace-stripped sides, then two word orders.
+    """
+    hyp_chars, ref_chars = strip_whitespace(p.hypothesis), strip_whitespace(p.reference)
+    distance = edit_distance(p.hypothesis, p.reference)
+    counts = _order_stats(hyp_chars, ref_chars, CHRF_CHAR_ORDER) + _order_stats(
+        tuple(p.hypothesis.split()), tuple(p.reference.split()), CHRF_PP_WORD_ORDER
+    )
+    return distance, distance / max(1, len(p.reference)), counts, p.hypothesis == p.reference, hyp_chars == ref_chars
 
 
 def score_corpus(pairs: Sequence[EvalPair], sentence_level_chrf: bool = False) -> list[dict]:
@@ -261,36 +258,25 @@ def score_corpus(pairs: Sequence[EvalPair], sentence_level_chrf: bool = False) -
     Each row holds ``group``, ``n_pairs`` and the six metrics ``chrf``,
     ``chrf_pp``, ``cer``, ``ncer``, ``acc`` and ``acc_no_ws``. A pair
     labelled ``Overall`` raises ConfigError, before any pair is scored.
-    Each pair is scored once: one edit distance and one chrF++ count
-    vector (chrF is its first six orders). Every row sums those per-pair
-    values in input order, so a group's row equals that of its pairs
-    scored alone.
+    Each pair is scored once, into its ``_pair_record``. Every row sums
+    its records field by field in input order, so a group's row equals
+    that of its pairs scored alone.
     """
     if not pairs:
         raise EmptyCorpus("no pairs to score")
     if any(p.group == "Overall" for p in pairs):
         raise ConfigError("group label 'Overall' is reserved for the pooled row")
-    dists = [edit_distance(p.hypothesis, p.reference) for p in pairs]
-    stripped = [(strip_whitespace(p.hypothesis), strip_whitespace(p.reference)) for p in pairs]
-    stats = [
-        _stats(hc, rc, p.hypothesis, p.reference, CHRF_CHAR_ORDER, CHRF_PP_WORD_ORDER)
-        for p, (hc, rc) in zip(pairs, stripped)
-    ]
-    rates = [d / max(1, len(p.reference)) for d, p in zip(dists, pairs)]
-    if sentence_level_chrf:
-        sent_chrf = [_f_from_stats(s[:CHRF_CHAR_ORDER], CHRF_BETA) for s in stats]
-        sent_chrf_pp = [_f_from_stats(s, CHRF_BETA) for s in stats]
-    exact = [p.hypothesis == p.reference for p in pairs]
-    exact_no_ws = [hc == rc for hc, rc in stripped]
+    records = [_pair_record(p) for p in pairs]
 
-    def row(group: str, idx: Sequence[int]) -> dict:
-        n = len(idx)
+    def row(group: str, members: list[tuple]) -> dict:
+        n = len(members)
+        dists, rates, counts, exact, exact_no_ws = zip(*members)
         if sentence_level_chrf:
-            chrf_value = sum(sent_chrf[i] for i in idx) / n
-            chrf_pp_value = sum(sent_chrf_pp[i] for i in idx) / n
+            chrf_value = sum(_f_from_stats(c[:CHRF_CHAR_ORDER], CHRF_BETA) for c in counts) / n
+            chrf_pp_value = sum(_f_from_stats(c, CHRF_BETA) for c in counts) / n
         else:
             # Per order, (matched, hyp_total, ref_total) summed over the pairs.
-            totals = [tuple(map(sum, zip(*order))) for order in zip(*(stats[i] for i in idx))]
+            totals = [tuple(map(sum, zip(*order))) for order in zip(*counts)]
             chrf_value = _f_from_stats(totals[:CHRF_CHAR_ORDER], CHRF_BETA)
             chrf_pp_value = _f_from_stats(totals, CHRF_BETA)
         return {
@@ -298,15 +284,14 @@ def score_corpus(pairs: Sequence[EvalPair], sentence_level_chrf: bool = False) -
             "n_pairs": n,
             "chrf": chrf_value,
             "chrf_pp": chrf_pp_value,
-            "cer": sum(dists[i] for i in idx) / n,
-            "ncer": sum(rates[i] for i in idx) / n,
-            "acc": 100.0 * sum(exact[i] for i in idx) / n,
-            "acc_no_ws": 100.0 * sum(exact_no_ws[i] for i in idx) / n,
+            "cer": sum(dists) / n,
+            "ncer": sum(rates) / n,
+            "acc": 100.0 * sum(exact) / n,
+            "acc_no_ws": 100.0 * sum(exact_no_ws) / n,
         }
 
-    by_group: dict[str, list[int]] = {}
-    for i, p in enumerate(pairs):
-        by_group.setdefault(p.group, []).append(i)
-    return [row(label, by_group[label]) for label in _ordered_groups(by_group)] + [
-        row("Overall", range(len(pairs)))
-    ]
+    by_group: dict[str, list[tuple]] = {}
+    for p, record in zip(pairs, records):
+        by_group.setdefault(p.group, []).append(record)
+    labels = sorted(by_group, key=lambda g: (_GROUP_ORDER.get(g, len(_GROUP_ORDER)), g))
+    return [row(label, by_group[label]) for label in labels] + [row("Overall", records)]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import io
 import json
@@ -922,6 +923,15 @@ class TestEnvironment:
         assert result.exit_code == alone.exit_code == 0, result.output
         assert result.output == alone.output
 
+    @pytest.mark.parametrize("value,on", [("yes", True), ("off", False)])
+    def test_boolean_variable_sets_its_flag(self, value, on):
+        argv = ["translit", "--direction", "tg2fa"]
+        flagged = run_cli([*argv, "--ambiguity-stats"] if on else argv, input="бғд\n")
+        result = run_cli(argv, input="бғд\n", env={"TGFA_TRANSLIT_AMBIGUITY_STATS": value})
+        assert result.exit_code == flagged.exit_code == 0, result.output
+        assert ("avg alternatives per token:" in result.output) == on, result.output
+        assert result.output == flagged.output
+
     def test_repeatable_variable_split_on_whitespace_unless_the_flag_is_given(self, corpus_file, tmp_path):
         hyps = [tmp_path / f"{name}.txt" for name in ("one", "two", "three")]
         for hyp in hyps:
@@ -1081,6 +1091,23 @@ class TestFlagValidation:
             assert [p.name for p in directory.iterdir()] == ["partial.txt"]
             assert (directory / "partial.txt").read_text(encoding="utf-8") == "left\n"
 
+    def test_run_directory_refused_when_every_name_is_left(self, corpus_file, tmp_path):
+        # Killed processes with this pid left all ten run directories, each with a file in it.
+        stale = [tmp_path / f".tgfa.{os.getpid()}.{suffix}" for suffix in ["dir", *(f"{k}.dir" for k in range(1, 10))]]
+        for directory in stale:
+            directory.mkdir()
+            (directory / "partial.txt").write_text("left\n", encoding="utf-8")
+        out = tmp_path / "run"
+        result = run_cli(["kfold", "--corpus", str(corpus_file), "--k", "2", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert f"Error: {stale[-1]}: File exists" in result.output, result.output
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["corpus.jsonl", *(d.name for d in stale)])
+        for directory in stale:
+            assert [p.name for p in directory.iterdir()] == ["partial.txt"]
+            assert (directory / "partial.txt").read_text(encoding="utf-8") == "left\n"
+
     def test_kfold_k_rejected_before_corpus_is_read(self, tmp_path):
         corpus = tmp_path / "bad.jsonl"
         corpus.write_bytes(b"not json at all\n")
@@ -1196,6 +1223,27 @@ class TestFlagValidation:
         assert _names("--out", result.output) and "has no name" in result.output, result.output
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "empty"]
         assert not any(empty.iterdir())
+
+    def test_unlistable_run_directory_rejected_before_work(self, corpus_file, tmp_path, monkeypatch):
+        # A chmod does not stop root, so a patch refuses to list the directory.
+        out = tmp_path / "out"
+        out.mkdir()
+        iterdir = Path.iterdir
+
+        def refuse_out(path):
+            if path == out:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return iterdir(path)
+
+        monkeypatch.setattr(Path, "iterdir", refuse_out)
+        result = run_cli(["kfold", "--corpus", str(corpus_file), "--out", str(out)])
+        monkeypatch.undo()
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert _names("--out", result.output) and "Permission denied" in result.output, result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "out"]
+        assert not any(out.iterdir())
 
     def test_split_that_cannot_write_a_subset_leaves_no_output(self, corpus_file, tmp_path, monkeypatch):
         from tgfa import corpus as corpus_mod
@@ -1602,6 +1650,14 @@ BAD_FILES = [
     pytest.param("bad.jsonl", _GOOD_JSONL + b'{"fa": "\xd8\xa7", "tg": "a", "dataset": null}\n',
                  ["kfold", "--corpus", "{path}", "--k", "2", "--out", "{out}"],
                  3, "{path}: line 2: field 'dataset' is not a string", id="corpus-dataset-null"),
+    pytest.param("bad.jsonl", _GOOD_JSONL + b'{"fa": 5, "tg": "a"}\n',
+                 ["kfold", "--corpus", "{path}", "--k", "2", "--out", "{out}"],
+                 3, "{path}: line 2: field 'fa' is not a string", id="corpus-fa-number"),
+    pytest.param("bom.jsonl", "\ufeff".encode() + _GOOD_JSONL, ["stats", "--corpus", "{path}"],
+                 3, "{path}: line 1: invalid JSON (Unexpected UTF-8 BOM", id="corpus-bom"),
+    # An --out run directory that names an existing file.
+    pytest.param("run", b"mine\n", ["kfold", "--corpus", "{corpus}", "--out", "{path}"],
+                 2, "directory '{path}' is a file", id="out-directory-is-a-file"),
     pytest.param("bad.jsonl", b'{"fa": "\xd8\xa7", "tg": "a", "dataset": ["x"]}\n',
                  ["stats", "--corpus", "{path}"],
                  3, "{path}: line 1: field 'dataset' is not a string", id="corpus-dataset-list"),
@@ -1938,7 +1994,7 @@ LOADS = {
 # Standard-library modules no command loads: each costs more start-up
 # than the one line it would serve.
 _UNLOADED = ("logging", "dataclasses", "inspect", "importlib.resources",
-             # and none the pipeline's workers need: they are forked and talk through pipes
+             # and none the pipeline's workers need: they are forked and share only the run directory
              "multiprocessing", "concurrent.futures", "pickle", "subprocess", "threading")
 # The child runs one command through tgfa.cli.main, then writes the tgfa
 # modules it loaded and which of _UNLOADED it loaded to stderr's last

@@ -15,7 +15,7 @@ from tgfa.metrics import (
     edit_distance,
     ncer_mean,
     score_corpus,
-    _stats,
+    _order_stats,
 )
 
 from tgfa.cli import METRIC_COLUMNS
@@ -206,7 +206,9 @@ class TestNgramF:
 
 
 def stats(hyp: str, ref: str):
-    return _stats("".join(hyp.split()), "".join(ref.split()), hyp, ref, 6, 2)
+    return _order_stats("".join(hyp.split()), "".join(ref.split()), 6) + _order_stats(
+        tuple(hyp.split()), tuple(ref.split()), 2
+    )
 
 
 class TestCommonRuns:
@@ -517,7 +519,8 @@ class TestScoreCorpus:
         stripped = "".join(x.split())
         chars, words = len(stripped), len(x.split())
         totals = [max(0, chars - n + 1) for n in range(1, 7)] + [max(0, words - n + 1) for n in (1, 2)]
-        assert _stats(stripped, stripped, x, x, 6, 2) == [(t, t, t) for t in totals] == ngram_stats_direct(x, x, 6, 2)
+        counts = _order_stats(stripped, stripped, 6) + _order_stats(tuple(x.split()), tuple(x.split()), 2)
+        assert counts == [(t, t, t) for t in totals] == ngram_stats_direct(x, x, 6, 2)
 
     def test_cer_zero_iff_acc_100(self):
         for seed in range(5):
